@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .curvature import (
 from .families import FamilySpec, catalog, family_data, family_spec, realize, \
     verify_realization
 from .supercore import algebra_to_json, check_form, check_super_jacobi, \
-    form_to_json, killing_form
+    form_to_json
 
 DEFAULT_SEED = 12345
 DEFAULT_TOL = einstein.SOLUTION_TOL
@@ -74,8 +75,7 @@ def cmd_build(args) -> int:
     alg = real.algebra
     jac = check_super_jacobi(alg)
     form_report = check_form(alg, real.canonical_form)
-    kform = killing_form(alg)
-    k_max = float(np.max(np.abs(kform.gram)))
+    k_max = float(np.max(np.abs(real.killing.gram)))
     realization = verify_realization(real)
     ok = (jac.residual < STRUCT_TOL and form_report.is_even
           and form_report.is_supersymmetric
@@ -138,6 +138,10 @@ def _indices_rows(spec: FamilySpec) -> tuple[list[dict], bool]:
     return rows, ok
 
 
+INDEX_COLUMNS = ["ideal", "dim", "l", "l_catalog", "b", "b_catalog", "gamma",
+                 "gamma_catalog", "residual"]
+
+
 def cmd_indices(args) -> int:
     spec = _spec_from_args(args)
     if not spec.realizable:
@@ -148,6 +152,8 @@ def cmd_indices(args) -> int:
     if args.format == "json":
         _emit(_json_dumps({"family": spec.name, "ideals": rows,
                            "pass": bool(ok)}), args.out)
+    elif args.format == "csv":
+        _emit(_rows_to_csv(rows, INDEX_COLUMNS), args.out)
     else:
         lines = [f"# {spec.name} invariants", "",
                  "| ideal | dim | l | l (catalog) | b | b (catalog) | gamma | gamma (catalog) | residual |",
@@ -155,8 +161,7 @@ def cmd_indices(args) -> int:
         for r in rows:
             lines.append("| " + " | ".join(
                 "" if r[k] is None else (f"{r[k]:.12g}" if isinstance(r[k], float) else str(r[k]))
-                for k in ("ideal", "dim", "l", "l_catalog", "b", "b_catalog",
-                          "gamma", "gamma_catalog", "residual")) + " |")
+                for k in INDEX_COLUMNS) + " |")
         lines.append("")
         lines.append(f"overall: {'pass' if ok else 'FAIL'}")
         _emit("\n".join(lines) + "\n", args.out)
@@ -168,32 +173,33 @@ def cmd_indices(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solution_rows(spec: FamilySpec, sols) -> list[dict]:
-    data = family_data(spec)
+def _solution_rows(family: str, params: dict, form: str, has_k0: bool,
+                   solutions: list[dict]) -> list[dict]:
+    """Table rows from solution JSON: x0 scales the abelian ideal when the
+    family has one, x1..x3 the simple ideals."""
     rows = []
-    for s in sols:
-        xs = list(s.x)
-        x0 = xs.pop(0) if data.has_k0 else None
+    for s in solutions:
+        xs = list(s["x"])
+        x0 = xs.pop(0) if has_k0 else None
         xs += [None] * (3 - len(xs))
         rows.append({
-            "family": spec.name,
-            "params": _params_str(spec),
-            "form": data.form_kind,
+            "family": family, "params": _params_str(params), "form": form,
             "x0": x0, "x1": xs[0], "x2": xs[1], "x3": xs[2],
-            "c": s.c, "residual": s.residual,
-            "ricci_verified": s.ricci_verified,
+            "c": s["c"], "residual": s["residual"],
+            "ricci_verified": s["ricci_verified"],
         })
     return rows
 
 
-def _params_str(spec: FamilySpec) -> str:
-    parts = []
-    if spec.m is not None:
-        parts.append(f"m={spec.m}")
-    if spec.n is not None:
-        parts.append(f"n={spec.n}")
-    if spec.alpha is not None:
-        parts.append(f"alpha={spec.alpha:g}")
+def _section_rows(sec: dict) -> list[dict]:
+    return _solution_rows(sec["family"], sec["params"], sec["data"]["form_kind"],
+                          sec["data"]["dim_k0"] > 0, sec["solutions"])
+
+
+def _params_str(params: dict) -> str:
+    parts = [f"{k}={params[k]}" for k in ("m", "n") if params[k] is not None]
+    if params["alpha"] is not None:
+        parts.append(f"alpha={params['alpha']:g}")
     return ",".join(parts)
 
 
@@ -201,14 +207,14 @@ CSV_COLUMNS = ["family", "params", "form", "x0", "x1", "x2", "x3", "c",
                "residual", "ricci_verified"]
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
+def _rows_to_csv(rows: list[dict], columns: list[str] = CSV_COLUMNS) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(columns)
     for r in rows:
         writer.writerow(["" if r[k] is None else
                          (repr(r[k]) if isinstance(r[k], float) else r[k])
-                         for k in CSV_COLUMNS])
+                         for k in columns])
     return buf.getvalue()
 
 
@@ -233,9 +239,11 @@ def _run_solve(args, require_verified: bool) -> int:
         return 2
     sols = einstein.solve_family(spec, c_window=args.cmax,
                                  residual_tol=args.tol)
-    rows = _solution_rows(spec, sols)
+    doc = einstein.solutions_to_json(spec, sols)
+    rows = _solution_rows(doc["family"], doc["params"], doc["form"],
+                          data.has_k0, doc["solutions"])
     if args.format == "json":
-        _emit(_json_dumps(einstein.solutions_to_json(spec, sols)), args.out)
+        _emit(_json_dumps(doc), args.out)
     elif args.format == "csv":
         _emit(_rows_to_csv(rows), args.out)
     else:
@@ -345,9 +353,8 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
     if spec.realizable:
         real = realize(spec)
         jac = check_super_jacobi(real.algebra)
-        kform = killing_form(real.algebra)
         form_report = check_form(real.algebra, real.canonical_form)
-        k_max = float(np.max(np.abs(kform.gram)))
+        k_max = float(np.max(np.abs(real.killing.gram)))
         _, idx_ok = _indices_rows(spec)
         route = _route_equivalence(real, np.random.default_rng([seed, index]), 2)
         section["structural"] = {
@@ -464,22 +471,7 @@ def _report_markdown(doc: dict) -> str:
                      f"(expected {'exactly 1' if sec['expected_single'] else '>= 2'}; "
                      f"ok: {sec['count_ok']})")
         lines.append("")
-        rows = []
-        data = family_data(family_spec(
-            sec["kind"],
-            m=sec["params"]["m"], n=sec["params"]["n"],
-            alpha=sec["params"]["alpha"]))
-        for s in sec["solutions"]:
-            xs = list(s["x"])
-            x0 = xs.pop(0) if data.has_k0 else None
-            xs += [None] * (3 - len(xs))
-            rows.append({"family": sec["family"],
-                         "params": _params_str_from(sec["params"]),
-                         "form": d["form_kind"], "x0": x0, "x1": xs[0],
-                         "x2": xs[1], "x3": xs[2], "c": s["c"],
-                         "residual": s["residual"],
-                         "ricci_verified": s["ricci_verified"]})
-        lines.append(_rows_to_markdown(rows))
+        lines.append(_rows_to_markdown(_section_rows(sec)))
     summ = doc["summary"]
     lines.append("## Summary")
     lines.append("")
@@ -495,17 +487,6 @@ def _report_markdown(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _params_str_from(params: dict) -> str:
-    parts = []
-    if params.get("m") is not None:
-        parts.append(f"m={params['m']}")
-    if params.get("n") is not None:
-        parts.append(f"n={params['n']}")
-    if params.get("alpha") is not None:
-        parts.append(f"alpha={params['alpha']:g}")
-    return ",".join(parts)
-
-
 def cmd_report(args) -> int:
     doc = build_report(args.max_m, args.max_n if args.max_n is not None
                        else args.max_m, args.seed, args.cmax, args.tol,
@@ -513,22 +494,8 @@ def cmd_report(args) -> int:
     if args.format == "json":
         _emit(_json_dumps(doc), args.out)
     elif args.format == "csv":
-        rows = []
-        for sec in doc["families"]:
-            data = family_data(family_spec(
-                sec["kind"], m=sec["params"]["m"], n=sec["params"]["n"],
-                alpha=sec["params"]["alpha"]))
-            for s in sec["solutions"]:
-                xs = list(s["x"])
-                x0 = xs.pop(0) if data.has_k0 else None
-                xs += [None] * (3 - len(xs))
-                rows.append({"family": sec["family"],
-                             "params": _params_str_from(sec["params"]),
-                             "form": sec["data"]["form_kind"], "x0": x0,
-                             "x1": xs[0], "x2": xs[1], "x3": xs[2],
-                             "c": s["c"], "residual": s["residual"],
-                             "ricci_verified": s["ricci_verified"]})
-        _emit(_rows_to_csv(rows), args.out)
+        _emit(_rows_to_csv([r for sec in doc["families"]
+                            for r in _section_rows(sec)]), args.out)
     else:
         _emit(_report_markdown(doc), args.out)
     return 0 if doc["summary"]["all_pass"] else 1
@@ -593,12 +560,32 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(args) -> str | None:
+    """The first option value outside its domain, as a message, else None."""
+    if not (math.isfinite(args.cmax) and args.cmax > 0):
+        return f"--cmax must be finite and > 0, got {args.cmax:g}"
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        return f"--tol must be finite and > 0, got {args.tol:g}"
+    if args.tol > DEFAULT_TOL:
+        return f"--tol may only tighten the default {DEFAULT_TOL:g}"
+    if args.jobs < 1:
+        return f"--jobs must be >= 1, got {args.jobs}"
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None and not math.isfinite(alpha):
+        return f"--alpha must be finite, got {alpha:g}"
+    for opt in ("max_m", "max_n"):
+        value = getattr(args, opt, None)
+        if value is not None and value < 0:
+            return f"--{opt.replace('_', '-')} must be >= 0, got {value}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.tol > DEFAULT_TOL:
-        print(f"error: --tol may only tighten the default {DEFAULT_TOL:g}",
-              file=sys.stderr)
+    error = _input_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

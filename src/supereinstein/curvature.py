@@ -14,7 +14,6 @@ from .supercore import (
     DegeneracyError,
     LieSuperAlgebra,
     _parity_sign_matrix,
-    killing_form,
 )
 from .invariants import casimir_on_odd, ideal_killing_gram, representation_index
 
@@ -156,7 +155,6 @@ def _symmetrized_even_form(alg: LieSuperAlgebra, mat: np.ndarray,
 @lru_cache(maxsize=64)
 def _closed_form_pieces(real):
     alg = real.algebra
-    k_full = killing_form(alg).gram
     blocks = []
     for rng in alg.decomposition:
         if rng.kind == "simple":
@@ -166,7 +164,7 @@ def _closed_form_pieces(real):
             li, ki = None, None
         cas = casimir_on_odd(alg, real.canonical_form, rng).operator.matrix
         blocks.append((rng, li, ki, cas))
-    return k_full, blocks
+    return blocks
 
 
 def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:
@@ -175,7 +173,7 @@ def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:
     Casimir-weighted sum on the odd block, zero elsewhere."""
     _check_params(real, params)
     alg = real.algebra
-    k_full, blocks = _closed_form_pieces(real)
+    blocks = _closed_form_pieces(real)
     n = alg.dim
     ric = np.zeros((n, n))
     odd = list(alg.odd_range())
@@ -184,7 +182,7 @@ def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:
     for (rng, li, ki, cas), xi in zip(blocks, params.x):
         sl = slice(rng.start, rng.stop)
         if rng.kind == "abelian":
-            ric[sl, sl] = -(xi * xi / 4.0) * k_full[sl, sl]
+            ric[sl, sl] = -(xi * xi / 4.0) * real.killing.gram[sl, sl]
         else:
             ric[sl, sl] = 0.25 * (li * xi * xi - 1.0) * ki
         odd_sum += (xi / 2.0 - 1.0) * (b_odd @ cas)

@@ -27,6 +27,9 @@ from .supercore import (
 Sparse = dict  # {(row, col): Fraction}
 
 REALIZATION_MATCH_TOL = 1e-9
+# Largest dense (dim, dim, dim) float64 structure tensor a realization may
+# allocate: dim <= 406.
+MAX_DENSE_BYTES = 512 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +270,6 @@ def catalog(max_m: int, max_n: Optional[int] = None) -> list[FamilySpec]:
     return out
 
 
-def catalog_to_json(specs: list[FamilySpec]) -> list[dict]:
-    return [{"kind": s.kind, "m": s.m, "n": s.n, "alpha": s.alpha} for s in specs]
-
-
 # ---------------------------------------------------------------------------
 # Sparse exact matrix helpers
 # ---------------------------------------------------------------------------
@@ -330,11 +329,13 @@ def _dense(mat: Sparse, size: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """A matrix-realized family: algebra, canonical form and catalog data."""
+    """A matrix-realized family: algebra, canonical and Killing forms, and
+    catalog data."""
 
     spec: FamilySpec
     algebra: LieSuperAlgebra
     canonical_form: BilinearFormMatrix
+    killing: BilinearFormMatrix
     data: FamilyData
     matrices: tuple  # dense defining matrices, aligned with the basis
     rep_dims: tuple[int, int]  # (even slot, odd slot) of the defining space
@@ -353,6 +354,10 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
     means t * str(XY) computed from the defining matrices.
     """
     dim = len(elems)
+    if 8 * dim**3 > MAX_DENSE_BYTES:
+        raise ValueError(f"{spec.name}: the dense structure tensor of dim {dim} "
+                         f"needs {8 * dim**3 / 2**30:.1f} GiB, over the "
+                         f"{MAX_DENSE_BYTES // 2**20} MiB limit")
     mats = [e[0] for e in elems]
     parity = tuple(e[1] for e in elems)
     labels = tuple(e[2] for e in elems)
@@ -371,8 +376,9 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
                     c[j, i, idx] = -sign * float(val)
     alg = LieSuperAlgebra(SuperBasis(parity, labels), c, tuple(decomposition),
                           c_exact=c_exact)
+    killing = killing_form(alg)
     if form_scale is None:
-        form = killing_form(alg)
+        form = killing
     else:
         gram_exact = [[form_scale * _str_exact(_mat_mul(mats[i], mats[j]), even_slot)
                        for j in range(dim)] for i in range(dim)]
@@ -388,7 +394,7 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
         )
     size = even_slot + odd_slot
     dense = tuple(_dense(m, size) for m in mats)
-    return Realization(spec, alg, form, family_data(spec), dense,
+    return Realization(spec, alg, form, killing, family_data(spec), dense,
                        (even_slot, odd_slot))
 
 

@@ -192,9 +192,3 @@ def verify_trace_identities(alg: LieSuperAlgebra, form: BilinearFormMatrix,
                      c[np.ix_(odd, idx, odd)], optimize=True)
     r3 = float(np.max(np.abs(lhs3 + bc)))
     return r1, r2, r3
-
-
-def verification_report(check: str, family: str, residual: float,
-                        tol: float) -> dict:
-    return {"check": check, "family": family, "residual": residual,
-            "pass": bool(residual < tol)}

@@ -299,7 +299,7 @@ def check_super_jacobi(alg: LieSuperAlgebra) -> JacobiReport:
         j, k = np.unravel_index(int(np.argmax(res)), res.shape)
         if res[j, k] > worst_val:
             worst_val = float(res[j, k])
-            worst = (i, j, k)
+            worst = (i, int(j), int(k))
     return JacobiReport(worst_val, worst)
 
 

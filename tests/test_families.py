@@ -193,3 +193,21 @@ class TestRealizationChecks:
         r = realize(family_spec("B", 2, 2))
         assert r.algebra.dim_even == sum(r.data.dim_k) + r.data.dim_k0
         assert r.algebra.dim_odd == r.data.dim_odd
+
+    def test_killing_form_carried(self, osp32):
+        d32 = realize(family_spec("D", 3, 2))
+        for r in (osp32, d32):
+            assert np.array_equal(r.killing.gram,
+                                  supercore.killing_form(r.algebra).gram)
+        assert osp32.canonical_form is osp32.killing
+        assert d32.canonical_form is not d32.killing
+
+    def test_oversized_realization_refused(self):
+        with pytest.raises(ValueError, match="MiB limit"):
+            realize(family_spec("A", 40, 0))
+
+    def test_catalog_fits_dense_limit(self):
+        dims = [d.dim_k0 + sum(d.dim_k) + d.dim_odd
+                for d in map(family_data, catalog(6))]
+        assert max(dims) == 312
+        assert 8 * max(dims) ** 3 <= families.MAX_DENSE_BYTES
