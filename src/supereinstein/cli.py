@@ -28,8 +28,7 @@ from .curvature import (
 )
 from .families import FamilySpec, catalog, family_data, family_spec, realize, \
     verify_realization
-from .supercore import algebra_to_json, check_form, check_super_jacobi, \
-    form_to_json
+from .supercore import algebra_to_json, check_super_jacobi, form_to_json
 
 DEFAULT_SEED = 12345
 DEFAULT_TOL = einstein.SOLUTION_TOL
@@ -74,7 +73,7 @@ def cmd_build(args) -> int:
     real = realize(spec)
     alg = real.algebra
     jac = check_super_jacobi(alg)
-    form_report = check_form(alg, real.canonical_form)
+    form_report = real.canonical_form.report
     k_max = float(np.max(np.abs(real.killing.gram)))
     realization = verify_realization(real)
     ok = (jac.residual < STRUCT_TOL and form_report.is_even
@@ -116,7 +115,7 @@ def _indices_rows(spec: FamilySpec) -> tuple[list[dict], bool]:
     rows, ok = [], True
     if data.has_k0:
         k0 = alg.abelian_ideal()
-        cas = invariants.casimir_on_odd(alg, real.canonical_form, k0)
+        cas = real.casimirs[k0]
         res = abs(cas.scalar - float(data.gamma0))
         ok &= res < DATA_TOL
         rows.append({"ideal": "k0", "dim": k0.dim, "l": None, "l_catalog": None,
@@ -125,7 +124,7 @@ def _indices_rows(spec: FamilySpec) -> tuple[list[dict], bool]:
     for pos, ideal in enumerate(alg.simple_ideals()):
         l_fit = invariants.representation_index(alg, ideal)
         b_fit = invariants.b_ratio(alg, real.canonical_form, ideal)
-        cas = invariants.casimir_on_odd(alg, real.canonical_form, ideal)
+        cas = real.casimirs[ideal]
         res = max(abs(l_fit - float(data.l[pos])),
                   abs(b_fit - float(data.b[pos])),
                   abs(cas.scalar - float(data.gamma[pos])))
@@ -237,8 +236,18 @@ def _run_solve(args, require_verified: bool) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sols = einstein.solve_family(spec, c_window=args.cmax,
-                                 residual_tol=args.tol)
+    # Scan at least the default window, so --cmax filters what it omits
+    # instead of hiding it outside the scan.
+    found = einstein.solve_family(
+        spec, c_window=max(args.cmax, einstein.C_WINDOW), verify=False,
+        residual_tol=args.tol)
+    sols = [s for s in found if abs(s.c) <= args.cmax]
+    if len(sols) < len(found):
+        print(f"note: {len(found) - len(sols)} solution(s) with |c| > "
+              f"{args.cmax:g} omitted by --cmax", file=sys.stderr)
+    if spec.realizable:
+        real = realize(spec)
+        sols = [einstein.verify_solution(real, s) for s in sols]
     doc = einstein.solutions_to_json(spec, sols)
     rows = _solution_rows(doc["family"], doc["params"], doc["form"],
                           data.has_k0, doc["solutions"])
@@ -353,7 +362,7 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
     if spec.realizable:
         real = realize(spec)
         jac = check_super_jacobi(real.algebra)
-        form_report = check_form(real.algebra, real.canonical_form)
+        form_report = real.canonical_form.report
         k_max = float(np.max(np.abs(real.killing.gram)))
         _, idx_ok = _indices_rows(spec)
         route = _route_equivalence(real, np.random.default_rng([seed, index]), 2)

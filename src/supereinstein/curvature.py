@@ -15,7 +15,7 @@ from .supercore import (
     LieSuperAlgebra,
     _parity_sign_matrix,
 )
-from .invariants import casimir_on_odd, ideal_killing_gram, representation_index
+from .invariants import ideal_killing_gram, representation_index
 
 CONNECTION_TOL = 1e-9
 RICCI_SYM_TOL = 1e-9
@@ -162,8 +162,7 @@ def _closed_form_pieces(real):
             ki = ideal_killing_gram(alg, rng)
         else:
             li, ki = None, None
-        cas = casimir_on_odd(alg, real.canonical_form, rng).operator.matrix
-        blocks.append((rng, li, ki, cas))
+        blocks.append((rng, li, ki, real.casimirs[rng].operator.matrix))
     return blocks
 
 

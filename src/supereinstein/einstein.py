@@ -229,24 +229,25 @@ def solve(sys: EinsteinSystem, c_window: float = C_WINDOW,
             refined = _refine_tangent(scalar, c0)
             candidates.append(refined if abs(refined - c0) <= 1e-7 else c0)
 
+        # Cells [k, k+1] with both ends finite: an exact zero at k, else a
+        # sign change (a zero makes the product 0, so never both).
         finite = np.isfinite(g)
-        for k in range(n_grid):
-            if not (finite[k] and finite[k + 1]):
-                continue
+        cell = finite[:-1] & finite[1:]
+        crossing = cell & ((g[:-1] == 0.0) | (g[:-1] * g[1:] < 0.0))
+        for k in np.flatnonzero(crossing):
             if g[k] == 0.0:
                 add_sharpened(float(c_grid[k]))
-            elif g[k] * g[k + 1] < 0.0:
+            else:
                 add_sharpened(_bisect(scalar, float(c_grid[k]),
                                       float(c_grid[k + 1]), BISECT_TOL))
         if finite[n_grid] and g[n_grid] == 0.0:
             add_sharpened(float(c_grid[n_grid]))
         absg = np.abs(g)
-        for k in range(1, n_grid):
-            if not (finite[k - 1] and finite[k] and finite[k + 1]):
-                continue
-            if absg[k] < TANGENT_PROBE and absg[k] <= absg[k - 1] \
-                    and absg[k] <= absg[k + 1]:
-                candidates.append(_refine_tangent(scalar, float(c_grid[k])))
+        mid = absg[1:-1]  # minima need k-1, k, k+1 finite; plateaus count
+        minima = (cell[:-1] & finite[2:] & (mid < TANGENT_PROBE)
+                  & (mid <= absg[:-2]) & (mid <= absg[2:]))
+        for k in np.flatnonzero(minima) + 1:
+            candidates.append(_refine_tangent(scalar, float(c_grid[k])))
         for l, b in zip(sys.l, sys.b):
             # branch boundaries 4 c^2 b^2 + l = 0 (only for negative l)
             if l < 0 and b != 0:

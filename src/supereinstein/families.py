@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import invariants
 from .supercore import (
     BilinearFormMatrix,
     DecompositionRange,
@@ -344,6 +345,14 @@ class Realization:
     def name(self) -> str:
         return self.spec.name
 
+    @cached_property
+    def casimirs(self) -> dict:
+        """Casimir result on the odd part, under the canonical form, for
+        each decomposition range; computed once, on first use."""
+        return {rng: invariants.casimir_on_odd(self.algebra,
+                                               self.canonical_form, rng)
+                for rng in self.algebra.decomposition}
+
 
 def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
               even_slot: int, odd_slot: int, form_scale: Optional[int]):
@@ -391,6 +400,7 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
             bi_invariant=report.is_bi_invariant,
             nondegenerate=report.is_nondegenerate,
             gram_exact=gram_exact,
+            report=report,
         )
     size = even_slot + odd_slot
     dense = tuple(_dense(m, size) for m in mats)
@@ -717,8 +727,6 @@ def realize(spec: FamilySpec) -> Realization:
 
 def verify_realization(real: Realization) -> dict:
     """Recompute dims, indices and b-ratios and compare with the catalog."""
-    from . import invariants
-
     data = real.data
     alg = real.algebra
     report: dict = {"family": real.name, "pass": True}

@@ -159,7 +159,8 @@ class BilinearFormMatrix:
     """Gram matrix of a bilinear form, with tri-state verification flags.
 
     Each flag is True (verified), False (verified to fail) or None
-    (unchecked). Degenerate forms are legal values, never errors.
+    (unchecked). Degenerate forms are legal values, never errors. A form
+    whose flags came from :func:`check_form` carries that report.
     """
 
     gram: np.ndarray
@@ -168,6 +169,7 @@ class BilinearFormMatrix:
     bi_invariant: Optional[bool] = None
     nondegenerate: Optional[bool] = None
     gram_exact: Optional[list] = field(default=None, repr=False, compare=False)
+    report: Optional[FormReport] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gram.ndim != 2 or self.gram.shape[0] != self.gram.shape[1]:
@@ -281,6 +283,7 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
         supersymmetric=True,
         bi_invariant=report.is_bi_invariant,
         nondegenerate=report.is_nondegenerate,
+        report=report,
     )
 
 

@@ -1,6 +1,7 @@
 """The command-line front end, driven through ``cli.main``: the solution
 tables of ``solve`` and ``report``, the input contract (exit code 2 and a
-one-line error), and the ``build`` and ``indices`` outputs."""
+one-line error), the ``--cmax`` filter, and the ``build`` and ``indices``
+outputs."""
 
 import csv
 import io
@@ -92,6 +93,24 @@ class TestInputContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+G3 = ("solve", "--family", "G3")
+
+
+class TestCmaxFilter:
+    def test_omitted_solution_is_noted(self, capsys):
+        code, out, err = run(capsys, *G3, "--cmax", "0.2")
+        assert code == 0
+        cs = [s["c"] for s in json.loads(out)["solutions"]]
+        assert len(cs) == 1 and abs(cs[0] + 0.1312) < 1e-4
+        assert err == "note: 1 solution(s) with |c| > 0.2 omitted by --cmax\n"
+
+    def test_default_notes_nothing(self, capsys):
+        code, out, err = run(capsys, *G3)
+        assert code == 0 and err == ""
+        assert [round(s["c"], 4) for s in json.loads(out)["solutions"]] == \
+            [-0.25, -0.1312]
 
 
 class TestOutputs:

@@ -303,6 +303,63 @@ class TestVerifySolution:
         assert stamped.detail is not None
 
 
+def scalar_loop_solve(sys, c_window, grid_step):
+    """Oracle for the grid scan of :func:`solve`: the same candidates found
+    by plain per-grid-point loops, through the same per-candidate tail."""
+    n_grid = int(round(2.0 * c_window / grid_step))
+    c_grid = -c_window + grid_step * np.arange(n_grid + 1)
+    found = []
+    for branch_id in range(2 ** sys.s):
+        signs = tuple(1 if (branch_id >> i) & 1 == 0 else -1
+                      for i in range(sys.s))
+        g = einstein._trace_residual(sys, signs, c_grid)
+        f = lambda c: float(einstein._trace_residual(sys, signs, c))  # noqa: E731
+        candidates = []
+
+        def sharpened(c0):
+            refined = einstein._refine_tangent(f, c0)
+            return refined if abs(refined - c0) <= 1e-7 else c0
+
+        finite = np.isfinite(g)
+        for k in range(n_grid):
+            if not (finite[k] and finite[k + 1]):
+                continue
+            if g[k] == 0.0:
+                candidates.append(sharpened(float(c_grid[k])))
+            elif g[k] * g[k + 1] < 0.0:
+                candidates.append(sharpened(einstein._bisect(
+                    f, float(c_grid[k]), float(c_grid[k + 1]),
+                    einstein.BISECT_TOL)))
+        if finite[n_grid] and g[n_grid] == 0.0:
+            candidates.append(sharpened(float(c_grid[n_grid])))
+        absg = np.abs(g)
+        for k in range(1, n_grid):
+            if not (finite[k - 1] and finite[k] and finite[k + 1]):
+                continue
+            if absg[k] < einstein.TANGENT_PROBE and absg[k] <= absg[k - 1] \
+                    and absg[k] <= absg[k + 1]:
+                candidates.append(einstein._refine_tangent(f, float(c_grid[k])))
+        for l, b in zip(sys.l, sys.b):
+            if l < 0 and b != 0:
+                boundary = math.sqrt(float(-l)) / (2.0 * abs(float(b)))
+                candidates.extend([boundary, -boundary])
+        for c in candidates:
+            c = c + 0.0
+            vec = einstein._branch_vector(sys, signs, c)
+            if vec is None or min(abs(v) for v in vec) < 1e-9:
+                continue
+            if system_residual(sys, vec, c) < einstein.SOLUTION_TOL:
+                found.append((vec, c))
+    found.sort(key=lambda t: (t[1], t[0]))
+    out = []
+    for vec, c in found:
+        if not any(max(abs(c - s.c), max(abs(a - b) for a, b in zip(vec, s.x)))
+                   < einstein.DEDUPE_TOL for s in out):
+            out.append(einstein.EinsteinSolution(
+                vec, c, system_residual(sys, vec, c)))
+    return out
+
+
 class TestSolverInternals:
     def test_branch_quadratic_never_vanishes(self):
         sys = sys_for("B", 2, 1)
@@ -321,3 +378,53 @@ class TestSolverInternals:
         sols = solve(sys_for("D", 3, 2))
         keys = [(s.c,) + s.x for s in sols]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("c_window, grid_step", [(0.5, 1e-2), (2.0, 1e-3)])
+    def test_scan_matches_scalar_loops(self, c_window, grid_step):
+        from supereinstein.families import catalog
+        specs = catalog(3) + [family_spec("D21a", alpha=a)
+                              for a in (0.5, 2.5, -0.3)]
+        for spec in specs:
+            sys = build_system(family_data(spec))
+            assert solve(sys, c_window=c_window, grid_step=grid_step) == \
+                scalar_loop_solve(sys, c_window, grid_step), spec.name
+
+    def test_exact_zero_on_grid_is_not_bisected(self, monkeypatch):
+        # A(1,0): the trace residual of the one branch is exactly 0.0 at the
+        # grid point c = -1/4 of this grid
+        sys = sys_for("A", 1, 0)
+        c_window, grid_step = 0.5, 1e-2
+        c_grid = -c_window + grid_step * np.arange(101)
+        k = int(np.flatnonzero(c_grid == -0.25)[0])
+        assert einstein._trace_residual(sys, (1,), c_grid[k]) == 0.0
+        bisected, refined = [], []
+        bisect, refine = einstein._bisect, einstein._refine_tangent
+
+        def spy_bisect(f, a, b, tol):
+            bisected.append((a, b))
+            return bisect(f, a, b, tol)
+
+        def spy_refine(f, c0):
+            refined.append(c0)
+            return refine(f, c0)
+
+        monkeypatch.setattr(einstein, "_bisect", spy_bisect)
+        monkeypatch.setattr(einstein, "_refine_tangent", spy_refine)
+        sols = solve(sys, c_window=c_window, grid_step=grid_step)
+        assert len(sols) == 1 and abs(sols[0].c + 0.25) < 1e-9
+        assert all(-0.25 not in cell for cell in bisected)
+        # one candidate from the zero test, one from the minimum of |g|
+        assert refined.count(-0.25) == 2
+
+    def test_plateau_minima_are_candidates(self, monkeypatch):
+        # with no simple ideal, x0 = -4c makes the trace residual -2c + 2c,
+        # identically 0.0: every grid point is a zero and every interior one
+        # a (plateau) minimum of |g|
+        sys = dataclasses.replace(sys_for("C", n=3), l=(), b=(), gamma=(),
+                                  gamma0=F(-1, 2), trace_rhs=F(0))
+        refined = []
+        refine = einstein._refine_tangent
+        monkeypatch.setattr(einstein, "_refine_tangent",
+                            lambda f, c0: refined.append(c0) or refine(f, c0))
+        solve(sys, c_window=0.5, grid_step=1e-2)
+        assert len(refined) == 101 + 99

@@ -202,6 +202,21 @@ class TestRealizationChecks:
         assert osp32.canonical_form is osp32.killing
         assert d32.canonical_form is not d32.killing
 
+    def test_form_report_carried(self, osp32):
+        d32 = realize(family_spec("D", 3, 2))
+        for r in (osp32, d32):
+            assert r.canonical_form.report == \
+                supercore.check_form(r.algebra, r.canonical_form)
+
+    def test_casimirs_computed_once(self):
+        from supereinstein.invariants import casimir_on_odd
+        r = realize(family_spec("C", None, 3))
+        assert r.casimirs is r.casimirs
+        assert list(r.casimirs) == list(r.algebra.decomposition)
+        for rng, cas in r.casimirs.items():
+            direct = casimir_on_odd(r.algebra, r.canonical_form, rng)
+            assert cas.scalar == direct.scalar
+
     def test_oversized_realization_refused(self):
         with pytest.raises(ValueError, match="MiB limit"):
             realize(family_spec("A", 40, 0))
