@@ -122,7 +122,7 @@ def _indices_rows(spec: FamilySpec) -> tuple[list[dict], bool]:
                      "b": None, "b_catalog": None, "gamma": cas.scalar,
                      "gamma_catalog": _frac(data.gamma0), "residual": res})
     for pos, ideal in enumerate(alg.simple_ideals()):
-        l_fit = invariants.representation_index(alg, ideal)
+        l_fit = real.representation_indices[ideal]
         b_fit = invariants.b_ratio(alg, real.canonical_form, ideal)
         cas = real.casimirs[ideal]
         res = max(abs(l_fit - float(data.l[pos])),
@@ -227,6 +227,27 @@ def _rows_to_markdown(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _solutions_within(spec: FamilySpec, cmax: float,
+                      tol: float) -> tuple[list, int]:
+    """Solutions with |c| <= cmax, verified when the family is realizable,
+    and the number of solutions left out. The scan covers at least the
+    default window, so --cmax filters what it omits instead of hiding it
+    outside the scan."""
+    found = einstein.solve_family(spec, c_window=max(cmax, einstein.C_WINDOW),
+                                  verify=False, residual_tol=tol)
+    sols = [s for s in found if abs(s.c) <= cmax]
+    if spec.realizable:
+        real = realize(spec)
+        sols = [einstein.verify_solution(real, s) for s in sols]
+    return sols, len(found) - len(sols)
+
+
+def _note_omitted(count: int, cmax: float, where: str = "") -> None:
+    if count:
+        print(f"note: {where}{count} solution(s) with |c| > {cmax:g} "
+              f"omitted by --cmax", file=sys.stderr)
+
+
 def _run_solve(args, require_verified: bool) -> int:
     try:
         spec = _spec_from_args(args)
@@ -236,18 +257,8 @@ def _run_solve(args, require_verified: bool) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # Scan at least the default window, so --cmax filters what it omits
-    # instead of hiding it outside the scan.
-    found = einstein.solve_family(
-        spec, c_window=max(args.cmax, einstein.C_WINDOW), verify=False,
-        residual_tol=args.tol)
-    sols = [s for s in found if abs(s.c) <= args.cmax]
-    if len(sols) < len(found):
-        print(f"note: {len(found) - len(sols)} solution(s) with |c| > "
-              f"{args.cmax:g} omitted by --cmax", file=sys.stderr)
-    if spec.realizable:
-        real = realize(spec)
-        sols = [einstein.verify_solution(real, s) for s in sols]
+    sols, omitted = _solutions_within(spec, args.cmax, args.tol)
+    _note_omitted(omitted, args.cmax)
     doc = einstein.solutions_to_json(spec, sols)
     rows = _solution_rows(doc["family"], doc["params"], doc["form"],
                           data.has_k0, doc["solutions"])
@@ -346,11 +357,12 @@ def _fold_section(spec: FamilySpec, sols) -> dict | None:
 
 
 def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
-                   tol: float) -> dict:
-    """One family's report block; pure given (spec, seed, index, config)."""
+                   tol: float) -> tuple[dict, int]:
+    """One family's report block, and the number of its solutions with
+    |c| > c_window left out; pure given (spec, seed, index, config)."""
     data = family_data(spec)
     sys = einstein.build_system(data)
-    sols = einstein.solve_family(spec, c_window=c_window, residual_tol=tol)
+    sols, omitted = _solutions_within(spec, c_window, tol)
     section: dict = {
         "family": spec.name,
         "kind": spec.kind,
@@ -400,23 +412,28 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
         section["folding"] = fold
         ok &= fold["all_fold"]
     section["pass"] = bool(ok)
-    return section
+    return section, omitted
 
 
-def _section_worker(payload: tuple) -> dict:
+def _section_worker(payload: tuple) -> tuple[dict, int]:
     spec, seed, index, c_window, tol = payload
     return report_section(spec, seed, index, c_window, tol)
 
 
 def build_report(max_m: int, max_n: int, seed: int, c_window: float,
                  tol: float, jobs: int = 1) -> dict:
+    """The report document. Notes on stderr, in catalog order, what
+    ``c_window`` left out of each family."""
     specs = catalog(max_m, max_n)
     payloads = [(spec, seed, i, c_window, tol) for i, spec in enumerate(specs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            sections = list(pool.map(_section_worker, payloads))
+            results = list(pool.map(_section_worker, payloads))
     else:
-        sections = [_section_worker(p) for p in payloads]
+        results = [_section_worker(p) for p in payloads]
+    sections = [sec for sec, _ in results]
+    for sec, omitted in results:
+        _note_omitted(omitted, c_window, f"{sec['family']}: ")
     single = [s["family"] for s in sections if s["expected_single"]]
     mixed = [s["family"] for s in sections
              if s.get("ricci_flat_and_nonflat") is True]

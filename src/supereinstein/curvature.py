@@ -15,7 +15,7 @@ from .supercore import (
     LieSuperAlgebra,
     _parity_sign_matrix,
 )
-from .invariants import ideal_killing_gram, representation_index
+from .invariants import ideal_killing_gram
 
 CONNECTION_TOL = 1e-9
 RICCI_SYM_TOL = 1e-9
@@ -158,7 +158,7 @@ def _closed_form_pieces(real):
     blocks = []
     for rng in alg.decomposition:
         if rng.kind == "simple":
-            li = representation_index(alg, rng)
+            li = real.representation_indices[rng]
             ki = ideal_killing_gram(alg, rng)
         else:
             li, ki = None, None

@@ -1,9 +1,11 @@
 """Constructors for the classical matrix families and the scalar data catalog.
 
-Realizations are built from sparse exact (Fraction) matrices, so structure
-constants are exact rationals; the float tensor is derived from them. The
-exceptional families F(4) and G(3), and the one-parameter deformation family
-with irrational parameter, exist only at the data-catalog level.
+Realizations are built from sparse exact (Fraction) matrices, so their
+structure constants are exact rationals; the algebra stores them once, and
+every float view derives from them. The case2/6/7 canonical forms are
+computed exactly from the defining matrices and stored as float Gram
+matrices. The exceptional families F(4) and G(3), and the one-parameter
+deformation family at alpha != 1, exist only at the data-catalog level.
 """
 
 from __future__ import annotations
@@ -353,6 +355,13 @@ class Realization:
                                                self.canonical_form, rng)
                 for rng in self.algebra.decomposition}
 
+    @cached_property
+    def representation_indices(self) -> dict:
+        """Representation index of each simple ideal on the odd part;
+        computed once, on first use."""
+        return {rng: invariants.representation_index(self.algebra, rng)
+                for rng in self.algebra.simple_ideals()}
+
 
 def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
               even_slot: int, odd_slot: int, form_scale: Optional[int]):
@@ -370,28 +379,23 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
     mats = [e[0] for e in elems]
     parity = tuple(e[1] for e in elems)
     labels = tuple(e[2] for e in elems)
-    c_exact: dict = {}
-    c = np.zeros((dim, dim, dim))
+    entries: dict = {}
     for i in range(dim):
         for j in range(i, dim):
             prod = _super_commutator(mats[i], mats[j], parity[i], parity[j])
             coords = coordinatize(prod, (parity[i] + parity[j]) % 2)
             sign = -1 if (parity[i] and parity[j]) else 1
             for idx, val in coords.items():
-                c_exact[(i, j, idx)] = val
-                c[i, j, idx] = float(val)
+                entries[(i, j, idx)] = val
                 if i != j:
-                    c_exact[(j, i, idx)] = -sign * val
-                    c[j, i, idx] = -sign * float(val)
-    alg = LieSuperAlgebra(SuperBasis(parity, labels), c, tuple(decomposition),
-                          c_exact=c_exact)
+                    entries[(j, i, idx)] = -sign * val
+    alg = LieSuperAlgebra(SuperBasis(parity, labels), entries, tuple(decomposition))
     killing = killing_form(alg)
     if form_scale is None:
         form = killing
     else:
-        gram_exact = [[form_scale * _str_exact(_mat_mul(mats[i], mats[j]), even_slot)
-                       for j in range(dim)] for i in range(dim)]
-        gram = np.array([[float(v) for v in row] for row in gram_exact])
+        gram = np.array([[float(form_scale * _str_exact(_mat_mul(a, b), even_slot))
+                          for b in mats] for a in mats])
         report = check_form(alg, BilinearFormMatrix(gram))
         form = BilinearFormMatrix(
             gram,
@@ -399,7 +403,6 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
             supersymmetric=report.is_supersymmetric,
             bi_invariant=report.is_bi_invariant,
             nondegenerate=report.is_nondegenerate,
-            gram_exact=gram_exact,
             report=report,
         )
     size = even_slot + odd_slot
@@ -741,7 +744,7 @@ def verify_realization(real: Realization) -> dict:
         report["pass"] &= got == want
     l_res, b_res = [], []
     for ideal, l_cat, b_cat in zip(alg.simple_ideals(), data.l, data.b):
-        l_fit = invariants.representation_index(alg, ideal)
+        l_fit = real.representation_indices[ideal]
         b_fit = invariants.b_ratio(alg, real.canonical_form, ideal)
         l_res.append(abs(l_fit - float(l_cat)))
         b_res.append(abs(b_fit - float(b_cat)))

@@ -4,7 +4,6 @@ and numeric verification of the trace identities that tie them together."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -14,7 +13,6 @@ from .supercore import (
     LieSuperAlgebra,
     LinearOperator,
     dual_basis,
-    dual_basis_exact,
     killing_form,
 )
 
@@ -129,35 +127,6 @@ def casimir_on_odd(alg: LieSuperAlgebra, form: BilinearFormMatrix,
         raise ValueError(
             f"Casimir operator is not scalar on the odd part (residual {off:g})")
     return CasimirResult(LinearOperator(op, parity=0), scalar, off)
-
-
-def casimir_scalar_exact(alg: LieSuperAlgebra, gram_exact: list,
-                         ideal: IdealHandle) -> Fraction:
-    """Exact-channel Casimir scalar: tr(C)/dim_odd over the rationals."""
-    if alg.c_exact is None:
-        raise ValueError("algebra carries no exact channel")
-    idx = list(ideal.indices())
-    odd = set(alg.odd_range())
-    rows: dict[int, dict] = {a: {} for a in idx}
-    for (i, j, k), v in alg.c_exact.items():
-        if i in rows and j in odd and k in odd:
-            rows[i][(j, k)] = v  # coeff of e_k in [e_i, e_j]
-    def pair_trace(a: int, b: int) -> Fraction:
-        tot = Fraction(0)
-        for (w, v), val in rows[a].items():
-            other = rows[b].get((v, w))
-            if other is not None:
-                tot += val * other
-        return tot
-    duals = dual_basis_exact(gram_exact, ideal)
-    total = Fraction(0)
-    r = len(idx)
-    for j in range(r):
-        for m in range(r):
-            dmj = duals[m][j]
-            if dmj:
-                total += dmj * pair_trace(idx[j], idx[m])
-    return total / alg.dim_odd
 
 
 def verify_killing_casimir(alg: LieSuperAlgebra,

@@ -2,15 +2,19 @@
 brackets, supertrace, bilinear forms, and axiom verification.
 
 All values are immutable after construction and every operation is a pure
-function. The numeric channel is float64; constructors that produce rational
-structure constants additionally carry an exact sparse channel (Fractions)
-used by the exact verification paths.
+function. Structure constants are exact rationals, stored once as sparse
+integer numerators over one common denominator; the Jacobi identity is
+checked exactly on them. The bracket, the Killing form and the form checks
+read a dense float64 view derived from the same numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -93,34 +97,52 @@ def _parity_sign_matrix(parity: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LieSuperAlgebra:
-    """A Lie superalgebra given by its structure-constant tensor.
+    """A Lie superalgebra given by its exact structure constants.
 
-    ``c[i, j, k]`` is the coefficient of basis vector ``k`` in ``[e_i, e_j]``.
+    Built from ``{(i, j, k): int | Fraction}``, the coefficient of basis
+    vector ``k`` in ``[e_i, e_j]``, and stored once: ``index`` holds the
+    nonzero (i, j, k) in ascending order, ``numer`` their numerators over
+    the common denominator ``denom``. ``c`` is the dense float view.
     ``decomposition`` lists the even-part ideals k_0 (abelian, optional),
     k_1, ..., k_s as contiguous ranges; odd indices follow all even ones.
-    ``c_exact`` is an optional sparse exact channel ``{(i, j, k): Fraction}``.
     """
 
     basis: SuperBasis
-    c: np.ndarray
+    entries: InitVar[dict]
     decomposition: tuple[DecompositionRange, ...]
-    c_exact: Optional[dict] = field(default=None, repr=False, compare=False)
+    index: np.ndarray = field(init=False, repr=False)
+    numer: np.ndarray = field(init=False, repr=False)
+    denom: int = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, entries: dict):
         n = self.basis.total_dim
-        if self.c.shape != (n, n, n):
-            raise ValueError("structure tensor shape mismatch")
-        self.c.setflags(write=False)
+        if not all(isinstance(v, numbers.Rational) for v in entries.values()):
+            raise ValueError("structure constants must be exact (int or Fraction)")
+        items = sorted((key, Fraction(v)) for key, v in entries.items() if v)
+        denom = math.lcm(1, *(v.denominator for _, v in items))
+        numer = [v.numerator * (denom // v.denominator) for _, v in items]
+        if any(abs(v) >= 2**63 for v in numer):
+            raise ValueError("structure constant numerator overflows int64")
+        index = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, 3)
+        if index.size and (index.min() < 0 or index.max() >= n):
+            raise ValueError("structure constant index outside the basis")
+        numer = np.array(numer, dtype=np.int64)
         p = self.basis.parity_array()
-        # parity consistency: c[i,j,k] = 0 unless p_k = p_i + p_j (mod 2)
-        bad = (p[:, None, None] + p[None, :, None] + p[None, None, :]) % 2 == 1
-        if self.c[bad].size and np.max(np.abs(self.c[bad])) > JACOBI_TOL:
+        i, j, k = index.T
+        if np.any((p[i] + p[j] + p[k]) % 2):
             raise ValueError("structure tensor violates parity consistency")
-        # graded antisymmetry
-        s = _parity_sign_matrix(p)
-        anti = self.c + s[:, :, None] * np.swapaxes(self.c, 0, 1)
-        if np.max(np.abs(anti)) > JACOBI_TOL:
+        # graded antisymmetry: c[j, i, k] = -(-1)**(p_i p_j) c[i, j, k]
+        key = (i * n + j) * n + k  # ascending, as the index is
+        swapped = (j * n + i) * n + k
+        at = np.minimum(np.searchsorted(key, swapped), len(key) - 1)
+        if np.any(key[at] != swapped) or np.any(
+                numer[at] != (2 * (p[i] & p[j]) - 1) * numer):
             raise ValueError("structure tensor violates graded antisymmetry")
+        index.setflags(write=False)
+        numer.setflags(write=False)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "numer", numer)
+        object.__setattr__(self, "denom", denom)
         cover = []
         for rng in self.decomposition:
             if rng.stop > self.basis.dim_even:
@@ -128,6 +150,15 @@ class LieSuperAlgebra:
             cover.extend(rng.indices())
         if cover != list(range(self.basis.dim_even)):
             raise ValueError("decomposition ranges must tile the even part")
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """Dense float view: ``c[i, j, k]`` = numer / denom, read-only."""
+        n = self.dim
+        c = np.zeros((n, n, n))
+        c[tuple(self.index.T)] = self.numer / self.denom
+        c.setflags(write=False)
+        return c
 
     @property
     def dim(self) -> int:
@@ -168,7 +199,6 @@ class BilinearFormMatrix:
     supersymmetric: Optional[bool] = None
     bi_invariant: Optional[bool] = None
     nondegenerate: Optional[bool] = None
-    gram_exact: Optional[list] = field(default=None, repr=False, compare=False)
     report: Optional[FormReport] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -287,53 +317,55 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     )
 
 
+def _join(a_key: np.ndarray, b_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position pair (p, q) with a_key[p] == b_key[q]."""
+    order = np.argsort(b_key, kind="stable")
+    sorted_b = b_key[order]
+    lo = np.searchsorted(sorted_b, a_key, "left")
+    counts = np.searchsorted(sorted_b, a_key, "right") - lo
+    p = np.repeat(np.arange(len(a_key)), counts)
+    run = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return p, order[np.repeat(lo, counts) + run]
+
+
 def check_super_jacobi(alg: LieSuperAlgebra) -> JacobiReport:
-    """Max residual of the graded Jacobi identity over all basis triples."""
-    c = alg.c
-    n = alg.dim
-    s = _parity_sign_matrix(alg.basis.parity_array())
-    worst = (0, 0, 0)
-    worst_val = 0.0
-    for i in range(n):
-        lhs = np.einsum("jkm,ml->jkl", c, c[i], optimize=True)
-        r1 = np.einsum("jm,mkl->jkl", c[i], c, optimize=True)
-        r2 = np.einsum("km,jml->jkl", c[i], c, optimize=True)
-        res = np.abs(lhs - r1 - s[i][:, None, None] * r2).max(axis=2)
-        j, k = np.unravel_index(int(np.argmax(res)), res.shape)
-        if res[j, k] > worst_val:
-            worst_val = float(res[j, k])
-            worst = (i, int(j), int(k))
-    return JacobiReport(worst_val, worst)
+    """Exact residual of the graded Jacobi identity over all basis triples.
 
-
-def check_super_jacobi_exact(alg: LieSuperAlgebra) -> Fraction:
-    """Exact-channel Jacobi residual; zero iff the identity holds identically."""
-    if alg.c_exact is None:
-        raise ValueError("algebra carries no exact channel")
-    by_pair: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j, k), v in alg.c_exact.items():
-        by_pair.setdefault((i, j), {})[k] = v
-    p = alg.basis.parity
+    Per (i, j, k, l) it sums the coefficient of e_l in
+    [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - (-1)**(p_i p_j) [e_j, [e_i, e_k]]
+    as int64 numerators over ``denom**2``, joining the sparse entries on the
+    contracted index. Reports the largest |sum| as a float and the first
+    (i, j, k) reaching it; (0.0, (0, 0, 0)) when the identity holds exactly.
+    Refuses an algebra whose sums could overflow int64.
+    """
     n = alg.dim
-    worst = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            sij = -1 if (p[i] and p[j]) else 1
-            for k in range(n):
-                acc: dict[int, Fraction] = {}
-                for m, v in by_pair.get((j, k), {}).items():
-                    for l, w in by_pair.get((i, m), {}).items():
-                        acc[l] = acc.get(l, Fraction(0)) + v * w
-                for m, v in by_pair.get((i, j), {}).items():
-                    for l, w in by_pair.get((m, k), {}).items():
-                        acc[l] = acc.get(l, Fraction(0)) - v * w
-                for m, v in by_pair.get((i, k), {}).items():
-                    for l, w in by_pair.get((j, m), {}).items():
-                        acc[l] = acc.get(l, Fraction(0)) - sij * v * w
-                for val in acc.values():
-                    if abs(val) > worst:
-                        worst = abs(val)
-    return worst
+    idx, num = alg.index, alg.numer
+    big = int(np.max(np.abs(num), initial=0))
+    if 3 * n * big * big >= 2**63 or n**4 >= 2**63:
+        raise ValueError(f"Jacobi sums of a dim-{n} algebra with numerators "
+                         f"up to {big} could overflow int64")
+    p = alg.basis.parity_array()
+    # c[., ., m] c[., m, l]: [e_i, [e_j, e_k]] and [e_j, [e_i, e_k]]
+    a, b = _join(idx[:, 2], idx[:, 1])
+    inner = num[a] * num[b]
+    sign = 1 - 2 * (p[idx[a, 0]] & p[idx[b, 0]])
+    # c[i, j, m] c[m, k, l]: [[e_i, e_j], e_k]
+    a2, b2 = _join(idx[:, 2], idx[:, 0])
+    i = np.concatenate([idx[b, 0], idx[a, 0], idx[a2, 0]])
+    j = np.concatenate([idx[a, 0], idx[b, 0], idx[a2, 1]])
+    k = np.concatenate([idx[a, 1], idx[a, 1], idx[b2, 1]])
+    l = np.concatenate([idx[b, 2], idx[b, 2], idx[b2, 2]])
+    vals = np.concatenate([inner, -sign * inner, -num[a2] * num[b2]])
+    keys, where = np.unique(((i * n + j) * n + k) * n + l, return_inverse=True)
+    acc = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(acc, where, vals)
+    acc = np.abs(acc)
+    if not acc.any():
+        return JacobiReport(0.0, (0, 0, 0))
+    first = int(np.argmax(acc))
+    ijk = int(keys[first]) // n
+    return JacobiReport(int(acc[first]) / alg.denom**2,
+                        (ijk // (n * n), ijk // n % n, ijk % n))
 
 
 def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:
@@ -390,17 +422,6 @@ def dual_basis(
     return out
 
 
-def dual_basis_exact(gram_exact: list, subspace) -> list:
-    """Exact-channel dual basis: columns of the inverse Gram restriction."""
-    start, stop = _range_bounds(subspace)
-    sub = [[Fraction(gram_exact[i][j]) for j in range(start, stop)]
-           for i in range(start, stop)]
-    inv = _fraction_inverse(sub)
-    if inv is None:
-        raise DegeneracyError(f"form degenerate on subspace [{start}:{stop})")
-    return inv
-
-
 def _range_bounds(subspace) -> tuple[int, int]:
     if isinstance(subspace, DecompositionRange):
         return subspace.start, subspace.stop
@@ -410,39 +431,14 @@ def _range_bounds(subspace) -> tuple[int, int]:
     return int(start), int(stop)
 
 
-def _fraction_inverse(rows: list) -> Optional[list]:
-    """Gauss-Jordan inverse over the rationals; None when singular."""
-    n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-           for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = Fraction(1, 1) / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-SPARSE_CUTOFF = 1e-14
-
-
 def algebra_to_json(alg: LieSuperAlgebra) -> dict:
     """Schema: dim_even, dim_odd, parity, sparse c triplets, decomposition."""
-    triplets = []
-    nz = np.argwhere(np.abs(alg.c) >= SPARSE_CUTOFF)
-    for i, j, k in nz:
-        v = alg.c[i, j, k]
-        triplets.append([int(i), int(j), int(k), float(v), 0.0])
+    triplets = [[i, j, k, v / alg.denom, 0.0]
+                for (i, j, k), v in zip(alg.index.tolist(), alg.numer.tolist())]
     return {
         "dim_even": alg.dim_even,
         "dim_odd": alg.dim_odd,
@@ -450,20 +446,6 @@ def algebra_to_json(alg: LieSuperAlgebra) -> dict:
         "c": triplets,
         "decomposition": [[r.start, r.stop, r.kind] for r in alg.decomposition],
     }
-
-
-def algebra_from_json(doc: dict) -> LieSuperAlgebra:
-    parity = tuple(int(p) for p in doc["parity"])
-    n = len(parity)
-    c = np.zeros((n, n, n))
-    for i, j, k, re, im in doc["c"]:
-        if im:
-            raise ValueError("complex structure constants are not supported")
-        c[int(i), int(j), int(k)] = re
-    decomp = tuple(
-        DecompositionRange(int(a), int(b), kind) for a, b, kind in doc["decomposition"]
-    )
-    return LieSuperAlgebra(SuperBasis(parity), c, decomp)
 
 
 def form_to_json(form: BilinearFormMatrix) -> dict:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,10 @@ def expand_in_basis(matrices, target):
     recon = cols @ coeffs
     assert np.max(np.abs(recon - target.reshape(-1))) < 1e-9
     return coeffs
+
+
+def exact_entries(alg):
+    """The algebra's structure constants as ``{(i, j, k): Fraction}``, the
+    form its constructor takes."""
+    return {tuple(key): Fraction(v, alg.denom)
+            for key, v in zip(alg.index.tolist(), alg.numer.tolist())}

@@ -113,6 +113,19 @@ class TestCmaxFilter:
             [-0.25, -0.1312]
 
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_report_notes_omitted_per_family(self, capsys, jobs):
+        code, out, err = run(capsys, "report", "--max-m", "1", "--cmax", "0.2",
+                             "--jobs", jobs)
+        assert code == 1  # A(1,0) loses its only solution, so its count fails
+        assert "note: G(3): 1 solution(s) with |c| > 0.2 omitted by --cmax" \
+            in err.splitlines()
+        sections = json.loads(out)["families"]
+        noted = [line.split(": ")[1] for line in err.splitlines()]
+        assert noted == [s["family"] for s in sections if s["family"] in noted]
+        assert all(abs(sol["c"]) <= 0.2 for s in sections for sol in s["solutions"])
+
+
 class TestOutputs:
     def test_build_with_nonzero_float_jacobi_residual(self, capsys):
         code, out, _ = run(capsys, "build", "--family", "A", "--m", "2",

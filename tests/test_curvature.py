@@ -75,8 +75,7 @@ class TestLeviCivita:
 
     def test_abelian_connection_vanishes(self):
         basis = SuperBasis((0, 0))
-        alg = LieSuperAlgebra(basis, np.zeros((2, 2, 2)),
-                              (DecompositionRange(0, 2, "abelian"),))
+        alg = LieSuperAlgebra(basis, {}, (DecompositionRange(0, 2, "abelian"),))
         metric = BilinearFormMatrix(np.eye(2))
         conn = levi_civita_koszul(alg, metric)
         assert np.max(np.abs(conn.gamma)) == 0.0
@@ -172,8 +171,7 @@ class TestNaturallyReductive:
     def test_abelian_even_part_vacuous(self):
         # two-dimensional abelian algebra dressed as a realization stub
         basis = SuperBasis((0, 0))
-        alg = LieSuperAlgebra(basis, np.zeros((2, 2, 2)),
-                              (DecompositionRange(0, 2, "abelian"),))
+        alg = LieSuperAlgebra(basis, {}, (DecompositionRange(0, 2, "abelian"),))
         stub = SimpleNamespace(
             algebra=alg,
             canonical_form=BilinearFormMatrix(np.eye(2)),

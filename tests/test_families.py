@@ -217,6 +217,14 @@ class TestRealizationChecks:
             direct = casimir_on_odd(r.algebra, r.canonical_form, rng)
             assert cas.scalar == direct.scalar
 
+    def test_representation_indices_computed_once(self):
+        from supereinstein.invariants import representation_index
+        r = realize(family_spec("B", 1, 1))
+        assert r.representation_indices is r.representation_indices
+        assert list(r.representation_indices) == list(r.algebra.simple_ideals())
+        for rng, l in r.representation_indices.items():
+            assert l == representation_index(r.algebra, rng)
+
     def test_oversized_realization_refused(self):
         with pytest.raises(ValueError, match="MiB limit"):
             realize(family_spec("A", 40, 0))

@@ -9,13 +9,14 @@ from supereinstein.families import build_osp, build_psl, build_sl_super, \
 from supereinstein.invariants import (
     b_ratio,
     casimir_on_odd,
-    casimir_scalar_exact,
     defining_rep_index,
     representation_index,
     verify_killing_casimir,
     verify_trace_identities,
 )
 from supereinstein.supercore import LieSuperAlgebra, killing_form
+
+from conftest import exact_entries
 
 
 class TestRepresentationIndex:
@@ -36,10 +37,11 @@ class TestRepresentationIndex:
         # two quadratic forms, so it cannot change
         alg = sl21.algebra
         ideal = alg.simple_ideals()[0]
-        t = np.ones(alg.dim)
-        t[ideal.start:ideal.stop] = [2.0, 3.0, 0.5]
-        c = alg.c * t[:, None, None] * t[None, :, None] / t[None, None, :]
-        rescaled = LieSuperAlgebra(alg.basis, c, alg.decomposition)
+        t = [Fraction(1)] * alg.dim
+        t[ideal.start:ideal.stop] = [Fraction(2), Fraction(3), Fraction(1, 2)]
+        entries = {(i, j, k): v * t[i] * t[j] / t[k]
+                   for (i, j, k), v in exact_entries(alg).items()}
+        rescaled = LieSuperAlgebra(alg.basis, entries, alg.decomposition)
         assert representation_index(rescaled, ideal) == pytest.approx(0.5)
 
 
@@ -80,17 +82,6 @@ class TestCasimir:
             for a in ideal.indices():
                 rho = alg.c[a][np.ix_(odd, odd)].T
                 assert np.max(np.abs(rho @ cas - cas @ rho)) < 1e-9
-
-    def test_scaling_exact(self, psl22):
-        # replacing the form by t * form divides the scalar by t, exactly
-        alg = psl22.algebra
-        ideal = alg.simple_ideals()[0]
-        gram = psl22.canonical_form.gram_exact
-        scaled = [[3 * v for v in row] for row in gram]
-        s1 = casimir_scalar_exact(alg, gram, ideal)
-        s3 = casimir_scalar_exact(alg, scaled, ideal)
-        assert s1 == Fraction(3, 8)
-        assert s3 * 3 == s1
 
     def test_scaling_float(self, osp32):
         from supereinstein.supercore import BilinearFormMatrix
@@ -146,13 +137,14 @@ class TestTraceIdentities:
 
     def test_perturbation_breaks_second_identity(self, sl21):
         alg = sl21.algebra
-        c = np.array(alg.c)
+        entries = exact_entries(alg)
         # odd-odd pair feeding the even part, antisymmetry-preserving
         i = alg.dim_even
         j = alg.dim_even + 1
-        c[i, j, 1] += 1e-3
-        c[j, i, 1] += 1e-3  # odd-odd: [Q, Q'] = +[Q', Q]
-        perturbed = LieSuperAlgebra(alg.basis, c, alg.decomposition)
+        eps = Fraction(1, 1000)
+        entries[(i, j, 1)] = entries.get((i, j, 1), 0) + eps
+        entries[(j, i, 1)] = entries.get((j, i, 1), 0) + eps  # [Q, Q'] = +[Q', Q]
+        perturbed = LieSuperAlgebra(alg.basis, entries, alg.decomposition)
         ideal = perturbed.simple_ideals()[0]
         _, r2, _ = verify_trace_identities(perturbed, sl21.canonical_form, ideal)
         assert r2 >= 1e-4

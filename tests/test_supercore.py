@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,18 +12,16 @@ from supereinstein.supercore import (
     LieSuperAlgebra,
     LinearOperator,
     SuperBasis,
-    algebra_from_json,
     algebra_to_json,
     bracket,
     check_form,
     check_super_jacobi,
-    check_super_jacobi_exact,
     dual_basis,
     killing_form,
     supertrace,
 )
 
-from conftest import expand_in_basis
+from conftest import exact_entries, expand_in_basis
 
 
 def unit(n, i):
@@ -29,11 +30,49 @@ def unit(n, i):
     return v
 
 
+def perturbed(alg, i, j, k, eps):
+    """``alg`` with ``eps`` added to c[i, j, k] and to its graded-antisymmetric
+    partner c[j, i, k], so the constructor accepts it."""
+    entries = exact_entries(alg)
+    sign = -1 if alg.basis.parity[i] and alg.basis.parity[j] else 1
+    entries[(i, j, k)] = entries.get((i, j, k), 0) + eps
+    entries[(j, i, k)] = entries.get((j, i, k), 0) - sign * eps
+    return LieSuperAlgebra(alg.basis, entries, alg.decomposition)
+
+
+def fraction_loop_jacobi(alg):
+    """Test oracle: the largest |Jacobi sum| by a Fraction triple loop over
+    basis triples, and the first (i, j, k) that reaches it."""
+    by_pair = {}
+    for (i, j, k), v in exact_entries(alg).items():
+        by_pair.setdefault((i, j), {})[k] = v
+    p = alg.basis.parity
+    n = alg.dim
+    worst, at = Fraction(0), (0, 0, 0)
+    for i in range(n):
+        for j in range(n):
+            sij = -1 if (p[i] and p[j]) else 1
+            for k in range(n):
+                acc = {}
+                for m, v in by_pair.get((j, k), {}).items():
+                    for l, w in by_pair.get((i, m), {}).items():
+                        acc[l] = acc.get(l, Fraction(0)) + v * w
+                for m, v in by_pair.get((i, j), {}).items():
+                    for l, w in by_pair.get((m, k), {}).items():
+                        acc[l] = acc.get(l, Fraction(0)) - v * w
+                for m, v in by_pair.get((i, k), {}).items():
+                    for l, w in by_pair.get((j, m), {}).items():
+                        acc[l] = acc.get(l, Fraction(0)) - sij * v * w
+                for val in acc.values():
+                    if abs(val) > worst:
+                        worst, at = abs(val), (i, j, k)
+    return worst, at
+
+
 def abelian_algebra(dim_even=2, dim_odd=0):
     parity = tuple([0] * dim_even + [1] * dim_odd)
-    n = dim_even + dim_odd
-    return LieSuperAlgebra(SuperBasis(parity), np.zeros((n, n, n)),
-                          (DecompositionRange(0, dim_even, "abelian"),))
+    return LieSuperAlgebra(SuperBasis(parity), {},
+                           (DecompositionRange(0, dim_even, "abelian"),))
 
 
 class TestSuperBasis:
@@ -123,24 +162,81 @@ class TestJacobi:
 
     def test_exact_channel_identically_zero(self, sl21, psl22, osp32):
         for real in (sl21, psl22, osp32):
-            assert check_super_jacobi_exact(real.algebra) == 0
+            assert check_super_jacobi(real.algebra).residual == 0.0
 
     def test_abelian_residual_zero(self):
         assert check_super_jacobi(abelian_algebra()).residual == 0.0
 
     def test_perturbation_detected(self, sl21):
-        alg = sl21.algebra
-        c = np.array(alg.c)
-        # perturb an even-even pair, keeping antisymmetry so the constructor
-        # accepts the tensor
+        # perturb an even-even pair
         i, j = 1, 2  # k1:H0, k1:E(0,1)
         k = 2
-        c[i, j, k] += 1e-3
-        c[j, i, k] -= 1e-3
-        perturbed = LieSuperAlgebra(alg.basis, c, alg.decomposition)
-        report = check_super_jacobi(perturbed)
+        report = check_super_jacobi(perturbed(sl21.algebra, i, j, k,
+                                              Fraction(1, 1000)))
         assert report.residual >= 1e-4
         assert {i, j} & set(report.worst_triple)
+
+    def test_kernel_matches_fraction_loop(self, sl21, psl22, osp32):
+        odd = sl21.algebra.dim_even
+        algebras = [r.algebra for r in (sl21, psl22, osp32)] + [
+            perturbed(sl21.algebra, 1, 2, 2, Fraction(1, 3)),          # even-even
+            perturbed(sl21.algebra, odd, odd + 1, 1, Fraction(2, 7)),  # odd-odd
+        ]
+        for alg in algebras:
+            worst, at = fraction_loop_jacobi(alg)
+            report = check_super_jacobi(alg)
+            assert report.residual == float(worst)
+            assert report.worst_triple == at
+            assert all(type(v) is int for v in report.worst_triple)
+        assert worst > 0
+
+    def test_exactly_zero_over_catalog(self):
+        for spec in families.catalog(4):
+            if spec.realizable:
+                report = check_super_jacobi(families.realize(spec).algebra)
+                assert (report.residual, report.worst_triple) == (0.0, (0, 0, 0)), \
+                    spec.name
+
+    def test_overflow_refused(self):
+        def two_dim(v):
+            return LieSuperAlgebra(SuperBasis((0, 0)), {(0, 1, 1): v, (1, 0, 1): -v},
+                                   (DecompositionRange(0, 2, "abelian"),))
+        edge = math.isqrt((2**63 - 1) // 6)  # largest v with 3 * 2 * v**2 < 2**63
+        assert check_super_jacobi(two_dim(edge)).residual == 0.0
+        for v in (edge + 1, 2**31):
+            with pytest.raises(ValueError, match="overflow int64"):
+                check_super_jacobi(two_dim(v))
+
+
+class TestExactTensor:
+    EVEN2 = (DecompositionRange(0, 2, "abelian"),)
+
+    def test_float_entries_refused(self):
+        with pytest.raises(ValueError, match="exact"):
+            LieSuperAlgebra(SuperBasis((0, 0)), {(0, 1, 1): 1.0, (1, 0, 1): -1.0},
+                            self.EVEN2)
+
+    def test_parity_violation_rejected(self):
+        # [even, odd] with an even component
+        with pytest.raises(ValueError, match="parity"):
+            LieSuperAlgebra(SuperBasis((0, 1)), {(0, 1, 0): 1, (1, 0, 0): -1},
+                            (DecompositionRange(0, 1, "abelian"),))
+
+    def test_antisymmetry_violation_rejected(self):
+        for entries in ({(0, 1, 1): 1}, {(0, 1, 1): 1, (1, 0, 1): 1}):
+            with pytest.raises(ValueError, match="antisymmetry"):
+                LieSuperAlgebra(SuperBasis((0, 0)), entries, self.EVEN2)
+
+    def test_float_view_matches_fraction_fill(self):
+        for spec in families.catalog(3):
+            if not spec.realizable:
+                continue
+            alg = families.realize(spec).algebra
+            fill = np.zeros((alg.dim,) * 3)
+            for key, v in exact_entries(alg).items():
+                fill[key] = float(v)
+            assert np.array_equal(alg.c, fill), spec.name
+            assert np.array_equal(np.argwhere(alg.c), alg.index), spec.name
 
 
 class TestCheckForm:
@@ -198,9 +294,6 @@ class TestSerialization:
         doc = algebra_to_json(osp32.algebra)
         assert set(doc) == {"dim_even", "dim_odd", "parity", "c", "decomposition"}
         assert all(len(t) == 5 for t in doc["c"])
-        back = algebra_from_json(doc)
-        assert np.max(np.abs(back.c - osp32.algebra.c)) < 1e-14
-        assert back.decomposition == osp32.algebra.decomposition
 
     def test_small_entries_omitted(self):
         alg = abelian_algebra(2, 2)
