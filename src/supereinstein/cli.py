@@ -19,6 +19,7 @@ import numpy as np
 
 from . import einstein, invariants
 from .curvature import (
+    ROUTE_TOL,
     MetricParams,
     levi_civita_blockwise,
     levi_civita_koszul,
@@ -227,14 +228,14 @@ def _rows_to_markdown(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solutions_within(spec: FamilySpec, cmax: float,
+def _solutions_within(spec: FamilySpec, system, cmax: float,
                       tol: float) -> tuple[list, int]:
-    """Solutions with |c| <= cmax, verified when the family is realizable,
-    and the number of solutions left out. The scan covers at least the
-    default window, so --cmax filters what it omits instead of hiding it
-    outside the scan."""
-    found = einstein.solve_family(spec, c_window=max(cmax, einstein.C_WINDOW),
-                                  verify=False, residual_tol=tol)
+    """Solutions of the spec's built Einstein system with |c| <= cmax,
+    verified when the family is realizable, and the number of solutions left
+    out. The scan covers at least the default window, so --cmax filters what
+    it omits instead of hiding it outside the scan."""
+    found = einstein.solve(system, c_window=max(cmax, einstein.C_WINDOW),
+                           residual_tol=tol)
     sols = [s for s in found if abs(s.c) <= cmax]
     if spec.realizable:
         real = realize(spec)
@@ -253,11 +254,11 @@ def _run_solve(args, require_verified: bool) -> int:
         spec = _spec_from_args(args)
         data = family_data(spec)
         form = data.form_kind if args.form == "auto" else args.form
-        einstein.build_system(data, form)  # validates the combination
+        system = einstein.build_system(data, form)  # validates the combination
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sols, omitted = _solutions_within(spec, args.cmax, args.tol)
+    sols, omitted = _solutions_within(spec, system, args.cmax, args.tol)
     _note_omitted(omitted, args.cmax)
     doc = einstein.solutions_to_json(spec, sols)
     rows = _solution_rows(doc["family"], doc["params"], doc["form"],
@@ -323,13 +324,13 @@ def _route_equivalence(real, rng, draws: int) -> float:
     return worst
 
 
-def _quartic_section(spec: FamilySpec, sys, sols) -> dict | None:
+def _quartic_section(spec: FamilySpec, system, sols) -> dict | None:
     try:
-        quartic = einstein.elimination_polynomial(sys)
+        quartic = einstein.elimination_polynomial(system)
     except ValueError:
         return None
     cubic = einstein.cubic_factor(quartic)
-    ref = einstein.cubic_reference_coefficients(sys.data)
+    ref = einstein.cubic_reference_coefficients(system.data)
     roots = sorted({round(r, 8) for r in einstein.real_roots(quartic)
                     if abs(r) > 1e-9})
     x1s = sorted({round(s.x[0], 8) for s in sols})
@@ -361,8 +362,8 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
     """One family's report block, and the number of its solutions with
     |c| > c_window left out; pure given (spec, seed, index, config)."""
     data = family_data(spec)
-    sys = einstein.build_system(data)
-    sols, omitted = _solutions_within(spec, c_window, tol)
+    system = einstein.build_system(data)
+    sols, omitted = _solutions_within(spec, system, c_window, tol)
     section: dict = {
         "family": spec.name,
         "kind": spec.kind,
@@ -388,7 +389,7 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
         }
         ok &= (jac.residual < STRUCT_TOL
                and form_report.bi_invariance < BIINV_TOL and idx_ok
-               and route < 1e-8)
+               and route < ROUTE_TOL)
         ok &= all(s.ricci_verified == "verified" for s in sols)
     section["solutions"] = [s.to_json() for s in sols]
     section["solution_count"] = len(sols)
@@ -403,7 +404,7 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
         section["ricci_flat_and_nonflat"] = bool(flat and nonflat)
         ok &= flat and nonflat
     if spec.kind in ("B", "D"):
-        quartic = _quartic_section(spec, sys, sols)
+        quartic = _quartic_section(spec, system, sols)
         if quartic is not None:
             section["quartic"] = quartic
             ok &= quartic["root_solution_bijection"]

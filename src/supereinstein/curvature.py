@@ -17,7 +17,6 @@ from .supercore import (
 )
 from .invariants import ideal_killing_gram
 
-CONNECTION_TOL = 1e-9
 RICCI_SYM_TOL = 1e-9
 ROUTE_TOL = 1e-8
 

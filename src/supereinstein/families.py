@@ -1,19 +1,23 @@
 """Constructors for the classical matrix families and the scalar data catalog.
 
-Realizations are built from sparse exact (Fraction) matrices, so their
+Each builder states its basis once, as (sparse integer matrix, parity,
+label) triples. ``_assemble`` forms every super-commutator from the
+matrices' entries and reads its coordinates exactly through the inverse of
+the integer Frobenius Gram, checking that they rebuild the bracket, so the
 structure constants are exact rationals; the algebra stores them once, and
-every float view derives from them. The case2/6/7 canonical forms are
-computed exactly from the defining matrices and stored as float Gram
+every float view derives from them. The case2/6/7 canonical forms come
+exactly from the same matrix products and are stored as float Gram
 matrices. The exceptional families F(4) and G(3), and the one-parameter
 deformation family at alpha != 1, exist only at the data-catalog level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,11 +27,12 @@ from .supercore import (
     DecompositionRange,
     LieSuperAlgebra,
     SuperBasis,
+    _contract,
+    _group_sum,
+    _join,
     check_form,
     killing_form,
 )
-
-Sparse = dict  # {(row, col): Fraction}
 
 REALIZATION_MATCH_TOL = 1e-9
 # Largest dense (dim, dim, dim) float64 structure tensor a realization may
@@ -38,8 +43,6 @@ MAX_DENSE_BYTES = 512 * 2**20
 # ---------------------------------------------------------------------------
 # Specs and scalar data
 # ---------------------------------------------------------------------------
-
-KINDS = ("A", "Ann", "B", "C", "D", "Dn1n", "D21a", "F4", "G3")
 
 
 @dataclass(frozen=True)
@@ -274,58 +277,6 @@ def catalog(max_m: int, max_n: Optional[int] = None) -> list[FamilySpec]:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact matrix helpers
-# ---------------------------------------------------------------------------
-
-
-def _mat_mul(a: Sparse, b: Sparse) -> Sparse:
-    rows: dict = {}
-    for (r, c), v in b.items():
-        rows.setdefault(r, []).append((c, v))
-    out: Sparse = {}
-    for (r, c1), v in a.items():
-        for c2, w in rows.get(c1, ()):
-            key = (r, c2)
-            s = out.get(key, 0) + v * w
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _mat_sub(a: Sparse, b: Sparse, factor=1) -> Sparse:
-    out = dict(a)
-    for key, v in b.items():
-        s = out.get(key, 0) - factor * v
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
-
-
-def _super_commutator(a: Sparse, b: Sparse, pa: int, pb: int) -> Sparse:
-    sign = -1 if (pa and pb) else 1
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a), factor=sign)
-
-
-def _str_exact(mat: Sparse, even_slot: int) -> Fraction:
-    tot = Fraction(0)
-    for (r, c), v in mat.items():
-        if r == c:
-            tot += v if r < even_slot else -v
-    return tot
-
-
-def _dense(mat: Sparse, size: int) -> np.ndarray:
-    out = np.zeros((size, size))
-    for (r, c), v in mat.items():
-        out[r, c] = float(v)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Realization
 # ---------------------------------------------------------------------------
 
@@ -341,7 +292,6 @@ class Realization:
     killing: BilinearFormMatrix
     data: FamilyData
     matrices: tuple  # dense defining matrices, aligned with the basis
-    rep_dims: tuple[int, int]  # (even slot, odd slot) of the defining space
 
     @property
     def name(self) -> str:
@@ -363,39 +313,121 @@ class Realization:
                 for rng in self.algebra.simple_ideals()}
 
 
-def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
-              even_slot: int, odd_slot: int, form_scale: Optional[int]):
+def _exact_inverse(a: list) -> list:
+    """Inverse of a square integer matrix by Fraction Gauss-Jordan."""
+    n = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(n)]
+         for r, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            raise ValueError("the basis matrices are linearly dependent")
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def _gram_inverse(gram: np.ndarray) -> tuple:
+    """Exact inverse of an integer Gram matrix as COO (row, col, numerator)
+    over one denominator. Rows with an off-diagonal nonzero form one block,
+    inverted exactly; every other row inverts its diagonal entry."""
+    diag = np.diag(gram)
+    is_coupled = (gram != np.diag(diag)).any(axis=1)
+    coupled, free = np.flatnonzero(is_coupled), np.flatnonzero(~is_coupled)
+    if not diag[free].all():
+        raise ValueError("the basis matrices are linearly dependent")
+    block = [v for row in _exact_inverse(gram[np.ix_(coupled, coupled)].tolist())
+             for v in row]
+    denom = math.lcm(*diag[free].tolist(), *(v.denominator for v in block))
+    num = [denom // d for d in diag[free].tolist()] \
+        + [v.numerator * (denom // v.denominator) for v in block]
+    return (np.concatenate([free, np.repeat(coupled, len(coupled))]),
+            np.concatenate([free, np.tile(coupled, len(coupled))]),
+            np.array(num, dtype=np.int64), denom)
+
+
+def _coordinates(keys: np.ndarray, brackets: np.ndarray, owner: np.ndarray,
+                 flat: np.ndarray, val: np.ndarray, span: int, npos: int):
+    """Exact coordinates x = v B^T G^-1 of the brackets v, entries
+    ``pair * npos + position``, on the spanning matrices B, entries
+    ``(owner, flat position, val)``, with G = B B^T. Returns the keys
+    ``pair * span + k``, their numerators and the common denominator;
+    refuses a bracket the coordinates do not rebuild."""
+    pair, at = np.divmod(keys, npos)
+    gram = np.zeros(span * span, dtype=np.int64)
+    gkeys, g = _contract(flat, flat, val, val, owner, owner, span)
+    gram[gkeys] = g
+    inv_row, inv_col, inv_num, denom = _gram_inverse(gram.reshape(span, span))
+    wkeys, w = _contract(at, flat, brackets, val, pair, owner, span)
+    xkeys, x = _contract(wkeys % span, inv_row, w, inv_num, wkeys // span,
+                         inv_col, span)
+    rebuilt_keys, rebuilt = _contract(xkeys % span, owner, x, val,
+                                      xkeys // span, flat, npos)
+    if not (np.array_equal(rebuilt_keys, keys)
+            and np.array_equal(rebuilt, denom * brackets)):
+        raise ValueError("a bracket leaves the span of the basis")
+    return xkeys, x, denom
+
+
+def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
+              odd_slot: int, form_scale: Optional[int],
+              quotient: Optional[dict] = None) -> Realization:
     """Common constructor tail: structure constants, algebra, canonical form.
 
-    ``elems`` is a list of (sparse matrix, parity, label). ``form_scale``
-    selects the canonical form: None means the Killing form, an integer t
-    means t * str(XY) computed from the defining matrices.
+    ``elems`` lists the basis as (sparse integer matrix ``{(row, col): int}``,
+    parity, label). Every super-commutator
+    [B_i, B_j] = B_i B_j - (-1)**(p_i p_j) B_j B_i is formed at once from the
+    matrices' entries and expanded exactly in the basis. A ``quotient``
+    matrix is a direction the bracket is taken modulo: it joins the spanning
+    set and its coefficient is dropped. ``form_scale`` selects the canonical
+    form: None means the Killing form, an integer t means t * str(B_i B_j).
     """
     dim = len(elems)
     if 8 * dim**3 > MAX_DENSE_BYTES:
         raise ValueError(f"{spec.name}: the dense structure tensor of dim {dim} "
                          f"needs {8 * dim**3 / 2**30:.1f} GiB, over the "
                          f"{MAX_DENSE_BYTES // 2**20} MiB limit")
-    mats = [e[0] for e in elems]
     parity = tuple(e[1] for e in elems)
-    labels = tuple(e[2] for e in elems)
-    entries: dict = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            prod = _super_commutator(mats[i], mats[j], parity[i], parity[j])
-            coords = coordinatize(prod, (parity[i] + parity[j]) % 2)
-            sign = -1 if (parity[i] and parity[j]) else 1
-            for idx, val in coords.items():
-                entries[(i, j, idx)] = val
-                if i != j:
-                    entries[(j, i, idx)] = -sign * val
-    alg = LieSuperAlgebra(SuperBasis(parity, labels), entries, tuple(decomposition))
+    p = np.array(parity, dtype=np.int64)
+    size = even_slot + odd_slot
+    npos = size * size
+    mats = [e[0] for e in elems] + ([quotient] if quotient else [])
+    span = len(mats)
+    owner, row, col, val = np.array(
+        [(k, r, c, v) for k, mat in enumerate(mats) for (r, c), v in mat.items()],
+        dtype=np.int64).reshape(-1, 4).T
+    nb = int(np.searchsorted(owner, dim))  # the entries of the basis proper
+    # every product B_i B_j, joined on the inner index
+    a, b = _join(col[:nb], row[:nb])
+    i, j, prod = owner[a], owner[b], val[a] * val[b]
+    at = row[a] * size + col[b]
+    sign = 1 - 2 * (p[i] & p[j])
+    keys, brackets = _group_sum(
+        np.concatenate([(i * dim + j) * npos + at, (j * dim + i) * npos + at]),
+        np.concatenate([prod, -sign * prod]))
+    xkeys, x, denom = _coordinates(keys, brackets, owner, row * size + col, val,
+                                   span, npos)
+    pair, k = np.divmod(xkeys, span)
+    keep = k < dim  # the quotient direction's coefficient is dropped
+    ijk = np.stack([pair // dim, pair % dim, k], axis=1)[keep].tolist()
+    entries = {tuple(key): Fraction(v, denom)
+               for key, v in zip(ijk, x[keep].tolist())}
+    alg = LieSuperAlgebra(SuperBasis(parity, tuple(e[2] for e in elems)),
+                          entries, tuple(decomposition))
     killing = killing_form(alg)
     if form_scale is None:
         form = killing
     else:
-        gram = np.array([[float(form_scale * _str_exact(_mat_mul(a, b), even_slot))
-                          for b in mats] for a in mats])
+        # str(B_i B_j) from the diagonal product entries, signed by slot
+        on_diag = row[a] == col[b]
+        strace = np.zeros(dim * dim, dtype=np.int64)
+        np.add.at(strace, (i * dim + j)[on_diag],
+                  np.where(row[a] < even_slot, prod, -prod)[on_diag])
+        gram = (form_scale * strace).reshape(dim, dim).astype(float)
         report = check_form(alg, BilinearFormMatrix(gram))
         form = BilinearFormMatrix(
             gram,
@@ -405,10 +437,9 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
             nondegenerate=report.is_nondegenerate,
             report=report,
         )
-    size = even_slot + odd_slot
-    dense = tuple(_dense(m, size) for m in mats)
-    return Realization(spec, alg, form, killing, family_data(spec), dense,
-                       (even_slot, odd_slot))
+    dense = np.zeros((dim, size, size))
+    dense[owner[:nb], row[:nb], col[:nb]] = val[:nb]
+    return Realization(spec, alg, form, killing, family_data(spec), tuple(dense))
 
 
 # -- special linear ----------------------------------------------------------
@@ -416,28 +447,17 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, coordinatize,
 
 def _sl_block_elems(offset: int, size: int, prefix: str) -> list:
     """Traceless basis of one diagonal block: H's first, then off-diagonal."""
-    one = Fraction(1)
     elems = []
     for a in range(size - 1):
-        elems.append(({(offset + a, offset + a): one,
-                       (offset + a + 1, offset + a + 1): -one}, 0,
+        elems.append(({(offset + a, offset + a): 1,
+                       (offset + a + 1, offset + a + 1): -1}, 0,
                       f"{prefix}:H{a}"))
     for a in range(size):
         for bcol in range(size):
             if a != bcol:
-                elems.append(({(offset + a, offset + bcol): one}, 0,
+                elems.append(({(offset + a, offset + bcol): 1}, 0,
                               f"{prefix}:E({a},{bcol})"))
     return elems
-
-
-def _expand_traceless_diag(diag: list, elems_per_h: int) -> list:
-    """Coefficients on H_a = E_aa - E_(a+1)(a+1) for a traceless diagonal."""
-    coeffs = []
-    acc = Fraction(0)
-    for a in range(elems_per_h):
-        acc += diag[a]
-        coeffs.append(acc)
-    return coeffs
 
 
 def build_sl_super(m: int, n: int) -> Realization:
@@ -448,12 +468,9 @@ def build_sl_super(m: int, n: int) -> Realization:
         raise ValueError("require m, n >= 0")
     spec = family_spec("A", m, n)
     big, small = m + 1, n + 1
-    size = big + small
-    one = Fraction(1)
 
-    elems = [({(a, a): Fraction(small) for a in range(big)}
-              | {(big + a, big + a): Fraction(big) for a in range(small)},
-              0, "Z0")]
+    elems = [({(a, a): small for a in range(big)}
+              | {(big + a, big + a): big for a in range(small)}, 0, "Z0")]
     decomposition = [DecompositionRange(0, 1, "abelian")]
     pos = 1
     if big >= 2:
@@ -466,62 +483,24 @@ def build_sl_super(m: int, n: int) -> Realization:
         pos += small * small - 1
     for a in range(big):
         for bcol in range(small):
-            elems.append(({(a, big + bcol): one}, 1, f"odd:Y({a},{bcol})"))
+            elems.append(({(a, big + bcol): 1}, 1, f"odd:Y({a},{bcol})"))
     for a in range(small):
         for bcol in range(big):
-            elems.append(({(big + a, bcol): one}, 1, f"odd:Z({a},{bcol})"))
-
-    def coordinatize(mat: Sparse, parity: int) -> dict:
-        coords: dict = {}
-        if parity == 1:
-            base = 1 + (big * big - 1 if big >= 2 else 0) \
-                     + (small * small - 1 if small >= 2 else 0)
-            for (r, c), v in mat.items():
-                if r < big:
-                    coords[base + r * small + (c - big)] = v
-                else:
-                    coords[base + big * small + (r - big) * big + c] = v
-            return coords
-        trx = sum(mat.get((a, a), Fraction(0)) for a in range(big))
-        z0 = trx / (big * small)
-        if z0:
-            coords[0] = z0
-        pos_k = 1
-        for offset, blk in ((0, big), (big, small)):
-            if blk < 2:
-                continue
-            diag = [mat.get((offset + a, offset + a), Fraction(0))
-                    - z0 * (small if offset == 0 else big) for a in range(blk)]
-            for a, v in enumerate(_expand_traceless_diag(diag, blk - 1)):
-                if v:
-                    coords[pos_k + a] = v
-            idx = pos_k + blk - 1
-            for a in range(blk):
-                for ccol in range(blk):
-                    if a != ccol:
-                        v = mat.get((offset + a, offset + ccol), Fraction(0))
-                        if v:
-                            coords[idx] = v
-                        idx += 1
-            pos_k += blk * blk - 1
-        return coords
-
-    return _assemble(spec, elems, decomposition, coordinatize, big, small, None)
+            elems.append(({(big + a, bcol): 1}, 1, f"odd:Z({a},{bcol})"))
+    return _assemble(spec, elems, decomposition, big, small, None)
 
 
 def build_psl(n: int) -> Realization:
     """Quotient of supertraceless (n+1|n+1) matrices by the identity.
 
     Representatives are chosen with both diagonal blocks traceless; the
-    bracket projects along the identity, which keeps structure constants
+    bracket is taken modulo the identity, which keeps structure constants
     rational. The canonical form is 2(n+1) str(XY) on representatives.
     """
     if n < 1:
         raise ValueError("require n >= 1")
     spec = family_spec("A", n, n)
     blk = n + 1
-    size = 2 * blk
-    one = Fraction(1)
     d = blk * blk - 1
 
     elems = _sl_block_elems(0, blk, "k1") + _sl_block_elems(blk, blk, "k2")
@@ -529,41 +508,12 @@ def build_psl(n: int) -> Realization:
                      DecompositionRange(d, 2 * d, "simple")]
     for a in range(blk):
         for bcol in range(blk):
-            elems.append(({(a, blk + bcol): one}, 1, f"odd:Y({a},{bcol})"))
+            elems.append(({(a, blk + bcol): 1}, 1, f"odd:Y({a},{bcol})"))
     for a in range(blk):
         for bcol in range(blk):
-            elems.append(({(blk + a, bcol): one}, 1, f"odd:Z({a},{bcol})"))
-
-    def coordinatize(mat: Sparse, parity: int) -> dict:
-        coords: dict = {}
-        if parity == 1:
-            for (r, c), v in mat.items():
-                if r < blk:
-                    coords[2 * d + r * blk + (c - blk)] = v
-                else:
-                    coords[2 * d + blk * blk + (r - blk) * blk + c] = v
-            return coords
-        # project along the identity: both blocks become traceless
-        trx = sum(mat.get((a, a), Fraction(0)) for a in range(blk))
-        lam = trx / blk
-        for offset, pos_k in ((0, 0), (blk, d)):
-            diag = [mat.get((offset + a, offset + a), Fraction(0)) - lam
-                    for a in range(blk)]
-            for a, v in enumerate(_expand_traceless_diag(diag, blk - 1)):
-                if v:
-                    coords[pos_k + a] = v
-            idx = pos_k + blk - 1
-            for a in range(blk):
-                for ccol in range(blk):
-                    if a != ccol:
-                        v = mat.get((offset + a, offset + ccol), Fraction(0))
-                        if v:
-                            coords[idx] = v
-                        idx += 1
-        return coords
-
-    return _assemble(spec, elems, decomposition, coordinatize, blk, blk,
-                     2 * blk)
+            elems.append(({(blk + a, bcol): 1}, 1, f"odd:Z({a},{bcol})"))
+    identity = {(a, a): 1 for a in range(2 * blk)}
+    return _assemble(spec, elems, decomposition, blk, blk, 2 * blk, identity)
 
 
 # -- orthosymplectic ---------------------------------------------------------
@@ -587,108 +537,55 @@ def build_osp(l: int, k: int) -> Realization:
     else:
         spec = family_spec("D", l // 2, k // 2)
     q = k // 2
-    one = Fraction(1)
-    split_so4 = spec.kind == "D21a"
-
-    so_pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
-
-    def so_mat(i, j):
-        return {(i, j): one, (j, i): -one}
 
     elems: list = []
     decomposition: list = []
     pos = 0
-    if split_so4:
-        # so(4) = two commuting 3-dimensional ideals (self-dual halves)
+    if spec.kind == "D21a":
+        # so(4) = two commuting 3-dimensional ideals (self-dual halves):
+        # A(p1) + s A(p2) with s = +eps and s = -eps
         sd = [((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1)]
         for tag, sgn in (("k1", 1), ("k2", -1)):
-            for (p1, p2, eps) in sd:
-                mat = _mat_sub(so_mat(*p1), so_mat(*p2), factor=-sgn * eps)
-                elems.append((mat, 0, f"{tag}:S{p1}"))
+            for ((i, j), (u, v), eps) in sd:
+                s = sgn * eps
+                elems.append(({(i, j): 1, (j, i): -1, (u, v): s, (v, u): -s},
+                              0, f"{tag}:S{(i, j)}"))
             decomposition.append(DecompositionRange(pos, pos + 3, "simple"))
             pos += 3
     elif l >= 2:
-        for (i, j) in so_pairs:
-            elems.append((so_mat(i, j), 0, f"so:A({i},{j})"))
+        for i in range(l):
+            for j in range(i + 1, l):
+                elems.append(({(i, j): 1, (j, i): -1}, 0, f"so:A({i},{j})"))
         kind = "abelian" if l == 2 else "simple"
-        decomposition.append(DecompositionRange(pos, pos + len(so_pairs), kind))
-        pos += len(so_pairs)
+        decomposition.append(DecompositionRange(0, len(elems), kind))
+        pos = len(elems)
 
-    sp_start = pos
     for a in range(q):
         for bcol in range(q):
-            elems.append(({(l + a, l + bcol): one,
-                           (l + q + bcol, l + q + a): -one}, 0, f"sp:P({a},{bcol})"))
+            elems.append(({(l + a, l + bcol): 1,
+                           (l + q + bcol, l + q + a): -1}, 0, f"sp:P({a},{bcol})"))
     for a in range(q):
         for bcol in range(a, q):
-            mat = {(l + a, l + q + bcol): one}
+            mat = {(l + a, l + q + bcol): 1}
             if a != bcol:
-                mat[(l + bcol, l + q + a)] = one
+                mat[(l + bcol, l + q + a)] = 1
             elems.append((mat, 0, f"sp:Q({a},{bcol})"))
     for a in range(q):
         for bcol in range(a, q):
-            mat = {(l + q + a, l + bcol): one}
+            mat = {(l + q + a, l + bcol): 1}
             if a != bcol:
-                mat[(l + q + bcol, l + a)] = one
+                mat[(l + q + bcol, l + a)] = 1
             elems.append((mat, 0, f"sp:R({a},{bcol})"))
-    sp_dim = q * (2 * q + 1)
-    decomposition.append(DecompositionRange(sp_start, sp_start + sp_dim, "simple"))
-    even_dim = sp_start + sp_dim
+    decomposition.append(DecompositionRange(pos, len(elems), "simple"))
 
     for r in range(k):
         for s in range(l):
-            mat = {(l + r, s): one}
+            mat = {(l + r, s): 1}
             if r < q:
-                mat[(s, l + q + r)] = -one
+                mat[(s, l + q + r)] = -1
             else:
-                mat[(s, l + r - q)] = one
+                mat[(s, l + r - q)] = 1
             elems.append((mat, 1, f"odd:M({r},{s})"))
-
-    n_sym = q * (q + 1) // 2
-
-    def coordinatize(mat: Sparse, parity: int) -> dict:
-        coords: dict = {}
-        if parity == 1:
-            for (r, c), v in mat.items():
-                if r >= l and c < l:
-                    coords[even_dim + (r - l) * l + c] = v
-            return coords
-        if split_so4:
-            alpha = {(i, j): mat.get((i, j), Fraction(0)) for (i, j) in so_pairs}
-            half = Fraction(1, 2)
-            sd = [((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1)]
-            for t, (p1, p2, eps) in enumerate(sd):
-                coords_val = (alpha[p1] + eps * alpha[p2]) * half
-                if coords_val:
-                    coords[t] = coords_val
-                coords_val = (alpha[p1] - eps * alpha[p2]) * half
-                if coords_val:
-                    coords[3 + t] = coords_val
-        elif l >= 2:
-            for idx, (i, j) in enumerate(so_pairs):
-                v = mat.get((i, j), Fraction(0))
-                if v:
-                    coords[idx] = v
-        idx = sp_start
-        for a in range(q):
-            for bcol in range(q):
-                v = mat.get((l + a, l + bcol), Fraction(0))
-                if v:
-                    coords[idx] = v
-                idx += 1
-        for a in range(q):
-            for bcol in range(a, q):
-                v = mat.get((l + a, l + q + bcol), Fraction(0))
-                if v:
-                    coords[idx] = v
-                idx += 1
-        for a in range(q):
-            for bcol in range(a, q):
-                v = mat.get((l + q + a, l + bcol), Fraction(0))
-                if v:
-                    coords[idx] = v
-                idx += 1
-        return coords
 
     data = family_data(spec)
     if data.form_kind == "case6":
@@ -697,7 +594,7 @@ def build_osp(l: int, k: int) -> Realization:
         form_scale = 2
     else:
         form_scale = None
-    return _assemble(spec, elems, decomposition, coordinatize, l, k, form_scale)
+    return _assemble(spec, elems, decomposition, l, k, form_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,25 @@ def _join(a_key: np.ndarray, b_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return p, order[np.repeat(lo, counts) + run]
 
 
+def _group_sum(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the int64 ``vals`` per distinct key: the ascending keys whose sum
+    is nonzero, and those sums."""
+    keys, where = np.unique(keys, return_inverse=True)
+    acc = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(acc, where, vals)
+    nonzero = acc != 0
+    return keys[nonzero], acc[nonzero]
+
+
+def _contract(a_on: np.ndarray, b_on: np.ndarray, a_val: np.ndarray,
+              b_val: np.ndarray, a_key: np.ndarray, b_key: np.ndarray,
+              width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Join, multiply, group: sum ``a_val[p] * b_val[q]`` over the pairs
+    with ``a_on[p] == b_on[q]``, per key ``a_key[p] * width + b_key[q]``."""
+    p, q = _join(a_on, b_on)
+    return _group_sum(a_key[p] * width + b_key[q], a_val[p] * b_val[q])
+
+
 def check_super_jacobi(alg: LieSuperAlgebra) -> JacobiReport:
     """Exact residual of the graded Jacobi identity over all basis triples.
 
@@ -356,12 +375,10 @@ def check_super_jacobi(alg: LieSuperAlgebra) -> JacobiReport:
     k = np.concatenate([idx[a, 1], idx[a, 1], idx[b2, 1]])
     l = np.concatenate([idx[b, 2], idx[b, 2], idx[b2, 2]])
     vals = np.concatenate([inner, -sign * inner, -num[a2] * num[b2]])
-    keys, where = np.unique(((i * n + j) * n + k) * n + l, return_inverse=True)
-    acc = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(acc, where, vals)
-    acc = np.abs(acc)
-    if not acc.any():
+    keys, acc = _group_sum(((i * n + j) * n + k) * n + l, vals)
+    if not acc.size:
         return JacobiReport(0.0, (0, 0, 0))
+    acc = np.abs(acc)
     first = int(np.argmax(acc))
     ijk = int(keys[first]) // n
     return JacobiReport(int(acc[first]) / alg.denom**2,

@@ -147,3 +147,22 @@ class TestOutputs:
         assert [r[0] for r in rows] == [i["ideal"] for i in ideals]
         assert [float(r[2]) for r in rows if r[2]] == \
             [i["l"] for i in ideals if i["l"] is not None]
+
+
+class TestSystemBuiltOnce:
+    @pytest.mark.parametrize("argv,calls", [
+        (("report", "--max-m", "1"), 7),
+        (("solve", "--family", "B", "--m", "1", "--n", "1"), 1),
+    ], ids=["report", "solve"])
+    def test_one_build_per_family(self, capsys, monkeypatch, argv, calls):
+        built = []
+        inner = einstein.build_system
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(einstein, "build_system", counting)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(built) == calls

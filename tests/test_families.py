@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from supereinstein import families, supercore
+from supereinstein.supercore import DecompositionRange
 from supereinstein.families import (
     build_osp,
     build_psl,
@@ -234,3 +236,62 @@ class TestRealizationChecks:
                 for d in map(family_data, catalog(6))]
         assert max(dims) == 312
         assert 8 * max(dims) ** 3 <= families.MAX_DENSE_BYTES
+
+
+class TestExactAssembly:
+    """The structure constants against the defining matrices, without the
+    assembly kernel: sum_k c_ijk B_k rebuilt in integers over ``denom``."""
+
+    REALIZABLE_3 = [s for s in catalog(3) if s.realizable]
+
+    @pytest.mark.parametrize("spec", REALIZABLE_3, ids=lambda s: s.name)
+    def test_constants_rebuild_every_bracket(self, spec):
+        real = realize(spec)
+        alg = real.algebra
+        mats = np.stack(real.matrices).astype(np.int64)
+        assert np.array_equal(mats, np.stack(real.matrices))
+        p = np.array(alg.basis.parity)
+        prod = np.einsum("irc,jcd->ijrd", mats, mats)
+        sign = (1 - 2 * np.outer(p, p))[:, :, None, None]
+        brackets = prod - sign * prod.transpose(1, 0, 2, 3)
+        numer = np.zeros((alg.dim,) * 3, dtype=np.int64)
+        numer[tuple(alg.index.T)] = alg.numer
+        rest = alg.denom * brackets - np.tensordot(numer, mats, axes=(2, 0))
+        if spec.kind == "Ann":  # taken modulo the identity
+            diag = np.diagonal(rest, axis1=2, axis2=3)
+            assert np.all(diag == diag[:, :, :1])
+            rest -= diag[:, :, :1, None] * np.eye(mats.shape[1], dtype=np.int64)
+        assert not rest.any()
+
+    def test_constants_pinned(self):
+        h = hashlib.sha256()
+        for spec in self.REALIZABLE_3:
+            alg = realize(spec).algebra
+            h.update(spec.name.encode())
+            h.update(alg.index.astype("<i8").tobytes())
+            h.update(alg.numer.astype("<i8").tobytes())
+            h.update(str(alg.denom).encode())
+        assert h.hexdigest() == \
+            "cf3e0a2d62e8521e5427d91ef3cbc4e4b7f24bf84cf631cdbf457a21f0928fa1"
+
+    SL2 = {"H": {(0, 0): 1, (1, 1): -1}, "E": {(0, 1): 1}, "F": {(1, 0): 1}}
+
+    def _assemble(self, mats):
+        elems = [(mat, 0, str(k)) for k, mat in enumerate(mats)]
+        return families._assemble(family_spec("A", 1, 0), elems,
+                                  [DecompositionRange(0, len(elems), "simple")],
+                                  2, 0, None)
+
+    def test_sl2_assembles(self):
+        alg = self._assemble(list(self.SL2.values())).algebra
+        assert alg.c[0, 1, 1] == 2 and alg.c[1, 2, 0] == 1
+
+    def test_open_basis_refused(self):
+        with pytest.raises(ValueError, match="leaves the span"):
+            self._assemble([self.SL2["E"], self.SL2["F"]])
+
+    @pytest.mark.parametrize("extra", [{(0, 1): 1, (1, 0): 1}, {(0, 1): 2}, {}],
+                             ids=["sum", "multiple", "zero"])
+    def test_dependent_basis_refused(self, extra):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            self._assemble(list(self.SL2.values()) + [extra])

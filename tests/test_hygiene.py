@@ -1,0 +1,84 @@
+"""Source hygiene of the package, checked with the standard-library ``ast``:
+no module-level import goes unused, and no module-level private function or
+constant is left without a reference anywhere in the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "supereinstein"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _loaded_names(tree: ast.AST) -> set:
+    """Names read in ``tree``, attribute names, and ``__all__`` strings."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _imported_names(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _package_references() -> set:
+    """Every name read anywhere in the package, plus every name imported
+    from one of its modules."""
+    names = set()
+    for path in MODULES:
+        tree = _tree(path)
+        names |= _loaded_names(tree)
+        names |= {a.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = _tree(path)
+    assert sorted(_imported_names(tree) - _loaded_names(tree)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_definitions(path):
+    assert sorted(_private_definitions(_tree(path)) - _package_references()) == []
+
+
+def test_checks_catch_what_they_look_for():
+    tree = ast.parse("from typing import Callable, Optional\n"
+                     "import numpy as np\n"
+                     "_DEAD = 1\n"
+                     "def _helper(x: Optional[int]):\n"
+                     "    return np.abs(x)\n")
+    assert _imported_names(tree) - _loaded_names(tree) == {"Callable"}
+    assert _private_definitions(tree) - _loaded_names(tree) == {"_DEAD", "_helper"}
