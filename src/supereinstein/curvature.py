@@ -1,11 +1,19 @@
 """The block-scaled metric family, Levi-Civita connection (two independent
 routes), Ricci tensor (two independent routes), and the naturally-reductive
-verification on the doubled algebra."""
+verification on the doubled algebra.
+
+A connection is sparse: its Christoffel symbols are stored at flat keys
+``(i * n + j) * n + k``. The Koszul route, the blockwise route and the
+direct Ricci tensor are joins over the exact structure constants, the
+nonzeros of the metric and the symbols themselves, so none of them
+allocates a dense (n, n, n) array. Only the test-facing residual checks
+read the dense views ``LieSuperAlgebra.c`` and ``Connection.gamma``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -13,6 +21,10 @@ from .supercore import (
     BilinearFormMatrix,
     DegeneracyError,
     LieSuperAlgebra,
+    _contract,
+    _group_sum,
+    _join,
+    _koszul_terms,
     _parity_sign_matrix,
 )
 from .invariants import ideal_killing_gram
@@ -34,12 +46,26 @@ class MetricParams:
 
 @dataclass(frozen=True, eq=False)
 class Connection:
-    """gamma[i, j, k]: coefficient of e_k in nabla_(e_i) e_j."""
+    """Christoffel symbols: ``values`` holds the coefficient of e_k in
+    nabla_(e_i) e_j at the ascending flat keys ``(i * dim + j) * dim + k``;
+    symbols not listed are zero."""
 
-    gamma: np.ndarray
+    dim: int
+    keys: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        self.gamma.setflags(write=False)
+        self.keys.setflags(write=False)
+        self.values.setflags(write=False)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Dense view: ``gamma[i, j, k]``, read-only."""
+        gamma = np.zeros(self.dim**3)
+        gamma[self.keys] = self.values
+        gamma = gamma.reshape((self.dim,) * 3)
+        gamma.setflags(write=False)
+        return gamma
 
 
 def _check_params(real, params: MetricParams) -> None:
@@ -75,20 +101,20 @@ def metric_from_params(real, params: MetricParams) -> BilinearFormMatrix:
 
 def levi_civita_koszul(alg: LieSuperAlgebra,
                        metric: BilinearFormMatrix) -> Connection:
-    """Connection from the graded Koszul formula, one linear solve per pair."""
+    """Connection from the graded Koszul formula: the right side
+    2 g(nabla_(e_i) e_j, e_k), summed sparsely per (i, j, k), contracted
+    with the nonzeros of the inverse metric."""
     g = metric.gram
-    c = alg.c
-    s = _parity_sign_matrix(alg.basis.parity_array())
-    t1 = np.einsum("ijm,mk->ijk", c, g, optimize=True)
-    t2 = np.einsum("jkm,im->ijk", c, g, optimize=True)
-    t3 = np.einsum("ikm,jm->ijk", c, g, optimize=True)
-    rhs = t1 - t2 - s[:, :, None] * t3
     n = alg.dim
     try:
-        gamma = 0.5 * np.linalg.solve(g.T, rhs.reshape(-1, n).T).T.reshape(n, n, n)
+        ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError:
         raise DegeneracyError("metric is singular; no Levi-Civita connection")
-    return Connection(gamma)
+    keys, rhs = _group_sum(*_koszul_terms(alg, g, third=True))
+    rows, cols = np.nonzero(ginv)
+    pair, k = np.divmod(keys, n)
+    keys, gamma = _contract(k, rows, 0.5 * rhs, ginv[rows, cols], pair, cols, n)
+    return Connection(n, keys, gamma)
 
 
 def levi_civita_blockwise(real, params: MetricParams) -> Connection:
@@ -104,7 +130,9 @@ def levi_civita_blockwise(real, params: MetricParams) -> Connection:
     even, odd = ~p, p
     coef[np.ix_(even, odd)] = (1.0 - xv[even] / 2.0)[:, None]
     coef[np.ix_(odd, even)] = (xv[even] / 2.0)[None, :]
-    return Connection(coef[:, :, None] * alg.c)
+    i, j, k = alg.index.T
+    return Connection(n, (i * n + j) * n + k,
+                      coef[i, j] * (alg.numer / alg.denom))
 
 
 def connection_residuals(alg: LieSuperAlgebra, metric: BilinearFormMatrix,
@@ -123,18 +151,34 @@ def connection_residuals(alg: LieSuperAlgebra, metric: BilinearFormMatrix,
 
 def ricci_direct(alg: LieSuperAlgebra, metric: BilinearFormMatrix,
                  conn: Connection) -> BilinearFormMatrix:
-    """ric(X, Y) = str(Z -> R(Z, X) Y) from the curvature of the connection."""
-    gamma = conn.gamma
-    c = alg.c
-    sign = alg.basis.sign_vector()
-    s = _parity_sign_matrix(alg.basis.parity_array())
-    g2 = np.einsum("zmz->zm", gamma)
-    t1 = np.einsum("xym,zm->zxy", gamma, g2, optimize=True)
-    t2 = np.einsum("zym,xmz->zxy", gamma, gamma, optimize=True)
-    t3 = np.einsum("zxm,myz->zxy", c, gamma, optimize=True)
-    ric = np.einsum("z,zxy->xy", sign, t1 - s[:, :, None] * t2 - t3,
-                    optimize=True)
-    return _symmetrized_even_form(alg, ric, metric.scale())
+    """ric(X, Y) = str(Z -> R(Z, X) Y) from the curvature of the connection.
+
+    With G the symbols and w_m = sum_z (-1)**p_z G_zmz, the three sparse
+    terms are sum_m G_xym w_m, -sum_(z, m) (-1)**(p_z + p_z p_x) G_zym G_xmz
+    and -sum_(z, m) (-1)**p_z c_zxm G_myz.
+    """
+    n = alg.dim
+    p = alg.basis.parity_array()
+    sign = 1 - 2 * p
+    ij, gk = np.divmod(conn.keys, n)
+    gi, gj = np.divmod(ij, n)
+    gv = conn.values
+    trace = gi == gk
+    w = np.bincount(gj[trace], weights=sign[gi[trace]] * gv[trace], minlength=n)
+    # G[z, y, m] G[x, m, z], joined on (m, z)
+    a, b = _join(gk * n + gi, gj * n + gk)
+    # c[z, x, m] G[m, y, z], joined on (m, z)
+    idx = alg.index
+    a2, b2 = _join(idx[:, 2] * n + idx[:, 0], gi * n + gk)
+    keys, ric = _group_sum(
+        np.concatenate([gi * n + gj, gi[b] * n + gj[a], idx[a2, 1] * n + gj[b2]]),
+        np.concatenate([
+            gv * w[gk],
+            -(sign[gi[a]] * (1 - 2 * (p[gi[a]] & p[gi[b]]))) * (gv[a] * gv[b]),
+            -sign[idx[a2, 0]] * (alg.numer[a2] / alg.denom * gv[b2])]))
+    mat = np.zeros(n * n)
+    mat[keys] = ric
+    return _symmetrized_even_form(alg, mat.reshape(n, n), metric.scale())
 
 
 def _symmetrized_even_form(alg: LieSuperAlgebra, mat: np.ndarray,

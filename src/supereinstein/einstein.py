@@ -146,13 +146,24 @@ def _branch_vector(sys: EinsteinSystem, signs, c: float) -> Optional[tuple]:
     return tuple(out)
 
 
-def _trace_residual(sys: EinsteinSystem, signs, c):
-    """Residual of the trace equation along one branch, vectorized in c."""
+def _ideal_term(sys: EinsteinSystem, i: int, sign: int, c):
+    """gamma_i x_i(c) of simple ideal i on one sign branch."""
+    return float(sys.gamma[i]) * _branch_x(c, float(sys.l[i]),
+                                           float(sys.b[i]), sign)
+
+
+def _trace_residual(sys: EinsteinSystem, signs, c, terms=None):
+    """Residual of the trace equation along one branch, vectorized in c.
+
+    ``terms[i, sign]`` may hold :func:`_ideal_term` at the same ``c``, so
+    a scan over all branches evaluates each ideal's two roots once.
+    """
     total = -2.0 * c - float(sys.trace_rhs)
     if sys.has_k0:
         total = total + float(sys.gamma0) * (-4.0 * c)
-    for l, b, g, sgn in zip(sys.l, sys.b, sys.gamma, signs):
-        total = total + float(g) * _branch_x(c, float(l), float(b), sgn)
+    for i, sgn in enumerate(signs):
+        total = total + (terms[i, sgn] if terms is not None
+                         else _ideal_term(sys, i, sgn, c))
     return total
 
 
@@ -213,11 +224,13 @@ def solve(sys: EinsteinSystem, c_window: float = C_WINDOW,
     """
     n_grid = int(round(2.0 * c_window / grid_step))
     c_grid = -c_window + grid_step * np.arange(n_grid + 1)
+    terms = {(i, sgn): _ideal_term(sys, i, sgn, c_grid)
+             for i in range(sys.s) for sgn in (1, -1)}
     found: list[tuple[tuple, float]] = []
     for branch_id in range(2 ** sys.s):
         signs = tuple(1 if (branch_id >> i) & 1 == 0 else -1
                       for i in range(sys.s))
-        g = _trace_residual(sys, signs, c_grid)
+        g = _trace_residual(sys, signs, c_grid, terms)
         scalar = lambda c: float(_trace_residual(sys, signs, c))  # noqa: E731
         candidates: list[float] = []
 

@@ -413,11 +413,9 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
                                    span, npos)
     pair, k = np.divmod(xkeys, span)
     keep = k < dim  # the quotient direction's coefficient is dropped
-    ijk = np.stack([pair // dim, pair % dim, k], axis=1)[keep].tolist()
-    entries = {tuple(key): Fraction(v, denom)
-               for key, v in zip(ijk, x[keep].tolist())}
+    ijk = np.stack([pair // dim, pair % dim, k], axis=1)[keep]
     alg = LieSuperAlgebra(SuperBasis(parity, tuple(e[2] for e in elems)),
-                          entries, tuple(decomposition))
+                          (ijk, x[keep], denom), tuple(decomposition))
     killing = killing_form(alg)
     if form_scale is None:
         form = killing

@@ -46,9 +46,8 @@ def _ratio_fit(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
 
 def _odd_action(alg: LieSuperAlgebra, ideal) -> np.ndarray:
     """rho[a, v, w]: matrix of ad e_(ideal a) acting on the odd part."""
-    odd = list(alg.odd_range())
-    idx = list(ideal.indices())
-    block = alg.c[np.ix_(idx, odd, odd)]  # block[a, w, v] = coeff of e_v
+    odd = alg.odd_range()
+    block = alg.block(ideal.indices(), odd, odd)  # block[a, w, v] = coeff of e_v
     return np.swapaxes(block, 1, 2)
 
 
@@ -59,8 +58,8 @@ def representation_index(alg: LieSuperAlgebra, ideal: IdealHandle) -> float:
         raise ValueError("the index is undefined for an abelian ideal")
     rho = _odd_action(alg, ideal)
     rep_tr = np.einsum("avw,bwv->ab", rho, rho, optimize=True)
-    idx = list(ideal.indices())
-    cid = alg.c[np.ix_(idx, idx, idx)]
+    idx = ideal.indices()
+    cid = alg.block(idx, idx, idx)
     ad_tr = np.einsum("bvw,awv->ab", cid, cid, optimize=True)
     l, res = _ratio_fit(rep_tr, ad_tr)
     if res >= FIT_TOL:
@@ -76,10 +75,10 @@ def defining_rep_index(real, ideal: IdealHandle) -> float:
     """
     if ideal.kind != "simple":
         raise ValueError("the index is undefined for an abelian ideal")
-    idx = list(ideal.indices())
+    idx = ideal.indices()
     mats = [real.matrices[a] for a in idx]
     rep_tr = np.array([[float(np.trace(x @ y)) for y in mats] for x in mats])
-    cid = real.algebra.c[np.ix_(idx, idx, idx)]
+    cid = real.algebra.block(idx, idx, idx)
     ad_tr = np.einsum("bvw,awv->ab", cid, cid, optimize=True)
     l, res = _ratio_fit(rep_tr, ad_tr)
     if res >= FIT_TOL:
@@ -89,8 +88,8 @@ def defining_rep_index(real, ideal: IdealHandle) -> float:
 
 def ideal_killing_gram(alg: LieSuperAlgebra, ideal: IdealHandle) -> np.ndarray:
     """The ideal's own Killing form (intrinsic, not the restriction)."""
-    idx = list(ideal.indices())
-    cid = alg.c[np.ix_(idx, idx, idx)]
+    idx = ideal.indices()
+    cid = alg.block(idx, idx, idx)
     return np.einsum("bvw,awv->ab", cid, cid, optimize=True)
 
 

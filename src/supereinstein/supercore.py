@@ -3,9 +3,11 @@ brackets, supertrace, bilinear forms, and axiom verification.
 
 All values are immutable after construction and every operation is a pure
 function. Structure constants are exact rationals, stored once as sparse
-integer numerators over one common denominator; the Jacobi identity is
-checked exactly on them. The bracket, the Killing form and the form checks
-read a dense float64 view derived from the same numbers.
+integer numerators over one common denominator. The Jacobi identity and the
+Killing form are summed exactly in int64 by joins over these entries; the
+bi-invariance check joins them with the nonzeros of the Gram matrix in
+float64. Only ``bracket`` and ``ad_matrix`` read the dense float64 view
+``LieSuperAlgebra.c``.
 """
 
 from __future__ import annotations
@@ -95,14 +97,45 @@ def _parity_sign_matrix(parity: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * np.outer(parity, parity)
 
 
+def _exact_coo(entries) -> tuple[np.ndarray, np.ndarray, int]:
+    """Structure constants as (index, numer, denom) in lowest terms, zeros
+    dropped. ``entries`` is ``{(i, j, k): int | Fraction}`` or a triple
+    ``(index, numer, denom)``: nnz x 3 indices, integer numerators and a
+    positive integer denominator. Float values are refused."""
+    if isinstance(entries, dict):
+        if not all(isinstance(v, numbers.Rational) for v in entries.values()):
+            raise ValueError("structure constants must be exact (int or Fraction)")
+        items = [(key, Fraction(v)) for key, v in entries.items() if v]
+        denom = math.lcm(1, *(v.denominator for _, v in items))
+        numer = [v.numerator * (denom // v.denominator) for _, v in items]
+        if any(abs(v) >= 2**63 for v in numer):
+            raise ValueError("structure constant numerator overflows int64")
+        index = np.array([key for key, _ in items], dtype=np.int64)
+        numer = np.array(numer, dtype=np.int64)
+    else:
+        index, numer, denom = (np.asarray(entries[0]), np.asarray(entries[1]),
+                               entries[2])
+        if (index.dtype.kind not in "iu" or numer.dtype.kind != "i"
+                or not isinstance(denom, numbers.Integral) or denom <= 0):
+            raise ValueError("structure constants must be exact (integer "
+                             "numerators over a positive integer denominator)")
+        keep = numer != 0
+        index, numer = index[keep].astype(np.int64), numer[keep].astype(np.int64)
+    common = math.gcd(int(denom), int(np.gcd.reduce(numer, initial=0)))
+    return index.reshape(-1, 3), numer // common, int(denom) // common
+
+
 @dataclass(frozen=True, eq=False)
 class LieSuperAlgebra:
     """A Lie superalgebra given by its exact structure constants.
 
     Built from ``{(i, j, k): int | Fraction}``, the coefficient of basis
-    vector ``k`` in ``[e_i, e_j]``, and stored once: ``index`` holds the
-    nonzero (i, j, k) in ascending order, ``numer`` their numerators over
-    the common denominator ``denom``. ``c`` is the dense float view.
+    vector ``k`` in ``[e_i, e_j]``, or from the same constants as sparse
+    integer arrays ``(index, numer, denom)``; both go through one
+    validation. They are stored once: ``index`` holds the nonzero (i, j, k)
+    in ascending order, ``numer`` their numerators over the common
+    denominator ``denom``, in lowest terms. ``c`` is the dense float view
+    and :meth:`block` a dense slice of it.
     ``decomposition`` lists the even-part ideals k_0 (abelian, optional),
     k_1, ..., k_s as contiguous ranges; odd indices follow all even ones.
     """
@@ -114,25 +147,21 @@ class LieSuperAlgebra:
     numer: np.ndarray = field(init=False, repr=False)
     denom: int = field(init=False)
 
-    def __post_init__(self, entries: dict):
+    def __post_init__(self, entries):
+        index, numer, denom = _exact_coo(entries)
         n = self.basis.total_dim
-        if not all(isinstance(v, numbers.Rational) for v in entries.values()):
-            raise ValueError("structure constants must be exact (int or Fraction)")
-        items = sorted((key, Fraction(v)) for key, v in entries.items() if v)
-        denom = math.lcm(1, *(v.denominator for _, v in items))
-        numer = [v.numerator * (denom // v.denominator) for _, v in items]
-        if any(abs(v) >= 2**63 for v in numer):
-            raise ValueError("structure constant numerator overflows int64")
-        index = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, 3)
         if index.size and (index.min() < 0 or index.max() >= n):
             raise ValueError("structure constant index outside the basis")
-        numer = np.array(numer, dtype=np.int64)
+        key = (index[:, 0] * n + index[:, 1]) * n + index[:, 2]
+        order = np.argsort(key, kind="stable")
+        index, numer, key = index[order], numer[order], key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("structure constant index repeated")
         p = self.basis.parity_array()
         i, j, k = index.T
         if np.any((p[i] + p[j] + p[k]) % 2):
             raise ValueError("structure tensor violates parity consistency")
         # graded antisymmetry: c[j, i, k] = -(-1)**(p_i p_j) c[i, j, k]
-        key = (i * n + j) * n + k  # ascending, as the index is
         swapped = (j * n + i) * n + k
         at = np.minimum(np.searchsorted(key, swapped), len(key) - 1)
         if np.any(key[at] != swapped) or np.any(
@@ -154,11 +183,21 @@ class LieSuperAlgebra:
     @cached_property
     def c(self) -> np.ndarray:
         """Dense float view: ``c[i, j, k]`` = numer / denom, read-only."""
-        n = self.dim
-        c = np.zeros((n, n, n))
-        c[tuple(self.index.T)] = self.numer / self.denom
+        c = self.block(range(self.dim), range(self.dim), range(self.dim))
         c.setflags(write=False)
         return c
+
+    def block(self, first: range, second: range, third: range) -> np.ndarray:
+        """Dense float sub-tensor ``c[first, second, third]`` over
+        contiguous index ranges, filled from the sparse entries alone."""
+        out = np.zeros((len(first), len(second), len(third)))
+        inside = np.ones(len(self.numer), dtype=bool)
+        for axis, rng in enumerate((first, second, third)):
+            inside &= (self.index[:, axis] >= rng.start) \
+                & (self.index[:, axis] < rng.stop)
+        at = self.index[inside] - [first.start, second.start, third.start]
+        out[tuple(at.T)] = self.numer[inside] / self.denom
+        return out
 
     @property
     def dim(self) -> int:
@@ -288,23 +327,31 @@ def supertrace(op: LinearOperator, basis: SuperBasis) -> float:
 
 
 def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
-    """K(e_i, e_j) = str(ad e_i o ad e_j).
+    """K(e_i, e_j) = str(ad e_i o ad e_j) = sum_(k, m) (-1)**p_k c_jkm c_imk.
 
-    Evenness and supersymmetry are asserted to float tolerance, then the
-    matrix is symmetrized so downstream code sees them exactly.
+    Summed exactly as int64 numerators over ``denom**2`` by one join of the
+    structure constants with themselves; refuses an algebra whose sums could
+    overflow int64. Evenness and supersymmetry are asserted exactly.
     """
-    sign = alg.basis.sign_vector()
-    k = np.einsum("k,jkm,imk->ij", sign, alg.c, alg.c, optimize=True)
-    scale = max(float(np.max(np.abs(k))), 1.0)
+    n = alg.dim
+    idx, num = alg.index, alg.numer
+    big = int(np.max(np.abs(num), initial=0))
+    if n * n * big * big >= 2**63:
+        raise ValueError(f"Killing form sums of a dim-{n} algebra with "
+                         f"numerators up to {big} could overflow int64")
     p = alg.basis.parity_array()
-    s = _parity_sign_matrix(p)
-    sym_res = float(np.max(np.abs(k - s * k.T)))
-    even_mask = (p[:, None] != p[None, :])
-    even_res = float(np.max(np.abs(k[even_mask]))) if even_mask.any() else 0.0
-    if sym_res > JACOBI_TOL * scale or even_res > JACOBI_TOL * scale:
+    # c[j, k, m] c[i, m, k], joined on (k, m)
+    a, b = _join(idx[:, 1] * n + idx[:, 2], idx[:, 2] * n + idx[:, 1])
+    keys, acc = _group_sum(idx[b, 0] * n + idx[a, 0],
+                           (1 - 2 * p[idx[a, 1]]) * num[a] * num[b])
+    i, j = np.divmod(keys, n)
+    at = np.minimum(np.searchsorted(keys, j * n + i), len(keys) - 1)
+    if np.any(p[i] != p[j]) or np.any(keys[at] != j * n + i) or np.any(
+            acc[at] != (1 - 2 * (p[i] & p[j])) * acc):
         raise ValueError("Killing form failed the evenness/supersymmetry check")
-    k = 0.5 * (k + s * k.T)
-    k[even_mask] = 0.0
+    k = np.zeros(n * n)
+    k[keys] = acc / float(alg.denom**2)
+    k = k.reshape(n, n)
     form = BilinearFormMatrix(k, even=True, supersymmetric=True)
     report = check_form(alg, form)
     return BilinearFormMatrix(
@@ -329,10 +376,10 @@ def _join(a_key: np.ndarray, b_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _group_sum(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the int64 ``vals`` per distinct key: the ascending keys whose sum
-    is nonzero, and those sums."""
+    """Sum ``vals`` per distinct key, in their own dtype (int64 sums are
+    exact): the ascending keys whose sum is nonzero, and those sums."""
     keys, where = np.unique(keys, return_inverse=True)
-    acc = np.zeros(len(keys), dtype=np.int64)
+    acc = np.zeros(len(keys), dtype=vals.dtype)
     np.add.at(acc, where, vals)
     nonzero = acc != 0
     return keys[nonzero], acc[nonzero]
@@ -400,11 +447,37 @@ def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:
     evenness = float(np.max(np.abs(g[mask]))) / scale if mask.any() else 0.0
     s = _parity_sign_matrix(p)
     supersymmetry = float(np.max(np.abs(g - s * g.T))) / scale
-    t1 = np.einsum("ijm,mk->ijk", alg.c, g, optimize=True)
-    t2 = np.einsum("jkm,im->ijk", alg.c, g, optimize=True)
-    bi_invariance = float(np.max(np.abs(t1 - t2))) / scale
+    _, diff = _group_sum(*_koszul_terms(alg, g, third=False))
+    bi_invariance = float(np.max(np.abs(diff), initial=0.0)) / scale
     scaled_det = _scaled_abs_det(g)
     return FormReport(evenness, supersymmetry, bi_invariance, scaled_det, scale)
+
+
+def _koszul_terms(alg: LieSuperAlgebra, g: np.ndarray,
+                  third: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Keys ``(i * n + j) * n + k`` and values of the sparse terms of
+    g([e_i, e_j], e_k) - g(e_i, [e_j, e_k]) and, with ``third``, of
+    -(-1)**(p_i p_j) g(e_j, [e_i, e_k]): joins of the structure constants
+    with the nonzeros of the Gram matrix. Grouping them sums the terms per
+    (i, j, k)."""
+    n = alg.dim
+    idx, c = alg.index, alg.numer / alg.denom
+    rows, cols = np.nonzero(g)
+    vals = g[rows, cols]
+    # c[i, j, m] g[m, k], then c[j, k, m] g[i, m]
+    a, q = _join(idx[:, 2], rows)
+    keys = [(idx[a, 0] * n + idx[a, 1]) * n + cols[q]]
+    terms = [c[a] * vals[q]]
+    a, q = _join(idx[:, 2], cols)
+    keys.append((rows[q] * n + idx[a, 0]) * n + idx[a, 1])
+    terms.append(-(c[a] * vals[q]))
+    if third:
+        # c[i, k, m] g[j, m]
+        p = alg.basis.parity_array()
+        sign = 2 * (p[idx[a, 0]] & p[rows[q]]) - 1
+        keys.append((idx[a, 0] * n + rows[q]) * n + idx[a, 1])
+        terms.append(sign * (c[a] * vals[q]))
+    return np.concatenate(keys), np.concatenate(terms)
 
 
 def _scaled_abs_det(g: np.ndarray) -> float:

@@ -6,6 +6,9 @@ outputs."""
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +169,12 @@ class TestSystemBuiltOnce:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(built) == calls
+
+
+def test_import_leaves_out_the_process_pool():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); "
+             "import supereinstein.cli; print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"

@@ -227,6 +227,36 @@ class TestExactTensor:
             with pytest.raises(ValueError, match="antisymmetry"):
                 LieSuperAlgebra(SuperBasis((0, 0)), entries, self.EVEN2)
 
+    def test_arrays_and_dict_store_the_same_constants(self, psl22):
+        alg = psl22.algebra
+        order = np.arange(len(alg.numer))[::-1]  # any order is sorted on entry
+        for entries in (exact_entries(alg),
+                        (alg.index[order], 3 * alg.numer[order], 3 * alg.denom)):
+            again = LieSuperAlgebra(alg.basis, entries, alg.decomposition)
+            assert np.array_equal(again.index, alg.index)
+            assert np.array_equal(again.numer, alg.numer)
+            assert again.numer.dtype == np.int64 and again.denom == alg.denom
+
+    @pytest.mark.parametrize("index,numer,denom,match", [
+        ([[0, 1, 1], [1, 0, 1]], [1.0, -1.0], 1, "exact"),
+        ([[0, 1, 1], [1, 0, 1]], [1, -1], 0.5, "exact"),
+        ([[0, 1, 1], [1, 0, 1]], [1, -1], 0, "exact"),
+        ([[0, 1, 1], [1, 0, 1]], [1, 1], 1, "antisymmetry"),
+        ([[0, 1, 2], [1, 0, 2]], [1, -1], 1, "outside"),
+        ([[0, 1, 1], [0, 1, 1], [1, 0, 1]], [1, 1, -2], 1, "repeated"),
+    ], ids=["float", "float denom", "zero denom", "antisymmetry", "bounds",
+            "repeated"])
+    def test_array_entries_validated(self, index, numer, denom, match):
+        with pytest.raises(ValueError, match=match):
+            LieSuperAlgebra(SuperBasis((0, 0)),
+                            (np.array(index), np.array(numer), denom), self.EVEN2)
+
+    def test_array_parity_violation_rejected(self):
+        with pytest.raises(ValueError, match="parity"):
+            LieSuperAlgebra(SuperBasis((0, 1)),
+                            (np.array([[0, 1, 0], [1, 0, 0]]), np.array([1, -1]), 1),
+                            (DecompositionRange(0, 1, "abelian"),))
+
     def test_float_view_matches_fraction_fill(self):
         for spec in families.catalog(3):
             if not spec.realizable:
