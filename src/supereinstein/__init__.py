@@ -14,7 +14,6 @@ from .curvature import (
     metric_from_params,
     ricci_closed_form,
     ricci_direct,
-    verify_naturally_reductive,
 )
 from .einstein import (
     EinsteinSolution,
@@ -44,8 +43,6 @@ from .invariants import (
     b_ratio,
     casimir_on_odd,
     representation_index,
-    verify_killing_casimir,
-    verify_trace_identities,
 )
 from .supercore import (
     BilinearFormMatrix,
@@ -75,6 +72,5 @@ __all__ = [
     "known_solutions", "levi_civita_blockwise", "levi_civita_koszul",
     "lift_real_form", "metric_from_params", "realize",
     "representation_index", "ricci_closed_form", "ricci_direct", "solve",
-    "solve_family", "supertrace", "verify_killing_casimir",
-    "verify_naturally_reductive", "verify_solution", "verify_trace_identities",
+    "solve_family", "supertrace", "verify_solution",
 ]

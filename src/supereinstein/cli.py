@@ -250,14 +250,9 @@ def _note_omitted(count: int, cmax: float, where: str = "") -> None:
 
 
 def _run_solve(args, require_verified: bool) -> int:
-    try:
-        spec = _spec_from_args(args)
-        data = family_data(spec)
-        form = data.form_kind if args.form == "auto" else args.form
-        system = einstein.build_system(data, form)  # validates the combination
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _spec_from_args(args)
+    data = family_data(spec)
+    system = einstein.build_system(data)
     sols, omitted = _solutions_within(spec, system, args.cmax, args.tol)
     _note_omitted(omitted, args.cmax)
     doc = einstein.solutions_to_json(spec, sols)
@@ -544,62 +539,72 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None)
 
 
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["json", "csv", "markdown"],
-                   default="json")
+def _add_output_args(p: argparse.ArgumentParser, formats: bool = True) -> None:
+    if formats:
+        p.add_argument("--format", choices=["json", "csv", "markdown"],
+                       default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
+
+
+def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cmax", type=float, default=einstein.C_WINDOW)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="solution residual gate; may only tighten the default")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a rejected command line as ValueError, for ``main``'s one-line
+    error path, instead of printing the usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supereinstein",
         description="Einstein metrics on basic classical Lie superalgebras")
     sub = parser.add_subparsers(dest="command", required=True)
     p_build = sub.add_parser("build", help="construct and verify an algebra")
     _add_family_args(p_build)
-    _add_common_args(p_build)
+    _add_output_args(p_build, formats=False)
     p_build.set_defaults(func=cmd_build)
     p_idx = sub.add_parser("indices", help="indices, ratios and Casimir scalars")
     _add_family_args(p_idx)
-    _add_common_args(p_idx)
+    _add_output_args(p_idx)
     p_idx.set_defaults(func=cmd_indices)
-    p_solve = sub.add_parser("solve", help="solve the Einstein system")
-    _add_family_args(p_solve)
-    _add_common_args(p_solve)
-    p_solve.add_argument("--form",
-                         choices=["auto", "killing", "case2", "case6", "case7"],
-                         default="auto")
-    p_solve.set_defaults(func=cmd_solve)
-    p_verify = sub.add_parser("verify", help="solve and require Ricci verification")
-    _add_family_args(p_verify)
-    _add_common_args(p_verify)
-    p_verify.add_argument("--form",
-                          choices=["auto", "killing", "case2", "case6", "case7"],
-                          default="auto")
-    p_verify.set_defaults(func=cmd_verify)
+    for name, func, text in (
+            ("solve", cmd_solve, "solve the Einstein system"),
+            ("verify", cmd_verify, "solve and require Ricci verification")):
+        p_solve = sub.add_parser(name, help=text)
+        _add_family_args(p_solve)
+        _add_output_args(p_solve)
+        _add_solver_args(p_solve)
+        p_solve.set_defaults(func=func)
     p_rep = sub.add_parser("report", help="full reproduction report")
     p_rep.add_argument("--max-m", type=int, required=True)
     p_rep.add_argument("--max-n", type=int, default=None)
-    _add_common_args(p_rep)
+    _add_output_args(p_rep)
+    _add_solver_args(p_rep)
+    p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_rep.add_argument("--jobs", type=int, default=1)
     p_rep.set_defaults(func=cmd_report)
     return parser
 
 
 def _input_error(args) -> str | None:
-    """The first option value outside its domain, as a message, else None."""
-    if not (math.isfinite(args.cmax) and args.cmax > 0):
-        return f"--cmax must be finite and > 0, got {args.cmax:g}"
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        return f"--tol must be finite and > 0, got {args.tol:g}"
-    if args.tol > DEFAULT_TOL:
+    """The first value, among the options the subcommand has, outside its
+    domain, as a message, else None."""
+    cmax, tol = getattr(args, "cmax", None), getattr(args, "tol", None)
+    if cmax is not None and not (math.isfinite(cmax) and cmax > 0):
+        return f"--cmax must be finite and > 0, got {cmax:g}"
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        return f"--tol must be finite and > 0, got {tol:g}"
+    if tol is not None and tol > DEFAULT_TOL:
         return f"--tol may only tighten the default {DEFAULT_TOL:g}"
-    if args.jobs < 1:
-        return f"--jobs must be >= 1, got {args.jobs}"
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        return f"--jobs must be >= 1, got {jobs}"
     alpha = getattr(args, "alpha", None)
     if alpha is not None and not math.isfinite(alpha):
         return f"--alpha must be finite, got {alpha:g}"
@@ -611,13 +616,11 @@ def _input_error(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    error = _input_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     try:
+        args = make_parser().parse_args(argv)
+        error = _input_error(args)
+        if error:
+            raise ValueError(error)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,19 +1,17 @@
-"""The block-scaled metric family, Levi-Civita connection (two independent
-routes), Ricci tensor (two independent routes), and the naturally-reductive
-verification on the doubled algebra.
+"""The block-scaled metric family, the Levi-Civita connection (two
+independent routes) and the Ricci tensor (two independent routes).
 
 A connection is sparse: its Christoffel symbols are stored at flat keys
 ``(i * n + j) * n + k``. The Koszul route, the blockwise route and the
 direct Ricci tensor are joins over the exact structure constants, the
 nonzeros of the metric and the symbols themselves, so none of them
-allocates a dense (n, n, n) array. Only the test-facing residual checks
-read the dense views ``LieSuperAlgebra.c`` and ``Connection.gamma``.
+allocates a dense (n, n, n) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,15 +55,6 @@ class Connection:
     def __post_init__(self):
         self.keys.setflags(write=False)
         self.values.setflags(write=False)
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """Dense view: ``gamma[i, j, k]``, read-only."""
-        gamma = np.zeros(self.dim**3)
-        gamma[self.keys] = self.values
-        gamma = gamma.reshape((self.dim,) * 3)
-        gamma.setflags(write=False)
-        return gamma
 
 
 def _check_params(real, params: MetricParams) -> None:
@@ -133,20 +122,6 @@ def levi_civita_blockwise(real, params: MetricParams) -> Connection:
     i, j, k = alg.index.T
     return Connection(n, (i * n + j) * n + k,
                       coef[i, j] * (alg.numer / alg.denom))
-
-
-def connection_residuals(alg: LieSuperAlgebra, metric: BilinearFormMatrix,
-                         conn: Connection) -> tuple[float, float]:
-    """(metric compatibility, torsion) max residuals over basis triples."""
-    g = metric.gram
-    gamma = conn.gamma
-    s = _parity_sign_matrix(alg.basis.parity_array())
-    compat = np.einsum("ijm,mk->ijk", gamma, g, optimize=True) \
-        + s[:, :, None] * np.einsum("ikm,jm->ijk", gamma, g, optimize=True)
-    torsion = gamma - s[:, :, None] * np.swapaxes(gamma, 0, 1) - alg.c
-    scale = metric.scale()
-    return (float(np.max(np.abs(compat))) / scale,
-            float(np.max(np.abs(torsion))))
 
 
 def ricci_direct(alg: LieSuperAlgebra, metric: BilinearFormMatrix,
@@ -231,39 +206,3 @@ def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:
     ric[np.ix_(odd, odd)] = odd_sum
     return _symmetrized_even_form(alg, ric, real.canonical_form.scale())
 
-
-def verify_naturally_reductive(real, params: MetricParams,
-                               t_offset: float = 0.0) -> float:
-    """Residual of natural reductivity on the doubled algebra.
-
-    Builds the direct sum of the algebra with its even part, the complement
-    spanned by (t_i X, (t_i - 1) X) over each even block plus (X, 0) over the
-    odd part, and the induced metric; returns the max residual of
-    <[U,V]_m, W>' = <U, [V,W]_m>' over all basis triples of the complement.
-    At t = x the metric is naturally reductive; a nonzero ``t_offset`` is the
-    diagnostic mode.
-    """
-    _check_params(real, params)
-    alg = real.algebra
-    n, e = alg.dim, alg.dim_even
-    big = n + e
-    c_sum = np.zeros((big, big, big))
-    c_sum[:n, :n, :n] = alg.c
-    c_sum[n:, n:, n:] = alg.c[:e, :e, :e]
-    # complement basis, one column per original basis vector
-    basis = np.zeros((big, n))
-    for rng, xi in zip(alg.decomposition, params.x):
-        ti = xi + t_offset
-        for a in rng.indices():
-            basis[a, a] = ti
-            basis[n + a, a] = ti - 1.0
-    for a in alg.odd_range():
-        basis[a, a] = 1.0
-    brk = np.einsum("Pi,Qj,PQR->ijR", basis, basis, c_sum, optimize=True)
-    # project onto the complement along the diagonal copy of the even part
-    proj = brk[:, :, :n].copy()
-    proj[:, :, :e] -= brk[:, :, n:]
-    gram = metric_from_params(real, params).gram
-    lhs = np.einsum("abg,gd->abd", proj, gram, optimize=True)
-    rhs = np.einsum("bdg,ag->abd", proj, gram, optimize=True)
-    return float(np.max(np.abs(lhs - rhs))) / float(np.max(np.abs(gram)))

@@ -15,8 +15,6 @@ from .curvature import MetricParams, levi_civita_koszul, metric_from_params, \
     ricci_closed_form, ricci_direct
 from .families import FamilyData, FamilySpec, Realization, family_data, realize
 
-FORM_KINDS = ("killing", "case2", "case6", "case7")
-
 SOLUTION_TOL = 1e-10
 DEDUPE_TOL = 1e-8
 BISECT_TOL = 1e-13
@@ -81,20 +79,10 @@ class EinsteinSolution:
                 "provenance": self.provenance}
 
 
-def build_system(data: FamilyData, form_kind: Optional[str] = None) -> EinsteinSystem:
-    """Assemble the equation record; the form kind must match the family."""
-    if form_kind is None:
-        form_kind = data.form_kind
-    if form_kind not in FORM_KINDS:
-        raise ValueError(f"unknown form kind {form_kind!r}")
-    if form_kind != data.form_kind:
-        if form_kind == "killing" and not data.killing_nondegenerate:
-            raise ValueError("the Killing form is degenerate for this family")
-        raise ValueError(
-            f"form kind {form_kind!r} is inconsistent with this family "
-            f"(expected {data.form_kind!r})")
+def build_system(data: FamilyData) -> EinsteinSystem:
+    """Assemble the equation record for the family's canonical form."""
     total = sum(data.gamma, Fraction(0)) + (data.gamma0 or Fraction(0))
-    return EinsteinSystem(data, form_kind, data.l, data.b, data.gamma,
+    return EinsteinSystem(data, data.form_kind, data.l, data.b, data.gamma,
                           data.gamma0, 2 * total)
 
 

@@ -4,11 +4,13 @@ Each builder states its basis once, as (sparse integer matrix, parity,
 label) triples. ``_assemble`` forms every super-commutator from the
 matrices' entries and reads its coordinates exactly through the inverse of
 the integer Frobenius Gram, checking that they rebuild the bracket, so the
-structure constants are exact rationals; the algebra stores them once, and
-every float view derives from them. The case2/6/7 canonical forms come
-exactly from the same matrix products and are stored as float Gram
-matrices. The exceptional families F(4) and G(3), and the one-parameter
-deformation family at alpha != 1, exist only at the data-catalog level.
+structure constants are exact rationals, which the algebra stores once.
+The case2/6/7 canonical forms come exactly from the same matrix products and
+are stored as float Gram matrices. No realization is refused for its
+dimension: every join of entries, here and downstream, refuses on its own
+a pair count over ``supercore.MAX_JOIN_PAIRS`` before allocating it. The
+exceptional families F(4) and G(3), and the one-parameter deformation family
+at alpha != 1, exist only at the data-catalog level.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ from .supercore import (
 )
 
 REALIZATION_MATCH_TOL = 1e-9
-# Largest dense (dim, dim, dim) float64 structure tensor a realization may
-# allocate: dim <= 406.
-MAX_DENSE_BYTES = 512 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +386,6 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
     form: None means the Killing form, an integer t means t * str(B_i B_j).
     """
     dim = len(elems)
-    if 8 * dim**3 > MAX_DENSE_BYTES:
-        raise ValueError(f"{spec.name}: the dense structure tensor of dim {dim} "
-                         f"needs {8 * dim**3 / 2**30:.1f} GiB, over the "
-                         f"{MAX_DENSE_BYTES // 2**20} MiB limit")
     parity = tuple(e[1] for e in elems)
     p = np.array(parity, dtype=np.int64)
     size = even_slot + odd_slot

@@ -1,5 +1,7 @@
-"""Representation indices, Casimir operators on the odd part, form ratios,
-and numeric verification of the trace identities that tie them together."""
+"""Representation indices, Casimir operators on the odd part and form
+ratios of the simple ideals: the invariants l_i, gamma_i and b_i of the
+Einstein system, each built from sparse joins of the exact structure
+constants."""
 
 from __future__ import annotations
 
@@ -12,8 +14,9 @@ from .supercore import (
     DecompositionRange,
     LieSuperAlgebra,
     LinearOperator,
+    _contract,
+    _trace_form,
     dual_basis,
-    killing_form,
 )
 
 # Least-squares ratio fits must reproduce every entry to this residual.
@@ -44,11 +47,14 @@ def _ratio_fit(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     return r, res
 
 
-def _odd_action(alg: LieSuperAlgebra, ideal) -> np.ndarray:
-    """rho[a, v, w]: matrix of ad e_(ideal a) acting on the odd part."""
-    odd = alg.odd_range()
-    block = alg.block(ideal.indices(), odd, odd)  # block[a, w, v] = coeff of e_v
-    return np.swapaxes(block, 1, 2)
+def _trace_gram(alg: LieSuperAlgebra, ideal: IdealHandle,
+                inner: range) -> np.ndarray:
+    """Dense (dim, dim) Gram of the unsigned trace form of the ideal over
+    ``inner``: sum_(w, v) c[a, w, v] c[b, v, w] for a, b in the ideal."""
+    keys, acc = _trace_form(alg, ideal.indices(), inner)
+    gram = np.zeros(ideal.dim**2)
+    gram[keys] = acc / float(alg.denom**2)
+    return gram.reshape(ideal.dim, ideal.dim)
 
 
 def representation_index(alg: LieSuperAlgebra, ideal: IdealHandle) -> float:
@@ -56,41 +62,16 @@ def representation_index(alg: LieSuperAlgebra, ideal: IdealHandle) -> float:
     where rho is the action on the odd part. Fitted over all basis pairs."""
     if ideal.kind != "simple":
         raise ValueError("the index is undefined for an abelian ideal")
-    rho = _odd_action(alg, ideal)
-    rep_tr = np.einsum("avw,bwv->ab", rho, rho, optimize=True)
-    idx = ideal.indices()
-    cid = alg.block(idx, idx, idx)
-    ad_tr = np.einsum("bvw,awv->ab", cid, cid, optimize=True)
-    l, res = _ratio_fit(rep_tr, ad_tr)
+    l, res = _ratio_fit(_trace_gram(alg, ideal, alg.odd_range()),
+                        ideal_killing_gram(alg, ideal))
     if res >= FIT_TOL:
         raise ValueError(f"index fit residual {res:g} on {ideal}")
     return l
 
 
-def defining_rep_index(real, ideal: IdealHandle) -> float:
-    """Index of the ideal's defining (matrix-slot) representation.
-
-    Uses the realization's own matrices as rho, so a simple ideal sitting in
-    one diagonal slot is probed in its standard representation.
-    """
-    if ideal.kind != "simple":
-        raise ValueError("the index is undefined for an abelian ideal")
-    idx = ideal.indices()
-    mats = [real.matrices[a] for a in idx]
-    rep_tr = np.array([[float(np.trace(x @ y)) for y in mats] for x in mats])
-    cid = real.algebra.block(idx, idx, idx)
-    ad_tr = np.einsum("bvw,awv->ab", cid, cid, optimize=True)
-    l, res = _ratio_fit(rep_tr, ad_tr)
-    if res >= FIT_TOL:
-        raise ValueError(f"defining-rep fit residual {res:g} on {ideal}")
-    return l
-
-
 def ideal_killing_gram(alg: LieSuperAlgebra, ideal: IdealHandle) -> np.ndarray:
     """The ideal's own Killing form (intrinsic, not the restriction)."""
-    idx = ideal.indices()
-    cid = alg.block(idx, idx, idx)
-    return np.einsum("bvw,awv->ab", cid, cid, optimize=True)
+    return _trace_gram(alg, ideal, ideal.indices())
 
 
 def b_ratio(alg: LieSuperAlgebra, form: BilinearFormMatrix,
@@ -111,52 +92,34 @@ def casimir_on_odd(alg: LieSuperAlgebra, form: BilinearFormMatrix,
                    ideal: IdealHandle) -> CasimirResult:
     """sum_j ad(e_j) o ad(e_j*) on the odd part, for a form-dual basis pair.
 
-    Scalarity on the odd part is asserted: an off-scalar residue above
-    tolerance is a verification failure, not a fallback path.
+    Two sparse contractions: the entries c[m, w, u] of the ideal's action on
+    the odd part with the nonzeros d[m, j] of the dual basis, then the
+    result with the entries c[j, u, v] on (j, u). Scalarity on the odd part
+    is asserted: an off-scalar residue above tolerance is a verification
+    failure, not a fallback path.
     """
     duals = dual_basis(form, ideal)  # may raise DegeneracyError
-    rho = _odd_action(alg, ideal)
-    d = duals[ideal.start:ideal.stop, :]
-    rho_dual = np.einsum("mj,mvw->jvw", d, rho, optimize=True)
-    op = np.einsum("jvu,juw->vw", rho, rho_dual, optimize=True)
-    n_odd = alg.dim_odd
+    rows, j = np.nonzero(duals[ideal.start:ideal.stop, :])
+    d = duals[ideal.start + rows, j]
+    odd, n_odd = alg.odd_range(), alg.dim_odd
+    idx = alg.index
+    inside = (idx[:, 0] >= ideal.start) & (idx[:, 0] < ideal.stop) \
+        & (idx[:, 1] >= odd.start) & (idx[:, 2] >= odd.start)
+    # the action's entries c[a, w, v]: a in the ideal, w and v odd (local)
+    a, w, v = (idx[inside] - [ideal.start, odd.start, odd.start]).T
+    c = alg.numer[inside] / alg.denom
+    # (d c)[j, u, w] = sum_m d[m, j] c[m, w, u], keyed (u * n_odd + w) * dim + j
+    keys, dc = _contract(a, rows, c, d, v * n_odd + w, j, ideal.dim)
+    uw, j = np.divmod(keys, ideal.dim)
+    u, w_dc = np.divmod(uw, n_odd)
+    # op[v, w] = sum_(j, u) c[j, u, v] (d c)[j, u, w]
+    keys, vals = _contract(a * n_odd + w, j * n_odd + u, c, dc, v, w_dc, n_odd)
+    op = np.zeros(n_odd * n_odd)
+    op[keys] = vals
+    op = op.reshape(n_odd, n_odd)
     scalar = float(np.trace(op)) / n_odd
     off = float(np.max(np.abs(op - scalar * np.eye(n_odd))))
     if off >= SCALAR_TOL:
         raise ValueError(
             f"Casimir operator is not scalar on the odd part (residual {off:g})")
     return CasimirResult(LinearOperator(op, parity=0), scalar, off)
-
-
-def verify_killing_casimir(alg: LieSuperAlgebra,
-                           form: BilinearFormMatrix) -> float:
-    """Max residual, over odd basis pairs, of the identity expressing the
-    Killing form on the odd part through the per-ideal Casimir operators."""
-    odd = list(alg.odd_range())
-    k_odd = killing_form(alg).gram[np.ix_(odd, odd)]
-    b_odd = form.gram[np.ix_(odd, odd)]
-    total = np.zeros_like(k_odd)
-    for ideal in alg.decomposition:
-        total += b_odd @ casimir_on_odd(alg, form, ideal).operator.matrix
-    return float(np.max(np.abs(k_odd - 2.0 * total)))
-
-
-def verify_trace_identities(alg: LieSuperAlgebra, form: BilinearFormMatrix,
-                            ideal: IdealHandle) -> tuple[float, float, float]:
-    """Max residuals of the three trace identities over odd basis pairs:
-    vanishing trace of ad of the ideal component of [X, Y]; the ad-trace on
-    the ideal against B(X, C Y); and the odd-part trace against -B(X, C Y)."""
-    odd = list(alg.odd_range())
-    idx = list(ideal.indices())
-    c = alg.c
-    t = np.array([sum(c[m, v, v] for v in odd) for m in idx])
-    r1 = float(np.max(np.abs(
-        np.einsum("xym,m->xy", c[np.ix_(odd, odd, idx)], t))))
-    bc = form.gram[np.ix_(odd, odd)] @ casimir_on_odd(alg, form, ideal).operator.matrix
-    lhs2 = np.einsum("yaw,xwa->xy", c[np.ix_(odd, idx, odd)],
-                     c[np.ix_(odd, odd, idx)], optimize=True)
-    r2 = float(np.max(np.abs(lhs2 - bc)))
-    lhs3 = np.einsum("yzm,xmz->xy", c[np.ix_(odd, odd, idx)],
-                     c[np.ix_(odd, idx, odd)], optimize=True)
-    r3 = float(np.max(np.abs(lhs3 + bc)))
-    return r1, r2, r3

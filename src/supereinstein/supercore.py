@@ -3,11 +3,14 @@ brackets, supertrace, bilinear forms, and axiom verification.
 
 All values are immutable after construction and every operation is a pure
 function. Structure constants are exact rationals, stored once as sparse
-integer numerators over one common denominator. The Jacobi identity and the
-Killing form are summed exactly in int64 by joins over these entries; the
-bi-invariance check joins them with the nonzeros of the Gram matrix in
-float64. Only ``bracket`` and ``ad_matrix`` read the dense float64 view
-``LieSuperAlgebra.c``.
+integer numerators over one common denominator, and every contraction of
+them is a join over these entries: the Jacobi identity and the trace forms
+(the Killing form, an ideal's own Killing form, the trace of its action on
+the odd part) are summed exactly in int64; the bi-invariance check joins
+them with the nonzeros of the Gram matrix in float64. ``bracket`` and
+``ad_matrix`` scatter the entries directly. No (n, n, n) array is built,
+and a join whose pair count could exhaust memory is refused before it
+allocates.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import math
 import numbers
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,6 +31,12 @@ VERIFY_TOL = 1e-10
 DUAL_TOL = 1e-12
 # Row-max-scaled determinant threshold for non-degeneracy.
 NONDEG_TOL = 1e-10
+# Largest number of entry pairs one join may expand to. The Jacobi kernel,
+# whose larger join is the largest, peaks at about 330 traced bytes per pair
+# of it (A(18,0): 1.0M pairs, 326 MB; A(20,0): 1.46M pairs, 477 MB), so the
+# bound holds one kernel near 1 GB. The count grows about as dim**2:
+# catalog(6) joins at most 0.70M pairs (B(6,6)), A(40,0) 19.2M.
+MAX_JOIN_PAIRS = 3_000_000
 
 
 class DegeneracyError(ValueError):
@@ -134,8 +142,7 @@ class LieSuperAlgebra:
     integer arrays ``(index, numer, denom)``; both go through one
     validation. They are stored once: ``index`` holds the nonzero (i, j, k)
     in ascending order, ``numer`` their numerators over the common
-    denominator ``denom``, in lowest terms. ``c`` is the dense float view
-    and :meth:`block` a dense slice of it.
+    denominator ``denom``, in lowest terms.
     ``decomposition`` lists the even-part ideals k_0 (abelian, optional),
     k_1, ..., k_s as contiguous ranges; odd indices follow all even ones.
     """
@@ -179,25 +186,6 @@ class LieSuperAlgebra:
             cover.extend(rng.indices())
         if cover != list(range(self.basis.dim_even)):
             raise ValueError("decomposition ranges must tile the even part")
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        """Dense float view: ``c[i, j, k]`` = numer / denom, read-only."""
-        c = self.block(range(self.dim), range(self.dim), range(self.dim))
-        c.setflags(write=False)
-        return c
-
-    def block(self, first: range, second: range, third: range) -> np.ndarray:
-        """Dense float sub-tensor ``c[first, second, third]`` over
-        contiguous index ranges, filled from the sparse entries alone."""
-        out = np.zeros((len(first), len(second), len(third)))
-        inside = np.ones(len(self.numer), dtype=bool)
-        for axis, rng in enumerate((first, second, third)):
-            inside &= (self.index[:, axis] >= rng.start) \
-                & (self.index[:, axis] < rng.stop)
-        at = self.index[inside] - [first.start, second.start, third.start]
-        out[tuple(at.T)] = self.numer[inside] / self.denom
-        return out
 
     @property
     def dim(self) -> int:
@@ -304,19 +292,28 @@ class FormReport:
         return self.scaled_det > NONDEG_TOL
 
 
+def _coefficients(alg: LieSuperAlgebra, *vectors) -> list[np.ndarray]:
+    out = [np.asarray(v, dtype=float) for v in vectors]
+    if any(v.shape != (alg.dim,) for v in out):
+        raise ValueError("coefficient vector length does not match the basis")
+    return out
+
+
 def bracket(alg: LieSuperAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[x, y] for coefficient vectors over alg.basis."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (alg.dim,) or y.shape != (alg.dim,):
-        raise ValueError("coefficient vector length does not match the basis")
-    return np.einsum("i,j,ijk->k", x, y, alg.c)
+    x, y = _coefficients(alg, x, y)
+    i, j, k = alg.index.T
+    return np.bincount(k, weights=x[i] * y[j] * (alg.numer / alg.denom),
+                       minlength=alg.dim)
 
 
 def ad_matrix(alg: LieSuperAlgebra, x: np.ndarray) -> np.ndarray:
     """Matrix of ad(x): column m holds the coefficients of [x, e_m]."""
-    x = np.asarray(x, dtype=float)
-    return np.einsum("i,imk->km", x, alg.c)
+    (x,) = _coefficients(alg, x)
+    i, m, k = alg.index.T
+    out = np.zeros((alg.dim, alg.dim))
+    np.add.at(out, (k, m), x[i] * (alg.numer / alg.denom))
+    return out
 
 
 def supertrace(op: LinearOperator, basis: SuperBasis) -> float:
@@ -326,24 +323,46 @@ def supertrace(op: LinearOperator, basis: SuperBasis) -> float:
     return float(np.dot(basis.sign_vector(), np.diagonal(op.matrix)))
 
 
+def _trace_form(alg: LieSuperAlgebra, first: range, inner: range,
+               signed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """T(a, b) = sum_(w, v) (+-)c[a, w, v] c[b, v, w] for a, b in ``first``
+    and v, w in ``inner``, both contiguous ranges; the sign is (-1)**p_v
+    when ``signed``, so (all, all) signed is the Killing form.
+
+    One join of the entries with themselves on (w, v), summed exactly as
+    int64 numerators over ``denom**2``. Returns the keys
+    ``(a - first.start) * len(first) + (b - first.start)`` of the nonzero
+    sums, ascending, and those sums; refuses sums that could overflow int64.
+    """
+    n = alg.dim
+    idx = alg.index
+    inside = (idx[:, 0] >= first.start) & (idx[:, 0] < first.stop)
+    for axis in (1, 2):
+        inside &= (idx[:, axis] >= inner.start) & (idx[:, axis] < inner.stop)
+    idx, num = idx[inside], alg.numer[inside]
+    big = int(np.max(np.abs(num), initial=0))
+    if len(inner) ** 2 * big * big >= 2**63:
+        raise ValueError(f"trace-form sums over {len(inner)} indices with "
+                         f"numerators up to {big} could overflow int64")
+    # c[a, w, v] c[b, v, w], joined on (w, v)
+    a, b = _join(idx[:, 1] * n + idx[:, 2], idx[:, 2] * n + idx[:, 1])
+    vals = num[a] * num[b]
+    if signed:
+        vals *= 1 - 2 * alg.basis.parity_array()[idx[a, 2]]
+    return _group_sum((idx[a, 0] - first.start) * len(first)
+                      + idx[b, 0] - first.start, vals)
+
+
 def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     """K(e_i, e_j) = str(ad e_i o ad e_j) = sum_(k, m) (-1)**p_k c_jkm c_imk.
 
-    Summed exactly as int64 numerators over ``denom**2`` by one join of the
-    structure constants with themselves; refuses an algebra whose sums could
-    overflow int64. Evenness and supersymmetry are asserted exactly.
+    The signed :func:`_trace_form` over all indices, exact over ``denom**2``;
+    evenness and supersymmetry are asserted exactly.
     """
     n = alg.dim
-    idx, num = alg.index, alg.numer
-    big = int(np.max(np.abs(num), initial=0))
-    if n * n * big * big >= 2**63:
-        raise ValueError(f"Killing form sums of a dim-{n} algebra with "
-                         f"numerators up to {big} could overflow int64")
+    everything = range(n)
+    keys, acc = _trace_form(alg, everything, everything, signed=True)
     p = alg.basis.parity_array()
-    # c[j, k, m] c[i, m, k], joined on (k, m)
-    a, b = _join(idx[:, 1] * n + idx[:, 2], idx[:, 2] * n + idx[:, 1])
-    keys, acc = _group_sum(idx[b, 0] * n + idx[a, 0],
-                           (1 - 2 * p[idx[a, 1]]) * num[a] * num[b])
     i, j = np.divmod(keys, n)
     at = np.minimum(np.searchsorted(keys, j * n + i), len(keys) - 1)
     if np.any(p[i] != p[j]) or np.any(keys[at] != j * n + i) or np.any(
@@ -365,11 +384,16 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
 
 
 def _join(a_key: np.ndarray, b_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every position pair (p, q) with a_key[p] == b_key[q]."""
+    """Every position pair (p, q) with a_key[p] == b_key[q]. Refuses, before
+    allocating them, more than ``MAX_JOIN_PAIRS`` pairs."""
     order = np.argsort(b_key, kind="stable")
     sorted_b = b_key[order]
     lo = np.searchsorted(sorted_b, a_key, "left")
     counts = np.searchsorted(sorted_b, a_key, "right") - lo
+    total = int(counts.sum())
+    if total > MAX_JOIN_PAIRS:
+        raise ValueError(f"a join of {total:,} entry pairs is over the "
+                         f"{MAX_JOIN_PAIRS:,}-pair memory limit")
     p = np.repeat(np.arange(len(a_key)), counts)
     run = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
     return p, order[np.repeat(lo, counts) + run]

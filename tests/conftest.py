@@ -49,3 +49,18 @@ def exact_entries(alg):
     form its constructor takes."""
     return {tuple(key): Fraction(v, alg.denom)
             for key, v in zip(alg.index.tolist(), alg.numer.tolist())}
+
+
+def dense_constants(alg):
+    """The structure constants as a dense float array ``c[i, j, k]``, filled
+    from the sparse entries: the input of the dense test-only oracles."""
+    c = np.zeros((alg.dim,) * 3)
+    c[tuple(alg.index.T)] = alg.numer / alg.denom
+    return c
+
+
+def dense_connection(conn):
+    """A connection's Christoffel symbols as a dense array ``gamma[i, j, k]``."""
+    gamma = np.zeros(conn.dim**3)
+    gamma[conn.keys] = conn.values
+    return gamma.reshape((conn.dim,) * 3)

@@ -90,6 +90,11 @@ class TestInputContract:
         C3 + ("--jobs", "0"),
         ("report", "--max-m", "1", "--jobs", "-1"),
         ("build", "--family", "A", "--m", "40", "--n", "0"),
+        ("build", "--family", "X"),
+        ("solve", "--family", "B", "--m", "abc", "--n", "1"),
+        ("build", "--family", "B", "--m", "1", "--n", "1", "--format", "csv"),
+        ("solve", "--family", "B", "--m", "1", "--n", "1", "--form", "killing"),
+        ("build", "--family", "B", "--m", "1", "--n", "1", "--seed", "1"),
     ], ids=" ".join)
     def test_rejected_with_one_line_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -65,12 +65,6 @@ class TestBuildSystem:
         assert sys.has_k0 and sys.gamma0 == F(-1, 8)
         assert sys.trace_rhs == 1
 
-    def test_form_kind_consistency(self):
-        with pytest.raises(ValueError):
-            build_system(family_data(family_spec("A", 1, 1)), "killing")
-        with pytest.raises(ValueError):
-            build_system(family_data(family_spec("B", 1, 1)), "case2")
-
     def test_unit_solution_exact_for_canonical_form(self):
         for fam, m, n in [("A", 2, 1), ("B", 1, 1), ("C", None, 3),
                           ("D", 3, 1), ("F4", None, None), ("G3", None, None)]:

@@ -17,6 +17,8 @@ from supereinstein.families import (
     verify_realization,
 )
 
+from conftest import dense_constants
+
 
 class TestFamilySpec:
     def test_a_equal_routes_to_quotient(self):
@@ -123,7 +125,7 @@ class TestBuildOsp:
         r = build_osp(4, 2)
         assert [i.dim for i in r.algebra.simple_ideals()] == [3, 3, 3]
         # the two halves of the orthogonal block commute
-        c = r.algebra.c
+        c = dense_constants(r.algebra)
         assert np.max(np.abs(c[np.ix_(range(0, 3), range(3, 6))])) < 1e-14
 
 
@@ -227,16 +229,6 @@ class TestRealizationChecks:
         for rng, l in r.representation_indices.items():
             assert l == representation_index(r.algebra, rng)
 
-    def test_oversized_realization_refused(self):
-        with pytest.raises(ValueError, match="MiB limit"):
-            realize(family_spec("A", 40, 0))
-
-    def test_catalog_fits_dense_limit(self):
-        dims = [d.dim_k0 + sum(d.dim_k) + d.dim_odd
-                for d in map(family_data, catalog(6))]
-        assert max(dims) == 312
-        assert 8 * max(dims) ** 3 <= families.MAX_DENSE_BYTES
-
 
 class TestExactAssembly:
     """The structure constants against the defining matrices, without the
@@ -284,7 +276,8 @@ class TestExactAssembly:
 
     def test_sl2_assembles(self):
         alg = self._assemble(list(self.SL2.values())).algebra
-        assert alg.c[0, 1, 1] == 2 and alg.c[1, 2, 0] == 1
+        c = dense_constants(alg)
+        assert c[0, 1, 1] == 2 and c[1, 2, 0] == 1
 
     def test_open_basis_refused(self):
         with pytest.raises(ValueError, match="leaves the span"):

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard-library ``ast``:
-no module-level import goes unused, and no module-level private function or
-constant is left without a reference anywhere in the package."""
+no module-level import goes unused, no module-level private function or
+constant is left without a reference anywhere in the package, and no module
+calls ``einsum``."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,13 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_private_definitions(path):
     assert sorted(_private_definitions(_tree(path)) - _package_references()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_einsum(path):
+    # every structure-constant contraction is a sparse join; a dense einsum
+    # over the constants would bring an (n, n, n) array back
+    assert "einsum" not in _loaded_names(_tree(path))
 
 
 def test_checks_catch_what_they_look_for():

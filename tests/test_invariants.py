@@ -7,16 +7,69 @@ from supereinstein import invariants, supercore
 from supereinstein.families import build_osp, build_psl, build_sl_super, \
     family_spec, realize
 from supereinstein.invariants import (
+    _ratio_fit,
     b_ratio,
     casimir_on_odd,
-    defining_rep_index,
     representation_index,
-    verify_killing_casimir,
-    verify_trace_identities,
 )
 from supereinstein.supercore import LieSuperAlgebra, killing_form
 
-from conftest import exact_entries
+from conftest import dense_constants, exact_entries
+
+
+# Dense oracles of the Casimir and trace identities behind the closed-form
+# Ricci tensor, and of the defining representation's index: independent
+# references for the sparse invariants, built from the dense constants.
+
+def defining_rep_index(real, ideal):
+    """Index of the ideal's defining (matrix-slot) representation.
+
+    Uses the realization's own matrices as rho, so a simple ideal sitting in
+    one diagonal slot is probed in its standard representation.
+    """
+    if ideal.kind != "simple":
+        raise ValueError("the index is undefined for an abelian ideal")
+    idx = ideal.indices()
+    mats = [real.matrices[a] for a in idx]
+    rep_tr = np.array([[float(np.trace(x @ y)) for y in mats] for x in mats])
+    cid = dense_constants(real.algebra)[np.ix_(idx, idx, idx)]
+    ad_tr = np.einsum("bvw,awv->ab", cid, cid, optimize=True)
+    l, res = _ratio_fit(rep_tr, ad_tr)
+    if res >= invariants.FIT_TOL:
+        raise ValueError(f"defining-rep fit residual {res:g} on {ideal}")
+    return l
+
+
+def verify_killing_casimir(alg, form):
+    """Max residual, over odd basis pairs, of the identity expressing the
+    Killing form on the odd part through the per-ideal Casimir operators."""
+    odd = list(alg.odd_range())
+    k_odd = killing_form(alg).gram[np.ix_(odd, odd)]
+    b_odd = form.gram[np.ix_(odd, odd)]
+    total = np.zeros_like(k_odd)
+    for ideal in alg.decomposition:
+        total += b_odd @ casimir_on_odd(alg, form, ideal).operator.matrix
+    return float(np.max(np.abs(k_odd - 2.0 * total)))
+
+
+def verify_trace_identities(alg, form, ideal):
+    """Max residuals of the three trace identities over odd basis pairs:
+    vanishing trace of ad of the ideal component of [X, Y]; the ad-trace on
+    the ideal against B(X, C Y); and the odd-part trace against -B(X, C Y)."""
+    odd = list(alg.odd_range())
+    idx = list(ideal.indices())
+    c = dense_constants(alg)
+    t = np.array([sum(c[m, v, v] for v in odd) for m in idx])
+    r1 = float(np.max(np.abs(
+        np.einsum("xym,m->xy", c[np.ix_(odd, odd, idx)], t))))
+    bc = form.gram[np.ix_(odd, odd)] @ casimir_on_odd(alg, form, ideal).operator.matrix
+    lhs2 = np.einsum("yaw,xwa->xy", c[np.ix_(odd, idx, odd)],
+                     c[np.ix_(odd, odd, idx)], optimize=True)
+    r2 = float(np.max(np.abs(lhs2 - bc)))
+    lhs3 = np.einsum("yzm,xmz->xy", c[np.ix_(odd, odd, idx)],
+                     c[np.ix_(odd, idx, odd)], optimize=True)
+    r3 = float(np.max(np.abs(lhs3 + bc)))
+    return r1, r2, r3
 
 
 class TestRepresentationIndex:
@@ -77,10 +130,11 @@ class TestCasimir:
     def test_commutes_with_ideal_action(self, osp32):
         alg = osp32.algebra
         odd = list(alg.odd_range())
+        c = dense_constants(alg)
         for ideal in alg.simple_ideals():
             cas = casimir_on_odd(alg, osp32.canonical_form, ideal).operator.matrix
             for a in ideal.indices():
-                rho = alg.c[a][np.ix_(odd, odd)].T
+                rho = c[a][np.ix_(odd, odd)].T
                 assert np.max(np.abs(rho @ cas - cas @ rho)) < 1e-9
 
     def test_scaling_float(self, osp32):

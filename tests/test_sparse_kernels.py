@@ -1,15 +1,17 @@
-"""The sparse form and curvature kernels against dense einsum oracles.
+"""The sparse form, invariant and curvature kernels against dense einsum
+oracles, and the join bound that keeps them within memory.
 
 The oracles are the dense (n, n, n) formulas the kernels replaced; they live
 here only, as independent references.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from supereinstein import cli, families
+from supereinstein import cli, families, invariants
 from supereinstein.curvature import (
     MetricParams,
     levi_civita_blockwise,
@@ -23,12 +25,16 @@ from supereinstein.supercore import (
     DegeneracyError,
     LieSuperAlgebra,
     SuperBasis,
+    MAX_JOIN_PAIRS,
+    _join,
     _parity_sign_matrix,
     check_form,
+    check_super_jacobi,
+    dual_basis,
     killing_form,
 )
 
-from conftest import seeded_params
+from conftest import dense_connection, dense_constants, seeded_params
 
 REALIZABLE = [spec for spec in families.catalog(3) if spec.realizable]
 TOL = 1e-12
@@ -36,17 +42,19 @@ TOL = 1e-12
 
 def dense_killing(alg):
     sign = alg.basis.sign_vector()
-    return np.einsum("k,jkm,imk->ij", sign, alg.c, alg.c, optimize=True)
+    c = dense_constants(alg)
+    return np.einsum("k,jkm,imk->ij", sign, c, c, optimize=True)
 
 
 def dense_bi_invariance(alg, g):
-    t1 = np.einsum("ijm,mk->ijk", alg.c, g, optimize=True)
-    t2 = np.einsum("jkm,im->ijk", alg.c, g, optimize=True)
+    c = dense_constants(alg)
+    t1 = np.einsum("ijm,mk->ijk", c, g, optimize=True)
+    t2 = np.einsum("jkm,im->ijk", c, g, optimize=True)
     return float(np.max(np.abs(t1 - t2)))
 
 
 def dense_koszul(alg, g):
-    c, n = alg.c, alg.dim
+    c, n = dense_constants(alg), alg.dim
     s = _parity_sign_matrix(alg.basis.parity_array())
     t1 = np.einsum("ijm,mk->ijk", c, g, optimize=True)
     t2 = np.einsum("jkm,im->ijk", c, g, optimize=True)
@@ -61,9 +69,33 @@ def dense_ricci(alg, gamma):
     g2 = np.einsum("zmz->zm", gamma)
     t1 = np.einsum("xym,zm->zxy", gamma, g2, optimize=True)
     t2 = np.einsum("zym,xmz->zxy", gamma, gamma, optimize=True)
-    t3 = np.einsum("zxm,myz->zxy", alg.c, gamma, optimize=True)
+    t3 = np.einsum("zxm,myz->zxy", dense_constants(alg), gamma, optimize=True)
     return np.einsum("z,zxy->xy", sign, t1 - s[:, :, None] * t2 - t3,
                      optimize=True)
+
+
+def dense_odd_action(alg, ideal):
+    """rho[a, v, w]: the matrix of ad e_a on the odd part, a in the ideal."""
+    odd = alg.odd_range()
+    block = dense_constants(alg)[ideal.start:ideal.stop, odd.start:, odd.start:]
+    return np.swapaxes(block, 1, 2)
+
+
+def dense_index_traces(alg, ideal):
+    """tr(rho(X) rho(Y)) and tr(ad X ad Y) on the ideal, the two sides of
+    the representation index; the second is the ideal's own Killing form."""
+    rho = dense_odd_action(alg, ideal)
+    rep_tr = np.einsum("avw,bwv->ab", rho, rho, optimize=True)
+    sl = slice(ideal.start, ideal.stop)
+    cid = dense_constants(alg)[sl, sl, sl]
+    return rep_tr, np.einsum("bvw,awv->ab", cid, cid, optimize=True)
+
+
+def dense_casimir(alg, form, ideal):
+    rho = dense_odd_action(alg, ideal)
+    d = dual_basis(form, ideal)[ideal.start:ideal.stop, :]
+    rho_dual = np.einsum("mj,mvw->jvw", d, rho, optimize=True)
+    return np.einsum("jvu,juw->vw", rho, rho_dual, optimize=True)
 
 
 def seeded_metric(real, seed):
@@ -87,7 +119,7 @@ def test_kernels_match_dense_oracles(spec):
                    - dense_bi_invariance(alg, g) / scale) <= TOL
         conn = levi_civita_koszul(alg, metric)
         gamma = dense_koszul(alg, g)
-        assert np.max(np.abs(conn.gamma - gamma)) <= TOL * max(
+        assert np.max(np.abs(dense_connection(conn) - gamma)) <= TOL * max(
             float(np.max(np.abs(gamma))), 1.0)
         ric = ricci_direct(alg, metric, conn).gram
         ric_dense = dense_ricci(alg, gamma)
@@ -134,3 +166,60 @@ def test_singular_metric_raises(psl22):
     assert not np.any(metric.gram)
     with pytest.raises(DegeneracyError, match="singular"):
         levi_civita_koszul(psl22.algebra, metric)
+
+
+@pytest.mark.parametrize("spec", REALIZABLE, ids=lambda sp: sp.name)
+def test_invariants_match_dense_oracles(spec):
+    real = families.realize(spec)
+    alg = real.algebra
+    for ideal in alg.simple_ideals():
+        rep_tr, ad_tr = dense_index_traces(alg, ideal)
+        assert np.array_equal(invariants.ideal_killing_gram(alg, ideal), ad_tr)
+        assert np.array_equal(
+            invariants._trace_gram(alg, ideal, alg.odd_range()), rep_tr)
+        assert invariants.representation_index(alg, ideal) == \
+            invariants._ratio_fit(rep_tr, ad_tr)[0]
+    for ideal in alg.decomposition:
+        op = invariants.casimir_on_odd(alg, real.canonical_form, ideal)
+        want = dense_casimir(alg, real.canonical_form, ideal)
+        assert np.max(np.abs(op.operator.matrix - want)) <= \
+            1e-14 * float(np.max(np.abs(want)))
+
+
+def test_invariants_allocate_no_ideal_cube():
+    # sl(15)'s ideal cube alone would take 224**3 * 8 bytes = 90 MB
+    real = families.realize(families.family_spec("A", 14, 0))
+    alg = real.algebra
+    tracemalloc.start()
+    try:
+        for ideal in alg.decomposition:
+            if ideal.kind == "simple":
+                invariants.representation_index(alg, ideal)
+                invariants.ideal_killing_gram(alg, ideal)
+            invariants.casimir_on_odd(alg, real.canonical_form, ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_join_over_the_bound_refused_before_allocating():
+    keys = np.zeros(math.isqrt(MAX_JOIN_PAIRS) + 1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="memory limit"):
+            _join(keys, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the pair indices alone would take 48 MB
+
+
+def test_largest_catalog_family_passes_the_join_bound():
+    dims = {spec: d.dim_k0 + sum(d.dim_k) + d.dim_odd
+            for spec, d in ((sp, families.family_data(sp))
+                            for sp in families.catalog(6))}
+    largest = max(dims, key=dims.get)
+    assert largest.name == "B(6,6)" and dims[largest] == 312
+    alg = families.build_osp(13, 12).algebra  # uncached: freed after the test
+    assert check_super_jacobi(alg).residual == 0.0

@@ -21,7 +21,7 @@ from supereinstein.supercore import (
     supertrace,
 )
 
-from conftest import exact_entries, expand_in_basis
+from conftest import dense_constants, exact_entries, expand_in_basis
 
 
 def unit(n, i):
@@ -265,8 +265,8 @@ class TestExactTensor:
             fill = np.zeros((alg.dim,) * 3)
             for key, v in exact_entries(alg).items():
                 fill[key] = float(v)
-            assert np.array_equal(alg.c, fill), spec.name
-            assert np.array_equal(np.argwhere(alg.c), alg.index), spec.name
+            assert np.array_equal(dense_constants(alg), fill), spec.name
+            assert np.array_equal(np.argwhere(fill), alg.index), spec.name
 
 
 class TestCheckForm:
