@@ -17,8 +17,6 @@ from .curvature import (
 )
 from .einstein import (
     EinsteinSolution,
-    EinsteinSystem,
-    build_system,
     elimination_polynomial,
     known_solutions,
     lift_real_form,
@@ -49,28 +47,25 @@ from .supercore import (
     DecompositionRange,
     DegeneracyError,
     LieSuperAlgebra,
-    LinearOperator,
     SuperBasis,
     bracket,
     check_form,
     check_super_jacobi,
     dual_basis,
     killing_form,
-    supertrace,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BilinearFormMatrix", "CasimirResult", "Connection", "DecompositionRange",
-    "DegeneracyError", "EinsteinSolution", "EinsteinSystem", "FamilyData",
-    "FamilySpec", "LieSuperAlgebra", "LinearOperator", "MetricParams",
-    "Realization", "SuperBasis", "b_ratio", "bracket", "build_osp",
-    "build_psl", "build_sl_super", "build_system", "casimir_on_odd",
-    "catalog", "check_form", "check_super_jacobi", "dual_basis",
-    "elimination_polynomial", "family_data", "family_spec", "killing_form",
-    "known_solutions", "levi_civita_blockwise", "levi_civita_koszul",
-    "lift_real_form", "metric_from_params", "realize",
+    "DegeneracyError", "EinsteinSolution", "FamilyData", "FamilySpec",
+    "LieSuperAlgebra", "MetricParams", "Realization", "SuperBasis",
+    "b_ratio", "bracket", "build_osp", "build_psl", "build_sl_super",
+    "casimir_on_odd", "catalog", "check_form", "check_super_jacobi",
+    "dual_basis", "elimination_polynomial", "family_data", "family_spec",
+    "killing_form", "known_solutions", "levi_civita_blockwise",
+    "levi_civita_koszul", "lift_real_form", "metric_from_params", "realize",
     "representation_index", "ricci_closed_form", "ricci_direct", "solve",
-    "solve_family", "supertrace", "verify_solution",
+    "solve_family", "verify_solution",
 ]

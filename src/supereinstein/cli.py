@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import einstein, invariants
+from . import einstein
 from .curvature import (
     ROUTE_TOL,
     MetricParams,
@@ -35,7 +35,6 @@ DEFAULT_SEED = 12345
 DEFAULT_TOL = einstein.SOLUTION_TOL
 STRUCT_TOL = 1e-12
 BIINV_TOL = 1e-10
-DATA_TOL = 1e-9
 
 
 def _frac(v) -> str:
@@ -76,7 +75,7 @@ def cmd_build(args) -> int:
     jac = check_super_jacobi(alg)
     form_report = real.canonical_form.report
     k_max = float(np.max(np.abs(real.killing.gram)))
-    realization = verify_realization(real)
+    realization, _ = verify_realization(real)
     ok = (jac.residual < STRUCT_TOL and form_report.is_even
           and form_report.is_supersymmetric
           and form_report.bi_invariance < BIINV_TOL
@@ -109,35 +108,6 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _indices_rows(spec: FamilySpec) -> tuple[list[dict], bool]:
-    real = realize(spec)
-    alg = real.algebra
-    data = real.data
-    rows, ok = [], True
-    if data.has_k0:
-        k0 = alg.abelian_ideal()
-        cas = real.casimirs[k0]
-        res = abs(cas.scalar - float(data.gamma0))
-        ok &= res < DATA_TOL
-        rows.append({"ideal": "k0", "dim": k0.dim, "l": None, "l_catalog": None,
-                     "b": None, "b_catalog": None, "gamma": cas.scalar,
-                     "gamma_catalog": _frac(data.gamma0), "residual": res})
-    for pos, ideal in enumerate(alg.simple_ideals()):
-        l_fit = real.representation_indices[ideal]
-        b_fit = invariants.b_ratio(alg, real.canonical_form, ideal)
-        cas = real.casimirs[ideal]
-        res = max(abs(l_fit - float(data.l[pos])),
-                  abs(b_fit - float(data.b[pos])),
-                  abs(cas.scalar - float(data.gamma[pos])))
-        ok &= res < DATA_TOL
-        rows.append({"ideal": f"k{pos + 1}", "dim": ideal.dim,
-                     "l": l_fit, "l_catalog": _frac(data.l[pos]),
-                     "b": b_fit, "b_catalog": _frac(data.b[pos]),
-                     "gamma": cas.scalar, "gamma_catalog": _frac(data.gamma[pos]),
-                     "residual": res})
-    return rows, ok
-
-
 INDEX_COLUMNS = ["ideal", "dim", "l", "l_catalog", "b", "b_catalog", "gamma",
                  "gamma_catalog", "residual"]
 
@@ -148,7 +118,8 @@ def cmd_indices(args) -> int:
         print(f"{spec.name}: equation-layer only; catalog data: "
               f"{_data_json(family_data(spec))}", file=sys.stderr)
         return 2
-    rows, ok = _indices_rows(spec)
+    report, rows = verify_realization(realize(spec))
+    ok = report["pass"]
     if args.format == "json":
         _emit(_json_dumps({"family": spec.name, "ideals": rows,
                            "pass": bool(ok)}), args.out)
@@ -228,13 +199,13 @@ def _rows_to_markdown(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solutions_within(spec: FamilySpec, system, cmax: float,
+def _solutions_within(spec: FamilySpec, data, cmax: float,
                       tol: float) -> tuple[list, int]:
-    """Solutions of the spec's built Einstein system with |c| <= cmax,
-    verified when the family is realizable, and the number of solutions left
-    out. The scan covers at least the default window, so --cmax filters what
-    it omits instead of hiding it outside the scan."""
-    found = einstein.solve(system, c_window=max(cmax, einstein.C_WINDOW),
+    """Solutions of the spec's Einstein system, from its catalog ``data``,
+    with |c| <= cmax, verified when the family is realizable, and the number
+    of solutions left out. The scan covers at least the default window, so
+    --cmax filters what it omits instead of hiding it outside the scan."""
+    found = einstein.solve(data, c_window=max(cmax, einstein.C_WINDOW),
                            residual_tol=tol)
     sols = [s for s in found if abs(s.c) <= cmax]
     if spec.realizable:
@@ -252,8 +223,7 @@ def _note_omitted(count: int, cmax: float, where: str = "") -> None:
 def _run_solve(args, require_verified: bool) -> int:
     spec = _spec_from_args(args)
     data = family_data(spec)
-    system = einstein.build_system(data)
-    sols, omitted = _solutions_within(spec, system, args.cmax, args.tol)
+    sols, omitted = _solutions_within(spec, data, args.cmax, args.tol)
     _note_omitted(omitted, args.cmax)
     doc = einstein.solutions_to_json(spec, sols)
     rows = _solution_rows(doc["family"], doc["params"], doc["form"],
@@ -321,13 +291,13 @@ def _route_equivalence(real, rng, draws: int) -> float:
     return worst
 
 
-def _quartic_section(spec: FamilySpec, system, sols) -> dict | None:
+def _quartic_section(spec: FamilySpec, sols) -> dict | None:
     try:
-        quartic = einstein.elimination_polynomial(system)
+        quartic = einstein.elimination_polynomial(spec)
     except ValueError:
         return None
     cubic = einstein.cubic_factor(quartic)
-    ref = einstein.cubic_reference_coefficients(system.data)
+    ref = einstein.cubic_reference_coefficients(spec)
     roots = sorted({round(r, 8) for r in einstein.real_roots(quartic)
                     if abs(r) > 1e-9})
     x1s = sorted({round(s.x[0], 8) for s in sols})
@@ -359,8 +329,7 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
     """One family's report block, and the number of its solutions with
     |c| > c_window left out; pure given (spec, seed, index, config)."""
     data = family_data(spec)
-    system = einstein.build_system(data)
-    sols, omitted = _solutions_within(spec, system, c_window, tol)
+    sols, omitted = _solutions_within(spec, data, c_window, tol)
     section: dict = {
         "family": spec.name,
         "kind": spec.kind,
@@ -374,7 +343,7 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
         jac = check_super_jacobi(real.algebra)
         form_report = real.canonical_form.report
         k_max = float(np.max(np.abs(real.killing.gram)))
-        _, idx_ok = _indices_rows(spec)
+        idx_ok = verify_realization(real)[0]["pass"]
         route = _route_equivalence(real, np.random.default_rng([seed, index]), 2)
         section["structural"] = {
             "jacobi_residual": jac.residual,
@@ -401,7 +370,7 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
         section["ricci_flat_and_nonflat"] = bool(flat and nonflat)
         ok &= flat and nonflat
     if spec.kind in ("B", "D"):
-        quartic = _quartic_section(spec, system, sols)
+        quartic = _quartic_section(spec, sols)
         if quartic is not None:
             section["quartic"] = quartic
             ok &= quartic["root_solution_bijection"]
@@ -562,26 +531,29 @@ class _Parser(argparse.ArgumentParser):
 
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="supereinstein",
+        prog="supereinstein", allow_abbrev=False,
         description="Einstein metrics on basic classical Lie superalgebras")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_build = sub.add_parser("build", help="construct and verify an algebra")
+    p_build = sub.add_parser("build", help="construct and verify an algebra",
+                             allow_abbrev=False)
     _add_family_args(p_build)
     _add_output_args(p_build, formats=False)
     p_build.set_defaults(func=cmd_build)
-    p_idx = sub.add_parser("indices", help="indices, ratios and Casimir scalars")
+    p_idx = sub.add_parser("indices", help="indices, ratios and Casimir scalars",
+                           allow_abbrev=False)
     _add_family_args(p_idx)
     _add_output_args(p_idx)
     p_idx.set_defaults(func=cmd_indices)
     for name, func, text in (
             ("solve", cmd_solve, "solve the Einstein system"),
             ("verify", cmd_verify, "solve and require Ricci verification")):
-        p_solve = sub.add_parser(name, help=text)
+        p_solve = sub.add_parser(name, help=text, allow_abbrev=False)
         _add_family_args(p_solve)
         _add_output_args(p_solve)
         _add_solver_args(p_solve)
         p_solve.set_defaults(func=func)
-    p_rep = sub.add_parser("report", help="full reproduction report")
+    p_rep = sub.add_parser("report", help="full reproduction report",
+                           allow_abbrev=False)
     p_rep.add_argument("--max-m", type=int, required=True)
     p_rep.add_argument("--max-n", type=int, default=None)
     _add_output_args(p_rep)

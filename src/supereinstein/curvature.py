@@ -11,7 +11,6 @@ allocates a dense (n, n, n) array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .supercore import (
     _koszul_terms,
     _parity_sign_matrix,
 )
-from .invariants import ideal_killing_gram
 
 RICCI_SYM_TOL = 1e-9
 ROUTE_TOL = 1e-8
@@ -170,39 +168,24 @@ def _symmetrized_even_form(alg: LieSuperAlgebra, mat: np.ndarray,
     return BilinearFormMatrix(out, even=True, supersymmetric=True)
 
 
-@lru_cache(maxsize=64)
-def _closed_form_pieces(real):
-    alg = real.algebra
-    blocks = []
-    for rng in alg.decomposition:
-        if rng.kind == "simple":
-            li = real.representation_indices[rng]
-            ki = ideal_killing_gram(alg, rng)
-        else:
-            li, ki = None, None
-        blocks.append((rng, li, ki, real.casimirs[rng].operator.matrix))
-    return blocks
-
-
 def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:
     """Ricci tensor from the four-block closed form: -x_0^2/4 K on the
     abelian block, 1/4 (l_i x_i^2 - 1) K_i on each simple ideal, the
     Casimir-weighted sum on the odd block, zero elsewhere."""
     _check_params(real, params)
     alg = real.algebra
-    blocks = _closed_form_pieces(real)
     n = alg.dim
     ric = np.zeros((n, n))
     odd = list(alg.odd_range())
     b_odd = real.canonical_form.gram[np.ix_(odd, odd)]
     odd_sum = np.zeros((alg.dim_odd, alg.dim_odd))
-    for (rng, li, ki, cas), xi in zip(blocks, params.x):
+    for rng, xi in zip(alg.decomposition, params.x):
+        inv = real.ideal_invariants[rng]
         sl = slice(rng.start, rng.stop)
         if rng.kind == "abelian":
             ric[sl, sl] = -(xi * xi / 4.0) * real.killing.gram[sl, sl]
         else:
-            ric[sl, sl] = 0.25 * (li * xi * xi - 1.0) * ki
-        odd_sum += (xi / 2.0 - 1.0) * (b_odd @ cas)
+            ric[sl, sl] = 0.25 * (inv.l * xi * xi - 1.0) * inv.killing_gram
+        odd_sum += (xi / 2.0 - 1.0) * (b_odd @ inv.casimir.operator)
     ric[np.ix_(odd, odd)] = odd_sum
     return _symmetrized_even_form(alg, ric, real.canonical_form.scale())
-

@@ -1,6 +1,7 @@
-"""The algebraic Einstein system for the block-scaled metric family: build,
-solve over the reals, exact elimination for the two-ideal families, folding
-to real forms, and brute-force verification against the curvature module."""
+"""The algebraic Einstein system for the block-scaled metric family, read
+from the family's catalog data: solved over the reals, exact elimination for
+the two-ideal families, folding to real forms, and brute-force verification
+against the curvature module."""
 
 from __future__ import annotations
 
@@ -28,40 +29,6 @@ TANGENT_PROBE = 1e-2
 
 
 @dataclass(frozen=True)
-class EinsteinSystem:
-    """Structured record of the Einstein equations for one family.
-
-    Equations, in the scaling variables x and the Einstein constant c:
-
-    * ``c = -x0/4`` when the abelian block is present (canonical form only);
-    * ``(l_i x_i^2 - 1)/4 = c b_i x_i`` for each simple ideal;
-    * ``gamma_0 x_0 + sum_i gamma_i x_i = 2 c + trace_rhs`` where
-      ``trace_rhs = 2 (gamma_0 + sum gamma_i)`` (1 for the canonical form on
-      a non-degenerate-Killing family, 0 for the degenerate-Killing ones).
-    """
-
-    data: FamilyData
-    form_kind: str
-    l: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    gamma: tuple[Fraction, ...]
-    gamma0: Optional[Fraction]
-    trace_rhs: Fraction
-
-    @property
-    def has_k0(self) -> bool:
-        return self.gamma0 is not None
-
-    @property
-    def s(self) -> int:
-        return len(self.l)
-
-    @property
-    def n_params(self) -> int:
-        return self.s + (1 if self.has_k0 else 0)
-
-
-@dataclass(frozen=True)
 class EinsteinSolution:
     """One Einstein metric: scaling vector, constant, and verification."""
 
@@ -79,29 +46,23 @@ class EinsteinSolution:
                 "provenance": self.provenance}
 
 
-def build_system(data: FamilyData) -> EinsteinSystem:
-    """Assemble the equation record for the family's canonical form."""
-    total = sum(data.gamma, Fraction(0)) + (data.gamma0 or Fraction(0))
-    return EinsteinSystem(data, data.form_kind, data.l, data.b, data.gamma,
-                          data.gamma0, 2 * total)
-
-
-def system_residual(sys: EinsteinSystem, x, c: float) -> float:
-    """Max absolute residual over all equations of the system."""
+def system_residual(data: FamilyData, x, c: float) -> float:
+    """Max absolute residual over all equations of the family's system (see
+    :class:`FamilyData`)."""
     x = tuple(float(v) for v in x)
-    if len(x) != sys.n_params:
+    if len(x) != data.n_params:
         raise ValueError("parameter vector length mismatch")
     res = []
     xs = x
-    if sys.has_k0:
+    if data.has_k0:
         res.append(abs(c + x[0] / 4.0))
         xs = x[1:]
-    for xi, l, b in zip(xs, sys.l, sys.b):
+    for xi, l, b in zip(xs, data.l, data.b):
         res.append(abs(0.25 * (float(l) * xi * xi - 1.0) - c * float(b) * xi))
-    trace = sum(float(g) * xi for g, xi in zip(sys.gamma, xs))
-    if sys.has_k0:
-        trace += float(sys.gamma0) * x[0]
-    res.append(abs(trace - 2.0 * c - float(sys.trace_rhs)))
+    trace = sum(float(g) * xi for g, xi in zip(data.gamma, xs))
+    if data.has_k0:
+        trace += float(data.gamma0) * x[0]
+    res.append(abs(trace - 2.0 * c - float(data.trace_rhs)))
     return max(res)
 
 
@@ -122,11 +83,11 @@ def _branch_x(c, l: float, b: float, sign: int):
     return (2.0 * c * b + sign * root) / l
 
 
-def _branch_vector(sys: EinsteinSystem, signs, c: float) -> Optional[tuple]:
+def _branch_vector(data: FamilyData, signs, c: float) -> Optional[tuple]:
     out = []
-    if sys.has_k0:
+    if data.has_k0:
         out.append(-4.0 * c)
-    for l, b, sgn in zip(sys.l, sys.b, signs):
+    for l, b, sgn in zip(data.l, data.b, signs):
         xi = _branch_x(c, float(l), float(b), sgn)
         if not np.isfinite(xi):
             return None
@@ -134,24 +95,24 @@ def _branch_vector(sys: EinsteinSystem, signs, c: float) -> Optional[tuple]:
     return tuple(out)
 
 
-def _ideal_term(sys: EinsteinSystem, i: int, sign: int, c):
+def _ideal_term(data: FamilyData, i: int, sign: int, c):
     """gamma_i x_i(c) of simple ideal i on one sign branch."""
-    return float(sys.gamma[i]) * _branch_x(c, float(sys.l[i]),
-                                           float(sys.b[i]), sign)
+    return float(data.gamma[i]) * _branch_x(c, float(data.l[i]),
+                                            float(data.b[i]), sign)
 
 
-def _trace_residual(sys: EinsteinSystem, signs, c, terms=None):
+def _trace_residual(data: FamilyData, signs, c, terms=None):
     """Residual of the trace equation along one branch, vectorized in c.
 
     ``terms[i, sign]`` may hold :func:`_ideal_term` at the same ``c``, so
     a scan over all branches evaluates each ideal's two roots once.
     """
-    total = -2.0 * c - float(sys.trace_rhs)
-    if sys.has_k0:
-        total = total + float(sys.gamma0) * (-4.0 * c)
+    total = -2.0 * c - float(data.trace_rhs)
+    if data.has_k0:
+        total = total + float(data.gamma0) * (-4.0 * c)
     for i, sgn in enumerate(signs):
         total = total + (terms[i, sgn] if terms is not None
-                         else _ideal_term(sys, i, sgn, c))
+                         else _ideal_term(data, i, sgn, c))
     return total
 
 
@@ -196,10 +157,13 @@ def _refine_tangent(f, c0: float) -> float:
     return c
 
 
-def solve(sys: EinsteinSystem, c_window: float = C_WINDOW,
+def solve(data: FamilyData, c_window: float = C_WINDOW,
           grid_step: float = GRID_STEP, residual_tol: float = SOLUTION_TOL,
           ) -> list[EinsteinSolution]:
-    """All real solutions with every x_i nonzero.
+    """All real solutions with every x_i nonzero of the family's Einstein
+    system for its canonical form: ``c = -x0/4`` on the abelian block,
+    ``(l_i x_i^2 - 1)/4 = c b_i x_i`` on each simple ideal and
+    ``gamma_0 x_0 + sum_i gamma_i x_i = 2 c + trace_rhs``.
 
     Strategy: enumerate the 2^s sign branches of the per-ideal quadratic in
     x_i(c) (with x_0 = -4c substituted when the abelian block is present),
@@ -212,14 +176,14 @@ def solve(sys: EinsteinSystem, c_window: float = C_WINDOW,
     """
     n_grid = int(round(2.0 * c_window / grid_step))
     c_grid = -c_window + grid_step * np.arange(n_grid + 1)
-    terms = {(i, sgn): _ideal_term(sys, i, sgn, c_grid)
-             for i in range(sys.s) for sgn in (1, -1)}
+    terms = {(i, sgn): _ideal_term(data, i, sgn, c_grid)
+             for i in range(data.s) for sgn in (1, -1)}
     found: list[tuple[tuple, float]] = []
-    for branch_id in range(2 ** sys.s):
+    for branch_id in range(2 ** data.s):
         signs = tuple(1 if (branch_id >> i) & 1 == 0 else -1
-                      for i in range(sys.s))
-        g = _trace_residual(sys, signs, c_grid, terms)
-        scalar = lambda c: float(_trace_residual(sys, signs, c))  # noqa: E731
+                      for i in range(data.s))
+        g = _trace_residual(data, signs, c_grid, terms)
+        scalar = lambda c: float(_trace_residual(data, signs, c))  # noqa: E731
         candidates: list[float] = []
 
         def add_sharpened(c0: float) -> None:
@@ -249,17 +213,17 @@ def solve(sys: EinsteinSystem, c_window: float = C_WINDOW,
                   & (mid <= absg[:-2]) & (mid <= absg[2:]))
         for k in np.flatnonzero(minima) + 1:
             candidates.append(_refine_tangent(scalar, float(c_grid[k])))
-        for l, b in zip(sys.l, sys.b):
+        for l, b in zip(data.l, data.b):
             # branch boundaries 4 c^2 b^2 + l = 0 (only for negative l)
             if l < 0 and b != 0:
                 boundary = math.sqrt(float(-l)) / (2.0 * abs(float(b)))
                 candidates.extend([boundary, -boundary])
         for c in candidates:
             c = c + 0.0  # normalize -0.0
-            vec = _branch_vector(sys, signs, c)
+            vec = _branch_vector(data, signs, c)
             if vec is None or min(abs(v) for v in vec) < 1e-9:
                 continue  # degenerate metric: outside the family
-            res = system_residual(sys, vec, c)
+            res = system_residual(data, vec, c)
             if res < residual_tol:
                 found.append((vec, c))
     found.sort(key=lambda t: (t[1], t[0]))
@@ -269,7 +233,8 @@ def solve(sys: EinsteinSystem, c_window: float = C_WINDOW,
             max(abs(c - s.c), max(abs(a - bb) for a, bb in zip(vec, s.x))) < DEDUPE_TOL
             for s in solutions)
         if not dup:
-            solutions.append(EinsteinSolution(vec, c, system_residual(sys, vec, c)))
+            solutions.append(EinsteinSolution(vec, c,
+                                              system_residual(data, vec, c)))
     return solutions
 
 
@@ -278,25 +243,26 @@ def solve(sys: EinsteinSystem, c_window: float = C_WINDOW,
 # ---------------------------------------------------------------------------
 
 
-def elimination_polynomial(sys: EinsteinSystem, pivot: int = 1) -> list[Fraction]:
-    """Exact quartic in the pivot variable for a two-ideal canonical-form
-    system, by eliminating c (from the pivot quadratic) and the other
-    variable (from the trace equation) into the remaining quadratic.
+def elimination_polynomial(spec: FamilySpec, pivot: int = 1) -> list[Fraction]:
+    """Exact quartic in the pivot variable for a family with a two-ideal
+    Killing-form system, by eliminating c (from the pivot quadratic) and the
+    other variable (from the trace equation) into the remaining quadratic.
 
     Returns descending coefficients, normalized so the leading coefficient
     equals the reference value when one is known (see
     :func:`cubic_reference_coefficients`); the pivot value 1 is always a
     root.
     """
-    if sys.form_kind != "killing" or sys.has_k0 or sys.s != 2:
+    data = family_data(spec)
+    if data.form_kind != "killing" or data.has_k0 or data.s != 2:
         raise ValueError("elimination needs the two-ideal canonical-form shape")
     if pivot not in (1, 2):
         raise ValueError("pivot must be 1 or 2")
     i, j = (0, 1) if pivot == 1 else (1, 0)
-    l1, l2 = sys.l[i], sys.l[j]
-    b1, b2 = sys.b[i], sys.b[j]
-    g1, g2 = sys.gamma[i], sys.gamma[j]
-    rhs = sys.trace_rhs
+    l1, l2 = data.l[i], data.l[j]
+    b1, b2 = data.b[i], data.b[j]
+    g1, g2 = data.gamma[i], data.gamma[j]
+    rhs = data.trace_rhs
     # c(X) = (l1 X^2 - 1) / (4 b1 X); x_other = (2 c + rhs - g1 X) / g2.
     # Substituting into (l2 x^2 - 1)/4 = c b2 x and clearing denominators
     # leaves the quartic below (a factor 4 b1 X cancels).
@@ -307,7 +273,7 @@ def elimination_polynomial(sys: EinsteinSystem, pivot: int = 1) -> list[Fraction
     term2 = [Fraction(0)] * 2 + [16 * b1 * b1 * g2 * g2, Fraction(0), Fraction(0)]
     term3 = [4 * b2 * g2 * v for v in _poly_mul(num_c, p)]
     quartic = [a - bb - cc for a, bb, cc in zip(term1, term2, term3)]
-    ref = cubic_reference_coefficients(sys.data)
+    ref = cubic_reference_coefficients(spec)
     if ref is not None:
         # the quartic's leading coefficients can vanish (the cubic factor
         # degenerates), so scale at the first jointly nonzero position
@@ -339,16 +305,16 @@ def cubic_factor(quartic: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def cubic_reference_coefficients(data: FamilyData) -> Optional[tuple[Fraction, ...]]:
+def cubic_reference_coefficients(spec: FamilySpec) -> Optional[tuple[Fraction, ...]]:
     """Known closed-form (A, B, C, D) for the cubic factor of the two-ideal
-    quartic, reconstructed from the family parameters; None when no
-    closed form is catalogued. Note A + B + C + D is nonzero in general
-    (it equals (2n+1)(2m-2n+1) resp. 2(m-n)(2n+1) up to the normalization)."""
-    m, n = _two_ideal_params(data)
-    if m is None:
+    quartic of B(m, n) with m >= 1 (so(2m+1) + sp(2n)) and D(m, n)
+    (so(2m) + sp(2n)); None for every other family. Note A + B + C + D is
+    nonzero in general (it equals (2n+1)(2m-2n+1) resp. 2(m-n)(2n+1) up to
+    the normalization)."""
+    if spec.kind not in ("B", "D") or spec.m == 0:
         return None
-    m, n = Fraction(m), Fraction(n)
-    if data.dim_k[0] == m * (2 * m + 1):  # so(2m+1) + sp(2n)
+    m, n = Fraction(spec.m), Fraction(spec.n)
+    if spec.kind == "B":
         return (
             2 * (2 * m**3 + (-4 * n + 1) * m**2 + n * (4 * n - 1) * m - 2 * n**3),
             -2 * (6 * m**3 - (12 * n + 1) * m**2 + (8 * n**2 - n - 2) * m
@@ -364,32 +330,6 @@ def cubic_reference_coefficients(data: FamilyData) -> Optional[tuple[Fraction, .
         2 * (m - 1) * (6 * m**2 - m * (10 * n + 7) + (2 * n + 1) ** 2),
         2 * (m - 1) ** 2 * (2 * n - 2 * m + 1),
     )
-
-
-def _two_ideal_params(data: FamilyData) -> tuple[Optional[int], Optional[int]]:
-    """(m, n) for the orthosymplectic two-ideal families, else (None, None).
-
-    All scalar data must match, not just the dimensions: the exceptional
-    families share dimension patterns with small orthosymplectic ones.
-    """
-    if data.form_kind != "killing" or data.has_k0 or data.s != 2:
-        return None, None
-    d1, d2 = data.dim_k
-    # sp(2n) always sits second: d2 = n(2n+1)
-    n = int(round((math.sqrt(1 + 8 * d2) - 1) / 4))
-    if d2 != n * (2 * n + 1):
-        return None, None
-    for m in range(1, 200):
-        if (d1 == m * (2 * m + 1)
-                and data.l == (Fraction(2 * n, 2 * m - 1),
-                               Fraction(2 * m + 1, 2 * n + 2))
-                and data.dim_odd == 2 * n * (2 * m + 1)):
-            return m, n
-        if (d1 == m * (2 * m - 1) and m >= 2
-                and data.l == (Fraction(n, m - 1), Fraction(m, n + 1))
-                and data.dim_odd == 4 * m * n):
-            return m, n
-    return None, None
 
 
 def _poly_derivative(p: list[Fraction]) -> list[Fraction]:
@@ -479,7 +419,6 @@ def known_solutions(spec: FamilySpec) -> list[EinsteinSolution]:
     evaluated at the spec's parameters and stamped as such, returned in the
     same ascending ``(c, x)`` order as :func:`solve`."""
     data = family_data(spec)
-    sys = build_system(data)
     sols: list[tuple[tuple, float]] = []
     ones = tuple([1.0] * data.n_params)
     if spec.kind in ("A", "B", "C", "D", "F4", "G3"):
@@ -506,7 +445,7 @@ def known_solutions(spec: FamilySpec) -> list[EinsteinSolution]:
         c = -3.0 / 8.0 * r
         sols += [(ones, 0.0), (tuple(-v for v in ones), 0.0),
                  ((r, r, 2 * r), c), ((-r, -r, -2 * r), -c)]
-    out = [EinsteinSolution(x, c, system_residual(sys, x, c),
+    out = [EinsteinSolution(x, c, system_residual(data, x, c),
                             provenance="printed_catalog") for x, c in sols]
     out.sort(key=lambda s: (s.c, s.x))
     return out
@@ -601,9 +540,9 @@ def _block_of(real: Realization, idx: int) -> str:
 def solve_family(spec: FamilySpec, c_window: float = C_WINDOW,
                  verify: bool = True,
                  residual_tol: float = SOLUTION_TOL) -> list[EinsteinSolution]:
-    """Build, solve, and (when a matrix realization exists) verify."""
-    sys = build_system(family_data(spec))
-    sols = solve(sys, c_window=c_window, residual_tol=residual_tol)
+    """Solve, and (when a matrix realization exists) verify."""
+    sols = solve(family_data(spec), c_window=c_window,
+                 residual_tol=residual_tol)
     if verify and spec.realizable:
         real = realize(spec)
         sols = [verify_solution(real, s) for s in sols]

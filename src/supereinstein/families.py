@@ -129,6 +129,14 @@ class FamilyData:
 
     Arrays are aligned with the simple ideals k_1..k_s; the abelian summand
     k_0, when present, is carried by dim_k0/gamma0. All ratios are exact.
+    In the scaling variables x and the Einstein constant c, the system for
+    the family's canonical form is:
+
+    * ``c = -x0/4`` when the abelian block is present (canonical form only);
+    * ``(l_i x_i^2 - 1)/4 = c b_i x_i`` for each simple ideal;
+    * ``gamma_0 x_0 + sum_i gamma_i x_i = 2 c + trace_rhs`` where
+      ``trace_rhs = 2 (gamma_0 + sum gamma_i)`` (1 for the canonical form on
+      a non-degenerate-Killing family, 0 for the degenerate-Killing ones).
     """
 
     dim_k0: int
@@ -140,6 +148,7 @@ class FamilyData:
     gamma0: Optional[Fraction]
     killing_nondegenerate: bool
     form_kind: str  # killing | case2 | case6 | case7
+    trace_rhs: Fraction
 
     @property
     def s(self) -> int:
@@ -156,6 +165,14 @@ class FamilyData:
 
 def _gamma(l: Fraction, d: int, b: Fraction, dim_odd: int) -> Fraction:
     return l * d / (b * dim_odd)
+
+
+def _data(dim_k0, dim_k, dim_odd, l, b, gamma, gamma0, nondegenerate,
+          form_kind) -> FamilyData:
+    """The record, with its trace_rhs = 2 (gamma_0 + sum gamma_i)."""
+    trace_rhs = 2 * (sum(gamma, Fraction(0)) + (gamma0 or Fraction(0)))
+    return FamilyData(dim_k0, tuple(dim_k), dim_odd, tuple(l), tuple(b),
+                      tuple(gamma), gamma0, nondegenerate, form_kind, trace_rhs)
 
 
 def family_data(spec: FamilySpec) -> FamilyData:
@@ -175,15 +192,15 @@ def family_data(spec: FamilySpec) -> FamilyData:
             ls.append(F(big, small))
         bs = [1 - l for l in ls]
         gs = [_gamma(l, d, b, dim_odd) for l, d, b in zip(ls, dims, bs)]
-        return FamilyData(1, tuple(dims), dim_odd, tuple(ls), tuple(bs),
-                          tuple(gs), F(-1, dim_odd), True, "killing")
+        return _data(1, dims, dim_odd, ls, bs, gs, F(-1, dim_odd), True,
+                     "killing")
     if k == "Ann":
         n = spec.n
         d = n * (n + 2)
         dim_odd = 2 * (n + 1) ** 2
         g = F(d, dim_odd)
-        return FamilyData(0, (d, d), dim_odd, (F(1), F(1)), (F(1), F(-1)),
-                          (g, -g), None, False, "case2")
+        return _data(0, (d, d), dim_odd, (F(1), F(1)), (F(1), F(-1)),
+                     (g, -g), None, False, "case2")
     if k == "B":
         m, n = spec.m, spec.n
         dim_odd = 2 * n * (2 * m + 1)
@@ -193,19 +210,18 @@ def family_data(spec: FamilySpec) -> FamilyData:
             ls.append(F(2 * n, 2 * m - 1))
         dims.append(n * (2 * n + 1))
         ls.append(F(2 * m + 1, 2 * n + 2))
-        bs = [1 - l for l in ls]
-        gs = [_gamma(l, d, b, dim_odd) for l, d, b in zip(ls, dims, bs)]
-        return FamilyData(0, tuple(dims), dim_odd, tuple(ls), tuple(bs),
-                          tuple(gs), None, True, "killing")
+        bs = tuple(1 - l for l in ls)
+        gs = tuple(_gamma(l, d, b, dim_odd) for l, d, b in zip(ls, dims, bs))
+        return _data(0, dims, dim_odd, ls, bs, gs, None, True, "killing")
     if k == "C":
         n = spec.n
         dim_odd = 4 * (n - 1)
         d1 = (n - 1) * (2 * n - 1)
         l1 = F(1, n)
         b1 = 1 - l1
-        return FamilyData(1, (d1,), dim_odd, (l1,), (b1,),
-                          (_gamma(l1, d1, b1, dim_odd),), F(-1, dim_odd),
-                          True, "killing")
+        return _data(1, (d1,), dim_odd, (l1,), (b1,),
+                     (_gamma(l1, d1, b1, dim_odd),), F(-1, dim_odd), True,
+                     "killing")
     if k == "D":
         m, n = spec.m, spec.n
         dim_odd = 4 * m * n
@@ -213,27 +229,27 @@ def family_data(spec: FamilySpec) -> FamilyData:
         ls = (F(n, m - 1), F(m, n + 1))
         bs = tuple(1 - l for l in ls)
         gs = tuple(_gamma(l, d, b, dim_odd) for l, d, b in zip(ls, dims, bs))
-        return FamilyData(0, dims, dim_odd, ls, bs, gs, None, True, "killing")
+        return _data(0, dims, dim_odd, ls, bs, gs, None, True, "killing")
     if k == "Dn1n":
         n = spec.n
         dims = ((n + 1) * (2 * n + 1), n * (2 * n + 1))
         g = F(2 * n + 1, 4 * n)
-        return FamilyData(0, dims, 4 * n * (n + 1), (F(1), F(1)),
-                          (F(1), F(-n, n + 1)), (g, -g), None, False, "case6")
+        return _data(0, dims, 4 * n * (n + 1), (F(1), F(1)),
+                     (F(1), F(-n, n + 1)), (g, -g), None, False, "case6")
     if k == "D21a":
-        return FamilyData(0, (3, 3, 3), 8, (F(1), F(1), F(1)),
-                          (F(1), F(1), F(-1, 2)),
-                          (F(3, 8), F(3, 8), F(-3, 4)), None, False, "case7")
+        return _data(0, (3, 3, 3), 8, (F(1), F(1), F(1)),
+                     (F(1), F(1), F(-1, 2)), (F(3, 8), F(3, 8), F(-3, 4)),
+                     None, False, "case7")
     if k == "F4":
         ls = (F(2, 5), F(2))
         bs = tuple(1 - l for l in ls)
         gs = tuple(_gamma(l, d, b, 16) for l, d, b in zip(ls, (21, 3), bs))
-        return FamilyData(0, (21, 3), 16, ls, bs, gs, None, True, "killing")
+        return _data(0, (21, 3), 16, ls, bs, gs, None, True, "killing")
     if k == "G3":
         ls = (F(1, 2), F(7, 4))
         bs = tuple(1 - l for l in ls)
         gs = tuple(_gamma(l, d, b, 14) for l, d, b in zip(ls, (14, 3), bs))
-        return FamilyData(0, (14, 3), 14, ls, bs, gs, None, True, "killing")
+        return _data(0, (14, 3), 14, ls, bs, gs, None, True, "killing")
     raise ValueError(f"unknown kind {k!r}")
 
 
@@ -297,19 +313,13 @@ class Realization:
         return self.spec.name
 
     @cached_property
-    def casimirs(self) -> dict:
-        """Casimir result on the odd part, under the canonical form, for
-        each decomposition range; computed once, on first use."""
-        return {rng: invariants.casimir_on_odd(self.algebra,
-                                               self.canonical_form, rng)
-                for rng in self.algebra.decomposition}
-
-    @cached_property
-    def representation_indices(self) -> dict:
-        """Representation index of each simple ideal on the odd part;
+    def ideal_invariants(self) -> dict:
+        """Realized invariants of each decomposition range: Killing Gram,
+        l and b of a simple ideal, and the Casimir under the canonical form;
         computed once, on first use."""
-        return {rng: invariants.representation_index(self.algebra, rng)
-                for rng in self.algebra.simple_ideals()}
+        return {rng: invariants.ideal_invariants(self.algebra,
+                                                 self.canonical_form, rng)
+                for rng in self.algebra.decomposition}
 
 
 def _exact_inverse(a: list) -> list:
@@ -618,8 +628,14 @@ def realize(spec: FamilySpec) -> Realization:
     raise ValueError(f"unknown kind {spec.kind!r}")
 
 
-def verify_realization(real: Realization) -> dict:
-    """Recompute dims, indices and b-ratios and compare with the catalog."""
+def verify_realization(real: Realization) -> tuple[dict, list[dict]]:
+    """Compare the realized dimensions and each ideal's realized l, b and
+    gamma with the catalog, all at ``REALIZATION_MATCH_TOL``.
+
+    Returns the summary (dimensions, worst index and b-ratio residuals, and
+    ``pass`` over every comparison) and one row per ideal, k0 first when
+    present, with computed and catalog values and the worst residual.
+    """
     data = real.data
     alg = real.algebra
     report: dict = {"family": real.name, "pass": True}
@@ -632,15 +648,28 @@ def verify_realization(real: Realization) -> dict:
     for key, (got, want) in checks.items():
         report[key] = {"computed": got, "catalog": want}
         report["pass"] &= got == want
+    rows = []
+    if data.has_k0:
+        gamma = real.ideal_invariants[k0].casimir.scalar
+        rows.append({"ideal": "k0", "dim": k0.dim, "l": None, "l_catalog": None,
+                     "b": None, "b_catalog": None, "gamma": gamma,
+                     "gamma_catalog": str(data.gamma0),
+                     "residual": abs(gamma - float(data.gamma0))})
     l_res, b_res = [], []
-    for ideal, l_cat, b_cat in zip(alg.simple_ideals(), data.l, data.b):
-        l_fit = real.representation_indices[ideal]
-        b_fit = invariants.b_ratio(alg, real.canonical_form, ideal)
-        l_res.append(abs(l_fit - float(l_cat)))
-        b_res.append(abs(b_fit - float(b_cat)))
+    for pos, (ideal, l_cat, b_cat, g_cat) in enumerate(
+            zip(alg.simple_ideals(), data.l, data.b, data.gamma)):
+        inv = real.ideal_invariants[ideal]
+        gamma = inv.casimir.scalar
+        l_res.append(abs(inv.l - float(l_cat)))
+        b_res.append(abs(inv.b - float(b_cat)))
+        rows.append({"ideal": f"k{pos + 1}", "dim": ideal.dim,
+                     "l": inv.l, "l_catalog": str(l_cat),
+                     "b": inv.b, "b_catalog": str(b_cat),
+                     "gamma": gamma, "gamma_catalog": str(g_cat),
+                     "residual": max(l_res[-1], b_res[-1],
+                                     abs(gamma - float(g_cat)))})
     report["index_residual"] = max(l_res, default=0.0)
     report["b_ratio_residual"] = max(b_res, default=0.0)
-    report["pass"] &= report["index_residual"] < REALIZATION_MATCH_TOL
-    report["pass"] &= report["b_ratio_residual"] < REALIZATION_MATCH_TOL
-    report["pass"] = bool(report["pass"])
-    return report
+    report["pass"] = bool(report["pass"] and all(
+        r["residual"] < REALIZATION_MATCH_TOL for r in rows))
+    return report, rows

@@ -6,6 +6,7 @@ constants."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -13,7 +14,6 @@ from .supercore import (
     BilinearFormMatrix,
     DecompositionRange,
     LieSuperAlgebra,
-    LinearOperator,
     _contract,
     _trace_form,
     dual_basis,
@@ -29,11 +29,24 @@ IdealHandle = DecompositionRange
 
 @dataclass(frozen=True)
 class CasimirResult:
-    """Casimir operator on the odd part and its fitted scalar."""
+    """Casimir operator on the odd part (a (dim_odd, dim_odd) matrix) and
+    its fitted scalar."""
 
-    operator: LinearOperator
+    operator: np.ndarray
     scalar: float
     off_scalar_residual: float
+
+
+@dataclass(frozen=True, eq=False)
+class IdealInvariants:
+    """The realized invariants of one ideal of the even part: its own
+    Killing Gram K_i, index l and form ratio b (None on the abelian ideal)
+    and the Casimir on the odd part under the canonical form."""
+
+    killing_gram: Optional[np.ndarray]
+    l: Optional[float]
+    b: Optional[float]
+    casimir: CasimirResult
 
 
 def _ratio_fit(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
@@ -57,13 +70,14 @@ def _trace_gram(alg: LieSuperAlgebra, ideal: IdealHandle,
     return gram.reshape(ideal.dim, ideal.dim)
 
 
-def representation_index(alg: LieSuperAlgebra, ideal: IdealHandle) -> float:
+def representation_index(alg: LieSuperAlgebra, ideal: IdealHandle,
+                         killing_gram: np.ndarray) -> float:
     """Ratio l with tr(rho(X) rho(Y)) = l tr(ad X ad Y) on a simple ideal,
-    where rho is the action on the odd part. Fitted over all basis pairs."""
+    where rho is the action on the odd part and ``killing_gram`` the
+    ideal's own Killing form. Fitted over all basis pairs."""
     if ideal.kind != "simple":
         raise ValueError("the index is undefined for an abelian ideal")
-    l, res = _ratio_fit(_trace_gram(alg, ideal, alg.odd_range()),
-                        ideal_killing_gram(alg, ideal))
+    l, res = _ratio_fit(_trace_gram(alg, ideal, alg.odd_range()), killing_gram)
     if res >= FIT_TOL:
         raise ValueError(f"index fit residual {res:g} on {ideal}")
     return l
@@ -74,15 +88,14 @@ def ideal_killing_gram(alg: LieSuperAlgebra, ideal: IdealHandle) -> np.ndarray:
     return _trace_gram(alg, ideal, ideal.indices())
 
 
-def b_ratio(alg: LieSuperAlgebra, form: BilinearFormMatrix,
-            ideal: IdealHandle) -> float:
+def b_ratio(form: BilinearFormMatrix, ideal: IdealHandle,
+            killing_gram: np.ndarray) -> float:
     """Ratio of the form restricted to a simple ideal to the ideal's own
-    Killing form."""
+    Killing form ``killing_gram``."""
     if ideal.kind != "simple":
         raise ValueError("b-ratio is defined on simple ideals only")
-    ki = ideal_killing_gram(alg, ideal)
     sub = form.gram[ideal.start:ideal.stop, ideal.start:ideal.stop]
-    ratio, res = _ratio_fit(sub, ki)
+    ratio, res = _ratio_fit(sub, killing_gram)
     if res >= FIT_TOL:
         raise ValueError(f"b-ratio fit residual {res:g} on {ideal}")
     return ratio
@@ -122,4 +135,17 @@ def casimir_on_odd(alg: LieSuperAlgebra, form: BilinearFormMatrix,
     if off >= SCALAR_TOL:
         raise ValueError(
             f"Casimir operator is not scalar on the odd part (residual {off:g})")
-    return CasimirResult(LinearOperator(op, parity=0), scalar, off)
+    op.setflags(write=False)
+    return CasimirResult(op, scalar, off)
+
+
+def ideal_invariants(alg: LieSuperAlgebra, form: BilinearFormMatrix,
+                     ideal: IdealHandle) -> IdealInvariants:
+    """All invariants of one ideal, with its Killing Gram computed once."""
+    casimir = casimir_on_odd(alg, form, ideal)
+    if ideal.kind != "simple":
+        return IdealInvariants(None, None, None, casimir)
+    ki = ideal_killing_gram(alg, ideal)
+    ki.setflags(write=False)
+    return IdealInvariants(ki, representation_index(alg, ideal, ki),
+                           b_ratio(form, ideal, ki), casimir)

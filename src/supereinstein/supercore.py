@@ -1,5 +1,5 @@
 """Graded linear algebra substrate: super vector spaces, structure-constant
-brackets, supertrace, bilinear forms, and axiom verification.
+brackets, bilinear forms, and axiom verification.
 
 All values are immutable after construction and every operation is a pure
 function. Structure constants are exact rationals, stored once as sparse
@@ -7,10 +7,9 @@ integer numerators over one common denominator, and every contraction of
 them is a join over these entries: the Jacobi identity and the trace forms
 (the Killing form, an ideal's own Killing form, the trace of its action on
 the odd part) are summed exactly in int64; the bi-invariance check joins
-them with the nonzeros of the Gram matrix in float64. ``bracket`` and
-``ad_matrix`` scatter the entries directly. No (n, n, n) array is built,
-and a join whose pair count could exhaust memory is refused before it
-allocates.
+them with the nonzeros of the Gram matrix in float64. ``bracket``
+scatters the entries directly. No (n, n, n) array is built, and a join
+whose pair count could exhaust memory is refused before it allocates.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-# Structural residuals (constructor outputs).
-JACOBI_TOL = 1e-12
 # Verification residuals, relative to the max absolute Gram/tensor entry.
 VERIFY_TOL = 1e-10
 # Dual-basis round trip.
@@ -242,27 +239,10 @@ class BilinearFormMatrix:
         return m if m > 0 else 1.0
 
 
-@dataclass(frozen=True, eq=False)
-class LinearOperator:
-    """Parity-homogeneous endomorphism in matrix form."""
-
-    matrix: np.ndarray
-    parity: int = 0
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("operator matrix must be square")
-        self.matrix.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class JacobiReport:
     residual: float
     worst_triple: tuple[int, int, int]
-
-    @property
-    def ok(self) -> bool:
-        return self.residual < JACOBI_TOL
 
 
 @dataclass(frozen=True)
@@ -305,22 +285,6 @@ def bracket(alg: LieSuperAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     i, j, k = alg.index.T
     return np.bincount(k, weights=x[i] * y[j] * (alg.numer / alg.denom),
                        minlength=alg.dim)
-
-
-def ad_matrix(alg: LieSuperAlgebra, x: np.ndarray) -> np.ndarray:
-    """Matrix of ad(x): column m holds the coefficients of [x, e_m]."""
-    (x,) = _coefficients(alg, x)
-    i, m, k = alg.index.T
-    out = np.zeros((alg.dim, alg.dim))
-    np.add.at(out, (k, m), x[i] * (alg.numer / alg.denom))
-    return out
-
-
-def supertrace(op: LinearOperator, basis: SuperBasis) -> float:
-    """Trace over the even block minus trace over the odd block."""
-    if op.matrix.shape[0] != basis.total_dim:
-        raise ValueError("operator does not act on this basis")
-    return float(np.dot(basis.sign_vector(), np.diagonal(op.matrix)))
 
 
 def _trace_form(alg: LieSuperAlgebra, first: range, inner: range,

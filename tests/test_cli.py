@@ -4,15 +4,17 @@ one-line error), the ``--cmax`` filter, and the ``build`` and ``indices``
 outputs."""
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from supereinstein import cli, einstein
+from supereinstein import cli, einstein, families, invariants
 
 
 @pytest.fixture(scope="module")
@@ -95,12 +97,25 @@ class TestInputContract:
         ("build", "--family", "B", "--m", "1", "--n", "1", "--format", "csv"),
         ("solve", "--family", "B", "--m", "1", "--n", "1", "--form", "killing"),
         ("build", "--family", "B", "--m", "1", "--n", "1", "--seed", "1"),
+        ("solve", "--family", "B", "--m", "1", "--n", "1", "--form", "json"),
+        ("report", "--max-m", "1", "--se", "3"),
     ], ids=" ".join)
     def test_rejected_with_one_line_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--family", "B", "--m", "1", "--n", "1", "--form", "killing"),
+        ("solve", "--family", "B", "--m", "1", "--n", "1", "--form", "json"),
+        ("report", "--max-m", "1", "--se", "3"),
+    ], ids=" ".join)
+    def test_prefix_of_an_option_is_not_that_option(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: unrecognized arguments: ")
 
 
 G3 = ("solve", "--family", "G3")
@@ -164,16 +179,64 @@ class TestSystemBuiltOnce:
     ], ids=["report", "solve"])
     def test_one_build_per_family(self, capsys, monkeypatch, argv, calls):
         built = []
-        inner = einstein.build_system
+        inner = einstein.solve
 
         def counting(*args, **kwargs):
             built.append(args[0])
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(einstein, "build_system", counting)
+        monkeypatch.setattr(einstein, "solve", counting)
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(built) == calls
+
+
+class TestRealizedInvariants:
+    def test_killing_gram_once_per_simple_ideal(self, capsys, monkeypatch):
+        computed = []
+        inner = invariants.ideal_killing_gram
+
+        def counting(alg, ideal):
+            computed.append((id(alg), ideal))
+            return inner(alg, ideal)
+
+        monkeypatch.setattr(invariants, "ideal_killing_gram", counting)
+        families.realize.cache_clear()  # realizations made by other tests
+        code, _, _ = run(capsys, "report", "--max-m", "1")
+        assert code == 0
+        simple = [(id(families.realize(spec).algebra), ideal)
+                  for spec in families.catalog(1) if spec.realizable
+                  for ideal in families.realize(spec).algebra.simple_ideals()]
+        assert len(simple) == 6
+        assert sorted(computed, key=repr) == sorted(simple, key=repr)
+
+    @pytest.mark.parametrize("field", ["l", "b", "gamma"])
+    def test_one_catalog_comparison_gates_build_indices_and_report(
+            self, capsys, monkeypatch, field):
+        inner = families.family_data
+
+        def off_by_a_thousandth(spec):
+            data = inner(spec)
+            values = getattr(data, field)
+            return dataclasses.replace(
+                data, **{field: (values[0] + Fraction(1, 1000),) + values[1:]})
+
+        monkeypatch.setattr(families, "family_data", off_by_a_thousandth)
+        families.realize.cache_clear()
+        try:
+            argv = ("--family", "B", "--m", "1", "--n", "1")
+            code, out, _ = run(capsys, "build", *argv)
+            assert code == 1
+            assert json.loads(out)["verification"]["realization"]["pass"] is False
+            code, out, _ = run(capsys, "indices", *argv)
+            assert code == 1 and json.loads(out)["pass"] is False
+            section, _ = cli.report_section(families.family_spec("B", 1, 1),
+                                            cli.DEFAULT_SEED, 0,
+                                            einstein.C_WINDOW, cli.DEFAULT_TOL)
+            assert section["structural"]["indices_match_catalog"] is False
+            assert section["pass"] is False
+        finally:
+            families.realize.cache_clear()  # drop the perturbed realization
 
 
 def test_import_leaves_out_the_process_pool():

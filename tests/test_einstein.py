@@ -8,7 +8,6 @@ import sympy as sp
 
 from supereinstein import einstein
 from supereinstein.einstein import (
-    build_system,
     cubic_factor,
     cubic_reference_coefficients,
     default_folding,
@@ -22,13 +21,37 @@ from supereinstein.einstein import (
     system_residual,
     verify_solution,
 )
-from supereinstein.families import family_data, family_spec, realize
+from supereinstein.families import catalog, family_data, family_spec, realize
 
 F = Fraction
 
 
 def sys_for(fam, m=None, n=None, alpha=None):
-    return build_system(family_data(family_spec(fam, m, n, alpha)))
+    return family_data(family_spec(fam, m, n, alpha))
+
+
+def two_ideal_params_by_search(data):
+    """(m, n) of an orthosymplectic two-ideal family recovered from its
+    scalar data alone, searching m below 200, else (None, None). All scalar
+    data must match, not just the dimensions: the exceptional families share
+    dimension patterns with small orthosymplectic ones."""
+    if data.form_kind != "killing" or data.has_k0 or data.s != 2:
+        return None, None
+    d1, d2 = data.dim_k
+    # sp(2n) always sits second: d2 = n(2n+1)
+    n = int(round((math.sqrt(1 + 8 * d2) - 1) / 4))
+    if d2 != n * (2 * n + 1):
+        return None, None
+    for m in range(1, 200):
+        if (d1 == m * (2 * m + 1)
+                and data.l == (F(2 * n, 2 * m - 1), F(2 * m + 1, 2 * n + 2))
+                and data.dim_odd == 2 * n * (2 * m + 1)):
+            return m, n
+        if (d1 == m * (2 * m - 1) and m >= 2
+                and data.l == (F(n, m - 1), F(m, n + 1))
+                and data.dim_odd == 4 * m * n):
+            return m, n
+    return None, None
 
 
 def match_sets(solutions, expected, tol):
@@ -152,26 +175,26 @@ class TestSolveRegression:
 
 class TestElimination:
     def test_d31_reference_coefficients(self):
-        cubic = cubic_factor(elimination_polynomial(sys_for("D", 3, 1)))
+        cubic = cubic_factor(elimination_polynomial(family_spec("D", 3, 1)))
         assert tuple(cubic) == (F(36), F(-48), F(48), F(-24))
 
     def test_unit_root_always_present(self):
         for fam, m, n in [("B", 1, 1), ("B", 3, 2), ("D", 2, 2), ("D", 4, 1)]:
-            cubic_factor(elimination_polynomial(sys_for(fam, m, n)))  # raises if 1 is not a root
+            cubic_factor(elimination_polynomial(family_spec(fam, m, n)))  # raises if 1 is not a root
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
-            elimination_polynomial(sys_for("C", n=3))  # abelian block present
+            elimination_polynomial(family_spec("C", n=3))  # abelian block present
         with pytest.raises(ValueError):
-            elimination_polynomial(sys_for("A", 1, 1))  # not the canonical form
+            elimination_polynomial(family_spec("A", 1, 1))  # not the canonical form
         with pytest.raises(ValueError):
-            elimination_polynomial(sys_for("B", 0, 2))  # single ideal
+            elimination_polynomial(family_spec("B", 0, 2))  # single ideal
 
     @pytest.mark.parametrize("fam,m,n", [("B", 1, 1), ("B", 2, 1), ("B", 3, 2),
                                          ("D", 2, 2), ("D", 3, 1), ("D", 4, 2)])
     def test_matches_independent_resultant(self, fam, m, n):
         sys = sys_for(fam, m, n)
-        quartic = elimination_polynomial(sys)
+        quartic = elimination_polynomial(family_spec(fam, m, n))
         x = sp.symbols("x")
         l1, l2 = (sp.Rational(v) for v in sys.l)
         b1, b2 = (sp.Rational(v) for v in sys.b)
@@ -188,30 +211,43 @@ class TestElimination:
     @pytest.mark.parametrize("fam,m,n", [("B", 1, 1), ("B", 2, 2), ("D", 3, 1),
                                          ("D", 2, 2)])
     def test_reference_formulas_match_resultant(self, fam, m, n):
-        sys = sys_for(fam, m, n)
-        cubic = tuple(cubic_factor(elimination_polynomial(sys)))
-        assert cubic == cubic_reference_coefficients(sys.data)
+        spec = family_spec(fam, m, n)
+        cubic = tuple(cubic_factor(elimination_polynomial(spec)))
+        assert cubic == cubic_reference_coefficients(spec)
+
+    @pytest.mark.parametrize("spec", catalog(6), ids=lambda s: s.name)
+    def test_reference_read_from_spec_equals_data_search(self, spec):
+        # the reference cubic keys on the spec's (kind, m, n); the oracle
+        # recovers (m, n) from the scalar data alone
+        m, n = two_ideal_params_by_search(family_data(spec))
+        ref = cubic_reference_coefficients(spec)
+        if m is None:
+            assert ref is None
+            return
+        assert (spec.kind, spec.m, spec.n) == \
+            ("B" if family_data(spec).dim_k[0] == m * (2 * m + 1) else "D", m, n)
+        assert tuple(cubic_factor(elimination_polynomial(spec))) == ref
 
     @pytest.mark.parametrize("fam,m,n", [("B", 1, 1), ("B", 2, 1), ("D", 2, 2),
                                          ("D", 3, 1)])
     def test_root_solution_bijection(self, fam, m, n):
         sys = sys_for(fam, m, n)
-        roots = [r for r in real_roots(elimination_polynomial(sys))
-                 if abs(r) > 1e-9]
+        roots = [r for r in real_roots(elimination_polynomial(
+            family_spec(fam, m, n))) if abs(r) > 1e-9]
         xs = sorted({s.x[0] for s in solve(sys)})
         assert len(roots) == len(xs)
         assert all(abs(a - b) < 1e-8 for a, b in zip(sorted(roots), xs))
 
     def test_pivot_two_tracks_second_variable(self):
         sys = sys_for("B", 2, 1)
-        roots = [r for r in real_roots(elimination_polynomial(sys, pivot=2))
-                 if abs(r) > 1e-9]
+        roots = [r for r in real_roots(elimination_polynomial(
+            family_spec("B", 2, 1), pivot=2)) if abs(r) > 1e-9]
         xs = sorted({s.x[1] for s in solve(sys)})
         assert all(any(abs(r - v) < 1e-8 for r in roots) for v in xs)
 
     def test_square_free_collapses_double_roots(self):
         # (x - 1)^2 (2x - 1)^2, up to scale
-        quartic = elimination_polynomial(sys_for("D", 2, 2))
+        quartic = elimination_polynomial(family_spec("D", 2, 2))
         sf = square_free_part(quartic)
         assert len(sf) == 3
         assert sorted(real_roots(quartic)) == pytest.approx([0.5, 1.0])
@@ -379,7 +415,7 @@ class TestSolverInternals:
         specs = catalog(3) + [family_spec("D21a", alpha=a)
                               for a in (0.5, 2.5, -0.3)]
         for spec in specs:
-            sys = build_system(family_data(spec))
+            sys = family_data(spec)
             assert solve(sys, c_window=c_window, grid_step=grid_step) == \
                 scalar_loop_solve(sys, c_window, grid_step), spec.name
 
@@ -414,8 +450,8 @@ class TestSolverInternals:
         # with no simple ideal, x0 = -4c makes the trace residual -2c + 2c,
         # identically 0.0: every grid point is a zero and every interior one
         # a (plateau) minimum of |g|
-        sys = dataclasses.replace(sys_for("C", n=3), l=(), b=(), gamma=(),
-                                  gamma0=F(-1, 2), trace_rhs=F(0))
+        sys = dataclasses.replace(sys_for("C", n=3), dim_k=(), l=(), b=(),
+                                  gamma=(), gamma0=F(-1, 2), trace_rhs=F(0))
         refined = []
         refine = einstein._refine_tangent
         monkeypatch.setattr(einstein, "_refine_tangent",

@@ -82,8 +82,9 @@ class TestBuildPsl:
         assert np.max(np.abs(supercore.killing_form(psl22.algebra).gram)) < 1e-12
 
     def test_form_ratios(self, psl22):
-        from supereinstein.invariants import b_ratio
-        b = [b_ratio(psl22.algebra, psl22.canonical_form, i)
+        from supereinstein.invariants import b_ratio, ideal_killing_gram
+        b = [b_ratio(psl22.canonical_form, i,
+                     ideal_killing_gram(psl22.algebra, i))
              for i in psl22.algebra.simple_ideals()]
         assert b == pytest.approx([1.0, -1.0])
 
@@ -190,7 +191,7 @@ class TestRealizationChecks:
         ("C", None, 3), ("D", 3, 1), ("D", 3, 2), ("D", 2, 1),
     ])
     def test_data_recomputed_from_algebra(self, fam, m, n):
-        report = verify_realization(realize(family_spec(fam, m, n)))
+        report, _ = verify_realization(realize(family_spec(fam, m, n)))
         assert report["pass"], report
 
     def test_snapshot_matches_catalog_dims(self):
@@ -215,19 +216,21 @@ class TestRealizationChecks:
     def test_casimirs_computed_once(self):
         from supereinstein.invariants import casimir_on_odd
         r = realize(family_spec("C", None, 3))
-        assert r.casimirs is r.casimirs
-        assert list(r.casimirs) == list(r.algebra.decomposition)
-        for rng, cas in r.casimirs.items():
+        assert r.ideal_invariants is r.ideal_invariants
+        assert list(r.ideal_invariants) == list(r.algebra.decomposition)
+        for rng, inv in r.ideal_invariants.items():
             direct = casimir_on_odd(r.algebra, r.canonical_form, rng)
-            assert cas.scalar == direct.scalar
+            assert inv.casimir.scalar == direct.scalar
 
     def test_representation_indices_computed_once(self):
-        from supereinstein.invariants import representation_index
+        from supereinstein.invariants import ideal_killing_gram, \
+            representation_index
         r = realize(family_spec("B", 1, 1))
-        assert r.representation_indices is r.representation_indices
-        assert list(r.representation_indices) == list(r.algebra.simple_ideals())
-        for rng, l in r.representation_indices.items():
-            assert l == representation_index(r.algebra, rng)
+        assert r.ideal_invariants is r.ideal_invariants
+        assert list(r.ideal_invariants) == list(r.algebra.decomposition)
+        for rng, inv in r.ideal_invariants.items():
+            ki = ideal_killing_gram(r.algebra, rng)
+            assert inv.l == representation_index(r.algebra, rng, ki)
 
 
 class TestExactAssembly:

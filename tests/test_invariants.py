@@ -10,6 +10,7 @@ from supereinstein.invariants import (
     _ratio_fit,
     b_ratio,
     casimir_on_odd,
+    ideal_killing_gram,
     representation_index,
 )
 from supereinstein.supercore import LieSuperAlgebra, killing_form
@@ -48,7 +49,7 @@ def verify_killing_casimir(alg, form):
     b_odd = form.gram[np.ix_(odd, odd)]
     total = np.zeros_like(k_odd)
     for ideal in alg.decomposition:
-        total += b_odd @ casimir_on_odd(alg, form, ideal).operator.matrix
+        total += b_odd @ casimir_on_odd(alg, form, ideal).operator
     return float(np.max(np.abs(k_odd - 2.0 * total)))
 
 
@@ -62,7 +63,7 @@ def verify_trace_identities(alg, form, ideal):
     t = np.array([sum(c[m, v, v] for v in odd) for m in idx])
     r1 = float(np.max(np.abs(
         np.einsum("xym,m->xy", c[np.ix_(odd, odd, idx)], t))))
-    bc = form.gram[np.ix_(odd, odd)] @ casimir_on_odd(alg, form, ideal).operator.matrix
+    bc = form.gram[np.ix_(odd, odd)] @ casimir_on_odd(alg, form, ideal).operator
     lhs2 = np.einsum("yaw,xwa->xy", c[np.ix_(odd, idx, odd)],
                      c[np.ix_(odd, odd, idx)], optimize=True)
     r2 = float(np.max(np.abs(lhs2 - bc)))
@@ -75,15 +76,17 @@ def verify_trace_identities(alg, form, ideal):
 class TestRepresentationIndex:
     def test_so3_inside_osp32(self, osp32):
         so3 = osp32.algebra.simple_ideals()[0]
-        assert representation_index(osp32.algebra, so3) == pytest.approx(2.0)
+        ki = ideal_killing_gram(osp32.algebra, so3)
+        assert representation_index(osp32.algebra, so3, ki) == pytest.approx(2.0)
 
     def test_sl2_inside_sl21(self, sl21):
         sl2 = sl21.algebra.simple_ideals()[0]
-        assert representation_index(sl21.algebra, sl2) == pytest.approx(0.5)
+        ki = ideal_killing_gram(sl21.algebra, sl2)
+        assert representation_index(sl21.algebra, sl2, ki) == pytest.approx(0.5)
 
     def test_abelian_rejected(self, sl21):
         with pytest.raises(ValueError, match="abelian"):
-            representation_index(sl21.algebra, sl21.algebra.abelian_ideal())
+            representation_index(sl21.algebra, sl21.algebra.abelian_ideal(), None)
 
     def test_invariant_under_basis_rescaling(self, sl21):
         # rescale the simple ideal's basis vectors; the index is a ratio of
@@ -95,7 +98,8 @@ class TestRepresentationIndex:
         entries = {(i, j, k): v * t[i] * t[j] / t[k]
                    for (i, j, k), v in exact_entries(alg).items()}
         rescaled = LieSuperAlgebra(alg.basis, entries, alg.decomposition)
-        assert representation_index(rescaled, ideal) == pytest.approx(0.5)
+        ki = ideal_killing_gram(rescaled, ideal)
+        assert representation_index(rescaled, ideal, ki) == pytest.approx(0.5)
 
 
 class TestDefiningRepIndex:
@@ -132,7 +136,7 @@ class TestCasimir:
         odd = list(alg.odd_range())
         c = dense_constants(alg)
         for ideal in alg.simple_ideals():
-            cas = casimir_on_odd(alg, osp32.canonical_form, ideal).operator.matrix
+            cas = casimir_on_odd(alg, osp32.canonical_form, ideal).operator
             for a in ideal.indices():
                 rho = c[a][np.ix_(odd, odd)].T
                 assert np.max(np.abs(rho @ cas - cas @ rho)) < 1e-9
@@ -155,15 +159,17 @@ class TestBRatio:
         real = builder(*args)
         k = killing_form(real.algebra)
         for ideal, l in zip(real.algebra.simple_ideals(), real.data.l):
-            got = b_ratio(real.algebra, k, ideal)
+            got = b_ratio(k, ideal, ideal_killing_gram(real.algebra, ideal))
             assert got == pytest.approx(1 - float(l), abs=1e-9)
 
     def test_case_forms(self, psl22):
         d32 = build_osp(6, 4)
         ideals = d32.algebra.simple_ideals()
-        assert b_ratio(d32.algebra, d32.canonical_form, ideals[1]) == pytest.approx(-2 / 3)
+        ki = ideal_killing_gram(d32.algebra, ideals[1])
+        assert b_ratio(d32.canonical_form, ideals[1], ki) == pytest.approx(-2 / 3)
         ideals = psl22.algebra.simple_ideals()
-        assert [b_ratio(psl22.algebra, psl22.canonical_form, i) for i in ideals] \
+        assert [b_ratio(psl22.canonical_form, i,
+                        ideal_killing_gram(psl22.algebra, i)) for i in ideals] \
             == pytest.approx([1.0, -1.0])
 
 
