@@ -21,7 +21,6 @@ from .einstein import (
     known_solutions,
     lift_real_form,
     solve,
-    solve_family,
     verify_solution,
 )
 from .families import (
@@ -67,5 +66,5 @@ __all__ = [
     "killing_form", "known_solutions", "levi_civita_blockwise",
     "levi_civita_koszul", "lift_real_form", "metric_from_params", "realize",
     "representation_index", "ricci_closed_form", "ricci_direct", "solve",
-    "solve_family", "verify_solution",
+    "verify_solution",
 ]

@@ -14,7 +14,8 @@ import numpy as np
 
 from .curvature import MetricParams, levi_civita_koszul, metric_from_params, \
     ricci_closed_form, ricci_direct
-from .families import FamilyData, FamilySpec, Realization, family_data, realize
+from .families import FamilyData, FamilySpec, Realization, family_data
+from .supercore import MAX_JOIN_PAIRS
 
 SOLUTION_TOL = 1e-10
 DEDUPE_TOL = 1e-8
@@ -67,52 +68,46 @@ def system_residual(data: FamilyData, x, c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Solver: branch enumeration + grid scan + bisection
+# Solver: branch enumeration + pruned grid scan + bisection
 # ---------------------------------------------------------------------------
 
-
-def _branch_x(c, l: float, b: float, sign: int):
-    """Root x(c) of l x^2 - 4 c b x - 1 = 0 on one sign branch.
-
-    Works on scalars and arrays; returns NaN where the discriminant is
-    negative (cannot happen for positive l).
-    """
-    disc = 4.0 * c * c * b * b + l
-    with np.errstate(invalid="ignore"):
-        root = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-    return (2.0 * c * b + sign * root) / l
+# Grid steps per coarse cell of the enclosure pass in :func:`solve`.
+_BLOCK = 64
 
 
-def _branch_vector(data: FamilyData, signs, c: float) -> Optional[tuple]:
+def _branch_vector(data: FamilyData, signs, c: float) -> tuple:
+    """The scaling vector on one sign branch at c: x_0 = -4c, and x_i the
+    root of l_i x^2 - 4 c b_i x - 1 = 0 with that sign (l_i > 0, so the
+    discriminant is positive)."""
     out = []
     if data.has_k0:
         out.append(-4.0 * c)
     for l, b, sgn in zip(data.l, data.b, signs):
-        xi = _branch_x(c, float(l), float(b), sgn)
-        if not np.isfinite(xi):
-            return None
-        out.append(float(xi))
+        l, b = float(l), float(b)
+        out.append(float(
+            (2.0 * c * b + sgn * np.sqrt(4.0 * c * c * b * b + l)) / l))
     return tuple(out)
 
 
-def _ideal_term(data: FamilyData, i: int, sign: int, c):
-    """gamma_i x_i(c) of simple ideal i on one sign branch."""
-    return float(data.gamma[i]) * _branch_x(c, float(data.l[i]),
-                                            float(data.b[i]), sign)
+def _ideal_term(data: FamilyData, i: int, c) -> dict:
+    """gamma_i x_i(c) of simple ideal i on both sign branches, keyed by the
+    sign, from one square root, in the float operations of
+    :func:`_branch_vector`; vectorized in c."""
+    l, b = float(data.l[i]), float(data.b[i])
+    gamma = float(data.gamma[i])
+    lead = 2.0 * c * b
+    root = np.sqrt(4.0 * c * c * b * b + l)
+    return {1: gamma * ((lead + root) / l), -1: gamma * ((lead - root) / l)}
 
 
-def _trace_residual(data: FamilyData, signs, c, terms=None):
-    """Residual of the trace equation along one branch, vectorized in c.
-
-    ``terms[i, sign]`` may hold :func:`_ideal_term` at the same ``c``, so
-    a scan over all branches evaluates each ideal's two roots once.
-    """
+def _trace_residual(data: FamilyData, signs, c):
+    """Residual of the trace equation along one branch, vectorized in c;
+    with ``signs`` empty, its part linear in c."""
     total = -2.0 * c - float(data.trace_rhs)
     if data.has_k0:
         total = total + float(data.gamma0) * (-4.0 * c)
     for i, sgn in enumerate(signs):
-        total = total + (terms[i, sgn] if terms is not None
-                         else _ideal_term(data, i, sgn, c))
+        total = total + _ideal_term(data, i, c)[sgn]
     return total
 
 
@@ -157,6 +152,29 @@ def _refine_tangent(f, c0: float) -> float:
     return c
 
 
+def _check_scan_size(count: int, what: str) -> None:
+    if count > MAX_JOIN_PAIRS:
+        raise ValueError(f"the c-grid scan needs {count:,} {what}, over the "
+                         f"{MAX_JOIN_PAIRS:,}-element memory limit; use a "
+                         f"smaller c window")
+
+
+def _kept_points(nodes, kept, n_grid: int):
+    """Sorted grid indices of the kept coarse cells, each widened by one
+    grid point on both sides, without repeats."""
+    starts = np.maximum(nodes[kept] - 1, 0)
+    stops = np.minimum(nodes[kept + 1] + 1, n_grid)
+    # merge the ranges of adjacent kept cells, which overlap, into runs
+    fresh = np.append(True, starts[1:] > stops[:-1])
+    run_starts = starts[fresh]
+    run_stops = stops[np.append(fresh[1:], True)]
+    lengths = run_stops - run_starts + 1
+    total = int(lengths.sum())
+    _check_scan_size(total, "fine-pass points")
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(total) + np.repeat(run_starts - offsets, lengths)
+
+
 def solve(data: FamilyData, c_window: float = C_WINDOW,
           grid_step: float = GRID_STEP, residual_tol: float = SOLUTION_TOL,
           ) -> list[EinsteinSolution]:
@@ -166,23 +184,54 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
     ``gamma_0 x_0 + sum_i gamma_i x_i = 2 c + trace_rhs``.
 
     Strategy: enumerate the 2^s sign branches of the per-ideal quadratic in
-    x_i(c) (with x_0 = -4c substituted when the abelian block is present),
-    scan c over the window on a uniform grid, isolate sign changes of the
-    trace-equation residual and bisect them down; local minima of the
-    absolute residual below a probe threshold are polished as candidate
-    tangent roots, as are branch-discriminant zeros. Candidates survive only
-    if the full system residual passes, then are deduplicated and returned
-    in ascending order of ``(c, x)``.
+    x_i(c) (with x_0 = -4c substituted when the abelian block is present)
+    and scan c over the window on a uniform grid for the roots of the
+    trace-equation residual g. Since every l_i > 0, each root x_i(c) is
+    monotone in c, so on a cell [c_a, c_b] g lies between the sums of each
+    term's smaller and larger end value. A coarse pass evaluates every
+    ideal's terms at every ``_BLOCK``-th grid point, once for all branches,
+    and drops each coarse cell whose enclosure lies outside
+    ``[-2 TANGENT_PROBE, 2 TANGENT_PROBE]``: it can hold no zero, sign
+    change or small minimum of |g|. On the kept cells, widened by one grid
+    point, the fine pass bisects sign changes down, keeps exact zeros and
+    polishes local minima of |g| below ``TANGENT_PROBE`` as candidate
+    tangent roots. Grid points are neighbours only when their indices are.
+    Every evaluated c and g is bit-identical to a scan of the whole grid,
+    so the solutions are too. Candidates survive only if the full system
+    residual passes, then are deduplicated and returned in ascending order
+    of ``(c, x)``.
+
+    Raises ValueError, before allocating, when the coarse nodes or the kept
+    points of one branch exceed ``supercore.MAX_JOIN_PAIRS``.
     """
     n_grid = int(round(2.0 * c_window / grid_step))
-    c_grid = -c_window + grid_step * np.arange(n_grid + 1)
-    terms = {(i, sgn): _ideal_term(data, i, sgn, c_grid)
-             for i in range(data.s) for sgn in (1, -1)}
+    _check_scan_size(n_grid // _BLOCK + 2, "coarse nodes")
+    # n_grid = 0 leaves the one coarse cell [0, 0]
+    nodes = np.append(np.arange(0, max(n_grid, 1), _BLOCK), n_grid)
+    c_nodes = -c_window + grid_step * nodes
+    linear = _trace_residual(data, (), c_nodes)
+    lin_lo = np.minimum(linear[:-1], linear[1:])
+    lin_hi = np.maximum(linear[:-1], linear[1:])
+    term_lo, term_hi = [], []
+    for i in range(data.s):
+        term = _ideal_term(data, i, c_nodes)
+        term_lo.append({s: np.minimum(t[:-1], t[1:]) for s, t in term.items()})
+        term_hi.append({s: np.maximum(t[:-1], t[1:]) for s, t in term.items()})
     found: list[tuple[tuple, float]] = []
     for branch_id in range(2 ** data.s):
         signs = tuple(1 if (branch_id >> i) & 1 == 0 else -1
                       for i in range(data.s))
-        g = _trace_residual(data, signs, c_grid, terms)
+        lo, hi = lin_lo, lin_hi
+        for i, sgn in enumerate(signs):
+            lo = lo + term_lo[i][sgn]
+            hi = hi + term_hi[i][sgn]
+        kept = np.flatnonzero((lo <= 2.0 * TANGENT_PROBE)
+                              & (hi >= -2.0 * TANGENT_PROBE))
+        if kept.size == 0:
+            continue
+        idx = _kept_points(nodes, kept, n_grid)
+        c_pts = -c_window + grid_step * idx
+        g = _trace_residual(data, signs, c_pts)
         scalar = lambda c: float(_trace_residual(data, signs, c))  # noqa: E731
         candidates: list[float] = []
 
@@ -194,34 +243,26 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
             refined = _refine_tangent(scalar, c0)
             candidates.append(refined if abs(refined - c0) <= 1e-7 else c0)
 
-        # Cells [k, k+1] with both ends finite: an exact zero at k, else a
-        # sign change (a zero makes the product 0, so never both).
-        finite = np.isfinite(g)
-        cell = finite[:-1] & finite[1:]
-        crossing = cell & ((g[:-1] == 0.0) | (g[:-1] * g[1:] < 0.0))
-        for k in np.flatnonzero(crossing):
-            if g[k] == 0.0:
-                add_sharpened(float(c_grid[k]))
+        # An exact zero at a point, else a sign change over the cell to its
+        # neighbour (a zero makes the product 0, so never both).
+        adjacent = idx[1:] == idx[:-1] + 1
+        crossing = adjacent & (g[:-1] * g[1:] < 0.0)
+        for p in np.flatnonzero((g == 0.0) | np.append(crossing, False)):
+            if g[p] == 0.0:
+                add_sharpened(float(c_pts[p]))
             else:
-                add_sharpened(_bisect(scalar, float(c_grid[k]),
-                                      float(c_grid[k + 1]), BISECT_TOL))
-        if finite[n_grid] and g[n_grid] == 0.0:
-            add_sharpened(float(c_grid[n_grid]))
+                add_sharpened(_bisect(scalar, float(c_pts[p]),
+                                      float(c_pts[p + 1]), BISECT_TOL))
         absg = np.abs(g)
-        mid = absg[1:-1]  # minima need k-1, k, k+1 finite; plateaus count
-        minima = (cell[:-1] & finite[2:] & (mid < TANGENT_PROBE)
+        mid = absg[1:-1]  # minima need both neighbours; plateaus count
+        minima = (adjacent[:-1] & adjacent[1:] & (mid < TANGENT_PROBE)
                   & (mid <= absg[:-2]) & (mid <= absg[2:]))
-        for k in np.flatnonzero(minima) + 1:
-            candidates.append(_refine_tangent(scalar, float(c_grid[k])))
-        for l, b in zip(data.l, data.b):
-            # branch boundaries 4 c^2 b^2 + l = 0 (only for negative l)
-            if l < 0 and b != 0:
-                boundary = math.sqrt(float(-l)) / (2.0 * abs(float(b)))
-                candidates.extend([boundary, -boundary])
+        for p in np.flatnonzero(minima) + 1:
+            candidates.append(_refine_tangent(scalar, float(c_pts[p])))
         for c in candidates:
             c = c + 0.0  # normalize -0.0
             vec = _branch_vector(data, signs, c)
-            if vec is None or min(abs(v) for v in vec) < 1e-9:
+            if min(abs(v) for v in vec) < 1e-9:
                 continue  # degenerate metric: outside the family
             res = system_residual(data, vec, c)
             if res < residual_tol:
@@ -535,18 +576,6 @@ def _block_of(real: Realization, idx: int) -> str:
         if rng.start <= idx < rng.stop:
             return f"k{pos if real.data.has_k0 else pos + 1}"
     return "odd"
-
-
-def solve_family(spec: FamilySpec, c_window: float = C_WINDOW,
-                 verify: bool = True,
-                 residual_tol: float = SOLUTION_TOL) -> list[EinsteinSolution]:
-    """Solve, and (when a matrix realization exists) verify."""
-    sols = solve(family_data(spec), c_window=c_window,
-                 residual_tol=residual_tol)
-    if verify and spec.realizable:
-        real = realize(spec)
-        sols = [verify_solution(real, s) for s in sols]
-    return sols
 
 
 def solutions_to_json(spec: FamilySpec, sols: list[EinsteinSolution]) -> dict:

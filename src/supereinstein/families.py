@@ -137,6 +137,10 @@ class FamilyData:
     * ``gamma_0 x_0 + sum_i gamma_i x_i = 2 c + trace_rhs`` where
       ``trace_rhs = 2 (gamma_0 + sum gamma_i)`` (1 for the canonical form on
       a non-degenerate-Killing family, 0 for the degenerate-Killing ones).
+
+    Every index l_i is positive, so each quadratic has two real roots x_i
+    for every c, each monotone in c; a record with some l_i <= 0 is
+    refused.
     """
 
     dim_k0: int
@@ -149,6 +153,11 @@ class FamilyData:
     killing_nondegenerate: bool
     form_kind: str  # killing | case2 | case6 | case7
     trace_rhs: Fraction
+
+    def __post_init__(self):
+        if any(l <= 0 for l in self.l):
+            raise ValueError(f"every index l_i must be positive, got "
+                             f"{[str(l) for l in self.l]}")
 
     @property
     def s(self) -> int:

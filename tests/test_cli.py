@@ -99,6 +99,8 @@ class TestInputContract:
         ("build", "--family", "B", "--m", "1", "--n", "1", "--seed", "1"),
         ("solve", "--family", "B", "--m", "1", "--n", "1", "--form", "json"),
         ("report", "--max-m", "1", "--se", "3"),
+        ("solve", "--family", "A", "--m", "1", "--n", "0", "--cmax", "1e8"),
+        ("report", "--max-m", "1", "--cmax", "1e8", "--jobs", "2"),
     ], ids=" ".join)
     def test_rejected_with_one_line_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -135,6 +137,22 @@ class TestCmaxFilter:
         assert [round(s["c"], 4) for s in json.loads(out)["solutions"]] == \
             [-0.25, -0.1312]
 
+
+    @pytest.mark.parametrize("family", [("B", "3", "2"), ("D", "3", "3")],
+                             ids=lambda f: f"{f[0]}({f[1]},{f[2]})")
+    def test_wide_window_keeps_default_solutions(self, capsys, family):
+        # --cmax 1000 scans 2e7 grid steps: pruned, it fits the memory limit
+        argv = ("solve", "--family", family[0], "--m", family[1],
+                "--n", family[2])
+        code, out, err = run(capsys, *argv, "--cmax", "1000")
+        assert code == 0 and err == ""
+        wide = json.loads(out)["solutions"]
+        default = json.loads(run(capsys, *argv)[1])["solutions"]
+        assert len(wide) == len(default) == 2
+        for a, b in zip(wide, default):
+            assert abs(a["c"] - b["c"]) < 1e-9
+            assert max(abs(u - v) for u, v in zip(a["x"], b["x"])) < 1e-9
+            assert a["ricci_verified"] == b["ricci_verified"] == "verified"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_report_notes_omitted_per_family(self, capsys, jobs):

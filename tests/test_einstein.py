@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from supereinstein import einstein
 from supereinstein.einstein import (
@@ -16,18 +18,28 @@ from supereinstein.einstein import (
     lift_real_form,
     real_roots,
     solve,
-    solve_family,
     square_free_part,
     system_residual,
     verify_solution,
 )
-from supereinstein.families import catalog, family_data, family_spec, realize
+from supereinstein.families import FamilyData, catalog, family_data, \
+    family_spec, realize
 
 F = Fraction
 
 
 def sys_for(fam, m=None, n=None, alpha=None):
     return family_data(family_spec(fam, m, n, alpha))
+
+
+def solve_family(spec, verify=True):
+    """Solve the spec's system, and (when a matrix realization exists)
+    verify each solution."""
+    sols = solve(family_data(spec))
+    if verify and spec.realizable:
+        real = realize(spec)
+        sols = [verify_solution(real, s) for s in sols]
+    return sols
 
 
 def two_ideal_params_by_search(data):
@@ -333,53 +345,22 @@ class TestVerifySolution:
         assert stamped.detail is not None
 
 
-def scalar_loop_solve(sys, c_window, grid_step):
-    """Oracle for the grid scan of :func:`solve`: the same candidates found
-    by plain per-grid-point loops, through the same per-candidate tail."""
-    n_grid = int(round(2.0 * c_window / grid_step))
-    c_grid = -c_window + grid_step * np.arange(n_grid + 1)
+def branch_signs(sys):
+    return [tuple(1 if (branch_id >> i) & 1 == 0 else -1 for i in range(sys.s))
+            for branch_id in range(2 ** sys.s)]
+
+
+def solutions_from_candidates(sys, branch_candidates):
+    """The per-candidate tail of :func:`solve`: (signs, candidate c) pairs
+    through the residual gate, then sorted and deduplicated."""
     found = []
-    for branch_id in range(2 ** sys.s):
-        signs = tuple(1 if (branch_id >> i) & 1 == 0 else -1
-                      for i in range(sys.s))
-        g = einstein._trace_residual(sys, signs, c_grid)
-        f = lambda c: float(einstein._trace_residual(sys, signs, c))  # noqa: E731
-        candidates = []
-
-        def sharpened(c0):
-            refined = einstein._refine_tangent(f, c0)
-            return refined if abs(refined - c0) <= 1e-7 else c0
-
-        finite = np.isfinite(g)
-        for k in range(n_grid):
-            if not (finite[k] and finite[k + 1]):
-                continue
-            if g[k] == 0.0:
-                candidates.append(sharpened(float(c_grid[k])))
-            elif g[k] * g[k + 1] < 0.0:
-                candidates.append(sharpened(einstein._bisect(
-                    f, float(c_grid[k]), float(c_grid[k + 1]),
-                    einstein.BISECT_TOL)))
-        if finite[n_grid] and g[n_grid] == 0.0:
-            candidates.append(sharpened(float(c_grid[n_grid])))
-        absg = np.abs(g)
-        for k in range(1, n_grid):
-            if not (finite[k - 1] and finite[k] and finite[k + 1]):
-                continue
-            if absg[k] < einstein.TANGENT_PROBE and absg[k] <= absg[k - 1] \
-                    and absg[k] <= absg[k + 1]:
-                candidates.append(einstein._refine_tangent(f, float(c_grid[k])))
-        for l, b in zip(sys.l, sys.b):
-            if l < 0 and b != 0:
-                boundary = math.sqrt(float(-l)) / (2.0 * abs(float(b)))
-                candidates.extend([boundary, -boundary])
-        for c in candidates:
-            c = c + 0.0
-            vec = einstein._branch_vector(sys, signs, c)
-            if vec is None or min(abs(v) for v in vec) < 1e-9:
-                continue
-            if system_residual(sys, vec, c) < einstein.SOLUTION_TOL:
-                found.append((vec, c))
+    for signs, c in branch_candidates:
+        c = c + 0.0
+        vec = einstein._branch_vector(sys, signs, c)
+        if min(abs(v) for v in vec) < 1e-9:
+            continue
+        if system_residual(sys, vec, c) < einstein.SOLUTION_TOL:
+            found.append((vec, c))
     found.sort(key=lambda t: (t[1], t[0]))
     out = []
     for vec, c in found:
@@ -388,6 +369,120 @@ def scalar_loop_solve(sys, c_window, grid_step):
             out.append(einstein.EinsteinSolution(
                 vec, c, system_residual(sys, vec, c)))
     return out
+
+
+def scalar_loop_solve(sys, c_window, grid_step):
+    """Oracle for the grid scan of :func:`solve`: the same candidates found
+    by plain per-grid-point loops, through the same per-candidate tail."""
+    n_grid = int(round(2.0 * c_window / grid_step))
+    c_grid = -c_window + grid_step * np.arange(n_grid + 1)
+    candidates = []
+    for signs in branch_signs(sys):
+        g = einstein._trace_residual(sys, signs, c_grid)
+        f = lambda c: float(einstein._trace_residual(sys, signs, c))  # noqa: E731
+
+        def sharpened(c0):
+            refined = einstein._refine_tangent(f, c0)
+            return signs, (refined if abs(refined - c0) <= 1e-7 else c0)
+
+        for k in range(n_grid):
+            if g[k] == 0.0:
+                candidates.append(sharpened(float(c_grid[k])))
+            elif g[k] * g[k + 1] < 0.0:
+                candidates.append(sharpened(einstein._bisect(
+                    f, float(c_grid[k]), float(c_grid[k + 1]),
+                    einstein.BISECT_TOL)))
+        if g[n_grid] == 0.0:
+            candidates.append(sharpened(float(c_grid[n_grid])))
+        absg = np.abs(g)
+        for k in range(1, n_grid):
+            if absg[k] < einstein.TANGENT_PROBE and absg[k] <= absg[k - 1] \
+                    and absg[k] <= absg[k + 1]:
+                candidates.append(
+                    (signs, einstein._refine_tangent(f, float(c_grid[k]))))
+    return solutions_from_candidates(sys, candidates)
+
+
+def full_grid_solve(sys, c_window=einstein.C_WINDOW,
+                    grid_step=einstein.GRID_STEP):
+    """Oracle for the pruned scan of :func:`solve`: the vectorized scan of
+    every grid point on every branch, through the same per-candidate
+    tail."""
+    n_grid = int(round(2.0 * c_window / grid_step))
+    c_grid = -c_window + grid_step * np.arange(n_grid + 1)
+    candidates = []
+    for signs in branch_signs(sys):
+        g = einstein._trace_residual(sys, signs, c_grid)
+        f = lambda c: float(einstein._trace_residual(sys, signs, c))  # noqa: E731
+
+        def sharpened(c0):
+            refined = einstein._refine_tangent(f, c0)
+            return signs, (refined if abs(refined - c0) <= 1e-7 else c0)
+
+        crossing = (g[:-1] == 0.0) | (g[:-1] * g[1:] < 0.0)
+        for k in np.flatnonzero(crossing):
+            if g[k] == 0.0:
+                candidates.append(sharpened(float(c_grid[k])))
+            else:
+                candidates.append(sharpened(einstein._bisect(
+                    f, float(c_grid[k]), float(c_grid[k + 1]),
+                    einstein.BISECT_TOL)))
+        if g[n_grid] == 0.0:
+            candidates.append(sharpened(float(c_grid[n_grid])))
+        absg = np.abs(g)
+        mid = absg[1:-1]
+        minima = ((mid < einstein.TANGENT_PROBE) & (mid <= absg[:-2])
+                  & (mid <= absg[2:]))
+        for k in np.flatnonzero(minima) + 1:
+            candidates.append(
+                (signs, einstein._refine_tangent(f, float(c_grid[k]))))
+    return solutions_from_candidates(sys, candidates)
+
+
+def with_candidates(solver, *args):
+    """The solver's solutions and the sorted start points of every
+    bisection and tangent polish it ran."""
+    seen = []
+    bisect, refine = einstein._bisect, einstein._refine_tangent
+    einstein._bisect = lambda f, a, b, tol: (
+        seen.append(("bisect", a, b)) or bisect(f, a, b, tol))
+    einstein._refine_tangent = lambda f, c0: (
+        seen.append(("refine", c0)) or refine(f, c0))
+    try:
+        return solver(*args), sorted(seen)
+    finally:
+        einstein._bisect, einstein._refine_tangent = bisect, refine
+
+
+def bits(sols):
+    """Every float of the solutions, residuals included, as exact bits."""
+    return [tuple(v.hex() for v in s.x + (s.c, s.residual)) for s in sols]
+
+
+# D(2,1;2.5) is in catalog(3) too
+ORACLE_SPECS = list(dict.fromkeys(
+    catalog(3) + [family_spec("D21a", alpha=a) for a in (0.5, 2.5, -0.3)]))
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+nonzero_fractions = small_fractions.filter(lambda v: v != 0)
+
+
+@st.composite
+def random_systems(draw):
+    """A system with s simple ideals, positive l, nonzero b and gamma, any
+    trace_rhs, and an abelian block half the time."""
+    s = draw(st.integers(1, 3))
+    has_k0 = draw(st.booleans())
+    ideal = lambda values: tuple(draw(values) for _ in range(s))  # noqa: E731
+    return FamilyData(
+        dim_k0=int(has_k0), dim_k=(1,) * s, dim_odd=2,
+        l=ideal(st.fractions(min_value=F(1, 8), max_value=6,
+                             max_denominator=8)),
+        b=ideal(nonzero_fractions), gamma=ideal(nonzero_fractions),
+        gamma0=draw(nonzero_fractions) if has_k0 else None,
+        killing_nondegenerate=True, form_kind="killing",
+        trace_rhs=draw(small_fractions))
 
 
 class TestSolverInternals:
@@ -418,6 +513,86 @@ class TestSolverInternals:
             sys = family_data(spec)
             assert solve(sys, c_window=c_window, grid_step=grid_step) == \
                 scalar_loop_solve(sys, c_window, grid_step), spec.name
+
+    @pytest.mark.parametrize("c_window", [einstein.C_WINDOW, 25.0])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.name)
+    def test_pruned_scan_matches_full_grid(self, spec, c_window):
+        sys = family_data(spec)
+        got, got_starts = with_candidates(solve, sys, c_window)
+        want, want_starts = with_candidates(full_grid_solve, sys, c_window)
+        assert got == want and bits(got) == bits(want)
+        assert got_starts == want_starts
+
+    def test_near_miss_minimum_is_polished(self):
+        # gamma0 = -1/2 cancels the linear part, so on the (+, +) branch
+        # g(c) = 2 sqrt(1 + 4 c^2 / 10^4) - trace_rhs, whose minimum
+        # g(0) = 0.008 lies under TANGENT_PROBE: a candidate though no
+        # solution. The terms are so flat that the enclosures of the coarse
+        # cells around c = 0 stay above 0.0078, near TANGENT_PROBE.
+        sys = FamilyData(dim_k0=1, dim_k=(1, 1), dim_odd=2, l=(F(1), F(1)),
+                         b=(F(1, 100), F(-1, 100)), gamma=(F(1), F(1)),
+                         gamma0=F(-1, 2), killing_nondegenerate=True,
+                         form_kind="killing", trace_rhs=2 - F(1, 125))
+        got, got_starts = with_candidates(solve, sys)
+        want, want_starts = with_candidates(full_grid_solve, sys)
+        assert got == want == []
+        assert got_starts == want_starts
+        assert ("refine", 0.0) in want_starts
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(random_systems())
+    def test_pruned_scan_matches_full_grid_on_random_systems(self, sys):
+        # 4,000 grid steps: the window spans 63 coarse cells
+        got, got_starts = with_candidates(solve, sys, 2.0, 1e-3)
+        want, want_starts = with_candidates(full_grid_solve, sys, 2.0, 1e-3)
+        assert got == want and bits(got) == bits(want)
+        assert got_starts == want_starts
+
+    @pytest.mark.parametrize("fam,m,n", [("D", 3, 3), ("B", 3, 2)])
+    def test_scan_evaluates_under_five_percent_of_the_grid(
+            self, monkeypatch, fam, m, n):
+        # The full scan evaluates the trace residual of each of the 2^s
+        # branches at all n_grid + 1 points. Each evaluation at c computes
+        # every ideal's terms there, so the points evaluated are the sizes
+        # passed to _ideal_term over s.
+        sys = sys_for(fam, m, n)
+        sizes = []
+        term = einstein._ideal_term
+        monkeypatch.setattr(einstein, "_ideal_term", lambda data, i, c: (
+            sizes.append(np.size(c)) or term(data, i, c)))
+        solve(sys)
+        n_grid = int(round(2.0 * einstein.C_WINDOW / einstein.GRID_STEP))
+        assert sum(sizes) / sys.s < 0.05 * 2 ** sys.s * (n_grid + 1)
+
+    def test_peak_memory_under_two_grid_arrays(self):
+        # one float array over the default grid takes 1.6 MB, and a scan of
+        # the whole grid peaks at 15 MB here; D(3,3) keeps the most points
+        tracemalloc.start()
+        try:
+            solve(sys_for("D", 3, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_grid = int(round(2.0 * einstein.C_WINDOW / einstein.GRID_STEP))
+        assert peak < 2 * 8 * (n_grid + 1)
+
+    def test_oversized_window_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="coarse nodes"):
+                solve(sys_for("A", 1, 0), c_window=1e8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_oversized_kept_region_refused(self, monkeypatch):
+        # D(3,3)'s (+, +) branch keeps |c| < 1.24, about 24,800 points,
+        # where its trace residual stays under 2 TANGENT_PROBE
+        monkeypatch.setattr(einstein, "MAX_JOIN_PAIRS", 10_000)
+        with pytest.raises(ValueError, match="fine-pass points"):
+            solve(sys_for("D", 3, 3))
 
     def test_exact_zero_on_grid_is_not_bisected(self, monkeypatch):
         # A(1,0): the trace residual of the one branch is exactly 0.0 at the

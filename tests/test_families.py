@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -162,6 +163,16 @@ class TestFamilyData:
             data = family_data(spec)
             total = sum(data.gamma, Fraction(0)) + (data.gamma0 or Fraction(0))
             assert total == (Fraction(1, 2) if data.killing_nondegenerate else 0), spec.name
+
+    def test_every_catalog_index_is_positive(self):
+        for spec in catalog(6):
+            assert all(l > 0 for l in family_data(spec).l), spec.name
+
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 2)])
+    def test_nonpositive_index_refused(self, bad):
+        data = family_data(family_spec("B", 1, 1))
+        with pytest.raises(ValueError, match="positive"):
+            dataclasses.replace(data, l=(data.l[0], bad))
 
 
 class TestCatalog:
