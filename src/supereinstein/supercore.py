@@ -29,10 +29,10 @@ DUAL_TOL = 1e-12
 # Row-max-scaled determinant threshold for non-degeneracy.
 NONDEG_TOL = 1e-10
 # Largest number of entry pairs one join may expand to. The Jacobi kernel,
-# whose larger join is the largest, peaks at about 330 traced bytes per pair
-# of it (A(18,0): 1.0M pairs, 326 MB; A(20,0): 1.46M pairs, 477 MB), so the
-# bound holds one kernel near 1 GB. The count grows about as dim**2:
-# catalog(6) joins at most 0.70M pairs (B(6,6)), A(40,0) 19.2M.
+# whose two equal joins are the largest, peaks at about 80 traced bytes per
+# pair of one join (A(18,0): 0.50M pairs, 39 MiB; A(20,0): 0.73M pairs,
+# 57 MiB), so the bound holds it near 250 MB. The count grows about as
+# dim**2: catalog(6) joins at most 0.35M pairs (B(6,6)), A(40,0) 9.6M.
 MAX_JOIN_PAIRS = 3_000_000
 
 
@@ -347,16 +347,19 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     )
 
 
-def _join(a_key: np.ndarray, b_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _join(a_key: np.ndarray, b_key: np.ndarray,
+          stage: str = "") -> tuple[np.ndarray, np.ndarray]:
     """Every position pair (p, q) with a_key[p] == b_key[q]. Refuses, before
-    allocating them, more than ``MAX_JOIN_PAIRS`` pairs."""
+    allocating them, more than ``MAX_JOIN_PAIRS`` pairs, naming ``stage``
+    in the message when one is given."""
     order = np.argsort(b_key, kind="stable")
     sorted_b = b_key[order]
     lo = np.searchsorted(sorted_b, a_key, "left")
     counts = np.searchsorted(sorted_b, a_key, "right") - lo
     total = int(counts.sum())
     if total > MAX_JOIN_PAIRS:
-        raise ValueError(f"a join of {total:,} entry pairs is over the "
+        where = f" in the {stage}" if stage else ""
+        raise ValueError(f"a join of {total:,} entry pairs{where} is over the "
                          f"{MAX_JOIN_PAIRS:,}-pair memory limit")
     p = np.repeat(np.arange(len(a_key)), counts)
     run = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -386,11 +389,28 @@ def check_super_jacobi(alg: LieSuperAlgebra) -> JacobiReport:
     """Exact residual of the graded Jacobi identity over all basis triples.
 
     Per (i, j, k, l) it sums the coefficient of e_l in
-    [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - (-1)**(p_i p_j) [e_j, [e_i, e_k]]
+    J(i, j, k) = [e_i, [e_j, e_k]] - [[e_i, e_j], e_k]
+                 - (-1)**(p_i p_j) [e_j, [e_i, e_k]]
     as int64 numerators over ``denom**2``, joining the sparse entries on the
     contracted index. Reports the largest |sum| as a float and the first
     (i, j, k) reaching it; (0.0, (0, 0, 0)) when the identity holds exactly.
     Refuses an algebra whose sums could overflow int64.
+
+    Only the sorted triples i <= j <= k are summed. Under the graded
+    antisymmetry and parity consistency that the constructor enforces, J is
+    graded alternating (Scheunert, LNM 716, 1979): swapping two arguments of
+    parities p and p' multiplies it by -(-1)**(p p'). So all permutations of
+    a triple have the same |sum| per l, and the first key (i, j, k, l)
+    reaching the maximum is a sorted triple: its sorted permutation reaches
+    the same maximum and is never lexicographically larger. The residual and
+    worst triple over sorted triples are therefore those over all triples.
+
+    The inner entry c[x, y, m] of each term has x <= y on a sorted triple:
+    (x, y) is (j, k) in the first term, (i, j) in the second and (i, k) in
+    the third. Only those entries join, which halves both joins; a joined
+    pair is kept where the outer index completes a sorted triple (i <= j,
+    j <= k and i <= j <= k respectively). So every term of a sorted triple
+    is summed and no term of any other triple.
     """
     n = alg.dim
     idx, num = alg.index, alg.numer
@@ -398,19 +418,8 @@ def check_super_jacobi(alg: LieSuperAlgebra) -> JacobiReport:
     if 3 * n * big * big >= 2**63 or n**4 >= 2**63:
         raise ValueError(f"Jacobi sums of a dim-{n} algebra with numerators "
                          f"up to {big} could overflow int64")
-    p = alg.basis.parity_array()
-    # c[., ., m] c[., m, l]: [e_i, [e_j, e_k]] and [e_j, [e_i, e_k]]
-    a, b = _join(idx[:, 2], idx[:, 1])
-    inner = num[a] * num[b]
-    sign = 1 - 2 * (p[idx[a, 0]] & p[idx[b, 0]])
-    # c[i, j, m] c[m, k, l]: [[e_i, e_j], e_k]
-    a2, b2 = _join(idx[:, 2], idx[:, 0])
-    i = np.concatenate([idx[b, 0], idx[a, 0], idx[a2, 0]])
-    j = np.concatenate([idx[a, 0], idx[b, 0], idx[a2, 1]])
-    k = np.concatenate([idx[a, 1], idx[a, 1], idx[b2, 1]])
-    l = np.concatenate([idx[b, 2], idx[b, 2], idx[b2, 2]])
-    vals = np.concatenate([inner, -sign * inner, -num[a2] * num[b2]])
-    keys, acc = _group_sum(((i * n + j) * n + k) * n + l, vals)
+    terms = _sorted_jacobi_terms(alg, 1) + _sorted_jacobi_terms(alg, 0)
+    keys, acc = _group_sum(*map(np.concatenate, zip(*terms)))
     if not acc.size:
         return JacobiReport(0.0, (0, 0, 0))
     acc = np.abs(acc)
@@ -418,6 +427,31 @@ def check_super_jacobi(alg: LieSuperAlgebra) -> JacobiReport:
     ijk = int(keys[first]) // n
     return JacobiReport(int(acc[first]) / alg.denom**2,
                         (ijk // (n * n), ijk // n % n, ijk % n))
+
+
+def _sorted_jacobi_terms(alg: LieSuperAlgebra,
+                         axis: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(keys ``((i * n + j) * n + k) * n + l``, values) of the Jacobi terms
+    on sorted triples i <= j <= k that join the entries c[x, y, m] with
+    x <= y with c[z, m, l] (``axis`` 1) or with c[m, z, l] (``axis`` 0),
+    one pair of arrays per term."""
+    n, idx, num = alg.dim, alg.index, alg.numer
+    inner = np.flatnonzero(idx[:, 0] <= idx[:, 1])
+    a, b = _join(idx[inner, 2], idx[:, axis], stage="Jacobi check")
+    a = inner[a]
+    x, y, z, l = idx[a, 0], idx[a, 1], idx[b, 1 - axis], idx[b, 2]
+    prod = num[a] * num[b]
+
+    def kept(i, j, k, vals, keep):
+        return ((i[keep] * n + j[keep]) * n + k[keep]) * n + l[keep], vals[keep]
+
+    if axis == 0:  # -[[e_i, e_j], e_k] at (i, j, k) = (x, y, z)
+        return [kept(x, y, z, -prod, y <= z)]
+    # [e_i, [e_j, e_k]] at (i, j, k) = (z, x, y), and
+    # -(-1)**(p_i p_j) [e_j, [e_i, e_k]] at (i, j, k) = (x, z, y)
+    p = alg.basis.parity_array()
+    return [kept(z, x, y, prod, z <= x),
+            kept(x, z, y, (2 * (p[x] & p[z]) - 1) * prod, (x <= z) & (z <= y))]
 
 
 def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from supereinstein import cli, einstein, families, invariants
+from supereinstein import cli, einstein, families, invariants, supercore
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,17 @@ class TestInputContract:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_join_refusal_names_the_jacobi_check(self, capsys, monkeypatch):
+        # realizing sl(2|1) = A(1,0) joins at most 56 pairs, and each join of
+        # its Jacobi check more than 100
+        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 100)
+        code, out, err = run(capsys, "build", "--family", "A", "--m", "1",
+                             "--n", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a join of ") and err.count("\n") == 1
+        assert "pairs in the Jacobi check is over the 100-pair memory limit" \
+            in err
+
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--family", "B", "--m", "1", "--n", "1", "--form", "killing"),
@@ -176,6 +187,14 @@ class TestOutputs:
         assert doc["family"] == "A(2,0)"
         assert all(type(v) is int
                    for v in doc["verification"]["jacobi_worst_triple"])
+
+    def test_build_where_full_jacobi_sums_were_refused(self, capsys):
+        # A(25,0), dim 728: summing every triple would join 3.31M entry
+        # pairs, over MAX_JOIN_PAIRS; the sorted triples join 1.65M
+        code, out, _ = run(capsys, "build", "--family", "A", "--m", "25",
+                           "--n", "0")
+        assert code == 0
+        assert json.loads(out)["verification"]["pass"] is True
 
     def test_indices_csv(self, capsys):
         argv = ("indices", "--family", "B", "--m", "1", "--n", "1")
