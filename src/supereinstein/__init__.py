@@ -18,7 +18,6 @@ from .curvature import (
 from .einstein import (
     EinsteinSolution,
     elimination_polynomial,
-    known_solutions,
     lift_real_form,
     solve,
     verify_solution,
@@ -63,8 +62,8 @@ __all__ = [
     "b_ratio", "bracket", "build_osp", "build_psl", "build_sl_super",
     "casimir_on_odd", "catalog", "check_form", "check_super_jacobi",
     "dual_basis", "elimination_polynomial", "family_data", "family_spec",
-    "killing_form", "known_solutions", "levi_civita_blockwise",
-    "levi_civita_koszul", "lift_real_form", "metric_from_params", "realize",
+    "killing_form", "levi_civita_blockwise", "levi_civita_koszul",
+    "lift_real_form", "metric_from_params", "realize",
     "representation_index", "ricci_closed_form", "ricci_direct", "solve",
     "verify_solution",
 ]

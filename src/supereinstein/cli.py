@@ -12,7 +12,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,10 +34,6 @@ DEFAULT_SEED = 12345
 DEFAULT_TOL = einstein.SOLUTION_TOL
 STRUCT_TOL = 1e-12
 BIINV_TOL = 1e-10
-
-
-def _frac(v) -> str:
-    return str(v) if isinstance(v, Fraction) else repr(v)
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -199,32 +194,38 @@ def _rows_to_markdown(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solutions_within(spec: FamilySpec, data, cmax: float,
-                      tol: float) -> tuple[list, int]:
-    """Solutions of the spec's Einstein system, from its catalog ``data``,
-    with |c| <= cmax, verified when the family is realizable, and the number
-    of solutions left out. The scan covers at least the default window, so
-    --cmax filters what it omits instead of hiding it outside the scan."""
+def _solutions_within(real, data, cmax: float, tol: float) -> tuple[list, int]:
+    """Solutions of the system of ``data`` with |c| <= cmax, verified
+    against ``real`` unless it is None, and how many were left out. The
+    scan covers at least the default window, so --cmax filters what it
+    omits instead of hiding it outside the scan."""
     found = einstein.solve(data, c_window=max(cmax, einstein.C_WINDOW),
                            residual_tol=tol)
     sols = [s for s in found if abs(s.c) <= cmax]
-    if spec.realizable:
-        real = realize(spec)
+    if real is not None:
         sols = [einstein.verify_solution(real, s) for s in sols]
     return sols, len(found) - len(sols)
 
 
-def _note_omitted(count: int, cmax: float, where: str = "") -> None:
-    if count:
-        print(f"note: {where}{count} solution(s) with |c| > {cmax:g} "
-              f"omitted by --cmax", file=sys.stderr)
+def _notes(family: str, sols, omitted: int, cmax: float,
+           where: str) -> list[str]:
+    """The stderr notes on one family's solutions: how many |c| > cmax left
+    out (after the prefix ``where``), then each solution that failed Ricci
+    verification, with its worst offender."""
+    notes = [f"note: {where}{omitted} solution(s) with |c| > {cmax:g} "
+             f"omitted by --cmax"] if omitted else []
+    return notes + [f"note: {family}: solution c={s.c:.10g} failed Ricci "
+                    f"verification: {s.detail}"
+                    for s in sols if s.ricci_verified == "failed"]
 
 
 def _run_solve(args, require_verified: bool) -> int:
     spec = _spec_from_args(args)
     data = family_data(spec)
-    sols, omitted = _solutions_within(spec, data, args.cmax, args.tol)
-    _note_omitted(omitted, args.cmax)
+    real = realize(spec) if spec.realizable else None
+    sols, omitted = _solutions_within(real, data, args.cmax, args.tol)
+    for note in _notes(spec.name, sols, omitted, args.cmax, ""):
+        print(note, file=sys.stderr)
     doc = einstein.solutions_to_json(spec, sols)
     rows = _solution_rows(doc["family"], doc["params"], doc["form"],
                           data.has_k0, doc["solutions"])
@@ -235,7 +236,7 @@ def _run_solve(args, require_verified: bool) -> int:
     else:
         _emit(_rows_to_markdown(rows), args.out)
     ok = all(s.residual < args.tol for s in sols)
-    if spec.realizable:
+    if real is not None:
         ok &= all(s.ricci_verified == "verified" for s in sols)
     elif require_verified:
         print(f"{spec.name}: no matrix realization; Ricci verification "
@@ -261,10 +262,10 @@ def _data_json(data) -> dict:
         "dim_k0": data.dim_k0,
         "dim_k": list(data.dim_k),
         "dim_odd": data.dim_odd,
-        "l": [_frac(v) for v in data.l],
-        "b": [_frac(v) for v in data.b],
-        "gamma": [_frac(v) for v in data.gamma],
-        "gamma0": _frac(data.gamma0) if data.gamma0 is not None else None,
+        "l": [str(v) for v in data.l],
+        "b": [str(v) for v in data.b],
+        "gamma": [str(v) for v in data.gamma],
+        "gamma0": str(data.gamma0) if data.gamma0 is not None else None,
         "killing_nondegenerate": data.killing_nondegenerate,
         "form_kind": data.form_kind,
     }
@@ -304,11 +305,11 @@ def _quartic_section(spec: FamilySpec, sols) -> dict | None:
     bijection = len(roots) == len(x1s) and all(
         abs(a - b) < 1e-8 for a, b in zip(roots, x1s))
     return {
-        "quartic": [_frac(v) for v in quartic],
-        "cubic_factor": [_frac(v) for v in cubic],
-        "reference_cubic": [_frac(v) for v in ref] if ref else None,
+        "quartic": [str(v) for v in quartic],
+        "cubic_factor": [str(v) for v in cubic],
+        "reference_cubic": [str(v) for v in ref] if ref else None,
         "reference_match": bool(ref is not None and tuple(cubic) == ref),
-        "cubic_coefficient_sum": _frac(sum(cubic)),
+        "cubic_coefficient_sum": str(sum(cubic)),
         "unit_root": True,  # cubic_factor would have raised otherwise
         "root_solution_bijection": bool(bijection),
     }
@@ -325,11 +326,12 @@ def _fold_section(spec: FamilySpec, sols) -> dict | None:
 
 
 def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
-                   tol: float) -> tuple[dict, int]:
-    """One family's report block, and the number of its solutions with
-    |c| > c_window left out; pure given (spec, seed, index, config)."""
+                   tol: float) -> tuple[dict, list[str]]:
+    """One family's report block, and its stderr notes (see :func:`_notes`);
+    pure given (spec, seed, index, config)."""
     data = family_data(spec)
-    sols, omitted = _solutions_within(spec, data, c_window, tol)
+    real = realize(spec) if spec.realizable else None
+    sols, omitted = _solutions_within(real, data, c_window, tol)
     section: dict = {
         "family": spec.name,
         "kind": spec.kind,
@@ -338,8 +340,7 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
         "data": _data_json(data),
     }
     ok = all(s.residual < tol for s in sols)
-    if spec.realizable:
-        real = realize(spec)
+    if real is not None:
         jac = check_super_jacobi(real.algebra)
         form_report = real.canonical_form.report
         k_max = float(np.max(np.abs(real.killing.gram)))
@@ -379,18 +380,20 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
         section["folding"] = fold
         ok &= fold["all_fold"]
     section["pass"] = bool(ok)
-    return section, omitted
+    return section, _notes(spec.name, sols, omitted, c_window,
+                           f"{spec.name}: ")
 
 
-def _section_worker(payload: tuple) -> tuple[dict, int]:
+def _section_worker(payload: tuple) -> tuple[dict, list[str]]:
     spec, seed, index, c_window, tol = payload
     return report_section(spec, seed, index, c_window, tol)
 
 
 def build_report(max_m: int, max_n: int, seed: int, c_window: float,
                  tol: float, jobs: int = 1) -> dict:
-    """The report document. Notes on stderr, in catalog order, what
-    ``c_window`` left out of each family."""
+    """The report document. Prints each family's notes on stderr, in
+    catalog order: what ``c_window`` left out and which solutions failed
+    Ricci verification."""
     specs = catalog(max_m, max_n)
     payloads = [(spec, seed, i, c_window, tol) for i, spec in enumerate(specs)]
     if jobs > 1:
@@ -400,8 +403,9 @@ def build_report(max_m: int, max_n: int, seed: int, c_window: float,
     else:
         results = [_section_worker(p) for p in payloads]
     sections = [sec for sec, _ in results]
-    for sec, omitted in results:
-        _note_omitted(omitted, c_window, f"{sec['family']}: ")
+    for _, notes in results:
+        for note in notes:
+            print(note, file=sys.stderr)
     single = [s["family"] for s in sections if s["expected_single"]]
     mixed = [s["family"] for s in sections
              if s.get("ricci_flat_and_nonflat") is True]

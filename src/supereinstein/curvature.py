@@ -72,18 +72,13 @@ def _block_param_vector(real, params: MetricParams) -> np.ndarray:
 
 
 def metric_from_params(real, params: MetricParams) -> BilinearFormMatrix:
-    """Scale each even block of the canonical form; the odd block is fixed."""
+    """Scale each even block of the canonical form (odd block fixed); the
+    metric carries no report."""
     _check_params(real, params)
     gram = np.array(real.canonical_form.gram)
     for rng, xi in zip(real.algebra.decomposition, params.x):
         gram[rng.start:rng.stop, rng.start:rng.stop] *= xi
-    return BilinearFormMatrix(
-        gram,
-        even=real.canonical_form.even,
-        supersymmetric=real.canonical_form.supersymmetric,
-        bi_invariant=None,
-        nondegenerate=real.canonical_form.nondegenerate,
-    )
+    return BilinearFormMatrix(gram)
 
 
 def levi_civita_koszul(alg: LieSuperAlgebra,
@@ -165,7 +160,7 @@ def _symmetrized_even_form(alg: LieSuperAlgebra, mat: np.ndarray,
         raise ValueError("Ricci tensor failed the evenness/supersymmetry check")
     out = 0.5 * (mat + s * mat.T)
     out[mask] = 0.0
-    return BilinearFormMatrix(out, even=True, supersymmetric=True)
+    return BilinearFormMatrix(out)
 
 
 def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:

@@ -5,7 +5,6 @@ against the curvature module."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -448,48 +447,6 @@ def _horner(p: list[float], x: float) -> float:
     for c in p:
         acc = acc * x + c
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Catalogued closed-form solutions
-# ---------------------------------------------------------------------------
-
-
-def known_solutions(spec: FamilySpec) -> list[EinsteinSolution]:
-    """Catalogued closed-form (or four-digit approximate) solutions,
-    evaluated at the spec's parameters and stamped as such, returned in the
-    same ascending ``(c, x)`` order as :func:`solve`."""
-    data = family_data(spec)
-    sols: list[tuple[tuple, float]] = []
-    ones = tuple([1.0] * data.n_params)
-    if spec.kind in ("A", "B", "C", "D", "F4", "G3"):
-        sols.append((ones, -0.25))
-    if spec.kind == "C":
-        n = spec.n
-        x0 = (4 * n**3 - 20 * n**2 + 33 * n - 16) / (4 * n**3 - 16 * n**2 + 23 * n - 12)
-        x1 = (2 * n**2 - 3 * n) / (2 * n**2 - 5 * n + 4)
-        sols.append(((x0, x1), -x0 / 4.0))
-    if spec.kind == "G3":
-        sols.append(((1.1760, 0.8767), -0.1312))  # four printed digits
-    if spec.kind == "Ann":
-        sols += [(ones, 0.0), (tuple(-v for v in ones), 0.0)]
-    if spec.kind == "Dn1n":
-        n = spec.n
-        den = math.sqrt(2 * n**2 + 2 * n + 1)
-        x1 = math.sqrt(2.0) * n / den
-        x2 = math.sqrt(2.0) * (n + 1) / den
-        c = -math.sqrt(2.0) * (2 * n + 1) / (8 * n * den)
-        sols += [(ones, 0.0), (tuple(-v for v in ones), 0.0),
-                 ((x1, x2), c), ((-x1, -x2), -c)]
-    if spec.kind == "D21a":
-        r = math.sqrt(2.0 / 5.0)
-        c = -3.0 / 8.0 * r
-        sols += [(ones, 0.0), (tuple(-v for v in ones), 0.0),
-                 ((r, r, 2 * r), c), ((-r, -r, -2 * r), -c)]
-    out = [EinsteinSolution(x, c, system_residual(data, x, c),
-                            provenance="printed_catalog") for x, c in sols]
-    out.sort(key=lambda s: (s.c, s.x))
-    return out
 
 
 # ---------------------------------------------------------------------------

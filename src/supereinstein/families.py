@@ -6,7 +6,8 @@ matrices' entries and reads its coordinates exactly through the inverse of
 the integer Frobenius Gram, checking that they rebuild the bracket, so the
 structure constants are exact rationals, which the algebra stores once.
 The case2/6/7 canonical forms come exactly from the same matrix products and
-are stored as float Gram matrices. No realization is refused for its
+are stored as float Gram matrices with their axiom report; the basis
+matrices themselves are not kept. No realization is refused for its
 dimension: every join of entries, here and downstream, refuses on its own
 a pair count over ``supercore.MAX_JOIN_PAIRS`` before allocating it. The
 exceptional families F(4) and G(3), and the one-parameter deformation family
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -315,7 +316,6 @@ class Realization:
     canonical_form: BilinearFormMatrix
     killing: BilinearFormMatrix
     data: FamilyData
-    matrices: tuple  # dense defining matrices, aligned with the basis
 
     @property
     def name(self) -> str:
@@ -440,18 +440,8 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
         np.add.at(strace, (i * dim + j)[on_diag],
                   np.where(row[a] < even_slot, prod, -prod)[on_diag])
         gram = (form_scale * strace).reshape(dim, dim).astype(float)
-        report = check_form(alg, BilinearFormMatrix(gram))
-        form = BilinearFormMatrix(
-            gram,
-            even=report.is_even,
-            supersymmetric=report.is_supersymmetric,
-            bi_invariant=report.is_bi_invariant,
-            nondegenerate=report.is_nondegenerate,
-            report=report,
-        )
-    dense = np.zeros((dim, size, size))
-    dense[owner[:nb], row[:nb], col[:nb]] = val[:nb]
-    return Realization(spec, alg, form, killing, family_data(spec), tuple(dense))
+        form = BilinearFormMatrix(gram, check_form(alg, BilinearFormMatrix(gram)))
+    return Realization(spec, alg, form, killing, family_data(spec))
 
 
 # -- special linear ----------------------------------------------------------
@@ -614,9 +604,9 @@ def build_osp(l: int, k: int) -> Realization:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def realize(spec: FamilySpec) -> Realization:
-    """Build (and cache) the matrix realization for a realizable spec."""
+    """Build the matrix realization for a realizable spec; nothing caches
+    it, so it lives as long as its caller holds it."""
     if not spec.realizable:
         raise ValueError(f"{spec.name} has no matrix realization here; "
                          "it is handled at the equation layer only")

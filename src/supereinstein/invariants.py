@@ -24,8 +24,6 @@ FIT_TOL = 1e-9
 # Casimir operators on the odd part must be scalar to this residual.
 SCALAR_TOL = 1e-9
 
-IdealHandle = DecompositionRange
-
 
 @dataclass(frozen=True)
 class CasimirResult:
@@ -60,7 +58,7 @@ def _ratio_fit(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     return r, res
 
 
-def _trace_gram(alg: LieSuperAlgebra, ideal: IdealHandle,
+def _trace_gram(alg: LieSuperAlgebra, ideal: DecompositionRange,
                 inner: range) -> np.ndarray:
     """Dense (dim, dim) Gram of the unsigned trace form of the ideal over
     ``inner``: sum_(w, v) c[a, w, v] c[b, v, w] for a, b in the ideal."""
@@ -70,7 +68,7 @@ def _trace_gram(alg: LieSuperAlgebra, ideal: IdealHandle,
     return gram.reshape(ideal.dim, ideal.dim)
 
 
-def representation_index(alg: LieSuperAlgebra, ideal: IdealHandle,
+def representation_index(alg: LieSuperAlgebra, ideal: DecompositionRange,
                          killing_gram: np.ndarray) -> float:
     """Ratio l with tr(rho(X) rho(Y)) = l tr(ad X ad Y) on a simple ideal,
     where rho is the action on the odd part and ``killing_gram`` the
@@ -83,12 +81,13 @@ def representation_index(alg: LieSuperAlgebra, ideal: IdealHandle,
     return l
 
 
-def ideal_killing_gram(alg: LieSuperAlgebra, ideal: IdealHandle) -> np.ndarray:
+def ideal_killing_gram(alg: LieSuperAlgebra,
+                       ideal: DecompositionRange) -> np.ndarray:
     """The ideal's own Killing form (intrinsic, not the restriction)."""
     return _trace_gram(alg, ideal, ideal.indices())
 
 
-def b_ratio(form: BilinearFormMatrix, ideal: IdealHandle,
+def b_ratio(form: BilinearFormMatrix, ideal: DecompositionRange,
             killing_gram: np.ndarray) -> float:
     """Ratio of the form restricted to a simple ideal to the ideal's own
     Killing form ``killing_gram``."""
@@ -102,7 +101,7 @@ def b_ratio(form: BilinearFormMatrix, ideal: IdealHandle,
 
 
 def casimir_on_odd(alg: LieSuperAlgebra, form: BilinearFormMatrix,
-                   ideal: IdealHandle) -> CasimirResult:
+                   ideal: DecompositionRange) -> CasimirResult:
     """sum_j ad(e_j) o ad(e_j*) on the odd part, for a form-dual basis pair.
 
     Two sparse contractions: the entries c[m, w, u] of the ideal's action on
@@ -140,7 +139,7 @@ def casimir_on_odd(alg: LieSuperAlgebra, form: BilinearFormMatrix,
 
 
 def ideal_invariants(alg: LieSuperAlgebra, form: BilinearFormMatrix,
-                     ideal: IdealHandle) -> IdealInvariants:
+                     ideal: DecompositionRange) -> IdealInvariants:
     """All invariants of one ideal, with its Killing Gram computed once."""
     casimir = casimir_on_odd(alg, form, ideal)
     if ideal.kind != "simple":

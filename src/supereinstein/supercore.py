@@ -211,19 +211,13 @@ class LieSuperAlgebra:
 
 @dataclass(frozen=True, eq=False)
 class BilinearFormMatrix:
-    """Gram matrix of a bilinear form, with tri-state verification flags.
-
-    Each flag is True (verified), False (verified to fail) or None
-    (unchecked). Degenerate forms are legal values, never errors. A form
-    whose flags came from :func:`check_form` carries that report.
+    """Gram matrix of a bilinear form and, when it was checked, the
+    :class:`FormReport` of its axioms from :func:`check_form` (None when
+    unchecked). Degenerate forms are legal values, never errors.
     """
 
     gram: np.ndarray
-    even: Optional[bool] = None
-    supersymmetric: Optional[bool] = None
-    bi_invariant: Optional[bool] = None
-    nondegenerate: Optional[bool] = None
-    report: Optional[FormReport] = field(default=None, repr=False, compare=False)
+    report: Optional[FormReport] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.gram.ndim != 2 or self.gram.shape[0] != self.gram.shape[1]:
@@ -253,7 +247,6 @@ class FormReport:
     supersymmetry: float
     bi_invariance: float
     scaled_det: float
-    scale: float
 
     @property
     def is_even(self) -> bool:
@@ -321,7 +314,8 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     """K(e_i, e_j) = str(ad e_i o ad e_j) = sum_(k, m) (-1)**p_k c_jkm c_imk.
 
     The signed :func:`_trace_form` over all indices, exact over ``denom**2``;
-    evenness and supersymmetry are asserted exactly.
+    evenness and supersymmetry are asserted exactly, and the form carries
+    its :func:`check_form` report.
     """
     n = alg.dim
     everything = range(n)
@@ -335,16 +329,7 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     k = np.zeros(n * n)
     k[keys] = acc / float(alg.denom**2)
     k = k.reshape(n, n)
-    form = BilinearFormMatrix(k, even=True, supersymmetric=True)
-    report = check_form(alg, form)
-    return BilinearFormMatrix(
-        k,
-        even=True,
-        supersymmetric=True,
-        bi_invariant=report.is_bi_invariant,
-        nondegenerate=report.is_nondegenerate,
-        report=report,
-    )
+    return BilinearFormMatrix(k, check_form(alg, BilinearFormMatrix(k)))
 
 
 def _join(a_key: np.ndarray, b_key: np.ndarray,
@@ -472,7 +457,7 @@ def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:
     _, diff = _group_sum(*_koszul_terms(alg, g, third=False))
     bi_invariance = float(np.max(np.abs(diff), initial=0.0)) / scale
     scaled_det = _scaled_abs_det(g)
-    return FormReport(evenness, supersymmetry, bi_invariance, scaled_det, scale)
+    return FormReport(evenness, supersymmetry, bi_invariance, scaled_det)
 
 
 def _koszul_terms(alg: LieSuperAlgebra, g: np.ndarray,
@@ -561,12 +546,14 @@ def algebra_to_json(alg: LieSuperAlgebra) -> dict:
 
 
 def form_to_json(form: BilinearFormMatrix) -> dict:
+    """The Gram matrix and the axiom flags of a checked form's report."""
+    report = form.report
     return {
         "gram": [[float(v) for v in row] for row in form.gram],
         "flags": {
-            "even": form.even,
-            "supersymmetric": form.supersymmetric,
-            "bi_invariant": form.bi_invariant,
-            "nondegenerate": form.nondegenerate,
+            "even": report.is_even,
+            "supersymmetric": report.is_supersymmetric,
+            "bi_invariant": report.is_bi_invariant,
+            "nondegenerate": report.is_nondegenerate,
         },
     }

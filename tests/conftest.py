@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,24 @@ def seeded_params(rng, count, low=-3.0, high=3.0, min_abs=0.1):
         if abs(v) >= min_abs:
             out.append(v)
     return tuple(out)
+
+
+def defining_matrices(build, *args):
+    """``build(*args)`` and its basis matrices as a dense float array
+    ``(dim, size, size)``, aligned with the basis. They are filled from the
+    (sparse integer matrix, parity, label) triples the builder hands to
+    ``families._assemble``, so they stay an oracle independent of the
+    structure constants."""
+    with mock.patch.object(families, "_assemble",
+                           wraps=families._assemble) as spy:
+        real = build(*args)
+    _, elems, _, even_slot, odd_slot = spy.call_args.args[:5]
+    size = even_slot + odd_slot
+    mats = np.zeros((len(elems), size, size))
+    for k, (mat, _, _) in enumerate(elems):
+        for (row, col), v in mat.items():
+            mats[k, row, col] = v
+    return real, mats
 
 
 def expand_in_basis(matrices, target):

@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -230,20 +231,25 @@ class TestSystemBuiltOnce:
 
 class TestRealizedInvariants:
     def test_killing_gram_once_per_simple_ideal(self, capsys, monkeypatch):
-        computed = []
-        inner = invariants.ideal_killing_gram
+        computed, realized = [], []
+        inner, build = invariants.ideal_killing_gram, cli.realize
 
         def counting(alg, ideal):
             computed.append((id(alg), ideal))
             return inner(alg, ideal)
 
+        def recording(spec):
+            realized.append(build(spec))  # held, so every id stays unique
+            return realized[-1]
+
         monkeypatch.setattr(invariants, "ideal_killing_gram", counting)
-        families.realize.cache_clear()  # realizations made by other tests
+        monkeypatch.setattr(cli, "realize", recording)
         code, _, _ = run(capsys, "report", "--max-m", "1")
         assert code == 0
-        simple = [(id(families.realize(spec).algebra), ideal)
-                  for spec in families.catalog(1) if spec.realizable
-                  for ideal in families.realize(spec).algebra.simple_ideals()]
+        assert [real.spec for real in realized] == \
+            [spec for spec in families.catalog(1) if spec.realizable]
+        simple = [(id(real.algebra), ideal) for real in realized
+                  for ideal in real.algebra.simple_ideals()]
         assert len(simple) == 6
         assert sorted(computed, key=repr) == sorted(simple, key=repr)
 
@@ -259,21 +265,53 @@ class TestRealizedInvariants:
                 data, **{field: (values[0] + Fraction(1, 1000),) + values[1:]})
 
         monkeypatch.setattr(families, "family_data", off_by_a_thousandth)
-        families.realize.cache_clear()
-        try:
-            argv = ("--family", "B", "--m", "1", "--n", "1")
-            code, out, _ = run(capsys, "build", *argv)
-            assert code == 1
-            assert json.loads(out)["verification"]["realization"]["pass"] is False
-            code, out, _ = run(capsys, "indices", *argv)
-            assert code == 1 and json.loads(out)["pass"] is False
-            section, _ = cli.report_section(families.family_spec("B", 1, 1),
+        argv = ("--family", "B", "--m", "1", "--n", "1")
+        code, out, _ = run(capsys, "build", *argv)
+        assert code == 1
+        assert json.loads(out)["verification"]["realization"]["pass"] is False
+        code, out, _ = run(capsys, "indices", *argv)
+        assert code == 1 and json.loads(out)["pass"] is False
+        section, _ = cli.report_section(families.family_spec("B", 1, 1),
+                                        cli.DEFAULT_SEED, 0,
+                                        einstein.C_WINDOW, cli.DEFAULT_TOL)
+        assert section["structural"]["indices_match_catalog"] is False
+        assert section["pass"] is False
+
+
+B11 = ("--family", "B", "--m", "1", "--n", "1")
+FAILED_NOTE = re.compile(r"note: B\(1,1\): solution c=(\S+) failed Ricci "
+                         r"verification: (direct|closed_form) route deviates "
+                         r"\S+ at (k\d|odd) x (k\d|odd)")
+
+
+class TestFailedSolutionNotes:
+    """Every solution that fails Ricci verification is named on stderr with
+    its worst offender, here with the verification tolerance at 1e-30."""
+
+    @pytest.fixture(autouse=True)
+    def failing_verification(self, monkeypatch):
+        inner = einstein.verify_solution
+        monkeypatch.setattr(einstein, "verify_solution",
+                            lambda real, sol: inner(real, sol, tol=1e-30))
+
+    def test_verify_notes_each_failed_solution(self, capsys):
+        code, out, err = run(capsys, "verify", *B11)
+        assert code == 1
+        failed = [s for s in json.loads(out)["solutions"]
+                  if s["ricci_verified"] == "failed"]
+        assert failed  # an exact solution can still pass at 1e-30
+        notes = [FAILED_NOTE.fullmatch(line) for line in err.splitlines()]
+        assert all(notes)
+        assert [note.group(1) for note in notes] == \
+            [f"{s['c']:.10g}" for s in failed]
+
+    def test_report_section_returns_the_same_notes(self, capsys):
+        _, _, err = run(capsys, "verify", *B11)
+        section, notes = cli.report_section(families.family_spec("B", 1, 1),
                                             cli.DEFAULT_SEED, 0,
                                             einstein.C_WINDOW, cli.DEFAULT_TOL)
-            assert section["structural"]["indices_match_catalog"] is False
-            assert section["pass"] is False
-        finally:
-            families.realize.cache_clear()  # drop the perturbed realization
+        assert section["pass"] is False
+        assert notes and notes == err.splitlines()
 
 
 def test_import_leaves_out_the_process_pool():

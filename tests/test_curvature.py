@@ -96,9 +96,10 @@ class TestMetricFromParams:
 
     def test_flags(self, osp32):
         metric = metric_from_params(osp32, MetricParams((2.0, 0.5)))
-        assert metric.even and metric.supersymmetric
-        assert metric.bi_invariant is None
-        assert not check_form(osp32.algebra, metric).is_bi_invariant
+        assert metric.report is None
+        report = check_form(osp32.algebra, metric)
+        assert report.is_even and report.is_supersymmetric
+        assert not report.is_bi_invariant
 
     def test_zero_param_rejected(self):
         with pytest.raises(ValueError):

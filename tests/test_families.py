@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import hashlib
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ from supereinstein.families import (
     verify_realization,
 )
 
-from conftest import dense_constants
+from conftest import defining_matrices, dense_constants
 
 
 class TestFamilySpec:
@@ -224,6 +226,13 @@ class TestRealizationChecks:
             assert r.canonical_form.report == \
                 supercore.check_form(r.algebra, r.canonical_form)
 
+    def test_realization_freed_with_its_last_reference(self):
+        real = realize(family_spec("B", 1, 1))
+        ref = weakref.ref(real)
+        del real
+        gc.collect()
+        assert ref() is None
+
     def test_casimirs_computed_once(self):
         from supereinstein.invariants import casimir_on_odd
         r = realize(family_spec("C", None, 3))
@@ -252,10 +261,10 @@ class TestExactAssembly:
 
     @pytest.mark.parametrize("spec", REALIZABLE_3, ids=lambda s: s.name)
     def test_constants_rebuild_every_bracket(self, spec):
-        real = realize(spec)
+        real, dense = defining_matrices(realize, spec)
         alg = real.algebra
-        mats = np.stack(real.matrices).astype(np.int64)
-        assert np.array_equal(mats, np.stack(real.matrices))
+        mats = dense.astype(np.int64)
+        assert np.array_equal(mats, dense)
         p = np.array(alg.basis.parity)
         prod = np.einsum("irc,jcd->ijrd", mats, mats)
         sign = (1 - 2 * np.outer(p, p))[:, :, None, None]

@@ -15,23 +15,23 @@ from supereinstein.invariants import (
 )
 from supereinstein.supercore import LieSuperAlgebra, killing_form
 
-from conftest import dense_constants, exact_entries
+from conftest import defining_matrices, dense_constants, exact_entries
 
 
 # Dense oracles of the Casimir and trace identities behind the closed-form
 # Ricci tensor, and of the defining representation's index: independent
 # references for the sparse invariants, built from the dense constants.
 
-def defining_rep_index(real, ideal):
+def defining_rep_index(real, matrices, ideal):
     """Index of the ideal's defining (matrix-slot) representation.
 
-    Uses the realization's own matrices as rho, so a simple ideal sitting in
-    one diagonal slot is probed in its standard representation.
+    Uses the realization's own basis ``matrices`` as rho, so a simple ideal
+    sitting in one diagonal slot is probed in its standard representation.
     """
     if ideal.kind != "simple":
         raise ValueError("the index is undefined for an abelian ideal")
     idx = ideal.indices()
-    mats = [real.matrices[a] for a in idx]
+    mats = [matrices[a] for a in idx]
     rep_tr = np.array([[float(np.trace(x @ y)) for y in mats] for x in mats])
     cid = dense_constants(real.algebra)[np.ix_(idx, idx, idx)]
     ad_tr = np.einsum("bvw,awv->ab", cid, cid, optimize=True)
@@ -106,12 +106,12 @@ class TestDefiningRepIndex:
     def test_standard_probes(self):
         # standard-representation indices probed inside the realizations:
         # so(3) -> 1, sp(2) -> 1/4, sl(3) -> 1/6
-        so3 = build_osp(3, 2)
-        assert defining_rep_index(so3, so3.algebra.simple_ideals()[0]) == pytest.approx(1.0)
-        sp2 = build_osp(1, 2)
-        assert defining_rep_index(sp2, sp2.algebra.simple_ideals()[0]) == pytest.approx(0.25)
-        sl3 = build_sl_super(2, 0)
-        assert defining_rep_index(sl3, sl3.algebra.simple_ideals()[0]) == pytest.approx(1 / 6)
+        for build, args, want in ((build_osp, (3, 2), 1.0),
+                                  (build_osp, (1, 2), 0.25),
+                                  (build_sl_super, (2, 0), 1 / 6)):
+            real, mats = defining_matrices(build, *args)
+            assert defining_rep_index(real, mats, real.algebra.simple_ideals()[0]) \
+                == pytest.approx(want)
 
 
 class TestCasimir:

@@ -21,7 +21,8 @@ from supereinstein.supercore import (
     killing_form,
 )
 
-from conftest import dense_constants, exact_entries, expand_in_basis
+from conftest import defining_matrices, dense_constants, exact_entries, \
+    expand_in_basis
 
 
 def unit(n, i):
@@ -176,15 +177,16 @@ class TestBracket:
         for i in range(alg.dim_even):
             assert np.allclose(bracket(alg, unit(alg.dim, i), unit(alg.dim, i)), 0.0)
 
-    def test_sl21_cartan_raising(self, sl21):
+    def test_sl21_cartan_raising(self):
         # [h, e] = 2e for h = diag(1,-1,0), e = E_12, against the direct
         # matrix commutator expanded in the defining matrices
+        sl21, mats = defining_matrices(families.build_sl_super, 1, 0)
         alg = sl21.algebra
         lbl = alg.basis.labels
         i_h, i_e = lbl.index("k1:H0"), lbl.index("k1:E(0,1)")
         got = bracket(alg, unit(alg.dim, i_h), unit(alg.dim, i_e))
-        h, e = sl21.matrices[i_h], sl21.matrices[i_e]
-        coeffs = expand_in_basis(sl21.matrices, h @ e - e @ h)
+        h, e = mats[i_h], mats[i_e]
+        coeffs = expand_in_basis(mats, h @ e - e @ h)
         assert np.max(np.abs(got - coeffs)) < 1e-12
         assert got[i_e] == pytest.approx(2.0)
 
@@ -208,14 +210,15 @@ class TestSupertrace:
         basis = SuperBasis((0, 0, 1))
         assert supertrace(np.eye(3), basis) == pytest.approx(1.0)
 
-    def test_ad_h_squared_matches_killing(self, sl21):
+    def test_ad_h_squared_matches_killing(self):
+        sl21, mats = defining_matrices(families.build_sl_super, 1, 0)
         alg = sl21.algebra
         i_h = alg.basis.labels.index("k1:H0")
         ad_h = ad_matrix(alg, unit(alg.dim, i_h))
         val = supertrace(ad_h @ ad_h, alg.basis)
         assert val == pytest.approx(4.0)
         # cross-check against 2(m-n) str(XY) on the defining matrices
-        h = sl21.matrices[i_h]
+        h = mats[i_h]
         sgn = np.array([1.0, 1.0, -1.0])
         assert val == pytest.approx(2 * (1 - 0) * float(np.sum(sgn * np.diag(h @ h))))
 
@@ -224,13 +227,14 @@ class TestKillingForm:
     def test_psl22_killing_vanishes(self, psl22):
         k = killing_form(psl22.algebra)
         assert np.max(np.abs(k.gram)) < 1e-12
-        assert k.nondegenerate is False
+        assert k.report.is_nondegenerate is False
 
     def test_sl21_value(self, sl21):
         k = killing_form(sl21.algebra)
         i_h = sl21.algebra.basis.labels.index("k1:H0")
         assert k.gram[i_h, i_h] == pytest.approx(4.0)
-        assert k.even and k.supersymmetric and k.bi_invariant and k.nondegenerate
+        assert k.report.is_even and k.report.is_supersymmetric
+        assert k.report.is_bi_invariant and k.report.is_nondegenerate
 
     def test_restriction_ratio_b11(self, osp32):
         # K restricted to each ideal is (1 - l_i) times the ideal's Killing form
