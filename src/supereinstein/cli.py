@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -27,13 +28,12 @@ from .curvature import (
 )
 from .families import FamilySpec, catalog, family_data, family_spec, realize, \
     verify_realization
-from .supercore import _group_sum, algebra_to_json, check_super_jacobi, \
-    form_to_json
+from .supercore import VERIFY_TOL, _group_sum, algebra_to_json, \
+    check_super_jacobi, form_to_json
 
 DEFAULT_SEED = 12345
 DEFAULT_TOL = einstein.SOLUTION_TOL
 STRUCT_TOL = 1e-12
-BIINV_TOL = 1e-10
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -66,36 +66,41 @@ def cmd_build(args) -> int:
               f"use 'solve' or 'report' for this family", file=sys.stderr)
         return 2
     real = realize(spec)
-    alg = real.algebra
-    jac = check_super_jacobi(alg)
-    form_report = real.canonical_form.report
-    k_max = float(np.max(np.abs(real.killing.gram)))
-    realization, _ = verify_realization(real)
-    ok = (jac.residual < STRUCT_TOL and form_report.is_even
-          and form_report.is_supersymmetric
-          and form_report.bi_invariance < BIINV_TOL
-          and realization["pass"])
+    verification = _structural(real)
     doc = {
         "family": spec.name,
-        "algebra": algebra_to_json(alg),
+        "algebra": algebra_to_json(real.algebra),
         "canonical_form": form_to_json(real.canonical_form),
-        "verification": {
-            "jacobi_residual": jac.residual,
-            "jacobi_worst_triple": list(jac.worst_triple),
-            "form_residuals": {
-                "evenness": form_report.evenness,
-                "supersymmetry": form_report.supersymmetry,
-                "bi_invariance": form_report.bi_invariance,
-                "scaled_det": form_report.scaled_det,
-            },
-            "killing_max_entry": k_max,
-            "killing_identically_zero": bool(k_max < BIINV_TOL),
-            "realization": realization,
-            "pass": bool(ok),
-        },
+        "verification": verification,
     }
     _emit(_json_dumps(doc), args.out)
-    return 0 if ok else 1
+    return 0 if verification["pass"] else 1
+
+
+def _structural(real) -> dict:
+    """The structural checks of one realization, as ``build`` prints them;
+    ``pass`` when the Jacobi identity, the canonical form's evenness,
+    supersymmetry and bi-invariance, and :func:`verify_realization` hold."""
+    jac = check_super_jacobi(real.algebra)
+    form = real.canonical_form.report
+    k_max = float(np.max(np.abs(real.killing.gram)))
+    realization, _ = verify_realization(real)
+    return {
+        "jacobi_residual": jac.residual,
+        "jacobi_worst_triple": list(jac.worst_triple),
+        "form_residuals": {
+            "evenness": form.evenness,
+            "supersymmetry": form.supersymmetry,
+            "bi_invariance": form.bi_invariance,
+            "scaled_det": form.scaled_det,
+        },
+        "killing_max_entry": k_max,
+        "killing_identically_zero": bool(k_max < VERIFY_TOL),
+        "realization": realization,
+        "pass": bool(jac.residual < STRUCT_TOL and form.is_even
+                     and form.is_supersymmetric and form.is_bi_invariant
+                     and realization["pass"]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +126,10 @@ def cmd_indices(args) -> int:
     elif args.format == "csv":
         _emit(_rows_to_csv(rows, INDEX_COLUMNS), args.out)
     else:
-        lines = [f"# {spec.name} invariants", "",
-                 "| ideal | dim | l | l (catalog) | b | b (catalog) | gamma | gamma (catalog) | residual |",
-                 "|---|---|---|---|---|---|---|---|---|"]
-        for r in rows:
-            lines.append("| " + " | ".join(
-                "" if r[k] is None else (f"{r[k]:.12g}" if isinstance(r[k], float) else str(r[k]))
-                for k in INDEX_COLUMNS) + " |")
-        lines.append("")
-        lines.append(f"overall: {'pass' if ok else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", args.out)
+        header = [k.replace("_catalog", " (catalog)") for k in INDEX_COLUMNS]
+        _emit(f"# {spec.name} invariants\n\n"
+              + _rows_to_markdown(rows, INDEX_COLUMNS, header, ".12g")
+              + f"\noverall: {'pass' if ok else 'FAIL'}\n", args.out)
     return 0 if ok else 1
 
 
@@ -184,27 +183,33 @@ def _rows_to_csv(rows: list[dict], columns: list[str] = CSV_COLUMNS) -> str:
     return buf.getvalue()
 
 
-def _rows_to_markdown(rows: list[dict]) -> str:
-    lines = ["| " + " | ".join(CSV_COLUMNS) + " |",
-             "|" + "---|" * len(CSV_COLUMNS)]
+def _rows_to_markdown(rows: list[dict], columns: list[str], header: list[str],
+                      fmt: str) -> str:
+    """A markdown table of ``columns`` of ``rows``, labelled by ``header``,
+    with floats in the format spec ``fmt``."""
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(columns)]
     for r in rows:
         lines.append("| " + " | ".join(
-            "" if r[k] is None else (f"{r[k]:.10g}" if isinstance(r[k], float) else str(r[k]))
-            for k in CSV_COLUMNS) + " |")
+            "" if r[k] is None else (format(r[k], fmt) if isinstance(r[k], float) else str(r[k]))
+            for k in columns) + " |")
     return "\n".join(lines) + "\n"
 
 
-def _solutions_within(real, data, cmax: float, tol: float) -> tuple[list, int]:
-    """Solutions of the system of ``data`` with |c| <= cmax, verified
-    against ``real`` unless it is None, and how many were left out. The
-    scan covers at least the default window, so --cmax filters what it
-    omits instead of hiding it outside the scan."""
+def _family_solutions(spec: FamilySpec, cmax: float, tol: float) -> tuple:
+    """The family's data, its realization (None when it has none), its
+    solutions with |c| <= cmax, Ricci-verified when realized, how many were
+    left out, and whether all kept pass ``tol`` and verification. The scan
+    covers at least the default window, so --cmax filters what it omits
+    instead of hiding it outside the scan."""
+    data = family_data(spec)
+    real = realize(spec) if spec.realizable else None
     found = einstein.solve(data, c_window=max(cmax, einstein.C_WINDOW),
                            residual_tol=tol)
     sols = [s for s in found if abs(s.c) <= cmax]
     if real is not None:
         sols = [einstein.verify_solution(real, s) for s in sols]
-    return sols, len(found) - len(sols)
+    ok = all(s.residual < tol and s.ricci_verified != "failed" for s in sols)
+    return data, real, sols, len(found) - len(sols), ok
 
 
 def _notes(family: str, sols, omitted: int, cmax: float,
@@ -221,24 +226,22 @@ def _notes(family: str, sols, omitted: int, cmax: float,
 
 def _run_solve(args, require_verified: bool) -> int:
     spec = _spec_from_args(args)
-    data = family_data(spec)
-    real = realize(spec) if spec.realizable else None
-    sols, omitted = _solutions_within(real, data, args.cmax, args.tol)
+    data, real, sols, omitted, ok = _family_solutions(spec, args.cmax, args.tol)
     for note in _notes(spec.name, sols, omitted, args.cmax, ""):
         print(note, file=sys.stderr)
-    doc = einstein.solutions_to_json(spec, sols)
-    rows = _solution_rows(doc["family"], doc["params"], doc["form"],
+    doc = {"family": spec.name,
+           "params": {"m": spec.m, "n": spec.n, "alpha": spec.alpha},
+           "form": data.form_kind, "solutions": [s.to_json() for s in sols]}
+    rows = _solution_rows(spec.name, doc["params"], data.form_kind,
                           data.has_k0, doc["solutions"])
     if args.format == "json":
         _emit(_json_dumps(doc), args.out)
     elif args.format == "csv":
         _emit(_rows_to_csv(rows), args.out)
     else:
-        _emit(_rows_to_markdown(rows), args.out)
-    ok = all(s.residual < args.tol for s in sols)
-    if real is not None:
-        ok &= all(s.ricci_verified == "verified" for s in sols)
-    elif require_verified:
+        _emit(_rows_to_markdown(rows, CSV_COLUMNS, CSV_COLUMNS, ".10g"),
+              args.out)
+    if real is None and require_verified:
         print(f"{spec.name}: no matrix realization; Ricci verification "
               f"not applicable", file=sys.stderr)
     return 0 if ok else 1
@@ -329,9 +332,7 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
                    tol: float) -> tuple[dict, list[str]]:
     """One family's report block, and its stderr notes (see :func:`_notes`);
     pure given (spec, seed, index, config)."""
-    data = family_data(spec)
-    real = realize(spec) if spec.realizable else None
-    sols, omitted = _solutions_within(real, data, c_window, tol)
+    data, real, sols, omitted, ok = _family_solutions(spec, c_window, tol)
     section: dict = {
         "family": spec.name,
         "kind": spec.kind,
@@ -339,25 +340,18 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
         "realizable": spec.realizable,
         "data": _data_json(data),
     }
-    ok = all(s.residual < tol for s in sols)
     if real is not None:
-        jac = check_super_jacobi(real.algebra)
-        form_report = real.canonical_form.report
-        k_max = float(np.max(np.abs(real.killing.gram)))
-        idx_ok = verify_realization(real)[0]["pass"]
+        st = _structural(real)
         route = _route_equivalence(real, np.random.default_rng([seed, index]), 2)
         section["structural"] = {
-            "jacobi_residual": jac.residual,
-            "bi_invariance_residual": form_report.bi_invariance,
-            "killing_identically_zero": bool(k_max < BIINV_TOL),
-            "indices_match_catalog": bool(idx_ok),
+            "jacobi_residual": st["jacobi_residual"],
+            "bi_invariance_residual": st["form_residuals"]["bi_invariance"],
+            "killing_identically_zero": st["killing_identically_zero"],
+            "indices_match_catalog": st["realization"]["pass"],
             "route_equivalence_max_deviation": route,
             "route_equivalence_draws": 2,
         }
-        ok &= (jac.residual < STRUCT_TOL
-               and form_report.bi_invariance < BIINV_TOL and idx_ok
-               and route < ROUTE_TOL)
-        ok &= all(s.ricci_verified == "verified" for s in sols)
+        ok &= st["pass"] and route < ROUTE_TOL
     section["solutions"] = [s.to_json() for s in sols]
     section["solution_count"] = len(sols)
     expected_single = spec.kind in ("A", "F4")
@@ -384,24 +378,20 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
                            f"{spec.name}: ")
 
 
-def _section_worker(payload: tuple) -> tuple[dict, list[str]]:
-    spec, seed, index, c_window, tol = payload
-    return report_section(spec, seed, index, c_window, tol)
-
-
 def build_report(max_m: int, max_n: int, seed: int, c_window: float,
                  tol: float, jobs: int = 1) -> dict:
     """The report document. Prints each family's notes on stderr, in
     catalog order: what ``c_window`` left out and which solutions failed
     Ricci verification."""
     specs = catalog(max_m, max_n)
-    payloads = [(spec, seed, i, c_window, tol) for i, spec in enumerate(specs)]
+    inputs = (specs, repeat(seed), range(len(specs)), repeat(c_window),
+              repeat(tol))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pools pay for it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_section_worker, payloads))
+            results = list(pool.map(report_section, *inputs))
     else:
-        results = [_section_worker(p) for p in payloads]
+        results = list(map(report_section, *inputs))
     sections = [sec for sec, _ in results]
     for _, notes in results:
         for note in notes:
@@ -469,7 +459,8 @@ def _report_markdown(doc: dict) -> str:
                      f"(expected {'exactly 1' if sec['expected_single'] else '>= 2'}; "
                      f"ok: {sec['count_ok']})")
         lines.append("")
-        lines.append(_rows_to_markdown(_section_rows(sec)))
+        lines.append(_rows_to_markdown(_section_rows(sec), CSV_COLUMNS,
+                                        CSV_COLUMNS, ".10g"))
     summ = doc["summary"]
     lines.append("## Summary")
     lines.append("")

@@ -19,10 +19,10 @@ from .supercore import (
     DegeneracyError,
     LieSuperAlgebra,
     _contract,
+    _even_supersymmetric_part,
     _group_sum,
     _join,
     _koszul_terms,
-    _parity_sign_matrix,
 )
 
 RICCI_SYM_TOL = 1e-9
@@ -151,16 +151,10 @@ def ricci_direct(alg: LieSuperAlgebra, metric: BilinearFormMatrix,
 
 def _symmetrized_even_form(alg: LieSuperAlgebra, mat: np.ndarray,
                            scale: float) -> BilinearFormMatrix:
-    p = alg.basis.parity_array()
-    s = _parity_sign_matrix(p)
-    mask = p[:, None] != p[None, :]
-    sym_res = float(np.max(np.abs(mat - s * mat.T)))
-    even_res = float(np.max(np.abs(mat[mask]))) if mask.any() else 0.0
+    part, even_res, sym_res = _even_supersymmetric_part(alg, mat)
     if max(sym_res, even_res) > RICCI_SYM_TOL * scale:
         raise ValueError("Ricci tensor failed the evenness/supersymmetry check")
-    out = 0.5 * (mat + s * mat.T)
-    out[mask] = 0.0
-    return BilinearFormMatrix(out)
+    return BilinearFormMatrix(part)
 
 
 def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:

@@ -74,29 +74,29 @@ def system_residual(data: FamilyData, x, c: float) -> float:
 _BLOCK = 64
 
 
+def _branch_roots(data: FamilyData, i: int, c) -> dict:
+    """The two roots x_i(c) of l_i x^2 - 4 c b_i x - 1 = 0 for simple ideal
+    i, keyed by sign, from one square root (l_i > 0, so the discriminant is
+    positive); vectorized in c."""
+    l, b = float(data.l[i]), float(data.b[i])
+    lead = 2.0 * c * b
+    root = np.sqrt(4.0 * c * c * b * b + l)
+    return {1: (lead + root) / l, -1: (lead - root) / l}
+
+
 def _branch_vector(data: FamilyData, signs, c: float) -> tuple:
     """The scaling vector on one sign branch at c: x_0 = -4c, and x_i the
-    root of l_i x^2 - 4 c b_i x - 1 = 0 with that sign (l_i > 0, so the
-    discriminant is positive)."""
-    out = []
-    if data.has_k0:
-        out.append(-4.0 * c)
-    for l, b, sgn in zip(data.l, data.b, signs):
-        l, b = float(l), float(b)
-        out.append(float(
-            (2.0 * c * b + sgn * np.sqrt(4.0 * c * c * b * b + l)) / l))
-    return tuple(out)
+    root of :func:`_branch_roots` with that sign."""
+    head = [-4.0 * c] if data.has_k0 else []
+    return tuple(head + [float(_branch_roots(data, i, c)[sgn])
+                         for i, sgn in enumerate(signs)])
 
 
 def _ideal_term(data: FamilyData, i: int, c) -> dict:
     """gamma_i x_i(c) of simple ideal i on both sign branches, keyed by the
-    sign, from one square root, in the float operations of
-    :func:`_branch_vector`; vectorized in c."""
-    l, b = float(data.l[i]), float(data.b[i])
+    sign; vectorized in c."""
     gamma = float(data.gamma[i])
-    lead = 2.0 * c * b
-    root = np.sqrt(4.0 * c * c * b * b + l)
-    return {1: gamma * ((lead + root) / l), -1: gamma * ((lead - root) / l)}
+    return {sgn: gamma * x for sgn, x in _branch_roots(data, i, c).items()}
 
 
 def _trace_residual(data: FamilyData, signs, c):
@@ -533,13 +533,3 @@ def _block_of(real: Realization, idx: int) -> str:
         if rng.start <= idx < rng.stop:
             return f"k{pos if real.data.has_k0 else pos + 1}"
     return "odd"
-
-
-def solutions_to_json(spec: FamilySpec, sols: list[EinsteinSolution]) -> dict:
-    data = family_data(spec)
-    return {
-        "family": spec.name,
-        "params": {"m": spec.m, "n": spec.n, "alpha": spec.alpha},
-        "form": data.form_kind,
-        "solutions": [s.to_json() for s in sols],
-    }

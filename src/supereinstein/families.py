@@ -141,7 +141,10 @@ class FamilyData:
 
     Every index l_i is positive, so each quadratic has two real roots x_i
     for every c, each monotone in c; a record with some l_i <= 0 is
-    refused.
+    refused. :func:`_data` derives b and gamma: on the Killing form, which
+    restricts to (1 - l_i) K_i on k_i, ``b_i = 1 - l_i``; for every form,
+    the Casimir scalars on the odd part obey the trace identities
+    ``gamma_i dim_odd = l_i dim k_i / b_i`` and ``gamma_0 dim_odd = -dim_k0``.
     """
 
     dim_k0: int
@@ -173,16 +176,17 @@ class FamilyData:
         return self.s + (1 if self.has_k0 else 0)
 
 
-def _gamma(l: Fraction, d: int, b: Fraction, dim_odd: int) -> Fraction:
-    return l * d / (b * dim_odd)
-
-
-def _data(dim_k0, dim_k, dim_odd, l, b, gamma, gamma0, nondegenerate,
-          form_kind) -> FamilyData:
-    """The record, with its trace_rhs = 2 (gamma_0 + sum gamma_i)."""
+def _data(form_kind: str, dim_k, dim_odd: int, l, b=None,
+          dim_k0: int = 0) -> FamilyData:
+    """The record of a family from its dimensions and indices, with b given
+    only off the Killing form; the rest follows (see :class:`FamilyData`)."""
+    if form_kind == "killing":
+        b = [1 - v for v in l]
+    gamma = tuple(v * d / (w * dim_odd) for v, d, w in zip(l, dim_k, b))
+    gamma0 = Fraction(-dim_k0, dim_odd) if dim_k0 else None
     trace_rhs = 2 * (sum(gamma, Fraction(0)) + (gamma0 or Fraction(0)))
-    return FamilyData(dim_k0, tuple(dim_k), dim_odd, tuple(l), tuple(b),
-                      tuple(gamma), gamma0, nondegenerate, form_kind, trace_rhs)
+    return FamilyData(dim_k0, tuple(dim_k), dim_odd, tuple(l), tuple(b), gamma,
+                      gamma0, form_kind == "killing", form_kind, trace_rhs)
 
 
 def family_data(spec: FamilySpec) -> FamilyData:
@@ -192,7 +196,6 @@ def family_data(spec: FamilySpec) -> FamilyData:
     if k == "A":
         m, n = spec.m, spec.n
         big, small = m + 1, n + 1
-        dim_odd = 2 * big * small
         dims, ls = [], []
         if big >= 2:
             dims.append(big * big - 1)
@@ -200,66 +203,40 @@ def family_data(spec: FamilySpec) -> FamilyData:
         if small >= 2:
             dims.append(small * small - 1)
             ls.append(F(big, small))
-        bs = [1 - l for l in ls]
-        gs = [_gamma(l, d, b, dim_odd) for l, d, b in zip(ls, dims, bs)]
-        return _data(1, dims, dim_odd, ls, bs, gs, F(-1, dim_odd), True,
-                     "killing")
+        return _data("killing", dims, 2 * big * small, ls, dim_k0=1)
     if k == "Ann":
         n = spec.n
         d = n * (n + 2)
-        dim_odd = 2 * (n + 1) ** 2
-        g = F(d, dim_odd)
-        return _data(0, (d, d), dim_odd, (F(1), F(1)), (F(1), F(-1)),
-                     (g, -g), None, False, "case2")
+        return _data("case2", (d, d), 2 * (n + 1) ** 2, (F(1), F(1)),
+                     (F(1), F(-1)))
     if k == "B":
         m, n = spec.m, spec.n
-        dim_odd = 2 * n * (2 * m + 1)
         dims, ls = [], []
         if m >= 1:
             dims.append(m * (2 * m + 1))
             ls.append(F(2 * n, 2 * m - 1))
         dims.append(n * (2 * n + 1))
         ls.append(F(2 * m + 1, 2 * n + 2))
-        bs = tuple(1 - l for l in ls)
-        gs = tuple(_gamma(l, d, b, dim_odd) for l, d, b in zip(ls, dims, bs))
-        return _data(0, dims, dim_odd, ls, bs, gs, None, True, "killing")
+        return _data("killing", dims, 2 * n * (2 * m + 1), ls)
     if k == "C":
         n = spec.n
-        dim_odd = 4 * (n - 1)
-        d1 = (n - 1) * (2 * n - 1)
-        l1 = F(1, n)
-        b1 = 1 - l1
-        return _data(1, (d1,), dim_odd, (l1,), (b1,),
-                     (_gamma(l1, d1, b1, dim_odd),), F(-1, dim_odd), True,
-                     "killing")
+        return _data("killing", ((n - 1) * (2 * n - 1),), 4 * (n - 1),
+                     (F(1, n),), dim_k0=1)
     if k == "D":
         m, n = spec.m, spec.n
-        dim_odd = 4 * m * n
-        dims = (m * (2 * m - 1), n * (2 * n + 1))
-        ls = (F(n, m - 1), F(m, n + 1))
-        bs = tuple(1 - l for l in ls)
-        gs = tuple(_gamma(l, d, b, dim_odd) for l, d, b in zip(ls, dims, bs))
-        return _data(0, dims, dim_odd, ls, bs, gs, None, True, "killing")
+        return _data("killing", (m * (2 * m - 1), n * (2 * n + 1)), 4 * m * n,
+                     (F(n, m - 1), F(m, n + 1)))
     if k == "Dn1n":
         n = spec.n
-        dims = ((n + 1) * (2 * n + 1), n * (2 * n + 1))
-        g = F(2 * n + 1, 4 * n)
-        return _data(0, dims, 4 * n * (n + 1), (F(1), F(1)),
-                     (F(1), F(-n, n + 1)), (g, -g), None, False, "case6")
+        return _data("case6", ((n + 1) * (2 * n + 1), n * (2 * n + 1)),
+                     4 * n * (n + 1), (F(1), F(1)), (F(1), F(-n, n + 1)))
     if k == "D21a":
-        return _data(0, (3, 3, 3), 8, (F(1), F(1), F(1)),
-                     (F(1), F(1), F(-1, 2)), (F(3, 8), F(3, 8), F(-3, 4)),
-                     None, False, "case7")
+        return _data("case7", (3, 3, 3), 8, (F(1), F(1), F(1)),
+                     (F(1), F(1), F(-1, 2)))
     if k == "F4":
-        ls = (F(2, 5), F(2))
-        bs = tuple(1 - l for l in ls)
-        gs = tuple(_gamma(l, d, b, 16) for l, d, b in zip(ls, (21, 3), bs))
-        return _data(0, (21, 3), 16, ls, bs, gs, None, True, "killing")
+        return _data("killing", (21, 3), 16, (F(2, 5), F(2)))
     if k == "G3":
-        ls = (F(1, 2), F(7, 4))
-        bs = tuple(1 - l for l in ls)
-        gs = tuple(_gamma(l, d, b, 14) for l, d, b in zip(ls, (14, 3), bs))
-        return _data(0, (14, 3), 14, ls, bs, gs, None, True, "killing")
+        return _data("killing", (14, 3), 14, (F(1, 2), F(7, 4)))
     raise ValueError(f"unknown kind {k!r}")
 
 
@@ -276,8 +253,7 @@ def catalog(max_m: int, max_n: Optional[int] = None) -> list[FamilySpec]:
     specs: list[FamilySpec] = []
     for m in range(1, max_m + 1):
         for n in range(0, min(m - 1, max_n) + 1):
-            if m != n:
-                specs.append(family_spec("A", m, n))
+            specs.append(family_spec("A", m, n))
     for n in range(1, max_n + 1):
         specs.append(family_spec("A", n, n))
     for m in range(0, max_m + 1):
@@ -291,14 +267,7 @@ def catalog(max_m: int, max_n: Optional[int] = None) -> list[FamilySpec]:
     specs.append(family_spec("D21a", alpha=2.5))
     specs.append(family_spec("F4"))
     specs.append(family_spec("G3"))
-    # dedupe while preserving order (D(2,1) routes to the alpha=1 kind once)
-    seen: set = set()
-    out = []
-    for sp in specs:
-        if sp not in seen:
-            seen.add(sp)
-            out.append(sp)
-    return out
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +318,43 @@ def _exact_inverse(a: list) -> list:
     return [row[n:] for row in m]
 
 
-def _gram_inverse(gram: np.ndarray) -> tuple:
-    """Exact inverse of an integer Gram matrix as COO (row, col, numerator)
-    over one denominator. Rows with an off-diagonal nonzero form one block,
-    inverted exactly; every other row inverts its diagonal entry."""
-    diag = np.diag(gram)
-    is_coupled = (gram != np.diag(diag)).any(axis=1)
+def _gram_solve(wkeys: np.ndarray, w: np.ndarray, gkeys: np.ndarray,
+                g: np.ndarray, span: int) -> tuple:
+    """x = w G^-1 exactly, for integer rows w at keys ``pair * span + k`` and
+    the symmetric integer Gram G with nonzeros g at ``row * span + col``: the
+    keys of x, its numerators and their denominator. Only the block of the
+    rows of G with an off-diagonal nonzero is dense, inverted exactly."""
+    row, col = np.divmod(gkeys, span)
+    on_diag = row == col
+    diag = np.zeros(span, dtype=np.int64)
+    diag[row[on_diag]] = g[on_diag]
+    is_coupled = np.zeros(span, dtype=bool)
+    is_coupled[row[~on_diag]] = True
     coupled, free = np.flatnonzero(is_coupled), np.flatnonzero(~is_coupled)
     if not diag[free].all():
         raise ValueError("the basis matrices are linearly dependent")
-    block = [v for row in _exact_inverse(gram[np.ix_(coupled, coupled)].tolist())
-             for v in row]
-    denom = math.lcm(*diag[free].tolist(), *(v.denominator for v in block))
-    num = [denom // d for d in diag[free].tolist()] \
-        + [v.numerator * (denom // v.denominator) for v in block]
-    return (np.concatenate([free, np.repeat(coupled, len(coupled))]),
-            np.concatenate([free, np.tile(coupled, len(coupled))]),
-            np.array(num, dtype=np.int64), denom)
+    at = np.cumsum(is_coupled) - 1  # position of a coupled row in the block
+    inside = is_coupled[row]  # by symmetry, the column is coupled too
+    block = np.zeros((len(coupled), len(coupled)), dtype=np.int64)
+    block[at[row[inside]], at[col[inside]]] = g[inside]
+    inverse = _exact_inverse(block.tolist())
+    denom = math.lcm(*diag[free].tolist(),
+                     *(v.denominator for r in inverse for v in r))
+    block[:] = [[v.numerator * (denom // v.denominator) for v in r]
+                for r in inverse]
+    # a free coordinate divides by its diagonal entry; the coupled ones of a
+    # pair take the block
+    pair, k = np.divmod(wkeys, span)
+    on_block = is_coupled[k]
+    pairs, pos = np.unique(pair[on_block], return_inverse=True)
+    w_block = np.zeros((len(pairs), len(coupled)), dtype=np.int64)
+    w_block[pos, at[k[on_block]]] = w[on_block]
+    x_block = w_block @ block
+    r, c = np.nonzero(x_block)
+    return (*_group_sum(
+        np.concatenate([wkeys[~on_block], pairs[r] * span + coupled[c]]),
+        np.concatenate([w[~on_block] * (denom // diag[k[~on_block]]),
+                        x_block[r, c]])), denom)
 
 
 def _coordinates(keys: np.ndarray, brackets: np.ndarray, owner: np.ndarray,
@@ -376,13 +365,9 @@ def _coordinates(keys: np.ndarray, brackets: np.ndarray, owner: np.ndarray,
     ``pair * span + k``, their numerators and the common denominator;
     refuses a bracket the coordinates do not rebuild."""
     pair, at = np.divmod(keys, npos)
-    gram = np.zeros(span * span, dtype=np.int64)
-    gkeys, g = _contract(flat, flat, val, val, owner, owner, span)
-    gram[gkeys] = g
-    inv_row, inv_col, inv_num, denom = _gram_inverse(gram.reshape(span, span))
-    wkeys, w = _contract(at, flat, brackets, val, pair, owner, span)
-    xkeys, x = _contract(wkeys % span, inv_row, w, inv_num, wkeys // span,
-                         inv_col, span)
+    xkeys, x, denom = _gram_solve(
+        *_contract(at, flat, brackets, val, pair, owner, span),
+        *_contract(flat, flat, val, val, owner, owner, span), span)
     rebuilt_keys, rebuilt = _contract(xkeys % span, owner, x, val,
                                       xkeys // span, flat, npos)
     if not (np.array_equal(rebuilt_keys, keys)

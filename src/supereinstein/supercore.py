@@ -70,10 +70,6 @@ class SuperBasis:
     def parity_array(self) -> np.ndarray:
         return np.asarray(self.parity, dtype=np.int64)
 
-    def sign_vector(self) -> np.ndarray:
-        """(-1)**parity as float, the supertrace weights."""
-        return 1.0 - 2.0 * self.parity_array()
-
 
 @dataclass(frozen=True)
 class DecompositionRange:
@@ -367,7 +363,9 @@ def _contract(a_on: np.ndarray, b_on: np.ndarray, a_val: np.ndarray,
     """Join, multiply, group: sum ``a_val[p] * b_val[q]`` over the pairs
     with ``a_on[p] == b_on[q]``, per key ``a_key[p] * width + b_key[q]``."""
     p, q = _join(a_on, b_on)
-    return _group_sum(a_key[p] * width + b_key[q], a_val[p] * b_val[q])
+    keys, vals = a_key[p] * width + b_key[q], a_val[p] * b_val[q]
+    del p, q  # before grouping, which peaks at several arrays of the pairs
+    return _group_sum(keys, vals)
 
 
 def check_super_jacobi(alg: LieSuperAlgebra) -> JacobiReport:
@@ -448,16 +446,29 @@ def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:
     g = form.gram
     if g.shape[0] != alg.dim:
         raise ValueError("form is not defined on this algebra's basis")
-    p = alg.basis.parity_array()
     scale = form.scale()
-    mask = p[:, None] != p[None, :]
-    evenness = float(np.max(np.abs(g[mask]))) / scale if mask.any() else 0.0
-    s = _parity_sign_matrix(p)
-    supersymmetry = float(np.max(np.abs(g - s * g.T))) / scale
+    _, evenness, supersymmetry = _even_supersymmetric_part(alg, g)
     _, diff = _group_sum(*_koszul_terms(alg, g, third=False))
     bi_invariance = float(np.max(np.abs(diff), initial=0.0)) / scale
     scaled_det = _scaled_abs_det(g)
-    return FormReport(evenness, supersymmetry, bi_invariance, scaled_det)
+    return FormReport(evenness / scale, supersymmetry / scale, bi_invariance,
+                      scaled_det)
+
+
+def _even_supersymmetric_part(alg: LieSuperAlgebra,
+                              mat: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The even supersymmetric part of a bilinear form's matrix,
+    (mat + S mat^T)/2 with S = (-1)**(p_i p_j) and its mixed-parity entries
+    zeroed, and how far ``mat`` is from it, unscaled: its largest
+    mixed-parity |entry| and the largest |mat - S mat^T|."""
+    p = alg.basis.parity_array()
+    mixed = p[:, None] != p[None, :]
+    evenness = float(np.max(np.abs(mat[mixed]))) if mixed.any() else 0.0
+    transposed = _parity_sign_matrix(p) * mat.T
+    supersymmetry = float(np.max(np.abs(mat - transposed)))
+    part = 0.5 * (mat + transposed)
+    part[mixed] = 0.0
+    return part, evenness, supersymmetry
 
 
 def _koszul_terms(alg: LieSuperAlgebra, g: np.ndarray,
@@ -497,16 +508,14 @@ def _scaled_abs_det(g: np.ndarray) -> float:
     return float(np.exp(logdet))
 
 
-def dual_basis(
-    form: BilinearFormMatrix,
-    subspace: DecompositionRange | range | tuple[int, int],
-) -> np.ndarray:
+def dual_basis(form: BilinearFormMatrix,
+               subspace: DecompositionRange | range) -> np.ndarray:
     """Vectors e_j* with B(e_j, e_k*) = delta_jk on the given index range.
 
     Returns a (dim, r) array whose columns are the dual vectors embedded in
     the full space (supported on the subspace itself).
     """
-    start, stop = _range_bounds(subspace)
+    start, stop = subspace.start, subspace.stop
     sub = form.gram[start:stop, start:stop]
     try:
         d = np.linalg.solve(sub, np.eye(stop - start))
@@ -517,15 +526,6 @@ def dual_basis(
     out = np.zeros((form.dim, stop - start))
     out[start:stop, :] = d
     return out
-
-
-def _range_bounds(subspace) -> tuple[int, int]:
-    if isinstance(subspace, DecompositionRange):
-        return subspace.start, subspace.stop
-    if isinstance(subspace, range):
-        return subspace.start, subspace.stop
-    start, stop = subspace
-    return int(start), int(stop)
 
 
 # ---------------------------------------------------------------------------

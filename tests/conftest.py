@@ -78,6 +78,11 @@ def dense_constants(alg):
     return c
 
 
+def sign_vector(basis):
+    """(-1)**parity as float over a super basis, the supertrace weights."""
+    return 1.0 - 2.0 * basis.parity_array()
+
+
 def dense_connection(conn):
     """A connection's Christoffel symbols as a dense array ``gamma[i, j, k]``."""
     gamma = np.zeros(conn.dim**3)

@@ -194,8 +194,18 @@ class TestCatalog:
         assert catalog(3) == catalog(3)
 
     def test_no_duplicates(self):
-        specs = catalog(3)
-        assert len(specs) == len(set(specs))
+        for max_m in range(9):
+            for max_n in [None, *range(9)]:
+                specs = catalog(max_m, max_n)
+                assert len(specs) == len(set(specs)), (max_m, max_n)
+
+    def test_data_pinned(self):
+        # b and gamma are derived from l; the records must not drift
+        specs = catalog(8) + [family_spec("D21a", alpha=a)
+                              for a in (1.0, 2.5, -3.0, 0.4)]
+        text = "\n".join(repr(family_data(s)) for s in specs)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "3e0cb2cef3692bfc5b0338ddcc8962bde8308d9101d6b0118ba6d9a7c52408ee"
 
 
 class TestRealizationChecks:

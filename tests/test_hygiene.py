@@ -1,9 +1,11 @@
 """Source hygiene of the package, checked with the standard-library ``ast``:
 no module-level import goes unused, no module-level private function or
-constant is left without a reference anywhere in the package, and no module
-calls ``einsum``."""
+constant and no public definition or method is left without a reference
+anywhere in the package (``__all__`` counts as one), and no module calls
+``einsum``."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -40,7 +42,8 @@ def _imported_names(tree: ast.Module) -> set:
     return names
 
 
-def _private_definitions(tree: ast.Module) -> set:
+def _module_definitions(tree: ast.Module) -> set:
+    """Module-level functions, classes and constants."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -49,10 +52,25 @@ def _private_definitions(tree: ast.Module) -> set:
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
 
 
-def _package_references() -> set:
+def _private_definitions(tree: ast.Module) -> set:
+    return {n for n in _module_definitions(tree)
+            if n.startswith("_") and not n.startswith("__")}
+
+
+def _public_definitions(tree: ast.Module) -> set:
+    """Public module-level definitions and public methods of module-level
+    classes."""
+    methods = {f.name for node in tree.body if isinstance(node, ast.ClassDef)
+               for f in node.body if isinstance(f, ast.FunctionDef)}
+    return {n for n in _module_definitions(tree) | methods
+            if not n.startswith("_")}
+
+
+@functools.cache
+def _package_references() -> frozenset:
     """Every name read anywhere in the package, plus every name imported
     from one of its modules."""
     names = set()
@@ -61,7 +79,7 @@ def _package_references() -> set:
         names |= _loaded_names(tree)
         names |= {a.name for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) for a in node.names}
-    return names
+    return frozenset(names)  # cached: parsed once for every test
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -73,6 +91,12 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_private_definitions(path):
     assert sorted(_private_definitions(_tree(path)) - _package_references()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_public_definitions(path):
+    # read somewhere in the package, or exported by ``__all__``
+    assert sorted(_public_definitions(_tree(path)) - _package_references()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -90,3 +114,11 @@ def test_checks_catch_what_they_look_for():
                      "    return np.abs(x)\n")
     assert _imported_names(tree) - _loaded_names(tree) == {"Callable"}
     assert _private_definitions(tree) - _loaded_names(tree) == {"_DEAD", "_helper"}
+    tree = ast.parse("class Basis:\n"
+                     "    def used(self):\n"
+                     "        return self.size\n"
+                     "    def unused(self):\n"
+                     "        return self.used()\n"
+                     "LIMIT = 3\n")
+    assert _public_definitions(tree) - _loaded_names(tree) == \
+        {"Basis", "LIMIT", "unused"}

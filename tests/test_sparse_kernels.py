@@ -7,6 +7,7 @@ here only, as independent references.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,14 +35,15 @@ from supereinstein.supercore import (
     killing_form,
 )
 
-from conftest import dense_connection, dense_constants, seeded_params
+from conftest import dense_connection, dense_constants, seeded_params, \
+    sign_vector
 
 REALIZABLE = [spec for spec in families.catalog(3) if spec.realizable]
 TOL = 1e-12
 
 
 def dense_killing(alg):
-    sign = alg.basis.sign_vector()
+    sign = sign_vector(alg.basis)
     c = dense_constants(alg)
     return np.einsum("k,jkm,imk->ij", sign, c, c, optimize=True)
 
@@ -64,7 +66,7 @@ def dense_koszul(alg, g):
 
 
 def dense_ricci(alg, gamma):
-    sign = alg.basis.sign_vector()
+    sign = sign_vector(alg.basis)
     s = _parity_sign_matrix(alg.basis.parity_array())
     g2 = np.einsum("zmz->zm", gamma)
     t1 = np.einsum("xym,zm->zxy", gamma, g2, optimize=True)
@@ -202,6 +204,27 @@ def test_invariants_allocate_no_ideal_cube():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_coordinates_keep_the_gram_sparse():
+    # A(40,0) spans 1,763 matrices: one dense int64 Gram would take 23.7 MiB
+    calls = []
+
+    def capture(*args):
+        calls.append(args)
+        raise StopIteration
+
+    with mock.patch.object(families, "_coordinates", capture), \
+            pytest.raises(StopIteration):
+        families.build_sl_super(40, 0)
+    span = calls[0][5]
+    tracemalloc.start()
+    try:
+        families._coordinates(*calls[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < span * span * 8
 
 
 def test_join_over_the_bound_refused_before_allocating():

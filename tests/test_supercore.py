@@ -22,7 +22,7 @@ from supereinstein.supercore import (
 )
 
 from conftest import defining_matrices, dense_constants, exact_entries, \
-    expand_in_basis
+    expand_in_basis, sign_vector
 
 
 def unit(n, i):
@@ -43,7 +43,7 @@ def supertrace(matrix, basis):
     """Trace over the even block minus trace over the odd block."""
     if matrix.shape[0] != basis.total_dim:
         raise ValueError("operator does not act on this basis")
-    return float(np.dot(basis.sign_vector(), np.diagonal(matrix)))
+    return float(np.dot(sign_vector(basis), np.diagonal(matrix)))
 
 
 def perturbed(alg, i, j, k, eps):
@@ -452,12 +452,12 @@ class TestCheckForm:
 class TestDualBasis:
     def test_orthonormal_is_self_dual(self):
         form = BilinearFormMatrix(np.eye(4))
-        d = dual_basis(form, (0, 4))
+        d = dual_basis(form, range(0, 4))
         assert np.allclose(d, np.eye(4))
 
     def test_diagonal_scaling(self):
         form = BilinearFormMatrix(np.diag([2.0, 1.0]))
-        d = dual_basis(form, (0, 1))
+        d = dual_basis(form, range(0, 1))
         assert d[0, 0] == pytest.approx(0.5)
 
     def test_osp32_ideal_round_trip(self, osp32):
@@ -470,7 +470,7 @@ class TestDualBasis:
     def test_degenerate_names_subspace(self, psl22):
         k = killing_form(psl22.algebra)
         with pytest.raises(DegeneracyError, match=r"\[0:3\)"):
-            dual_basis(k, (0, 3))
+            dual_basis(k, range(0, 3))
 
 
 class TestSerialization:
