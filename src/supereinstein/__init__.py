@@ -30,7 +30,6 @@ from .families import (
     build_psl,
     build_sl_super,
     catalog,
-    family_data,
     family_spec,
     realize,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "LieSuperAlgebra", "MetricParams", "Realization", "SuperBasis",
     "b_ratio", "bracket", "build_osp", "build_psl", "build_sl_super",
     "casimir_on_odd", "catalog", "check_form", "check_super_jacobi",
-    "dual_basis", "elimination_polynomial", "family_data", "family_spec",
+    "dual_basis", "elimination_polynomial", "family_spec",
     "killing_form", "levi_civita_blockwise", "levi_civita_koszul",
     "lift_real_form", "metric_from_params", "realize",
     "representation_index", "ricci_closed_form", "ricci_direct", "solve",

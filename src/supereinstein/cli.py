@@ -26,7 +26,7 @@ from .curvature import (
     ricci_closed_form,
     ricci_direct,
 )
-from .families import FamilySpec, catalog, family_data, family_spec, realize, \
+from .families import FamilySpec, catalog, family_spec, realize, \
     verify_realization
 from .supercore import VERIFY_TOL, _group_sum, algebra_to_json, \
     check_super_jacobi, form_to_json
@@ -116,7 +116,7 @@ def cmd_indices(args) -> int:
     spec = _spec_from_args(args)
     if not spec.realizable:
         print(f"{spec.name}: equation-layer only; catalog data: "
-              f"{_data_json(family_data(spec))}", file=sys.stderr)
+              f"{_data_json(spec.data)}", file=sys.stderr)
         return 2
     report, rows = verify_realization(realize(spec))
     ok = report["pass"]
@@ -196,20 +196,19 @@ def _rows_to_markdown(rows: list[dict], columns: list[str], header: list[str],
 
 
 def _family_solutions(spec: FamilySpec, cmax: float, tol: float) -> tuple:
-    """The family's data, its realization (None when it has none), its
-    solutions with |c| <= cmax, Ricci-verified when realized, how many were
-    left out, and whether all kept pass ``tol`` and verification. The scan
-    covers at least the default window, so --cmax filters what it omits
-    instead of hiding it outside the scan."""
-    data = family_data(spec)
+    """The family's realization (None when it has none), its solutions with
+    |c| <= cmax, Ricci-verified when realized, how many were left out, and
+    whether all kept pass ``tol`` and verification. The scan covers at least
+    the default window, so --cmax filters what it omits instead of hiding it
+    outside the scan."""
     real = realize(spec) if spec.realizable else None
-    found = einstein.solve(data, c_window=max(cmax, einstein.C_WINDOW),
+    found = einstein.solve(spec.data, c_window=max(cmax, einstein.C_WINDOW),
                            residual_tol=tol)
     sols = [s for s in found if abs(s.c) <= cmax]
     if real is not None:
         sols = [einstein.verify_solution(real, s) for s in sols]
     ok = all(s.residual < tol and s.ricci_verified != "failed" for s in sols)
-    return data, real, sols, len(found) - len(sols), ok
+    return real, sols, len(found) - len(sols), ok
 
 
 def _notes(family: str, sols, omitted: int, cmax: float,
@@ -226,9 +225,10 @@ def _notes(family: str, sols, omitted: int, cmax: float,
 
 def _run_solve(args, require_verified: bool) -> int:
     spec = _spec_from_args(args)
-    data, real, sols, omitted, ok = _family_solutions(spec, args.cmax, args.tol)
+    real, sols, omitted, ok = _family_solutions(spec, args.cmax, args.tol)
     for note in _notes(spec.name, sols, omitted, args.cmax, ""):
         print(note, file=sys.stderr)
+    data = spec.data
     doc = {"family": spec.name,
            "params": {"m": spec.m, "n": spec.n, "alpha": spec.alpha},
            "form": data.form_kind, "solutions": [s.to_json() for s in sols]}
@@ -295,13 +295,11 @@ def _route_equivalence(real, rng, draws: int) -> float:
     return worst
 
 
-def _quartic_section(spec: FamilySpec, sols) -> dict | None:
-    try:
-        quartic = einstein.elimination_polynomial(spec)
-    except ValueError:
-        return None
+def _quartic_section(spec: FamilySpec, ref: tuple, sols) -> dict:
+    """The elimination quartic of a family with the reference cubic ``ref``,
+    checked against it and against the solutions."""
+    quartic = einstein.elimination_polynomial(spec)
     cubic = einstein.cubic_factor(quartic)
-    ref = einstein.cubic_reference_coefficients(spec)
     roots = sorted({round(r, 8) for r in einstein.real_roots(quartic)
                     if abs(r) > 1e-9})
     x1s = sorted({round(s.x[0], 8) for s in sols})
@@ -310,19 +308,18 @@ def _quartic_section(spec: FamilySpec, sols) -> dict | None:
     return {
         "quartic": [str(v) for v in quartic],
         "cubic_factor": [str(v) for v in cubic],
-        "reference_cubic": [str(v) for v in ref] if ref else None,
-        "reference_match": bool(ref is not None and tuple(cubic) == ref),
+        "reference_cubic": [str(v) for v in ref],
+        "reference_match": tuple(cubic) == ref,
         "cubic_coefficient_sum": str(sum(cubic)),
         "unit_root": True,  # cubic_factor would have raised otherwise
         "root_solution_bijection": bool(bijection),
     }
 
 
-def _fold_section(spec: FamilySpec, sols) -> dict | None:
-    pairs = einstein.default_folding(spec)
-    results = [einstein.lift_real_form(s, pairs) for s in sols]
+def _fold_section(spec: FamilySpec, sols) -> dict:
+    results = [einstein.lift_real_form(s, spec.folding) for s in sols]
     return {
-        "pairs": [list(p) for p in pairs],
+        "pairs": [list(p) for p in spec.folding],
         "all_fold": bool(all(r.liftable for r in results)),
         "max_pair_gap": max((r.max_pair_gap for r in results), default=0.0),
     }
@@ -330,9 +327,11 @@ def _fold_section(spec: FamilySpec, sols) -> dict | None:
 
 def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
                    tol: float) -> tuple[dict, list[str]]:
-    """One family's report block, and its stderr notes (see :func:`_notes`);
-    pure given (spec, seed, index, config)."""
-    data, real, sols, omitted, ok = _family_solutions(spec, c_window, tol)
+    """One family's report block, and its stderr notes: those of
+    :func:`_notes`, then, when the section fails, one naming the gates that
+    failed; pure given (spec, seed, index, config)."""
+    real, sols, omitted, solutions_ok = _family_solutions(spec, c_window, tol)
+    data = spec.data
     section: dict = {
         "family": spec.name,
         "kind": spec.kind,
@@ -340,6 +339,7 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
         "realizable": spec.realizable,
         "data": _data_json(data),
     }
+    gates: dict[str, bool] = {}  # in the order the failure note names them
     if real is not None:
         st = _structural(real)
         route = _route_equivalence(real, np.random.default_rng([seed, index]), 2)
@@ -351,38 +351,40 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
             "route_equivalence_max_deviation": route,
             "route_equivalence_draws": 2,
         }
-        ok &= st["pass"] and route < ROUTE_TOL
+        gates["structural"] = st["pass"]
+        gates["route_equivalence"] = route < ROUTE_TOL
     section["solutions"] = [s.to_json() for s in sols]
     section["solution_count"] = len(sols)
-    expected_single = spec.kind in ("A", "F4")
-    section["expected_single"] = expected_single
-    count_ok = len(sols) == 1 if expected_single else len(sols) >= 2
-    section["count_ok"] = bool(count_ok)
-    ok &= count_ok
-    if spec.kind in ("Dn1n", "D21a"):
+    section["expected_single"] = spec.single_metric
+    count_ok = len(sols) == 1 if spec.single_metric else len(sols) >= 2
+    section["count_ok"] = gates["count_ok"] = count_ok
+    if spec.flat_and_nonflat:
         flat = any(abs(s.c) <= 1e-12 for s in sols)
         nonflat = any(abs(s.c) > 1e-6 for s in sols)
-        section["ricci_flat_and_nonflat"] = bool(flat and nonflat)
-        ok &= flat and nonflat
-    if spec.kind in ("B", "D"):
-        quartic = _quartic_section(spec, sols)
-        if quartic is not None:
-            section["quartic"] = quartic
-            ok &= quartic["root_solution_bijection"]
-    if data.form_kind in ("case2", "case6", "case7"):
-        fold = _fold_section(spec, sols)
-        section["folding"] = fold
-        ok &= fold["all_fold"]
-    section["pass"] = bool(ok)
-    return section, _notes(spec.name, sols, omitted, c_window,
-                           f"{spec.name}: ")
+        section["ricci_flat_and_nonflat"] = gates["ricci_flat_and_nonflat"] = \
+            flat and nonflat
+    ref = einstein.cubic_reference_coefficients(spec)
+    if ref is not None:
+        section["quartic"] = _quartic_section(spec, ref, sols)
+        gates["quartic.root_solution_bijection"] = \
+            section["quartic"]["root_solution_bijection"]
+    if not data.killing_nondegenerate:
+        section["folding"] = _fold_section(spec, sols)
+        gates["folding.all_fold"] = section["folding"]["all_fold"]
+    gates["solutions"] = solutions_ok
+    failed = [gate for gate, passed in gates.items() if not passed]
+    section["pass"] = not failed
+    notes = _notes(spec.name, sols, omitted, c_window, f"{spec.name}: ")
+    if failed:
+        notes.append(f"note: {spec.name}: failed {', '.join(failed)}")
+    return section, notes
 
 
 def build_report(max_m: int, max_n: int, seed: int, c_window: float,
                  tol: float, jobs: int = 1) -> dict:
     """The report document. Prints each family's notes on stderr, in
-    catalog order: what ``c_window`` left out and which solutions failed
-    Ricci verification."""
+    catalog order: what ``c_window`` left out, which solutions failed Ricci
+    verification and, for a failing section, which gates failed."""
     specs = catalog(max_m, max_n)
     inputs = (specs, repeat(seed), range(len(specs)), repeat(c_window),
               repeat(tol))

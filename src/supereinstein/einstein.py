@@ -13,7 +13,7 @@ import numpy as np
 
 from .curvature import MetricParams, levi_civita_koszul, metric_from_params, \
     ricci_closed_form, ricci_direct
-from .families import FamilyData, FamilySpec, Realization, family_data
+from .families import FamilyData, FamilySpec, Realization
 from .supercore import MAX_JOIN_PAIRS
 
 SOLUTION_TOL = 1e-10
@@ -36,7 +36,7 @@ class EinsteinSolution:
     c: float
     residual: float
     ricci_verified: str = "not_applicable"  # verified | not_applicable | failed
-    provenance: str = "solver"  # solver | printed_catalog | lifted
+    provenance: str = "solver"  # solver | printed_catalog
     detail: Optional[str] = field(default=None, compare=False)
 
     def to_json(self) -> dict:
@@ -283,25 +283,21 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
 # ---------------------------------------------------------------------------
 
 
-def elimination_polynomial(spec: FamilySpec, pivot: int = 1) -> list[Fraction]:
-    """Exact quartic in the pivot variable for a family with a two-ideal
-    Killing-form system, by eliminating c (from the pivot quadratic) and the
-    other variable (from the trace equation) into the remaining quadratic.
+def elimination_polynomial(spec: FamilySpec) -> list[Fraction]:
+    """Exact quartic in x_1 for a family with a two-ideal Killing-form
+    system, by eliminating c (from the first quadratic) and x_2 (from the
+    trace equation) into the second quadratic.
 
     Returns descending coefficients, normalized so the leading coefficient
     equals the reference value when one is known (see
-    :func:`cubic_reference_coefficients`); the pivot value 1 is always a
-    root.
+    :func:`cubic_reference_coefficients`); x_1 = 1 is always a root.
     """
-    data = family_data(spec)
+    data = spec.data
     if data.form_kind != "killing" or data.has_k0 or data.s != 2:
         raise ValueError("elimination needs the two-ideal canonical-form shape")
-    if pivot not in (1, 2):
-        raise ValueError("pivot must be 1 or 2")
-    i, j = (0, 1) if pivot == 1 else (1, 0)
-    l1, l2 = data.l[i], data.l[j]
-    b1, b2 = data.b[i], data.b[j]
-    g1, g2 = data.gamma[i], data.gamma[j]
+    l1, l2 = data.l
+    b1, b2 = data.b
+    g1, g2 = data.gamma
     rhs = data.trace_rhs
     # c(X) = (l1 X^2 - 1) / (4 b1 X); x_other = (2 c + rhs - g1 X) / g2.
     # Substituting into (l2 x^2 - 1)/4 = c b2 x and clearing denominators
@@ -459,15 +455,14 @@ class LiftResult:
     """Outcome of folding a solution onto a real form."""
 
     liftable: bool
-    solution: Optional[EinsteinSolution]
     max_pair_gap: float
 
 
 def lift_real_form(sol: EinsteinSolution,
-                   folding: list[tuple[int, int]]) -> LiftResult:
-    """Fold paired coordinates (0-based positions into sol.x) that merge in
-    a real form. A solution lifts exactly when each pair carries equal
-    values; the folded vector keeps one coordinate per pair."""
+                   folding: tuple[tuple[int, int], ...]) -> LiftResult:
+    """Whether a solution folds onto a real form that merges the paired
+    coordinates (0-based positions into sol.x): it does exactly when each
+    pair carries equal values, up to ``FOLD_TOL``."""
     used: set[int] = set()
     for i, j in folding:
         if i == j or not (0 <= i < len(sol.x)) or not (0 <= j < len(sol.x)):
@@ -476,26 +471,7 @@ def lift_real_form(sol: EinsteinSolution,
             raise ValueError("folding pairs must be disjoint")
         used.update((i, j))
     gap = max((abs(sol.x[i] - sol.x[j]) for i, j in folding), default=0.0)
-    if gap > FOLD_TOL:
-        return LiftResult(False, None, gap)
-    drop = {max(i, j) for i, j in folding}
-    folded = tuple(v for k, v in enumerate(sol.x) if k not in drop)
-    lifted = replace(sol, x=folded, provenance="lifted", detail=None)
-    return LiftResult(True, lifted, gap)
-
-
-def default_folding(spec: FamilySpec) -> list[tuple[int, int]]:
-    """Pairs of isomorphic simple ideals that can merge in a real form.
-
-    The quotient family pairs its two special-linear ideals and the
-    three-ideal family pairs its first two; families whose ideals are
-    pairwise non-isomorphic fold trivially (no pairs).
-    """
-    if spec.kind == "Ann":
-        return [(0, 1)]
-    if spec.kind == "D21a":
-        return [(0, 1)]
-    return []
+    return LiftResult(gap <= FOLD_TOL, gap)
 
 
 # ---------------------------------------------------------------------------

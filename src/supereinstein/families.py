@@ -7,9 +7,10 @@ the integer Frobenius Gram, checking that they rebuild the bracket, so the
 structure constants are exact rationals, which the algebra stores once.
 The case2/6/7 canonical forms come exactly from the same matrix products and
 are stored as float Gram matrices with their axiom report; the basis
-matrices themselves are not kept. No realization is refused for its
-dimension: every join of entries, here and downstream, refuses on its own
-a pair count over ``supercore.MAX_JOIN_PAIRS`` before allocating it. The
+matrices themselves are not kept. A realization is refused up front when its
+dense (dim, dim) forms would exceed ``supercore.MAX_DENSE_ENTRIES`` entries,
+and every join of entries, here and downstream, refuses on its own a pair
+count over ``supercore.MAX_JOIN_PAIRS`` before allocating it. The
 exceptional families F(4) and G(3), and the one-parameter deformation family
 at alpha != 1, exist only at the data-catalog level.
 """
@@ -17,7 +18,7 @@ at alpha != 1, exist only at the data-catalog level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import invariants
 from .supercore import (
+    MAX_DENSE_ENTRIES,
     BilinearFormMatrix,
     DecompositionRange,
     LieSuperAlgebra,
@@ -47,80 +49,116 @@ REALIZATION_MATCH_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Canonical family identifier; use :func:`family_spec` to construct."""
+    """One family's record; use :func:`family_spec` to construct.
+
+    ``kind``, ``m``, ``n`` and ``alpha`` identify the family; the rest is
+    stated once per kind by :func:`family_spec`: the display name, the
+    catalog ``data``, whether a matrix realization exists, the scale t of
+    the canonical form t str(XY) that ``data.b`` is measured against (None
+    for the Killing form), the pairs of isomorphic simple ideals that can
+    merge in a real form, and the paper's two claims about the family:
+    exactly one Einstein metric (``single_metric``), and both Ricci-flat and
+    non-Ricci-flat ones (``flat_and_nonflat``).
+    """
 
     kind: str
     m: Optional[int] = None
     n: Optional[int] = None
     alpha: Optional[float] = None
-
-    @property
-    def name(self) -> str:
-        if self.kind == "A":
-            return f"A({self.m},{self.n})"
-        if self.kind == "Ann":
-            return f"A({self.n},{self.n})"
-        if self.kind == "B":
-            return f"B({self.m},{self.n})"
-        if self.kind == "C":
-            return f"C({self.n})"
-        if self.kind == "D":
-            return f"D({self.m},{self.n})"
-        if self.kind == "Dn1n":
-            return f"D({self.n + 1},{self.n})"
-        if self.kind == "D21a":
-            return f"D(2,1;{self.alpha:g})"
-        return {"F4": "F(4)", "G3": "G(3)"}[self.kind]
-
-    @property
-    def realizable(self) -> bool:
-        if self.kind in ("F4", "G3"):
-            return False
-        if self.kind == "D21a":
-            return self.alpha == 1.0
-        return True
+    _: KW_ONLY
+    name: str
+    data: FamilyData = field(repr=False)
+    realizable: bool = True
+    form_scale: Optional[int] = None
+    folding: tuple[tuple[int, int], ...] = ()
+    single_metric: bool = False
+    flat_and_nonflat: bool = False
 
 
 def family_spec(family: str, m: Optional[int] = None, n: Optional[int] = None,
                 alpha: Optional[float] = None) -> FamilySpec:
-    """Validate parameters and route to the canonical family kind.
+    """Validate parameters, route to the canonical family kind and fill its
+    record.
 
     A with m = n routes to the quotient family; D with m - n = 1 routes to
     the degenerate-Killing series (and to the three-ideal family at n = 1).
     """
+    F = Fraction
     family = family.strip()
-    if family in ("F4", "G3"):
-        return FamilySpec(family)
+    if family == "F4":
+        return FamilySpec("F4", name="F(4)", realizable=False,
+                          data=_data("killing", (21, 3), 16, (F(2, 5), F(2))),
+                          single_metric=True)
+    if family == "G3":
+        return FamilySpec("G3", name="G(3)", realizable=False,
+                          data=_data("killing", (14, 3), 14, (F(1, 2), F(7, 4))))
     if family == "D21a":
         if alpha is None:
             raise ValueError("D21a requires alpha")
         if alpha in (0.0, -1.0):
             raise ValueError("alpha must avoid 0 and -1")
-        return FamilySpec("D21a", alpha=float(alpha))
+        alpha = float(alpha)
+        return FamilySpec("D21a", alpha=alpha, name=f"D(2,1;{alpha:g})",
+                          realizable=alpha == 1.0,
+                          data=_data("case7", (3, 3, 3), 8, (F(1), F(1), F(1)),
+                                     (F(1), F(1), F(-1, 2))),
+                          form_scale=2, folding=((0, 1),),
+                          flat_and_nonflat=True)
     if family == "A":
         if m is None or n is None or m < 0 or n < 0:
             raise ValueError("A requires m, n >= 0")
         if m == n:
             if n < 1:
                 raise ValueError("A(0,0) has a trivial even part")
-            return FamilySpec("Ann", n=n)
-        return FamilySpec("A", m=m, n=n)
+            d = n * (n + 2)
+            return FamilySpec("Ann", n=n, name=f"A({n},{n})",
+                              data=_data("case2", (d, d), 2 * (n + 1) ** 2,
+                                         (F(1), F(1)), (F(1), F(-1))),
+                              form_scale=2 * (n + 1), folding=((0, 1),))
+        big, small = m + 1, n + 1
+        dims, ls = [], []
+        if big >= 2:
+            dims.append(big * big - 1)
+            ls.append(F(small, big))
+        if small >= 2:
+            dims.append(small * small - 1)
+            ls.append(F(big, small))
+        return FamilySpec("A", m, n, name=f"A({m},{n})",
+                          data=_data("killing", dims, 2 * big * small, ls,
+                                     dim_k0=1),
+                          single_metric=True)
     if family == "B":
         if m is None or n is None or m < 0 or n < 1:
             raise ValueError("B requires m >= 0, n >= 1")
-        return FamilySpec("B", m=m, n=n)
+        dims, ls = [], []
+        if m >= 1:
+            dims.append(m * (2 * m + 1))
+            ls.append(F(2 * n, 2 * m - 1))
+        dims.append(n * (2 * n + 1))
+        ls.append(F(2 * m + 1, 2 * n + 2))
+        return FamilySpec("B", m, n, name=f"B({m},{n})",
+                          data=_data("killing", dims, 2 * n * (2 * m + 1), ls))
     if family == "C":
         if n is None or n < 3:
             raise ValueError("C requires n >= 3")
-        return FamilySpec("C", n=n)
+        return FamilySpec("C", n=n, name=f"C({n})",
+                          data=_data("killing", ((n - 1) * (2 * n - 1),),
+                                     4 * (n - 1), (F(1, n),), dim_k0=1))
     if family == "D":
         if m is None or n is None or m < 2 or n < 1:
             raise ValueError("D requires m >= 2, n >= 1")
+        if (m, n) == (2, 1):
+            return family_spec("D21a", alpha=1.0)
         if m - n == 1:
-            if n == 1:
-                return FamilySpec("D21a", alpha=1.0)
-            return FamilySpec("Dn1n", n=n)
-        return FamilySpec("D", m=m, n=n)
+            return FamilySpec("Dn1n", n=n, name=f"D({m},{n})",
+                              data=_data("case6", (m * (2 * m - 1),
+                                                   n * (2 * n + 1)),
+                                         4 * n * m, (F(1), F(1)),
+                                         (F(1), F(-n, m))),
+                              form_scale=2 * n, flat_and_nonflat=True)
+        return FamilySpec("D", m, n, name=f"D({m},{n})",
+                          data=_data("killing", (m * (2 * m - 1), n * (2 * n + 1)),
+                                     4 * m * n, (F(n, m - 1), F(m, n + 1))))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -189,57 +227,6 @@ def _data(form_kind: str, dim_k, dim_odd: int, l, b=None,
                       gamma0, form_kind == "killing", form_kind, trace_rhs)
 
 
-def family_data(spec: FamilySpec) -> FamilyData:
-    """All scalar data for a valid spec; total and pure."""
-    F = Fraction
-    k = spec.kind
-    if k == "A":
-        m, n = spec.m, spec.n
-        big, small = m + 1, n + 1
-        dims, ls = [], []
-        if big >= 2:
-            dims.append(big * big - 1)
-            ls.append(F(small, big))
-        if small >= 2:
-            dims.append(small * small - 1)
-            ls.append(F(big, small))
-        return _data("killing", dims, 2 * big * small, ls, dim_k0=1)
-    if k == "Ann":
-        n = spec.n
-        d = n * (n + 2)
-        return _data("case2", (d, d), 2 * (n + 1) ** 2, (F(1), F(1)),
-                     (F(1), F(-1)))
-    if k == "B":
-        m, n = spec.m, spec.n
-        dims, ls = [], []
-        if m >= 1:
-            dims.append(m * (2 * m + 1))
-            ls.append(F(2 * n, 2 * m - 1))
-        dims.append(n * (2 * n + 1))
-        ls.append(F(2 * m + 1, 2 * n + 2))
-        return _data("killing", dims, 2 * n * (2 * m + 1), ls)
-    if k == "C":
-        n = spec.n
-        return _data("killing", ((n - 1) * (2 * n - 1),), 4 * (n - 1),
-                     (F(1, n),), dim_k0=1)
-    if k == "D":
-        m, n = spec.m, spec.n
-        return _data("killing", (m * (2 * m - 1), n * (2 * n + 1)), 4 * m * n,
-                     (F(n, m - 1), F(m, n + 1)))
-    if k == "Dn1n":
-        n = spec.n
-        return _data("case6", ((n + 1) * (2 * n + 1), n * (2 * n + 1)),
-                     4 * n * (n + 1), (F(1), F(1)), (F(1), F(-n, n + 1)))
-    if k == "D21a":
-        return _data("case7", (3, 3, 3), 8, (F(1), F(1), F(1)),
-                     (F(1), F(1), F(-1, 2)))
-    if k == "F4":
-        return _data("killing", (21, 3), 16, (F(2, 5), F(2)))
-    if k == "G3":
-        return _data("killing", (14, 3), 14, (F(1, 2), F(7, 4)))
-    raise ValueError(f"unknown kind {k!r}")
-
-
 def catalog(max_m: int, max_n: Optional[int] = None) -> list[FamilySpec]:
     """Deterministic enumeration of all valid specs within the bounds.
 
@@ -277,18 +264,21 @@ def catalog(max_m: int, max_n: Optional[int] = None) -> list[FamilySpec]:
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """A matrix-realized family: algebra, canonical and Killing forms, and
-    catalog data."""
+    """A matrix-realized family: its record, algebra, and canonical and
+    Killing forms."""
 
     spec: FamilySpec
     algebra: LieSuperAlgebra
     canonical_form: BilinearFormMatrix
     killing: BilinearFormMatrix
-    data: FamilyData
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @property
+    def data(self) -> FamilyData:
+        return self.spec.data
 
     @cached_property
     def ideal_invariants(self) -> dict:
@@ -377,8 +367,7 @@ def _coordinates(keys: np.ndarray, brackets: np.ndarray, owner: np.ndarray,
 
 
 def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
-              odd_slot: int, form_scale: Optional[int],
-              quotient: Optional[dict] = None) -> Realization:
+              odd_slot: int, quotient: Optional[dict] = None) -> Realization:
     """Common constructor tail: structure constants, algebra, canonical form.
 
     ``elems`` lists the basis as (sparse integer matrix ``{(row, col): int}``,
@@ -386,10 +375,16 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
     [B_i, B_j] = B_i B_j - (-1)**(p_i p_j) B_j B_i is formed at once from the
     matrices' entries and expanded exactly in the basis. A ``quotient``
     matrix is a direction the bracket is taken modulo: it joins the spanning
-    set and its coefficient is dropped. ``form_scale`` selects the canonical
-    form: None means the Killing form, an integer t means t * str(B_i B_j).
+    set and its coefficient is dropped. ``spec.form_scale`` selects the
+    canonical form: None means the Killing form, an integer t means
+    t * str(B_i B_j). Refuses, before allocating any, a dimension whose dense
+    (dim, dim) forms exceed ``supercore.MAX_DENSE_ENTRIES`` entries.
     """
     dim = len(elems)
+    if dim * dim > MAX_DENSE_ENTRIES:
+        raise ValueError(f"{spec.name} has dimension {dim:,}: a dense "
+                         f"({dim}, {dim}) form is over the "
+                         f"{MAX_DENSE_ENTRIES:,}-entry memory limit")
     parity = tuple(e[1] for e in elems)
     p = np.array(parity, dtype=np.int64)
     size = even_slot + odd_slot
@@ -416,7 +411,7 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
     alg = LieSuperAlgebra(SuperBasis(parity, tuple(e[2] for e in elems)),
                           (ijk, x[keep], denom), tuple(decomposition))
     killing = killing_form(alg)
-    if form_scale is None:
+    if spec.form_scale is None:
         form = killing
     else:
         # str(B_i B_j) from the diagonal product entries, signed by slot
@@ -424,9 +419,9 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
         strace = np.zeros(dim * dim, dtype=np.int64)
         np.add.at(strace, (i * dim + j)[on_diag],
                   np.where(row[a] < even_slot, prod, -prod)[on_diag])
-        gram = (form_scale * strace).reshape(dim, dim).astype(float)
+        gram = (spec.form_scale * strace).reshape(dim, dim).astype(float)
         form = BilinearFormMatrix(gram, check_form(alg, BilinearFormMatrix(gram)))
-    return Realization(spec, alg, form, killing, family_data(spec))
+    return Realization(spec, alg, form, killing)
 
 
 # -- special linear ----------------------------------------------------------
@@ -474,7 +469,7 @@ def build_sl_super(m: int, n: int) -> Realization:
     for a in range(small):
         for bcol in range(big):
             elems.append(({(big + a, bcol): 1}, 1, f"odd:Z({a},{bcol})"))
-    return _assemble(spec, elems, decomposition, big, small, None)
+    return _assemble(spec, elems, decomposition, big, small)
 
 
 def build_psl(n: int) -> Realization:
@@ -500,7 +495,7 @@ def build_psl(n: int) -> Realization:
         for bcol in range(blk):
             elems.append(({(blk + a, bcol): 1}, 1, f"odd:Z({a},{bcol})"))
     identity = {(a, a): 1 for a in range(2 * blk)}
-    return _assemble(spec, elems, decomposition, blk, blk, 2 * blk, identity)
+    return _assemble(spec, elems, decomposition, blk, blk, identity)
 
 
 # -- orthosymplectic ---------------------------------------------------------
@@ -574,14 +569,7 @@ def build_osp(l: int, k: int) -> Realization:
                 mat[(s, l + r - q)] = 1
             elems.append((mat, 1, f"odd:M({r},{s})"))
 
-    data = family_data(spec)
-    if data.form_kind == "case6":
-        form_scale = 2 * spec.n
-    elif data.form_kind == "case7":
-        form_scale = 2
-    else:
-        form_scale = None
-    return _assemble(spec, elems, decomposition, l, k, form_scale)
+    return _assemble(spec, elems, decomposition, l, k)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ NONDEG_TOL = 1e-10
 # 57 MiB), so the bound holds it near 250 MB. The count grows about as
 # dim**2: catalog(6) joins at most 0.35M pairs (B(6,6)), A(40,0) 9.6M.
 MAX_JOIN_PAIRS = 3_000_000
+# Largest number of entries of one dense (dim, dim) form. A ``verify`` peaks
+# at 76 to 94 bytes per entry (A(40,0), dim 1,763: 292 MB; A(42,0), dim
+# 1,935: 327 MB; A(60,0), dim 3,843: 1,129 MB), so the bound, dim <= 2,000,
+# holds it near 350 MB.
+MAX_DENSE_ENTRIES = 4_000_000
 
 
 class DegeneracyError(ValueError):

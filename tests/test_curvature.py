@@ -1,3 +1,4 @@
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,6 +205,38 @@ class TestRicci:
             ric_d = ricci_direct(real.algebra, metric, conn)
             ric_c = ricci_closed_form(real, params)
             assert np.max(np.abs(ric_d.gram - ric_c.gram)) < 1e-8
+
+
+# Both Ricci routes and the compatibility residual of the blockwise
+# connection have degree <= 2 in each scaling, so agreement on the grid
+# {1, 2, 3}^(number of scalings) is agreement on the whole family.
+GRID_FAMILIES = [("A", 2, 1, None), ("B", 2, 2, None), ("D", 3, 2, None),
+                 ("A", 2, 2, None), ("D21a", None, None, 1.0)]
+
+
+class TestRouteGrid:
+    @pytest.fixture(scope="class", params=GRID_FAMILIES,
+                    ids=lambda f: family_spec(*f).name)
+    def real(self, request):
+        return realize(family_spec(*request.param))
+
+    def test_blockwise_ricci_equals_closed_form_on_the_grid(self, real):
+        for x in product((1.0, 2.0, 3.0), repeat=real.data.n_params):
+            params = MetricParams(x)
+            metric = metric_from_params(real, params)
+            ric_d = ricci_direct(real.algebra, metric,
+                                 levi_civita_blockwise(real, params))
+            ric_c = ricci_closed_form(real, params)
+            assert np.max(np.abs(ric_d.gram - ric_c.gram)) \
+                <= 1e-12 * metric.scale(), x
+
+    def test_blockwise_connection_is_levi_civita_on_the_grid(self, real):
+        for x in product((1.0, 2.0, 3.0), repeat=real.data.n_params):
+            params = MetricParams(x)
+            compat, torsion = connection_residuals(
+                real.algebra, metric_from_params(real, params),
+                levi_civita_blockwise(real, params))
+            assert compat <= 1e-12 and torsion <= 1e-12, x
 
 
 class TestNaturallyReductive:

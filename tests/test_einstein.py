@@ -13,7 +13,6 @@ from supereinstein.einstein import (
     EinsteinSolution,
     cubic_factor,
     cubic_reference_coefficients,
-    default_folding,
     elimination_polynomial,
     lift_real_form,
     real_roots,
@@ -22,20 +21,19 @@ from supereinstein.einstein import (
     system_residual,
     verify_solution,
 )
-from supereinstein.families import FamilyData, catalog, family_data, \
-    family_spec, realize
+from supereinstein.families import FamilyData, catalog, family_spec, realize
 
 F = Fraction
 
 
 def sys_for(fam, m=None, n=None, alpha=None):
-    return family_data(family_spec(fam, m, n, alpha))
+    return family_spec(fam, m, n, alpha).data
 
 
 def solve_family(spec, verify=True):
     """Solve the spec's system, and (when a matrix realization exists)
     verify each solution."""
-    sols = solve(family_data(spec))
+    sols = solve(spec.data)
     if verify and spec.realizable:
         real = realize(spec)
         sols = [verify_solution(real, s) for s in sols]
@@ -47,7 +45,7 @@ def known_solutions(spec):
     oracle for :func:`solve`: evaluated at the spec's parameters, stamped
     ``printed_catalog`` and returned in the ascending ``(c, x)`` order of
     :func:`solve`."""
-    data = family_data(spec)
+    data = spec.data
     sols: list[tuple[tuple, float]] = []
     ones = tuple([1.0] * data.n_params)
     if spec.kind in ("A", "B", "C", "D", "F4", "G3"):
@@ -269,13 +267,13 @@ class TestElimination:
     def test_reference_read_from_spec_equals_data_search(self, spec):
         # the reference cubic keys on the spec's (kind, m, n); the oracle
         # recovers (m, n) from the scalar data alone
-        m, n = two_ideal_params_by_search(family_data(spec))
+        m, n = two_ideal_params_by_search(spec.data)
         ref = cubic_reference_coefficients(spec)
         if m is None:
             assert ref is None
             return
         assert (spec.kind, spec.m, spec.n) == \
-            ("B" if family_data(spec).dim_k[0] == m * (2 * m + 1) else "D", m, n)
+            ("B" if spec.data.dim_k[0] == m * (2 * m + 1) else "D", m, n)
         assert tuple(cubic_factor(elimination_polynomial(spec))) == ref
 
     @pytest.mark.parametrize("fam,m,n", [("B", 1, 1), ("B", 2, 1), ("D", 2, 2),
@@ -287,13 +285,6 @@ class TestElimination:
         xs = sorted({s.x[0] for s in solve(sys)})
         assert len(roots) == len(xs)
         assert all(abs(a - b) < 1e-8 for a, b in zip(sorted(roots), xs))
-
-    def test_pivot_two_tracks_second_variable(self):
-        sys = sys_for("B", 2, 1)
-        roots = [r for r in real_roots(elimination_polynomial(
-            family_spec("B", 2, 1), pivot=2)) if abs(r) > 1e-9]
-        xs = sorted({s.x[1] for s in solve(sys)})
-        assert all(any(abs(r - v) < 1e-8 for r in roots) for v in xs)
 
     def test_square_free_collapses_double_roots(self):
         # (x - 1)^2 (2x - 1)^2, up to scale
@@ -324,13 +315,9 @@ class TestKnownSolutions:
 class TestFolding:
     def test_ann_solutions_fold(self):
         spec = family_spec("A", 1, 1)
-        pairs = default_folding(spec)
-        assert pairs == [(0, 1)]
+        assert spec.folding == ((0, 1),)
         for s in solve_family(spec, verify=False):
-            res = lift_real_form(s, pairs)
-            assert res.liftable
-            assert len(res.solution.x) == 1
-            assert res.solution.provenance == "lifted"
+            assert lift_real_form(s, spec.folding).liftable
 
     def test_d21a_root_two_fifths_folds(self):
         spec = family_spec("D21a", alpha=1.0)
@@ -338,13 +325,13 @@ class TestFolding:
         target = [s for s in sols if abs(abs(s.x[0]) - math.sqrt(0.4)) < 1e-9]
         assert len(target) == 2
         for s in target:
-            res = lift_real_form(s, [(0, 1)])
-            assert res.liftable and res.solution.x[1] == pytest.approx(2 * s.x[0])
+            assert lift_real_form(s, spec.folding).liftable
+            assert s.x[2] == pytest.approx(2 * s.x[0])
 
     def test_unequal_pair_rejected(self):
         sol = einstein.EinsteinSolution((1.0, 2.0), 0.0, 0.0)
         res = lift_real_form(sol, [(0, 1)])
-        assert not res.liftable and res.solution is None
+        assert not res.liftable
         assert res.max_pair_gap == pytest.approx(1.0)
 
     def test_malformed_folding(self):
@@ -358,9 +345,9 @@ class TestFolding:
 
     def test_dn1n_folds_trivially(self):
         spec = family_spec("D", 3, 2)
-        assert default_folding(spec) == []
+        assert spec.folding == ()
         for s in solve_family(spec, verify=False):
-            assert lift_real_form(s, []).liftable
+            assert lift_real_form(s, spec.folding).liftable
 
 
 class TestVerifySolution:
@@ -548,14 +535,14 @@ class TestSolverInternals:
         specs = catalog(3) + [family_spec("D21a", alpha=a)
                               for a in (0.5, 2.5, -0.3)]
         for spec in specs:
-            sys = family_data(spec)
+            sys = spec.data
             assert solve(sys, c_window=c_window, grid_step=grid_step) == \
                 scalar_loop_solve(sys, c_window, grid_step), spec.name
 
     @pytest.mark.parametrize("c_window", [einstein.C_WINDOW, 25.0])
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.name)
     def test_pruned_scan_matches_full_grid(self, spec, c_window):
-        sys = family_data(spec)
+        sys = spec.data
         got, got_starts = with_candidates(solve, sys, c_window)
         want, want_starts = with_candidates(full_grid_solve, sys, c_window)
         assert got == want and bits(got) == bits(want)

@@ -14,7 +14,6 @@ from supereinstein.families import (
     build_psl,
     build_sl_super,
     catalog,
-    family_data,
     family_spec,
     realize,
     verify_realization,
@@ -135,44 +134,44 @@ class TestBuildOsp:
 
 class TestFamilyData:
     def test_f4_g3_display_fractions(self):
-        f4 = family_data(family_spec("F4"))
+        f4 = family_spec("F4").data
         assert f4.dim_k == (21, 3) and f4.dim_odd == 16
         assert f4.gamma == (Fraction(7, 8), Fraction(-3, 8))
-        g3 = family_data(family_spec("G3"))
+        g3 = family_spec("G3").data
         assert g3.dim_k == (14, 3) and g3.dim_odd == 14
         assert g3.gamma == (Fraction(1), Fraction(-1, 2))
 
     def test_ann_casimir_scalars(self):
         for n in (1, 2, 3):
-            data = family_data(family_spec("A", n, n))
+            data = family_spec("A", n, n).data
             g = Fraction(n * (n + 2), 2 * (n + 1) ** 2)
             assert data.gamma == (g, -g)
 
     def test_d21a_alpha_independent(self):
-        d1 = family_data(family_spec("D21a", alpha=2.5))
-        d2 = family_data(family_spec("D21a", alpha=7.25))
+        d1 = family_spec("D21a", alpha=2.5).data
+        d2 = family_spec("D21a", alpha=7.25).data
         assert d1 == d2
         assert d1.b == (Fraction(1), Fraction(1), Fraction(-1, 2))
         assert d1.gamma == (Fraction(3, 8), Fraction(3, 8), Fraction(-3, 4))
 
     def test_purity(self):
-        assert family_data(family_spec("B", 2, 1)) == family_data(family_spec("B", 2, 1))
+        assert family_spec("B", 2, 1).data == family_spec("B", 2, 1).data
 
     def test_casimir_sum_identities(self):
         # gamma_0 + sum gamma_i = 1/2 exactly when the Killing form is
         # non-degenerate, 0 when it vanishes identically
         for spec in catalog(4, 4):
-            data = family_data(spec)
+            data = spec.data
             total = sum(data.gamma, Fraction(0)) + (data.gamma0 or Fraction(0))
             assert total == (Fraction(1, 2) if data.killing_nondegenerate else 0), spec.name
 
     def test_every_catalog_index_is_positive(self):
         for spec in catalog(6):
-            assert all(l > 0 for l in family_data(spec).l), spec.name
+            assert all(l > 0 for l in spec.data.l), spec.name
 
     @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 2)])
     def test_nonpositive_index_refused(self, bad):
-        data = family_data(family_spec("B", 1, 1))
+        data = family_spec("B", 1, 1).data
         with pytest.raises(ValueError, match="positive"):
             dataclasses.replace(data, l=(data.l[0], bad))
 
@@ -203,7 +202,7 @@ class TestCatalog:
         # b and gamma are derived from l; the records must not drift
         specs = catalog(8) + [family_spec("D21a", alpha=a)
                               for a in (1.0, 2.5, -3.0, 0.4)]
-        text = "\n".join(repr(family_data(s)) for s in specs)
+        text = "\n".join(repr(s.data) for s in specs)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "3e0cb2cef3692bfc5b0338ddcc8962bde8308d9101d6b0118ba6d9a7c52408ee"
 
@@ -305,7 +304,7 @@ class TestExactAssembly:
         elems = [(mat, 0, str(k)) for k, mat in enumerate(mats)]
         return families._assemble(family_spec("A", 1, 0), elems,
                                   [DecompositionRange(0, len(elems), "simple")],
-                                  2, 0, None)
+                                  2, 0)
 
     def test_sl2_assembles(self):
         alg = self._assemble(list(self.SL2.values())).algebra

@@ -1,8 +1,8 @@
 """Source hygiene of the package, checked with the standard-library ``ast``:
 no module-level import goes unused, no module-level private function or
 constant and no public definition or method is left without a reference
-anywhere in the package (``__all__`` counts as one), and no module calls
-``einsum``."""
+anywhere in the package (``__all__`` counts as one), no module calls
+``einsum``, and the front end compares no family kind."""
 
 import ast
 import functools
@@ -106,6 +106,20 @@ def test_no_einsum(path):
     assert "einsum" not in _loaded_names(_tree(path))
 
 
+def _kind_comparisons(tree: ast.AST) -> list:
+    """Line numbers of the comparisons with a ``.kind`` attribute operand."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, ast.Attribute) and op.attr == "kind"
+                    for op in [node.left, *node.comparators])]
+
+
+def test_cli_asks_the_family_record_not_its_kind():
+    # every per-family question the front end asks is answered by a field of
+    # the family's record, stated once where the record is made
+    assert _kind_comparisons(_tree(SRC / "cli.py")) == []
+
+
 def test_checks_catch_what_they_look_for():
     tree = ast.parse("from typing import Callable, Optional\n"
                      "import numpy as np\n"
@@ -122,3 +136,8 @@ def test_checks_catch_what_they_look_for():
                      "LIMIT = 3\n")
     assert _public_definitions(tree) - _loaded_names(tree) == \
         {"Basis", "LIMIT", "unused"}
+    tree = ast.parse("if spec.kind in ('A', 'F4'):\n"
+                     "    single = True\n"
+                     "ok = 'B' == spec.kind or spec.kind_count > 1\n"
+                     "name = spec.kind\n")
+    assert _kind_comparisons(tree) == [1, 3]

@@ -239,10 +239,29 @@ def test_join_over_the_bound_refused_before_allocating():
     assert peak < 2**20  # the pair indices alone would take 48 MB
 
 
+def test_dense_form_over_the_bound_refused_before_allocating():
+    # A(43,0) is the first A(m,0) over the bound: dim 2,024
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense .* memory limit"):
+            families.build_sl_super(43, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22  # one dense (2024, 2024) form alone would take 33 MB
+
+
+def test_dense_bound_admits_its_own_size(monkeypatch):
+    monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 12 * 12)
+    assert families.build_osp(3, 2).algebra.dim == 12
+    monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 12 * 12 - 1)
+    with pytest.raises(ValueError, match="B\\(1,1\\) has dimension 12"):
+        families.build_osp(3, 2)
+
+
 def test_largest_catalog_family_passes_the_join_bound():
-    dims = {spec: d.dim_k0 + sum(d.dim_k) + d.dim_odd
-            for spec, d in ((sp, families.family_data(sp))
-                            for sp in families.catalog(6))}
+    dims = {spec: spec.data.dim_k0 + sum(spec.data.dim_k) + spec.data.dim_odd
+            for spec in families.catalog(6)}
     largest = max(dims, key=dims.get)
     assert largest.name == "B(6,6)" and dims[largest] == 312
     alg = families.build_osp(13, 12).algebra  # uncached: freed after the test
