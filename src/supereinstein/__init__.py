@@ -26,9 +26,6 @@ from .families import (
     FamilyData,
     FamilySpec,
     Realization,
-    build_osp,
-    build_psl,
-    build_sl_super,
     catalog,
     family_spec,
     realize,
@@ -58,9 +55,8 @@ __all__ = [
     "BilinearFormMatrix", "CasimirResult", "Connection", "DecompositionRange",
     "DegeneracyError", "EinsteinSolution", "FamilyData", "FamilySpec",
     "LieSuperAlgebra", "MetricParams", "Realization", "SuperBasis",
-    "b_ratio", "bracket", "build_osp", "build_psl", "build_sl_super",
-    "casimir_on_odd", "catalog", "check_form", "check_super_jacobi",
-    "dual_basis", "elimination_polynomial", "family_spec",
+    "b_ratio", "bracket", "casimir_on_odd", "catalog", "check_form",
+    "check_super_jacobi", "dual_basis", "elimination_polynomial", "family_spec",
     "killing_form", "levi_civita_blockwise", "levi_civita_koszul",
     "lift_real_form", "metric_from_params", "realize",
     "representation_index", "ricci_closed_form", "ricci_direct", "solve",

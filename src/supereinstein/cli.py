@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from itertools import repeat
 
@@ -384,13 +385,17 @@ def build_report(max_m: int, max_n: int, seed: int, c_window: float,
                  tol: float, jobs: int = 1) -> dict:
     """The report document. Prints each family's notes on stderr, in
     catalog order: what ``c_window`` left out, which solutions failed Ricci
-    verification and, for a failing section, which gates failed."""
+    verification and, for a failing section, which gates failed. At most
+    ``jobs`` worker processes run the sections, and no more than there are
+    sections or CPUs, since the pool starts every worker at once; the
+    document is the same at any count."""
     specs = catalog(max_m, max_n)
     inputs = (specs, repeat(seed), range(len(specs)), repeat(c_window),
               repeat(tol))
-    if jobs > 1:
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pools pay for it
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(report_section, *inputs))
     else:
         results = list(map(report_section, *inputs))
@@ -591,7 +596,7 @@ def main(argv=None) -> int:
         if error:
             raise ValueError(error)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError from writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,8 @@
 """Constructors for the classical matrix families and the scalar data catalog.
 
-Each builder states its basis once, as (sparse integer matrix, parity,
-label) triples. ``_assemble`` forms every super-commutator from the
+Each family's record names the basis function that states its basis once,
+as (sparse integer matrix, parity, label) triples, and ``realize`` is the
+one constructor. ``_assemble`` forms every super-commutator from the
 matrices' entries and reads its coordinates exactly through the inverse of
 the integer Frobenius Gram, checking that they rebuild the bracket, so the
 structure constants are exact rationals, which the algebra stores once.
@@ -53,9 +54,11 @@ class FamilySpec:
 
     ``kind``, ``m``, ``n`` and ``alpha`` identify the family; the rest is
     stated once per kind by :func:`family_spec`: the display name, the
-    catalog ``data``, whether a matrix realization exists, the scale t of
-    the canonical form t str(XY) that ``data.b`` is measured against (None
-    for the Killing form), the pairs of isomorphic simple ideals that can
+    catalog ``data``, the ``basis`` :func:`realize` builds from (a
+    module-level basis function and its arguments, so a record pickles;
+    None when the family has no matrix realization here), the scale t of the
+    canonical form t str(XY) that ``data.b`` is measured against (None for
+    the Killing form), the pairs of isomorphic simple ideals that can
     merge in a real form, and the paper's two claims about the family:
     exactly one Einstein metric (``single_metric``), and both Ricci-flat and
     non-Ricci-flat ones (``flat_and_nonflat``).
@@ -68,11 +71,20 @@ class FamilySpec:
     _: KW_ONLY
     name: str
     data: FamilyData = field(repr=False)
-    realizable: bool = True
+    basis: Optional[tuple] = field(default=None, repr=False)
     form_scale: Optional[int] = None
     folding: tuple[tuple[int, int], ...] = ()
     single_metric: bool = False
     flat_and_nonflat: bool = False
+
+    @property
+    def realizable(self) -> bool:
+        return self.basis is not None
+
+
+# the parameters each family takes
+_PARAMS = {"A": ("m", "n"), "B": ("m", "n"), "C": ("n",), "D": ("m", "n"),
+           "D21a": ("alpha",), "F4": (), "G3": ()}
 
 
 def family_spec(family: str, m: Optional[int] = None, n: Optional[int] = None,
@@ -82,15 +94,22 @@ def family_spec(family: str, m: Optional[int] = None, n: Optional[int] = None,
 
     A with m = n routes to the quotient family; D with m - n = 1 routes to
     the degenerate-Killing series (and to the three-ideal family at n = 1).
+    A parameter the family does not take is refused.
     """
     F = Fraction
     family = family.strip()
+    if family not in _PARAMS:
+        raise ValueError(f"unknown family {family!r}")
+    extra = [k for k, v in (("m", m), ("n", n), ("alpha", alpha))
+             if v is not None and k not in _PARAMS[family]]
+    if extra:
+        raise ValueError(f"{family} takes no {' or '.join(extra)}")
     if family == "F4":
-        return FamilySpec("F4", name="F(4)", realizable=False,
+        return FamilySpec("F4", name="F(4)",
                           data=_data("killing", (21, 3), 16, (F(2, 5), F(2))),
                           single_metric=True)
     if family == "G3":
-        return FamilySpec("G3", name="G(3)", realizable=False,
+        return FamilySpec("G3", name="G(3)",
                           data=_data("killing", (14, 3), 14, (F(1, 2), F(7, 4))))
     if family == "D21a":
         if alpha is None:
@@ -99,7 +118,7 @@ def family_spec(family: str, m: Optional[int] = None, n: Optional[int] = None,
             raise ValueError("alpha must avoid 0 and -1")
         alpha = float(alpha)
         return FamilySpec("D21a", alpha=alpha, name=f"D(2,1;{alpha:g})",
-                          realizable=alpha == 1.0,
+                          basis=(_d21_basis,) if alpha == 1.0 else None,
                           data=_data("case7", (3, 3, 3), 8, (F(1), F(1), F(1)),
                                      (F(1), F(1), F(-1, 2))),
                           form_scale=2, folding=((0, 1),),
@@ -114,7 +133,8 @@ def family_spec(family: str, m: Optional[int] = None, n: Optional[int] = None,
             return FamilySpec("Ann", n=n, name=f"A({n},{n})",
                               data=_data("case2", (d, d), 2 * (n + 1) ** 2,
                                          (F(1), F(1)), (F(1), F(-1))),
-                              form_scale=2 * (n + 1), folding=((0, 1),))
+                              basis=(_psl_basis, n), form_scale=2 * (n + 1),
+                              folding=((0, 1),))
         big, small = m + 1, n + 1
         dims, ls = [], []
         if big >= 2:
@@ -126,7 +146,7 @@ def family_spec(family: str, m: Optional[int] = None, n: Optional[int] = None,
         return FamilySpec("A", m, n, name=f"A({m},{n})",
                           data=_data("killing", dims, 2 * big * small, ls,
                                      dim_k0=1),
-                          single_metric=True)
+                          basis=(_sl_basis, m, n), single_metric=True)
     if family == "B":
         if m is None or n is None or m < 0 or n < 1:
             raise ValueError("B requires m >= 0, n >= 1")
@@ -137,13 +157,15 @@ def family_spec(family: str, m: Optional[int] = None, n: Optional[int] = None,
         dims.append(n * (2 * n + 1))
         ls.append(F(2 * m + 1, 2 * n + 2))
         return FamilySpec("B", m, n, name=f"B({m},{n})",
-                          data=_data("killing", dims, 2 * n * (2 * m + 1), ls))
+                          data=_data("killing", dims, 2 * n * (2 * m + 1), ls),
+                          basis=(_osp_basis, 2 * m + 1, 2 * n))
     if family == "C":
         if n is None or n < 3:
             raise ValueError("C requires n >= 3")
         return FamilySpec("C", n=n, name=f"C({n})",
                           data=_data("killing", ((n - 1) * (2 * n - 1),),
-                                     4 * (n - 1), (F(1, n),), dim_k0=1))
+                                     4 * (n - 1), (F(1, n),), dim_k0=1),
+                          basis=(_osp_basis, 2, 2 * n - 2))
     if family == "D":
         if m is None or n is None or m < 2 or n < 1:
             raise ValueError("D requires m >= 2, n >= 1")
@@ -155,11 +177,12 @@ def family_spec(family: str, m: Optional[int] = None, n: Optional[int] = None,
                                                    n * (2 * n + 1)),
                                          4 * n * m, (F(1), F(1)),
                                          (F(1), F(-n, m))),
+                              basis=(_osp_basis, 2 * m, 2 * n),
                               form_scale=2 * n, flat_and_nonflat=True)
         return FamilySpec("D", m, n, name=f"D({m},{n})",
                           data=_data("killing", (m * (2 * m - 1), n * (2 * n + 1)),
-                                     4 * m * n, (F(n, m - 1), F(m, n + 1))))
-    raise ValueError(f"unknown family {family!r}")
+                                     4 * m * n, (F(n, m - 1), F(m, n + 1))),
+                          basis=(_osp_basis, 2 * m, 2 * n))
 
 
 @dataclass(frozen=True)
@@ -442,13 +465,8 @@ def _sl_block_elems(offset: int, size: int, prefix: str) -> list:
     return elems
 
 
-def build_sl_super(m: int, n: int) -> Realization:
-    """Supertraceless (m+1|n+1) matrices; canonical form is the Killing form."""
-    if m == n:
-        raise ValueError("m = n gives a degenerate Killing form; use build_psl")
-    if m < 0 or n < 0:
-        raise ValueError("require m, n >= 0")
-    spec = family_spec("A", m, n)
+def _sl_basis(m: int, n: int) -> tuple:
+    """Supertraceless (m+1|n+1) matrices, m != n."""
     big, small = m + 1, n + 1
 
     elems = [({(a, a): small for a in range(big)}
@@ -462,26 +480,22 @@ def build_sl_super(m: int, n: int) -> Realization:
     if small >= 2:
         elems += _sl_block_elems(big, small, "k2")
         decomposition.append(DecompositionRange(pos, pos + small * small - 1, "simple"))
-        pos += small * small - 1
     for a in range(big):
         for bcol in range(small):
             elems.append(({(a, big + bcol): 1}, 1, f"odd:Y({a},{bcol})"))
     for a in range(small):
         for bcol in range(big):
             elems.append(({(big + a, bcol): 1}, 1, f"odd:Z({a},{bcol})"))
-    return _assemble(spec, elems, decomposition, big, small)
+    return elems, decomposition, big, small
 
 
-def build_psl(n: int) -> Realization:
+def _psl_basis(n: int) -> tuple:
     """Quotient of supertraceless (n+1|n+1) matrices by the identity.
 
     Representatives are chosen with both diagonal blocks traceless; the
     bracket is taken modulo the identity, which keeps structure constants
-    rational. The canonical form is 2(n+1) str(XY) on representatives.
+    rational.
     """
-    if n < 1:
-        raise ValueError("require n >= 1")
-    spec = family_spec("A", n, n)
     blk = n + 1
     d = blk * blk - 1
 
@@ -495,53 +509,49 @@ def build_psl(n: int) -> Realization:
         for bcol in range(blk):
             elems.append(({(blk + a, bcol): 1}, 1, f"odd:Z({a},{bcol})"))
     identity = {(a, a): 1 for a in range(2 * blk)}
-    return _assemble(spec, elems, decomposition, blk, blk, identity)
+    return elems, decomposition, blk, blk, identity
 
 
 # -- orthosymplectic ---------------------------------------------------------
 
 
-def build_osp(l: int, k: int) -> Realization:
-    """Matrices skew-supersymmetric for the standard form on C^(l|k).
+def _osp_basis(l: int, k: int) -> tuple:
+    """Matrices skew-supersymmetric for the standard form on C^(l|k), k even.
 
     The form is the identity on the even slot and the standard symplectic
-    matrix on the odd slot. Covers B(m,n) at l = 2m+1, D(m,n) at l = 2m,
-    C(n) at (2, 2n-2) and the three-ideal family at (4, 2).
+    matrix on the odd slot. so(l) is one ideal, abelian at l = 2 and absent
+    at l = 1.
     """
-    if k < 2 or k % 2:
-        raise ValueError("require k even and >= 2")
-    if l < 1:
-        raise ValueError("require l >= 1")
-    if l % 2:
-        spec = family_spec("B", (l - 1) // 2, k // 2)
-    elif l == 2:
-        spec = family_spec("C", n=k // 2 + 1)
-    else:
-        spec = family_spec("D", l // 2, k // 2)
-    q = k // 2
+    elems = [({(i, j): 1, (j, i): -1}, 0, f"so:A({i},{j})")
+             for i in range(l) for j in range(i + 1, l)]
+    kind = "abelian" if l == 2 else "simple"
+    decomposition = [DecompositionRange(0, len(elems), kind)] if elems else []
+    return _sp_and_odd(elems, decomposition, l, k)
 
+
+def _d21_basis() -> tuple:
+    """D(2,1;1) = osp(4|2), with so(4) split into its two commuting
+    3-dimensional ideals (self-dual halves): A(p1) + s A(p2) with s = +eps
+    and s = -eps."""
+    sd = [((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1)]
     elems: list = []
-    decomposition: list = []
-    pos = 0
-    if spec.kind == "D21a":
-        # so(4) = two commuting 3-dimensional ideals (self-dual halves):
-        # A(p1) + s A(p2) with s = +eps and s = -eps
-        sd = [((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1)]
-        for tag, sgn in (("k1", 1), ("k2", -1)):
-            for ((i, j), (u, v), eps) in sd:
-                s = sgn * eps
-                elems.append(({(i, j): 1, (j, i): -1, (u, v): s, (v, u): -s},
-                              0, f"{tag}:S{(i, j)}"))
-            decomposition.append(DecompositionRange(pos, pos + 3, "simple"))
-            pos += 3
-    elif l >= 2:
-        for i in range(l):
-            for j in range(i + 1, l):
-                elems.append(({(i, j): 1, (j, i): -1}, 0, f"so:A({i},{j})"))
-        kind = "abelian" if l == 2 else "simple"
-        decomposition.append(DecompositionRange(0, len(elems), kind))
-        pos = len(elems)
+    decomposition = []
+    for tag, sgn in (("k1", 1), ("k2", -1)):
+        decomposition.append(DecompositionRange(len(elems), len(elems) + 3,
+                                                "simple"))
+        for ((i, j), (u, v), eps) in sd:
+            s = sgn * eps
+            elems.append(({(i, j): 1, (j, i): -1, (u, v): s, (v, u): -s},
+                          0, f"{tag}:S{(i, j)}"))
+    return _sp_and_odd(elems, decomposition, 4, 2)
 
+
+def _sp_and_odd(elems: list, decomposition: list, l: int, k: int) -> tuple:
+    """An osp(l|k) basis from the basis ``elems`` of its so(l) part, split
+    by ``decomposition``: appends sp(k) as one simple ideal, then the odd
+    part."""
+    q = k // 2
+    pos = len(elems)
     for a in range(q):
         for bcol in range(q):
             elems.append(({(l + a, l + bcol): 1,
@@ -568,36 +578,23 @@ def build_osp(l: int, k: int) -> Realization:
             else:
                 mat[(s, l + r - q)] = 1
             elems.append((mat, 1, f"odd:M({r},{s})"))
-
-    return _assemble(spec, elems, decomposition, l, k)
+    return elems, decomposition, l, k
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and checks
+# Construction and checks
 # ---------------------------------------------------------------------------
 
 
 def realize(spec: FamilySpec) -> Realization:
-    """Build the matrix realization for a realizable spec; nothing caches
-    it, so it lives as long as its caller holds it."""
-    if not spec.realizable:
+    """Build the matrix realization of a realizable spec from its ``basis``;
+    the realization carries ``spec`` itself. Nothing caches it, so it lives
+    as long as its caller holds it."""
+    if spec.basis is None:
         raise ValueError(f"{spec.name} has no matrix realization here; "
                          "it is handled at the equation layer only")
-    if spec.kind == "A":
-        return build_sl_super(spec.m, spec.n)
-    if spec.kind == "Ann":
-        return build_psl(spec.n)
-    if spec.kind == "B":
-        return build_osp(2 * spec.m + 1, 2 * spec.n)
-    if spec.kind == "C":
-        return build_osp(2, 2 * spec.n - 2)
-    if spec.kind == "D":
-        return build_osp(2 * spec.m, 2 * spec.n)
-    if spec.kind == "Dn1n":
-        return build_osp(2 * spec.n + 2, 2 * spec.n)
-    if spec.kind == "D21a":
-        return build_osp(4, 2)
-    raise ValueError(f"unknown kind {spec.kind!r}")
+    build, *args = spec.basis
+    return _assemble(spec, *build(*args))
 
 
 def verify_realization(real: Realization) -> tuple[dict, list[dict]]:

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,17 +8,17 @@ from supereinstein import families
 
 @pytest.fixture(scope="session")
 def sl21():
-    return families.build_sl_super(1, 0)
+    return families.realize(families.family_spec("A", 1, 0))
 
 
 @pytest.fixture(scope="session")
 def psl22():
-    return families.build_psl(1)
+    return families.realize(families.family_spec("A", 1, 1))
 
 
 @pytest.fixture(scope="session")
 def osp32():
-    return families.build_osp(3, 2)
+    return families.realize(families.family_spec("B", 1, 1))
 
 
 def seeded_params(rng, count, low=-3.0, high=3.0, min_abs=0.1):
@@ -32,22 +31,20 @@ def seeded_params(rng, count, low=-3.0, high=3.0, min_abs=0.1):
     return tuple(out)
 
 
-def defining_matrices(build, *args):
-    """``build(*args)`` and its basis matrices as a dense float array
-    ``(dim, size, size)``, aligned with the basis. They are filled from the
-    (sparse integer matrix, parity, label) triples the builder hands to
-    ``families._assemble``, so they stay an oracle independent of the
-    structure constants."""
-    with mock.patch.object(families, "_assemble",
-                           wraps=families._assemble) as spy:
-        real = build(*args)
-    _, elems, _, even_slot, odd_slot = spy.call_args.args[:5]
+def defining_matrices(spec):
+    """The basis matrices of a realizable ``spec`` as a dense float array
+    ``(dim, size, size)``, aligned with the basis of ``realize(spec)``. They
+    are filled from the (sparse integer matrix, parity, label) triples of
+    ``spec.basis``, so they stay an oracle independent of the structure
+    constants."""
+    build, *args = spec.basis
+    elems, _, even_slot, odd_slot, *_ = build(*args)
     size = even_slot + odd_slot
     mats = np.zeros((len(elems), size, size))
     for k, (mat, _, _) in enumerate(elems):
         for (row, col), v in mat.items():
             mats[k, row, col] = v
-    return real, mats
+    return mats
 
 
 def expand_in_basis(matrices, target):

@@ -102,6 +102,12 @@ class TestInputContract:
         ("report", "--max-m", "1", "--se", "3"),
         ("solve", "--family", "A", "--m", "1", "--n", "0", "--cmax", "1e8"),
         ("report", "--max-m", "1", "--cmax", "1e8", "--jobs", "2"),
+        ("build", "--family", "B", "--m", "1", "--n", "1", "--alpha", "3"),
+        ("solve", "--family", "A", "--m", "2", "--n", "1", "--alpha", "1"),
+        ("build", "--family", "C", "--m", "1", "--n", "3"),
+        ("build", "--family", "D21a", "--m", "2", "--alpha", "1"),
+        ("verify", "--family", "F4", "--m", "1", "--n", "1"),
+        ("indices", "--family", "G3", "--alpha", "2"),
     ], ids=" ".join)
     def test_rejected_with_one_line_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -130,6 +136,14 @@ class TestInputContract:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error: unrecognized arguments: ")
+
+    def test_unwritable_out_is_one_line_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "build", "--family", "B", "--m", "1",
+                             "--n", "1", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err and not target.parent.exists()
 
 
 G3 = ("solve", "--family", "G3")
@@ -261,30 +275,31 @@ class TestRealizedInvariants:
     @pytest.mark.parametrize("field", ["l", "b", "gamma"])
     def test_one_catalog_comparison_gates_build_indices_and_report(
             self, capsys, monkeypatch, field):
-        inner = families.family_spec
-
         def off_by_a_thousandth(*args, **kwargs):
-            spec = inner(*args, **kwargs)
+            spec = families.family_spec(*args, **kwargs)
             values = getattr(spec.data, field)
             return dataclasses.replace(spec, data=dataclasses.replace(
                 spec.data,
                 **{field: (values[0] + Fraction(1, 1000),) + values[1:]}))
 
-        # each builder makes its own record, so only what the realization is
-        # checked against moves; the solver still reads the true data
-        monkeypatch.setattr(families, "family_spec", off_by_a_thousandth)
-        argv = ("--family", "B", "--m", "1", "--n", "1")
+        # the realization carries the record it is given, so the perturbed
+        # record is what the algebra is checked against and what the solver
+        # reads; C(3) has no elimination quartic to trip over the change
+        monkeypatch.setattr(cli, "family_spec", off_by_a_thousandth)
+        argv = ("--family", "C", "--n", "3")
         code, out, _ = run(capsys, "build", *argv)
         assert code == 1
         assert json.loads(out)["verification"]["realization"]["pass"] is False
         code, out, _ = run(capsys, "indices", *argv)
         assert code == 1 and json.loads(out)["pass"] is False
-        section, notes = cli.report_section(inner("B", 1, 1),
+        section, notes = cli.report_section(off_by_a_thousandth("C", n=3),
                                             cli.DEFAULT_SEED, 0,
                                             einstein.C_WINDOW, cli.DEFAULT_TOL)
         assert section["structural"]["indices_match_catalog"] is False
+        assert [s["ricci_verified"] for s in section["solutions"]] == \
+            ["failed", "failed"]
         assert section["pass"] is False
-        assert notes == ["note: B(1,1): failed structural"]
+        assert notes[-1] == "note: C(3): failed structural, solutions"
 
 
 def test_failing_report_section_names_its_gate(capsys, monkeypatch):
@@ -335,6 +350,33 @@ class TestFailedSolutionNotes:
         assert section["pass"] is False
         assert err and notes == err.splitlines() + [
             "note: B(1,1): failed solutions"]
+
+
+@pytest.mark.parametrize("cpus,workers", [(64, 7), (3, 3), (1, None)])
+def test_report_pool_capped_by_sections_and_cpus(capsys, monkeypatch, cpus,
+                                                 workers):
+    # the seven m = 1 sections run on no more workers than there are
+    # sections or CPUs, and on none at all for one CPU
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)  # run in this process: nothing is forked
+
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run(capsys, "report", "--max-m", "1", "--jobs", "1000000")
+    assert code == 0 and len(json.loads(out)["families"]) == 7
+    assert started == ([] if workers is None else [workers])
 
 
 def test_import_leaves_out_the_process_pool():

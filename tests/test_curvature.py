@@ -12,7 +12,7 @@ from supereinstein.curvature import (
     ricci_closed_form,
     ricci_direct,
 )
-from supereinstein.families import build_osp, build_sl_super, family_spec, realize
+from supereinstein.families import family_spec, realize
 from supereinstein.supercore import (
     BilinearFormMatrix,
     DecompositionRange,
@@ -164,7 +164,7 @@ class TestRicci:
         assert np.max(np.abs(ric.gram + 0.25 * metric.gram)) < 1e-9
 
     def test_cross_ideal_and_mixed_blocks_vanish(self):
-        real = build_sl_super(2, 1)
+        real = realize(family_spec("A", 2, 1))
         params = MetricParams((1.7, -0.6, 2.2))
         metric = metric_from_params(real, params)
         ric = ricci_direct(real.algebra, metric,
@@ -189,7 +189,7 @@ class TestRicci:
                              + 0.25 * k[np.ix_(odd, odd)])) < 1e-10
 
     def test_c3_abelian_block_scaling(self):
-        real = build_osp(2, 4)
+        real = realize(family_spec("C", n=3))
         ric = ricci_closed_form(real, MetricParams((2.0, 1.0)))
         k = killing_form(real.algebra).gram
         assert ric.gram[0, 0] == pytest.approx(-k[0, 0])

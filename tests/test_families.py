@@ -10,9 +10,6 @@ import pytest
 from supereinstein import families, supercore
 from supereinstein.supercore import DecompositionRange
 from supereinstein.families import (
-    build_osp,
-    build_psl,
-    build_sl_super,
     catalog,
     family_spec,
     realize,
@@ -51,27 +48,46 @@ class TestFamilySpec:
         assert not family_spec("D21a", alpha=2.5).realizable
         assert family_spec("D21a", alpha=1.0).realizable
 
+    @pytest.mark.parametrize("family,params", [
+        ("A", {"m": 1, "n": 0, "alpha": 2.0}), ("B", {"m": 1, "n": 1, "alpha": 3.0}),
+        ("C", {"m": 1, "n": 3}), ("D", {"m": 3, "n": 2, "alpha": 1.0}),
+        ("D21a", {"m": 2, "alpha": 1.0}), ("D21a", {"n": 1, "alpha": 1.0}),
+        ("F4", {"m": 1}), ("G3", {"n": 2}), ("G3", {"alpha": 1.0}),
+    ])
+    def test_parameter_the_family_does_not_take_refused(self, family, params):
+        with pytest.raises(ValueError, match=f"^{family} takes no "):
+            family_spec(family, **params)
+
+    def test_basis_names_the_construction(self):
+        assert family_spec("A", 2, 1).basis == (families._sl_basis, 2, 1)
+        assert family_spec("A", 2, 2).basis == (families._psl_basis, 2)
+        assert family_spec("B", 1, 2).basis == (families._osp_basis, 3, 4)
+        assert family_spec("C", n=3).basis == (families._osp_basis, 2, 4)
+        assert family_spec("D", 3, 1).basis == (families._osp_basis, 6, 2)
+        assert family_spec("D", 3, 2).basis == (families._osp_basis, 6, 4)
+        assert family_spec("D", 2, 1).basis == (families._d21_basis,)
+        for spec in (family_spec("F4"), family_spec("G3"),
+                     family_spec("D21a", alpha=2.5)):
+            assert spec.basis is None and not spec.realizable
+
 
 class TestBuildSlSuper:
     def test_a10_data(self):
-        r = build_sl_super(1, 0)
+        r = realize(family_spec("A", 1, 0))
         assert r.data.dim_k0 == 1
         assert r.data.dim_k == (3,)
         assert r.data.dim_odd == 4
         assert r.data.l == (Fraction(1, 2),)
 
     def test_a21_data(self):
-        r = build_sl_super(2, 1)
+        r = realize(family_spec("A", 2, 1))
         assert r.data.dim_odd == 12
         assert r.data.l == (Fraction(2, 3), Fraction(3, 2))
 
     def test_jacobi(self):
         for m, n in [(1, 0), (2, 1), (0, 1)]:
-            assert supercore.check_super_jacobi(build_sl_super(m, n).algebra).residual < 1e-12
-
-    def test_equal_params_rejected(self):
-        with pytest.raises(ValueError, match="build_psl"):
-            build_sl_super(2, 2)
+            real = realize(family_spec("A", m, n))
+            assert supercore.check_super_jacobi(real.algebra).residual < 1e-12
 
 
 class TestBuildPsl:
@@ -92,7 +108,7 @@ class TestBuildPsl:
 
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):
-            build_psl(0)
+            family_spec("A", 0, 0)
 
 
 class TestBuildOsp:
@@ -102,7 +118,7 @@ class TestBuildOsp:
         assert osp32.data.l == (Fraction(2), Fraction(3, 4))
 
     def test_c3_data(self):
-        r = build_osp(2, 4)
+        r = realize(family_spec("C", n=3))
         assert r.data.dim_k0 == 1
         assert r.data.dim_k == (10,)
         assert r.data.dim_odd == 8
@@ -110,22 +126,18 @@ class TestBuildOsp:
         assert r.algebra.abelian_ideal().dim == 1
 
     def test_d32_degenerate_killing(self):
-        r = build_osp(6, 4)
+        r = realize(family_spec("D", 3, 2))
         assert np.max(np.abs(supercore.killing_form(r.algebra).gram)) < 1e-12
         assert r.data.b == (Fraction(1), Fraction(-2, 3))
 
     def test_b01_drops_so1(self):
-        r = build_osp(1, 2)
+        r = realize(family_spec("B", 0, 1))
         assert len(r.algebra.decomposition) == 1
         assert r.algebra.decomposition[0].kind == "simple"
         assert r.data.dim_k == (3,)
 
-    def test_odd_k_rejected(self):
-        with pytest.raises(ValueError):
-            build_osp(3, 3)
-
     def test_osp42_three_ideals(self):
-        r = build_osp(4, 2)
+        r = realize(family_spec("D", 2, 1))
         assert [i.dim for i in r.algebra.simple_ideals()] == [3, 3, 3]
         # the two halves of the orthogonal block commute
         c = dense_constants(r.algebra)
@@ -235,6 +247,11 @@ class TestRealizationChecks:
             assert r.canonical_form.report == \
                 supercore.check_form(r.algebra, r.canonical_form)
 
+    def test_realization_carries_the_record_it_was_given(self):
+        for spec in catalog(2):
+            if spec.realizable:
+                assert realize(spec).spec is spec
+
     def test_realization_freed_with_its_last_reference(self):
         real = realize(family_spec("B", 1, 1))
         ref = weakref.ref(real)
@@ -270,8 +287,8 @@ class TestExactAssembly:
 
     @pytest.mark.parametrize("spec", REALIZABLE_3, ids=lambda s: s.name)
     def test_constants_rebuild_every_bracket(self, spec):
-        real, dense = defining_matrices(realize, spec)
-        alg = real.algebra
+        alg = realize(spec).algebra
+        dense = defining_matrices(spec)
         mats = dense.astype(np.int64)
         assert np.array_equal(mats, dense)
         p = np.array(alg.basis.parity)

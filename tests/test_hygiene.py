@@ -2,7 +2,8 @@
 no module-level import goes unused, no module-level private function or
 constant and no public definition or method is left without a reference
 anywhere in the package (``__all__`` counts as one), no module calls
-``einsum``, and the front end compares no family kind."""
+``einsum``, the front end compares no family kind, and only the catalog
+makes family records inside ``families``."""
 
 import ast
 import functools
@@ -120,6 +121,20 @@ def test_cli_asks_the_family_record_not_its_kind():
     assert _kind_comparisons(_tree(SRC / "cli.py")) == []
 
 
+def _callers(tree: ast.Module, name: str) -> set:
+    """The module-level functions of ``tree`` that call ``name``."""
+    return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name}
+
+
+def test_only_the_catalog_makes_family_records():
+    # a realization carries the record it is given; nothing in families
+    # rebuilds one from a basis function's integers
+    assert _callers(_tree(SRC / "families.py"), "family_spec") <= \
+        {"catalog", "family_spec"}
+
+
 def test_checks_catch_what_they_look_for():
     tree = ast.parse("from typing import Callable, Optional\n"
                      "import numpy as np\n"
@@ -141,3 +156,8 @@ def test_checks_catch_what_they_look_for():
                      "ok = 'B' == spec.kind or spec.kind_count > 1\n"
                      "name = spec.kind\n")
     assert _kind_comparisons(tree) == [1, 3]
+    tree = ast.parse("def catalog():\n"
+                     "    return [family_spec('C', n=3)]\n"
+                     "def _osp_basis(l, k):\n"
+                     "    return family_spec('B', (l - 1) // 2, k // 2)\n")
+    assert _callers(tree, "family_spec") == {"catalog", "_osp_basis"}

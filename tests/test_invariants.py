@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from supereinstein import invariants, supercore
-from supereinstein.families import build_osp, build_psl, build_sl_super, \
-    family_spec, realize
+from supereinstein.families import family_spec, realize
 from supereinstein.invariants import (
     _ratio_fit,
     b_ratio,
@@ -106,11 +105,12 @@ class TestDefiningRepIndex:
     def test_standard_probes(self):
         # standard-representation indices probed inside the realizations:
         # so(3) -> 1, sp(2) -> 1/4, sl(3) -> 1/6
-        for build, args, want in ((build_osp, (3, 2), 1.0),
-                                  (build_osp, (1, 2), 0.25),
-                                  (build_sl_super, (2, 0), 1 / 6)):
-            real, mats = defining_matrices(build, *args)
-            assert defining_rep_index(real, mats, real.algebra.simple_ideals()[0]) \
+        for spec, want in ((family_spec("B", 1, 1), 1.0),
+                           (family_spec("B", 0, 1), 0.25),
+                           (family_spec("A", 2, 0), 1 / 6)):
+            real = realize(spec)
+            assert defining_rep_index(real, defining_matrices(spec),
+                                      real.algebra.simple_ideals()[0]) \
                 == pytest.approx(want)
 
 
@@ -127,7 +127,7 @@ class TestCasimir:
         assert cas.scalar == pytest.approx(3 / 8)
 
     def test_c3_abelian_scalar(self):
-        r = build_osp(2, 4)
+        r = realize(family_spec("C", n=3))
         cas = casimir_on_odd(r.algebra, r.canonical_form, r.algebra.abelian_ideal())
         assert cas.scalar == pytest.approx(-1 / 8)
 
@@ -151,19 +151,18 @@ class TestCasimir:
 
 
 class TestBRatio:
-    @pytest.mark.parametrize("builder,args", [
-        (build_sl_super, (1, 0)), (build_sl_super, (2, 1)),
-        (build_osp, (3, 2)), (build_osp, (2, 4)), (build_osp, (6, 2)),
-    ])
-    def test_killing_gives_one_minus_index(self, builder, args):
-        real = builder(*args)
+    @pytest.mark.parametrize("args", [
+        ("A", 1, 0), ("A", 2, 1), ("B", 1, 1), ("C", None, 3), ("D", 3, 1),
+    ], ids=lambda args: family_spec(*args).name)
+    def test_killing_gives_one_minus_index(self, args):
+        real = realize(family_spec(*args))
         k = killing_form(real.algebra)
         for ideal, l in zip(real.algebra.simple_ideals(), real.data.l):
             got = b_ratio(k, ideal, ideal_killing_gram(real.algebra, ideal))
             assert got == pytest.approx(1 - float(l), abs=1e-9)
 
     def test_case_forms(self, psl22):
-        d32 = build_osp(6, 4)
+        d32 = realize(family_spec("D", 3, 2))
         ideals = d32.algebra.simple_ideals()
         ki = ideal_killing_gram(d32.algebra, ideals[1])
         assert b_ratio(d32.canonical_form, ideals[1], ki) == pytest.approx(-2 / 3)

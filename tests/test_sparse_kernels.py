@@ -140,7 +140,7 @@ def test_bi_invariance_of_a_random_form_matches_oracle(sl21):
 
 
 def test_no_dense_structure_tensor_on_the_verify_path():
-    real = families.build_osp(3, 2)  # fresh, not the cached realization
+    real = families.realize(families.family_spec("B", 1, 1))
     alg = real.algebra
     params, metric = seeded_metric(real, 5)
     check_form(alg, killing_form(alg))
@@ -216,7 +216,7 @@ def test_coordinates_keep_the_gram_sparse():
 
     with mock.patch.object(families, "_coordinates", capture), \
             pytest.raises(StopIteration):
-        families.build_sl_super(40, 0)
+        families.realize(families.family_spec("A", 40, 0))
     span = calls[0][5]
     tracemalloc.start()
     try:
@@ -244,7 +244,7 @@ def test_dense_form_over_the_bound_refused_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="dense .* memory limit"):
-            families.build_sl_super(43, 0)
+            families.realize(families.family_spec("A", 43, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -253,10 +253,10 @@ def test_dense_form_over_the_bound_refused_before_allocating():
 
 def test_dense_bound_admits_its_own_size(monkeypatch):
     monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 12 * 12)
-    assert families.build_osp(3, 2).algebra.dim == 12
+    assert families.realize(families.family_spec("B", 1, 1)).algebra.dim == 12
     monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 12 * 12 - 1)
     with pytest.raises(ValueError, match="B\\(1,1\\) has dimension 12"):
-        families.build_osp(3, 2)
+        families.realize(families.family_spec("B", 1, 1))
 
 
 def test_largest_catalog_family_passes_the_join_bound():
@@ -264,5 +264,5 @@ def test_largest_catalog_family_passes_the_join_bound():
             for spec in families.catalog(6)}
     largest = max(dims, key=dims.get)
     assert largest.name == "B(6,6)" and dims[largest] == 312
-    alg = families.build_osp(13, 12).algebra  # uncached: freed after the test
+    alg = families.realize(largest).algebra  # freed after the test
     assert check_super_jacobi(alg).residual == 0.0

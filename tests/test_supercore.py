@@ -177,10 +177,10 @@ class TestBracket:
         for i in range(alg.dim_even):
             assert np.allclose(bracket(alg, unit(alg.dim, i), unit(alg.dim, i)), 0.0)
 
-    def test_sl21_cartan_raising(self):
+    def test_sl21_cartan_raising(self, sl21):
         # [h, e] = 2e for h = diag(1,-1,0), e = E_12, against the direct
         # matrix commutator expanded in the defining matrices
-        sl21, mats = defining_matrices(families.build_sl_super, 1, 0)
+        mats = defining_matrices(sl21.spec)
         alg = sl21.algebra
         lbl = alg.basis.labels
         i_h, i_e = lbl.index("k1:H0"), lbl.index("k1:E(0,1)")
@@ -210,8 +210,8 @@ class TestSupertrace:
         basis = SuperBasis((0, 0, 1))
         assert supertrace(np.eye(3), basis) == pytest.approx(1.0)
 
-    def test_ad_h_squared_matches_killing(self):
-        sl21, mats = defining_matrices(families.build_sl_super, 1, 0)
+    def test_ad_h_squared_matches_killing(self, sl21):
+        mats = defining_matrices(sl21.spec)
         alg = sl21.algebra
         i_h = alg.basis.labels.index("k1:H0")
         ad_h = ad_matrix(alg, unit(alg.dim, i_h))
@@ -248,7 +248,7 @@ class TestKillingForm:
 @pytest.fixture(scope="module")
 def b44():
     """B(4,4) = osp(9|8), dim 144, uncached: freed after the module."""
-    return families.build_osp(9, 8).algebra
+    return families.realize(families.family_spec("B", 4, 4)).algebra
 
 
 class TestJacobi:
@@ -427,12 +427,12 @@ class TestCheckForm:
     def test_killing_flags_across_families(self):
         degenerate = {"A(1,1)", "D(3,2)", "D(2,1;1)"}
         for args in [(1, 0), (2, 1)]:
-            real = families.build_sl_super(*args)
+            real = families.realize(families.family_spec("A", *args))
             rep = check_form(real.algebra, killing_form(real.algebra))
             assert rep.is_even and rep.is_supersymmetric and rep.is_bi_invariant
             assert rep.is_nondegenerate
-        for l, k in [(3, 2), (2, 4), (6, 4), (4, 2)]:
-            real = families.build_osp(l, k)
+        for args in [("B", 1, 1), ("C", None, 3), ("D", 3, 2), ("D", 2, 1)]:
+            real = families.realize(families.family_spec(*args))
             rep = check_form(real.algebra, killing_form(real.algebra))
             assert rep.is_even and rep.is_supersymmetric and rep.is_bi_invariant
             assert rep.is_nondegenerate != (real.name in degenerate)
