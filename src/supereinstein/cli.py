@@ -27,8 +27,8 @@ from .curvature import (
     ricci_closed_form,
     ricci_direct,
 )
-from .families import FamilySpec, catalog, family_spec, realize, \
-    verify_realization
+from .families import FamilySpec, check_dense_size, family_spec, \
+    iter_catalog, realize, verify_realization
 from .supercore import VERIFY_TOL, _group_sum, algebra_to_json, \
     check_super_jacobi, form_to_json
 
@@ -330,7 +330,16 @@ def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
                    tol: float) -> tuple[dict, list[str]]:
     """One family's report block, and its stderr notes: those of
     :func:`_notes`, then, when the section fails, one naming the gates that
-    failed; pure given (spec, seed, index, config)."""
+    failed; pure given (spec, seed, index, config). A refusal inside it is
+    raised again with the family's name in front."""
+    try:
+        return _section(spec, seed, index, c_window, tol)
+    except ValueError as exc:
+        raise ValueError(f"{spec.name}: {exc}") from exc
+
+
+def _section(spec: FamilySpec, seed: int, index: int, c_window: float,
+             tol: float) -> tuple[dict, list[str]]:
     real, sols, omitted, solutions_ok = _family_solutions(spec, c_window, tol)
     data = spec.data
     section: dict = {
@@ -388,8 +397,14 @@ def build_report(max_m: int, max_n: int, seed: int, c_window: float,
     verification and, for a failing section, which gates failed. At most
     ``jobs`` worker processes run the sections, and no more than there are
     sections or CPUs, since the pool starts every worker at once; the
-    document is the same at any count."""
-    specs = catalog(max_m, max_n)
+    document is the same at any count. A realizable family too large to
+    build is refused while the catalog is enumerated, before any section
+    runs."""
+    specs = []
+    for spec in iter_catalog(max_m, max_n):
+        if spec.realizable:
+            check_dense_size(spec)
+        specs.append(spec)
     inputs = (specs, repeat(seed), range(len(specs)), repeat(c_window),
               repeat(tol))
     workers = min(jobs, len(specs), os.cpu_count() or 1)

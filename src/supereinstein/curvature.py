@@ -5,7 +5,10 @@ A connection is sparse: its Christoffel symbols are stored at flat keys
 ``(i * n + j) * n + k``. The Koszul route, the blockwise route and the
 direct Ricci tensor are joins over the exact structure constants, the
 nonzeros of the metric and the symbols themselves, so none of them
-allocates a dense (n, n, n) array.
+allocates a dense (n, n, n) array. The metric and the closed-form Ricci
+tensor are the canonical form B with its rows scaled by one factor per
+block (k_0, each simple k_i, the odd part): B is even, supersymmetric and
+zero across blocks, and a block-constant row scaling keeps all three.
 """
 
 from __future__ import annotations
@@ -62,23 +65,21 @@ def _check_params(real, params: MetricParams) -> None:
             f"got {len(params.x)}")
 
 
-def _block_param_vector(real, params: MetricParams) -> np.ndarray:
-    """Per-even-basis-index metric parameter (undefined on odd indices)."""
-    alg = real.algebra
-    out = np.ones(alg.dim)
-    for rng, xi in zip(alg.decomposition, params.x):
-        out[rng.start:rng.stop] = xi
+def _block_factors(alg: LieSuperAlgebra, factors, odd: float) -> np.ndarray:
+    """Per-basis-index vector: ``factors[r]`` on the r-th decomposition
+    range, ``odd`` on the odd part."""
+    out = np.full(alg.dim, float(odd))
+    for rng, f in zip(alg.decomposition, factors):
+        out[rng.start:rng.stop] = f
     return out
 
 
 def metric_from_params(real, params: MetricParams) -> BilinearFormMatrix:
-    """Scale each even block of the canonical form (odd block fixed); the
-    metric carries no report."""
+    """The canonical form with each even block scaled by its x_i and the odd
+    block fixed; the metric carries no report."""
     _check_params(real, params)
-    gram = np.array(real.canonical_form.gram)
-    for rng, xi in zip(real.algebra.decomposition, params.x):
-        gram[rng.start:rng.stop, rng.start:rng.stop] *= xi
-    return BilinearFormMatrix(gram)
+    scale = _block_factors(real.algebra, params.x, 1.0)
+    return BilinearFormMatrix(scale[:, None] * real.canonical_form.gram)
 
 
 def levi_civita_koszul(alg: LieSuperAlgebra,
@@ -105,16 +106,13 @@ def levi_civita_blockwise(real, params: MetricParams) -> Connection:
     mixed pairs."""
     _check_params(real, params)
     alg = real.algebra
-    p = alg.basis.parity_array().astype(bool)
-    xv = _block_param_vector(real, params)
-    n = alg.dim
-    coef = np.full((n, n), 0.5)
-    even, odd = ~p, p
-    coef[np.ix_(even, odd)] = (1.0 - xv[even] / 2.0)[:, None]
-    coef[np.ix_(odd, even)] = (xv[even] / 2.0)[None, :]
+    p = alg.basis.parity_array()
+    xv = _block_factors(alg, params.x, 1.0)
     i, j, k = alg.index.T
-    return Connection(n, (i * n + j) * n + k,
-                      coef[i, j] * (alg.numer / alg.denom))
+    coef = np.where(p[i] == p[j], 0.5,
+                    np.where(p[i] == 0, 1.0 - xv[i] / 2.0, xv[j] / 2.0))
+    n = alg.dim
+    return Connection(n, (i * n + j) * n + k, coef * (alg.numer / alg.denom))
 
 
 def ricci_direct(alg: LieSuperAlgebra, metric: BilinearFormMatrix,
@@ -146,35 +144,28 @@ def ricci_direct(alg: LieSuperAlgebra, metric: BilinearFormMatrix,
             -sign[idx[a2, 0]] * (alg.numer[a2] / alg.denom * gv[b2])]))
     mat = np.zeros(n * n)
     mat[keys] = ric
-    return _symmetrized_even_form(alg, mat.reshape(n, n), metric.scale())
-
-
-def _symmetrized_even_form(alg: LieSuperAlgebra, mat: np.ndarray,
-                           scale: float) -> BilinearFormMatrix:
-    part, even_res, sym_res = _even_supersymmetric_part(alg, mat)
-    if max(sym_res, even_res) > RICCI_SYM_TOL * scale:
+    part, even_res, sym_res = _even_supersymmetric_part(alg, mat.reshape(n, n))
+    if max(sym_res, even_res) > RICCI_SYM_TOL * metric.scale():
         raise ValueError("Ricci tensor failed the evenness/supersymmetry check")
     return BilinearFormMatrix(part)
 
 
 def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:
-    """Ricci tensor from the four-block closed form: -x_0^2/4 K on the
-    abelian block, 1/4 (l_i x_i^2 - 1) K_i on each simple ideal, the
-    Casimir-weighted sum on the odd block, zero elsewhere."""
+    """Ricci tensor from the paper's block formula: the canonical form B with
+    its rows scaled by -x_0^2/4 on the abelian ideal k_0 (where B is the
+    Killing form: every family with a k_0 uses it), by
+    (l_i x_i^2 - 1)/(4 b_i) on each simple ideal k_i (where B = b_i K_i) and
+    by sum_i (x_i/2 - 1) gamma_i, over every ideal with k_0's gamma_0, on
+    the odd part. l_i, b_i and gamma_i are the realized invariants, which
+    :func:`~supereinstein.families.verify_realization` checks against the
+    catalog."""
     _check_params(real, params)
     alg = real.algebra
-    n = alg.dim
-    ric = np.zeros((n, n))
-    odd = list(alg.odd_range())
-    b_odd = real.canonical_form.gram[np.ix_(odd, odd)]
-    odd_sum = np.zeros((alg.dim_odd, alg.dim_odd))
+    factors, odd = [], 0.0
     for rng, xi in zip(alg.decomposition, params.x):
         inv = real.ideal_invariants[rng]
-        sl = slice(rng.start, rng.stop)
-        if rng.kind == "abelian":
-            ric[sl, sl] = -(xi * xi / 4.0) * real.killing.gram[sl, sl]
-        else:
-            ric[sl, sl] = 0.25 * (inv.l * xi * xi - 1.0) * inv.killing_gram
-        odd_sum += (xi / 2.0 - 1.0) * (b_odd @ inv.casimir.operator)
-    ric[np.ix_(odd, odd)] = odd_sum
-    return _symmetrized_even_form(alg, ric, real.canonical_form.scale())
+        factors.append(-xi * xi / 4.0 if rng.kind == "abelian"
+                       else (inv.l * xi * xi - 1.0) / (4.0 * inv.b))
+        odd += (xi / 2.0 - 1.0) * inv.gamma
+    scale = _block_factors(alg, factors, odd)
+    return BilinearFormMatrix(scale[:, None] * real.canonical_form.gram)

@@ -8,10 +8,11 @@ the integer Frobenius Gram, checking that they rebuild the bracket, so the
 structure constants are exact rationals, which the algebra stores once.
 The case2/6/7 canonical forms come exactly from the same matrix products and
 are stored as float Gram matrices with their axiom report; the basis
-matrices themselves are not kept. A realization is refused up front when its
-dense (dim, dim) forms would exceed ``supercore.MAX_DENSE_ENTRIES`` entries,
-and every join of entries, here and downstream, refuses on its own a pair
-count over ``supercore.MAX_JOIN_PAIRS`` before allocating it. The
+matrices themselves are not kept. A realization is refused from its record's
+dimensions, before its basis is made, when its dense (dim, dim) forms would
+exceed ``supercore.MAX_DENSE_ENTRIES`` entries, and every join of entries,
+here and downstream, refuses on its own a pair count over
+``supercore.MAX_JOIN_PAIRS`` before allocating it. The
 exceptional families F(4) and G(3), and the one-parameter deformation family
 at alpha != 1, exist only at the data-catalog level.
 """
@@ -22,7 +23,7 @@ import math
 from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -133,7 +134,7 @@ def family_spec(family: str, m: Optional[int] = None, n: Optional[int] = None,
             return FamilySpec("Ann", n=n, name=f"A({n},{n})",
                               data=_data("case2", (d, d), 2 * (n + 1) ** 2,
                                          (F(1), F(1)), (F(1), F(-1))),
-                              basis=(_psl_basis, n), form_scale=2 * (n + 1),
+                              basis=(_sl_basis, n, n), form_scale=2 * (n + 1),
                               folding=((0, 1),))
         big, small = m + 1, n + 1
         dims, ls = [], []
@@ -251,7 +252,14 @@ def _data(form_kind: str, dim_k, dim_odd: int, l, b=None,
 
 
 def catalog(max_m: int, max_n: Optional[int] = None) -> list[FamilySpec]:
-    """Deterministic enumeration of all valid specs within the bounds.
+    """All valid specs within the bounds, in :func:`iter_catalog` order."""
+    return list(iter_catalog(max_m, max_n))
+
+
+def iter_catalog(max_m: int,
+                 max_n: Optional[int] = None) -> Iterator[FamilySpec]:
+    """Deterministic enumeration of all valid specs within the bounds, one
+    record at a time.
 
     A(m,n) is canonicalized to m > n (the two orderings give isomorphic
     algebras). The D enumeration routes m - n = 1 entries to their
@@ -260,24 +268,22 @@ def catalog(max_m: int, max_n: Optional[int] = None) -> list[FamilySpec]:
     """
     if max_n is None:
         max_n = max_m
-    specs: list[FamilySpec] = []
     for m in range(1, max_m + 1):
         for n in range(0, min(m - 1, max_n) + 1):
-            specs.append(family_spec("A", m, n))
+            yield family_spec("A", m, n)
     for n in range(1, max_n + 1):
-        specs.append(family_spec("A", n, n))
+        yield family_spec("A", n, n)
     for m in range(0, max_m + 1):
         for n in range(1, max_n + 1):
-            specs.append(family_spec("B", m, n))
+            yield family_spec("B", m, n)
     for n in range(3, max_n + 1):
-        specs.append(family_spec("C", n=n))
+        yield family_spec("C", n=n)
     for m in range(2, max_m + 1):
         for n in range(1, max_n + 1):
-            specs.append(family_spec("D", m, n))
-    specs.append(family_spec("D21a", alpha=2.5))
-    specs.append(family_spec("F4"))
-    specs.append(family_spec("G3"))
-    return specs
+            yield family_spec("D", m, n)
+    yield family_spec("D21a", alpha=2.5)
+    yield family_spec("F4")
+    yield family_spec("G3")
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +311,8 @@ class Realization:
 
     @cached_property
     def ideal_invariants(self) -> dict:
-        """Realized invariants of each decomposition range: Killing Gram,
-        l and b of a simple ideal, and the Casimir under the canonical form;
+        """Realized invariants of each decomposition range: l and b of a
+        simple ideal and the Casimir scalar under the canonical form;
         computed once, on first use."""
         return {rng: invariants.ideal_invariants(self.algebra,
                                                  self.canonical_form, rng)
@@ -400,14 +406,9 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
     matrix is a direction the bracket is taken modulo: it joins the spanning
     set and its coefficient is dropped. ``spec.form_scale`` selects the
     canonical form: None means the Killing form, an integer t means
-    t * str(B_i B_j). Refuses, before allocating any, a dimension whose dense
-    (dim, dim) forms exceed ``supercore.MAX_DENSE_ENTRIES`` entries.
+    t * str(B_i B_j).
     """
     dim = len(elems)
-    if dim * dim > MAX_DENSE_ENTRIES:
-        raise ValueError(f"{spec.name} has dimension {dim:,}: a dense "
-                         f"({dim}, {dim}) form is over the "
-                         f"{MAX_DENSE_ENTRIES:,}-entry memory limit")
     parity = tuple(e[1] for e in elems)
     p = np.array(parity, dtype=np.int64)
     size = even_slot + odd_slot
@@ -466,50 +467,26 @@ def _sl_block_elems(offset: int, size: int, prefix: str) -> list:
 
 
 def _sl_basis(m: int, n: int) -> tuple:
-    """Supertraceless (m+1|n+1) matrices, m != n."""
+    """Supertraceless (m+1|n+1) matrices. At m = n their centre Z0 is
+    (n+1) times the identity and is returned as the quotient direction, not
+    a basis element: both diagonal blocks of every representative are
+    traceless, and the bracket is taken modulo Z0, keeping it rational."""
     big, small = m + 1, n + 1
-
-    elems = [({(a, a): small for a in range(big)}
-              | {(big + a, big + a): big for a in range(small)}, 0, "Z0")]
-    decomposition = [DecompositionRange(0, 1, "abelian")]
-    pos = 1
-    if big >= 2:
-        elems += _sl_block_elems(0, big, "k1")
-        decomposition.append(DecompositionRange(pos, pos + big * big - 1, "simple"))
-        pos += big * big - 1
-    if small >= 2:
-        elems += _sl_block_elems(big, small, "k2")
-        decomposition.append(DecompositionRange(pos, pos + small * small - 1, "simple"))
-    for a in range(big):
-        for bcol in range(small):
-            elems.append(({(a, big + bcol): 1}, 1, f"odd:Y({a},{bcol})"))
-    for a in range(small):
-        for bcol in range(big):
-            elems.append(({(big + a, bcol): 1}, 1, f"odd:Z({a},{bcol})"))
-    return elems, decomposition, big, small
-
-
-def _psl_basis(n: int) -> tuple:
-    """Quotient of supertraceless (n+1|n+1) matrices by the identity.
-
-    Representatives are chosen with both diagonal blocks traceless; the
-    bracket is taken modulo the identity, which keeps structure constants
-    rational.
-    """
-    blk = n + 1
-    d = blk * blk - 1
-
-    elems = _sl_block_elems(0, blk, "k1") + _sl_block_elems(blk, blk, "k2")
-    decomposition = [DecompositionRange(0, d, "simple"),
-                     DecompositionRange(d, 2 * d, "simple")]
-    for a in range(blk):
-        for bcol in range(blk):
-            elems.append(({(a, blk + bcol): 1}, 1, f"odd:Y({a},{bcol})"))
-    for a in range(blk):
-        for bcol in range(blk):
-            elems.append(({(blk + a, bcol): 1}, 1, f"odd:Z({a},{bcol})"))
-    identity = {(a, a): 1 for a in range(2 * blk)}
-    return elems, decomposition, blk, blk, identity
+    z0 = {(a, a): small for a in range(big)} \
+        | {(big + a, big + a): big for a in range(small)}
+    quotient = m == n
+    elems = [] if quotient else [(z0, 0, "Z0")]
+    decomposition = [] if quotient else [DecompositionRange(0, 1, "abelian")]
+    for size, offset, prefix in ((big, 0, "k1"), (small, big, "k2")):
+        if size >= 2:
+            decomposition.append(DecompositionRange(
+                len(elems), len(elems) + size * size - 1, "simple"))
+            elems += _sl_block_elems(offset, size, prefix)
+    elems += [({(a, big + b): 1}, 1, f"odd:Y({a},{b})")
+              for a in range(big) for b in range(small)]
+    elems += [({(big + a, b): 1}, 1, f"odd:Z({a},{b})")
+              for a in range(small) for b in range(big)]
+    return (elems, decomposition, big, small) + ((z0,) if quotient else ())
 
 
 # -- orthosymplectic ---------------------------------------------------------
@@ -593,8 +570,21 @@ def realize(spec: FamilySpec) -> Realization:
     if spec.basis is None:
         raise ValueError(f"{spec.name} has no matrix realization here; "
                          "it is handled at the equation layer only")
+    check_dense_size(spec)
     build, *args = spec.basis
     return _assemble(spec, *build(*args))
+
+
+def check_dense_size(spec: FamilySpec) -> None:
+    """Refuse, from the record's dimensions alone and so before any basis
+    exists, a family whose dense (dim, dim) forms would exceed
+    ``MAX_DENSE_ENTRIES`` entries."""
+    data = spec.data
+    dim = data.dim_k0 + sum(data.dim_k) + data.dim_odd
+    if dim * dim > MAX_DENSE_ENTRIES:
+        raise ValueError(f"{spec.name} has dimension {dim:,}: a dense "
+                         f"({dim}, {dim}) form is over the "
+                         f"{MAX_DENSE_ENTRIES:,}-entry memory limit")
 
 
 def verify_realization(real: Realization) -> tuple[dict, list[dict]]:
@@ -619,7 +609,7 @@ def verify_realization(real: Realization) -> tuple[dict, list[dict]]:
         report["pass"] &= got == want
     rows = []
     if data.has_k0:
-        gamma = real.ideal_invariants[k0].casimir.scalar
+        gamma = real.ideal_invariants[k0].gamma
         rows.append({"ideal": "k0", "dim": k0.dim, "l": None, "l_catalog": None,
                      "b": None, "b_catalog": None, "gamma": gamma,
                      "gamma_catalog": str(data.gamma0),
@@ -628,7 +618,7 @@ def verify_realization(real: Realization) -> tuple[dict, list[dict]]:
     for pos, (ideal, l_cat, b_cat, g_cat) in enumerate(
             zip(alg.simple_ideals(), data.l, data.b, data.gamma)):
         inv = real.ideal_invariants[ideal]
-        gamma = inv.casimir.scalar
+        gamma = inv.gamma
         l_res.append(abs(inv.l - float(l_cat)))
         b_res.append(abs(inv.b - float(b_cat)))
         rows.append({"ideal": f"k{pos + 1}", "dim": ideal.dim,

@@ -35,16 +35,16 @@ class CasimirResult:
     off_scalar_residual: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IdealInvariants:
-    """The realized invariants of one ideal of the even part: its own
-    Killing Gram K_i, index l and form ratio b (None on the abelian ideal)
-    and the Casimir on the odd part under the canonical form."""
+    """The realized invariants of one ideal of the even part, the scalars the
+    catalog states for it: index l and form ratio b (None on the abelian
+    ideal) and the Casimir scalar gamma on the odd part under the canonical
+    form."""
 
-    killing_gram: Optional[np.ndarray]
     l: Optional[float]
     b: Optional[float]
-    casimir: CasimirResult
+    gamma: float
 
 
 def _ratio_fit(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
@@ -140,11 +140,12 @@ def casimir_on_odd(alg: LieSuperAlgebra, form: BilinearFormMatrix,
 
 def ideal_invariants(alg: LieSuperAlgebra, form: BilinearFormMatrix,
                      ideal: DecompositionRange) -> IdealInvariants:
-    """All invariants of one ideal, with its Killing Gram computed once."""
-    casimir = casimir_on_odd(alg, form, ideal)
+    """All invariants of one ideal; its Killing Gram, computed once, and the
+    Casimir operator serve the fits and the scalarity check and are then
+    dropped."""
+    gamma = casimir_on_odd(alg, form, ideal).scalar
     if ideal.kind != "simple":
-        return IdealInvariants(None, None, None, casimir)
+        return IdealInvariants(None, None, gamma)
     ki = ideal_killing_gram(alg, ideal)
-    ki.setflags(write=False)
-    return IdealInvariants(ki, representation_index(alg, ideal, ki),
-                           b_ratio(form, ideal, ki), casimir)
+    return IdealInvariants(representation_index(alg, ideal, ki),
+                           b_ratio(form, ideal, ki), gamma)

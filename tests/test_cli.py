@@ -126,6 +126,34 @@ class TestInputContract:
         assert "pairs in the Jacobi check is over the 100-pair memory limit" \
             in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_section_refusal_names_its_family(self, capsys, monkeypatch, jobs):
+        # A(1,0), the first family of catalog(1), is refused in its Jacobi
+        # check; a forked worker inherits the patched bound
+        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 100)
+        code, out, err = run(capsys, "report", "--max-m", "1", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: A(1,0): a join of ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("max_m,bound,family", [
+        ("1000", None, "A(22,21) has dimension 2,024"),
+        ("2", 100, "A(2,0) has dimension 15"),
+    ], ids=["first-over-the-bound", "patched-bound"])
+    def test_report_refused_before_any_section(self, capsys, monkeypatch,
+                                               max_m, bound, family):
+        # A(22,21), dim 2,024, is the first catalog family over the dense
+        # bound; the catalog past it is never made
+        if bound is not None:
+            monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", bound)
+        sections = []
+        monkeypatch.setattr(cli, "report_section",
+                            lambda *args: sections.append(args))
+        code, out, err = run(capsys, "report", "--max-m", max_m)
+        assert (code, out, sections) == (2, "", [])
+        assert err.startswith(f"error: {family}: a dense ")
+        assert err.count("\n") == 1
+
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--family", "B", "--m", "1", "--n", "1", "--form", "killing"),

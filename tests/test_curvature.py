@@ -1,3 +1,5 @@
+import dataclasses
+from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
@@ -12,7 +14,7 @@ from supereinstein.curvature import (
     ricci_closed_form,
     ricci_direct,
 )
-from supereinstein.families import family_spec, realize
+from supereinstein.families import catalog, family_spec, realize
 from supereinstein.supercore import (
     BilinearFormMatrix,
     DecompositionRange,
@@ -205,6 +207,40 @@ class TestRicci:
             ric_d = ricci_direct(real.algebra, metric, conn)
             ric_c = ricci_closed_form(real, params)
             assert np.max(np.abs(ric_d.gram - ric_c.gram)) < 1e-8
+
+
+CATALOG_3 = [spec for spec in catalog(3) if spec.realizable]
+
+
+@pytest.mark.parametrize("spec", CATALOG_3, ids=lambda s: s.name)
+def test_closed_form_is_the_catalog_block_formula(spec):
+    # the canonical Gram row-scaled by -x0^2/4 on k0, (l x^2 - 1)/(4 b) on
+    # each k_i and sum (x_i/2 - 1) gamma_i on the odd part, from the
+    # catalog's exact l, b, gamma and gamma0
+    real = realize(spec)
+    data = spec.data
+    assert all(v is None or type(v) is float
+               for inv in real.ideal_invariants.values()
+               for v in dataclasses.astuple(inv))
+    alg = real.algebra
+    gamma = ([data.gamma0] if data.has_k0 else []) + list(data.gamma)
+    for x in ([Fraction(1)] * data.n_params,
+              [Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4)][:data.n_params],
+              [Fraction(-1, 2), Fraction(7, 3), Fraction(2)][:data.n_params]):
+        scale = np.zeros(alg.dim)
+        odd = sum((xi / 2 - 1) * g for xi, g in zip(x, gamma))
+        scale[alg.dim_even:] = float(odd)
+        simple = iter(zip(data.l, data.b))
+        for rng, xi in zip(alg.decomposition, x):
+            if rng.kind == "abelian":
+                factor = -xi * xi / 4
+            else:
+                l, b = next(simple)
+                factor = (l * xi * xi - 1) / (4 * b)
+            scale[rng.start:rng.stop] = float(factor)
+        want = scale[:, None] * real.canonical_form.gram
+        got = ricci_closed_form(real, MetricParams(tuple(map(float, x)))).gram
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), x
 
 
 # Both Ricci routes and the compatibility residual of the blockwise

@@ -60,7 +60,7 @@ class TestFamilySpec:
 
     def test_basis_names_the_construction(self):
         assert family_spec("A", 2, 1).basis == (families._sl_basis, 2, 1)
-        assert family_spec("A", 2, 2).basis == (families._psl_basis, 2)
+        assert family_spec("A", 2, 2).basis == (families._sl_basis, 2, 2)
         assert family_spec("B", 1, 2).basis == (families._osp_basis, 3, 4)
         assert family_spec("C", n=3).basis == (families._osp_basis, 2, 4)
         assert family_spec("D", 3, 1).basis == (families._osp_basis, 6, 2)
@@ -266,7 +266,7 @@ class TestRealizationChecks:
         assert list(r.ideal_invariants) == list(r.algebra.decomposition)
         for rng, inv in r.ideal_invariants.items():
             direct = casimir_on_odd(r.algebra, r.canonical_form, rng)
-            assert inv.casimir.scalar == direct.scalar
+            assert inv.gamma == direct.scalar
 
     def test_representation_indices_computed_once(self):
         from supereinstein.invariants import ideal_killing_gram, \

@@ -132,7 +132,7 @@ def test_only_the_catalog_makes_family_records():
     # a realization carries the record it is given; nothing in families
     # rebuilds one from a basis function's integers
     assert _callers(_tree(SRC / "families.py"), "family_spec") <= \
-        {"catalog", "family_spec"}
+        {"iter_catalog", "family_spec"}
 
 
 def test_checks_catch_what_they_look_for():

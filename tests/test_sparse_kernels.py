@@ -251,6 +251,19 @@ def test_dense_form_over_the_bound_refused_before_allocating():
     assert peak < 2**22  # one dense (2024, 2024) form alone would take 33 MB
 
 
+def test_refused_from_the_record_before_the_basis_is_made():
+    # the basis lists of A(300,0), dim 91,203, alone take tens of MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^A\\(300,0\\) has dimension "
+                           "91,203: a dense .* memory limit$"):
+            families.realize(families.family_spec("A", 300, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_dense_bound_admits_its_own_size(monkeypatch):
     monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 12 * 12)
     assert families.realize(families.family_spec("B", 1, 1)).algebra.dim == 12
