@@ -11,7 +11,9 @@ from .curvature import (
     MetricParams,
     levi_civita_blockwise,
     levi_civita_koszul,
+    metric_factors,
     metric_from_params,
+    plan_curvature,
     ricci_closed_form,
     ricci_direct,
 )
@@ -58,7 +60,7 @@ __all__ = [
     "b_ratio", "bracket", "casimir_on_odd", "catalog", "check_form",
     "check_super_jacobi", "dual_basis", "elimination_polynomial", "family_spec",
     "killing_form", "levi_civita_blockwise", "levi_civita_koszul",
-    "lift_real_form", "metric_from_params", "realize",
-    "representation_index", "ricci_closed_form", "ricci_direct", "solve",
-    "verify_solution",
+    "lift_real_form", "metric_factors", "metric_from_params",
+    "plan_curvature", "realize", "representation_index", "ricci_closed_form",
+    "ricci_direct", "solve", "verify_solution",
 ]

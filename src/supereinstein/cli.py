@@ -23,13 +23,13 @@ from .curvature import (
     MetricParams,
     levi_civita_blockwise,
     levi_civita_koszul,
-    metric_from_params,
+    metric_factors,
     ricci_closed_form,
     ricci_direct,
 )
 from .families import FamilySpec, check_dense_size, family_spec, \
     iter_catalog, realize, verify_realization
-from .supercore import VERIFY_TOL, _group_sum, algebra_to_json, \
+from .supercore import VERIFY_TOL, algebra_to_json, \
     check_super_jacobi, form_to_json
 
 DEFAULT_SEED = 12345
@@ -276,6 +276,10 @@ def _data_json(data) -> dict:
 
 
 def _route_equivalence(real, rng, draws: int) -> float:
+    """The largest deviation between the Koszul and blockwise connections
+    and between the direct and closed-form Ricci tensors, over ``draws``
+    random metrics evaluated through the realization's curvature plan."""
+    plan = real.curvature_plan
     worst = 0.0
     for _ in range(draws):
         vals = []
@@ -284,13 +288,12 @@ def _route_equivalence(real, rng, draws: int) -> float:
             if abs(v) >= 0.1:
                 vals.append(v)
         params = MetricParams(tuple(vals))
-        metric = metric_from_params(real, params)
-        conn_k = levi_civita_koszul(real.algebra, metric)
-        conn_b = levi_civita_blockwise(real, params)
-        _, dev = _group_sum(np.concatenate([conn_k.keys, conn_b.keys]),
-                            np.concatenate([conn_k.values, -conn_b.values]))
+        factors = metric_factors(real, params)
+        conn_k = levi_civita_koszul(plan, factors)
+        dev = conn_k.values.copy()
+        dev[plan.bracket_at] -= levi_civita_blockwise(real, params).values
         worst = max(worst, float(np.max(np.abs(dev), initial=0.0)))
-        ric_d = ricci_direct(real.algebra, metric, conn_k)
+        ric_d = ricci_direct(plan, conn_k, factors)
         ric_c = ricci_closed_form(real, params)
         worst = max(worst, float(np.max(np.abs(ric_d.gram - ric_c.gram))))
     return worst
@@ -594,6 +597,9 @@ def _input_error(args) -> str | None:
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         return f"--jobs must be >= 1, got {jobs}"
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        return f"--seed must be >= 0, got {seed}"
     alpha = getattr(args, "alpha", None)
     if alpha is not None and not math.isfinite(alpha):
         return f"--alpha must be finite, got {alpha:g}"

@@ -1,14 +1,26 @@
 """The block-scaled metric family, the Levi-Civita connection (two
 independent routes) and the Ricci tensor (two independent routes).
 
+Every metric of a family is g = D B: the canonical form B with its rows
+scaled by a diagonal D, one factor per block (k_0, each simple k_i, 1 on the
+odd part). So every metric has B's nonzero pattern, and its inverse
+B^-1 D^-1 has B^-1's. The Koszul connection and the direct Ricci tensor
+therefore split into a plan and an evaluation, the symbolic/numeric split of
+sparse products (Gustavson, ACM TOMS 4(3), 1978). :func:`plan_curvature`
+works out once per canonical form the joins of the Koszul terms and their
+grouping, their contraction with the nonzeros of B^-1 (the one dense
+inverse), and the three joins of the direct Ricci tensor over the resulting
+connection keys, with the constant factors folded in.
+:func:`levi_civita_koszul` and :func:`ricci_direct` then evaluate one metric
+from its factor vector with gathers and bincounts only: no join, sort or
+inverse. A form that is not a family's canonical form is its own one-shot
+plan, evaluated at unit factors.
+
 A connection is sparse: its Christoffel symbols are stored at flat keys
-``(i * n + j) * n + k``. The Koszul route, the blockwise route and the
-direct Ricci tensor are joins over the exact structure constants, the
-nonzeros of the metric and the symbols themselves, so none of them
-allocates a dense (n, n, n) array. The metric and the closed-form Ricci
-tensor are the canonical form B with its rows scaled by one factor per
-block (k_0, each simple k_i, the odd part): B is even, supersymmetric and
-zero across blocks, and a block-constant row scaling keeps all three.
+``(i * n + j) * n + k``, and no route allocates a dense (n, n, n) array.
+The metric and the closed-form Ricci tensor are the canonical form B with
+its rows scaled by one factor per block: B is even, supersymmetric and zero
+across blocks, and a block-constant row scaling keeps all three.
 """
 
 from __future__ import annotations
@@ -21,9 +33,7 @@ from .supercore import (
     BilinearFormMatrix,
     DegeneracyError,
     LieSuperAlgebra,
-    _contract,
     _even_supersymmetric_part,
-    _group_sum,
     _join,
     _koszul_terms,
 )
@@ -58,6 +68,117 @@ class Connection:
         self.values.setflags(write=False)
 
 
+@dataclass(frozen=True, eq=False)
+class CurvaturePlan:
+    """The structure of the Koszul connection and of the direct Ricci tensor
+    of every metric D B of one form B, D diagonal, made by
+    :func:`plan_curvature`. Positions are int32.
+
+    Koszul: term t adds ``rhs_values[t] * d[rhs_rows[t]]`` to the right side
+    ``rhs[rhs_group[t]]``; contraction pair t adds
+    ``rhs[inv_from[t]] * inv_values[t]`` (1/2 B^-1 folded in) to symbol
+    ``inv_group[t]``, and symbol s is divided by ``d[key_k[s]]``.
+
+    Ricci, from the symbols G at ``keys``: w = the sum of
+    ``trace_sign * G[trace_at]`` per ``trace_j``; then G w[key_k],
+    G[pair_a] G[pair_b] with the first ``n_negative`` negated, and
+    ``bracket_values * G[bracket_from]``, in this order, are summed per flat
+    (x, y) entry ``ric_at``."""
+
+    algebra: LieSuperAlgebra
+    keys: np.ndarray  # ascending flat (i, j, k) keys of the symbols, int64
+    key_k: np.ndarray
+    bracket_at: np.ndarray  # where the structure constants' keys sit in keys
+    row_max: np.ndarray  # max |B[i, :]|, so D B has scale max |d_i| row_max[i]
+    rhs_rows: np.ndarray
+    rhs_values: np.ndarray
+    rhs_group: np.ndarray
+    inv_from: np.ndarray
+    inv_values: np.ndarray
+    inv_group: np.ndarray
+    trace_at: np.ndarray
+    trace_j: np.ndarray
+    trace_sign: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    n_negative: int
+    bracket_from: np.ndarray
+    bracket_values: np.ndarray
+    ric_at: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+def _positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Where the ascending symbol keys ``wanted`` sit among a plan's."""
+    at = np.searchsorted(keys, wanted)
+    if np.any(at == len(keys)) or np.any(keys[at] != wanted):
+        raise ValueError("connection has symbols outside the plan's pattern")
+    return at.astype(np.int32)
+
+
+def plan_curvature(alg: LieSuperAlgebra,
+                   form: BilinearFormMatrix) -> CurvaturePlan:
+    """The :class:`CurvaturePlan` of ``form``: its one dense inverse, the
+    joins of :func:`~supereinstein.supercore._koszul_terms` grouped per
+    (i, j, k), their contraction with the nonzeros of the inverse, and the
+    three Ricci joins over the connection keys. Raises
+    :class:`DegeneracyError` when the form is singular."""
+    g = form.gram
+    n = alg.dim
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise DegeneracyError("metric is singular; no Levi-Civita connection")
+    terms, rhs_values, rhs_rows = _koszul_terms(alg, g, third=True)
+    rhs_keys, rhs_group = np.unique(terms, return_inverse=True)
+    del terms
+    rows, cols = np.nonzero(ginv)
+    pair, k = np.divmod(rhs_keys, n)
+    inv_from, q = _join(k, rows)
+    del k
+    keys, inv_group = np.unique(pair[inv_from] * n + cols[q],
+                                return_inverse=True)
+    inv_values = 0.5 * ginv[rows[q], cols[q]]
+    del pair, q, rows, cols, ginv
+    # the three terms of ricci_direct
+    p = alg.basis.parity_array()
+    sign = 1 - 2 * p
+    ij, gk = np.divmod(keys, n)
+    gi, gj = np.divmod(ij, n)
+    trace_at = np.flatnonzero(gi == gk)
+    # G[z, y, m] G[x, m, z], joined on (m, z); negated pairs first
+    a, b = _join(gk * n + gi, gj * n + gk)
+    negated = sign[gi[a]] * (1 - 2 * (p[gi[a]] & p[gi[b]])) > 0
+    order = np.argsort(~negated, kind="stable")
+    a, b = a[order], b[order]
+    del order
+    # c[z, x, m] G[m, y, z], joined on (m, z)
+    idx = alg.index
+    a2, b2 = _join(idx[:, 2] * n + idx[:, 0], gi * n + gk)
+    ric_at = np.concatenate([ij, gi[b] * n + gj[a], idx[a2, 1] * n + gj[b2]])
+    int32 = np.int32
+    return CurvaturePlan(
+        algebra=alg, keys=keys, key_k=gk.astype(int32),
+        bracket_at=_positions(keys,
+                              (idx[:, 0] * n + idx[:, 1]) * n + idx[:, 2]),
+        row_max=np.max(np.abs(g), axis=1, initial=0.0),
+        rhs_rows=rhs_rows.astype(int32), rhs_values=rhs_values,
+        rhs_group=rhs_group.astype(int32),
+        inv_from=inv_from.astype(int32), inv_values=inv_values,
+        inv_group=inv_group.astype(int32),
+        trace_at=trace_at.astype(int32), trace_j=gj[trace_at].astype(int32),
+        trace_sign=sign[gi[trace_at]].astype(float),
+        pair_a=a.astype(int32), pair_b=b.astype(int32),
+        n_negative=int(np.count_nonzero(negated)),
+        bracket_from=b2.astype(int32),
+        bracket_values=-sign[idx[a2, 0]] * (alg.numer[a2] / alg.denom),
+        ric_at=ric_at.astype(int32))
+
+
 def _check_params(real, params: MetricParams) -> None:
     if len(params.x) != real.data.n_params:
         raise ValueError(
@@ -74,40 +195,42 @@ def _block_factors(alg: LieSuperAlgebra, factors, odd: float) -> np.ndarray:
     return out
 
 
+def metric_factors(real, params: MetricParams) -> np.ndarray:
+    """The row factors d of the metric D B: each even block's x_i, and 1 on
+    the odd block."""
+    _check_params(real, params)
+    return _block_factors(real.algebra, params.x, 1.0)
+
+
 def metric_from_params(real, params: MetricParams) -> BilinearFormMatrix:
     """The canonical form with each even block scaled by its x_i and the odd
     block fixed; the metric carries no report."""
-    _check_params(real, params)
-    scale = _block_factors(real.algebra, params.x, 1.0)
+    scale = metric_factors(real, params)
     return BilinearFormMatrix(scale[:, None] * real.canonical_form.gram)
 
 
-def levi_civita_koszul(alg: LieSuperAlgebra,
-                       metric: BilinearFormMatrix) -> Connection:
-    """Connection from the graded Koszul formula: the right side
-    2 g(nabla_(e_i) e_j, e_k), summed sparsely per (i, j, k), contracted
-    with the nonzeros of the inverse metric."""
-    g = metric.gram
-    n = alg.dim
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        raise DegeneracyError("metric is singular; no Levi-Civita connection")
-    keys, rhs = _group_sum(*_koszul_terms(alg, g, third=True))
-    rows, cols = np.nonzero(ginv)
-    pair, k = np.divmod(keys, n)
-    keys, gamma = _contract(k, rows, 0.5 * rhs, ginv[rows, cols], pair, cols, n)
-    return Connection(n, keys, gamma)
+def levi_civita_koszul(plan: CurvaturePlan,
+                       factors: np.ndarray | None = None) -> Connection:
+    """Connection of the metric D B from the graded Koszul formula: the
+    right side 2 g(nabla_(e_i) e_j, e_k), summed sparsely per (i, j, k),
+    contracted with the nonzeros of g^-1 = B^-1 D^-1. ``factors`` is D's
+    diagonal (:func:`metric_factors`); None is B itself."""
+    n = plan.algebra.dim
+    d = np.ones(n) if factors is None else factors
+    rhs = np.bincount(plan.rhs_group,
+                      weights=plan.rhs_values * d[plan.rhs_rows])
+    gamma = np.bincount(plan.inv_group, minlength=len(plan.keys),
+                        weights=rhs[plan.inv_from] * plan.inv_values)
+    return Connection(n, plan.keys, gamma / d[plan.key_k])
 
 
 def levi_civita_blockwise(real, params: MetricParams) -> Connection:
     """Connection assembled from the four-case closed form: 1/2 [X, Y] on
     even-even and odd-odd pairs, (1 - x_i/2) [X, Y] and (x_i/2) [X, Y] on the
     mixed pairs."""
-    _check_params(real, params)
     alg = real.algebra
     p = alg.basis.parity_array()
-    xv = _block_factors(alg, params.x, 1.0)
+    xv = metric_factors(real, params)
     i, j, k = alg.index.T
     coef = np.where(p[i] == p[j], 0.5,
                     np.where(p[i] == 0, 1.0 - xv[i] / 2.0, xv[j] / 2.0))
@@ -115,37 +238,36 @@ def levi_civita_blockwise(real, params: MetricParams) -> Connection:
     return Connection(n, (i * n + j) * n + k, coef * (alg.numer / alg.denom))
 
 
-def ricci_direct(alg: LieSuperAlgebra, metric: BilinearFormMatrix,
-                 conn: Connection) -> BilinearFormMatrix:
-    """ric(X, Y) = str(Z -> R(Z, X) Y) from the curvature of the connection.
+def ricci_direct(plan: CurvaturePlan, conn: Connection,
+                 factors: np.ndarray | None = None) -> BilinearFormMatrix:
+    """ric(X, Y) = str(Z -> R(Z, X) Y) from the curvature of the connection,
+    whose symbols must lie in the plan's pattern; evenness and
+    supersymmetry are checked relative to the scale of the metric D B
+    (``factors`` as for :func:`levi_civita_koszul`).
 
     With G the symbols and w_m = sum_z (-1)**p_z G_zmz, the three sparse
     terms are sum_m G_xym w_m, -sum_(z, m) (-1)**(p_z + p_z p_x) G_zym G_xmz
     and -sum_(z, m) (-1)**p_z c_zxm G_myz.
     """
-    n = alg.dim
-    p = alg.basis.parity_array()
-    sign = 1 - 2 * p
-    ij, gk = np.divmod(conn.keys, n)
-    gi, gj = np.divmod(ij, n)
-    gv = conn.values
-    trace = gi == gk
-    w = np.bincount(gj[trace], weights=sign[gi[trace]] * gv[trace], minlength=n)
-    # G[z, y, m] G[x, m, z], joined on (m, z)
-    a, b = _join(gk * n + gi, gj * n + gk)
-    # c[z, x, m] G[m, y, z], joined on (m, z)
-    idx = alg.index
-    a2, b2 = _join(idx[:, 2] * n + idx[:, 0], gi * n + gk)
-    keys, ric = _group_sum(
-        np.concatenate([gi * n + gj, gi[b] * n + gj[a], idx[a2, 1] * n + gj[b2]]),
-        np.concatenate([
-            gv * w[gk],
-            -(sign[gi[a]] * (1 - 2 * (p[gi[a]] & p[gi[b]]))) * (gv[a] * gv[b]),
-            -sign[idx[a2, 0]] * (alg.numer[a2] / alg.denom * gv[b2])]))
-    mat = np.zeros(n * n)
-    mat[keys] = ric
-    part, even_res, sym_res = _even_supersymmetric_part(alg, mat.reshape(n, n))
-    if max(sym_res, even_res) > RICCI_SYM_TOL * metric.scale():
+    n = plan.algebra.dim
+    if conn.keys is plan.keys:
+        gv = conn.values
+    else:
+        gv = np.zeros(len(plan.keys))
+        gv[_positions(plan.keys, conn.keys)] = conn.values
+    w = np.bincount(plan.trace_j, weights=plan.trace_sign * gv[plan.trace_at],
+                    minlength=n)
+    first, second = len(gv), len(gv) + len(plan.pair_a)
+    vals = np.empty(len(plan.ric_at))
+    np.multiply(gv, w[plan.key_k], out=vals[:first])
+    np.multiply(gv[plan.pair_a], gv[plan.pair_b], out=vals[first:second])
+    vals[first:first + plan.n_negative] *= -1.0
+    np.multiply(plan.bracket_values, gv[plan.bracket_from], out=vals[second:])
+    mat = np.bincount(plan.ric_at, weights=vals, minlength=n * n).reshape(n, n)
+    part, even_res, sym_res = _even_supersymmetric_part(plan.algebra, mat)
+    d = np.ones(n) if factors is None else factors
+    scale = float(np.max(np.abs(d) * plan.row_max, initial=0.0)) or 1.0
+    if max(sym_res, even_res) > RICCI_SYM_TOL * scale:
         raise ValueError("Ricci tensor failed the evenness/supersymmetry check")
     return BilinearFormMatrix(part)
 

@@ -11,8 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import MetricParams, levi_civita_koszul, metric_from_params, \
-    ricci_closed_form, ricci_direct
+from .curvature import MetricParams, levi_civita_koszul, metric_factors, \
+    metric_from_params, ricci_closed_form, ricci_direct
 from .families import FamilyData, FamilySpec, Realization
 from .supercore import MAX_JOIN_PAIRS
 
@@ -481,16 +481,18 @@ def lift_real_form(sol: EinsteinSolution,
 
 def verify_solution(real: Realization, sol: EinsteinSolution,
                     tol: float = RICCI_TOL) -> EinsteinSolution:
-    """Check ric = c * metric by both Ricci routes; stamp the outcome."""
+    """Check ric = c * metric by both Ricci routes, the direct one through
+    the realization's curvature plan; stamp the outcome."""
     params = MetricParams(sol.x)
     metric = metric_from_params(real, params)
     target = sol.c * metric.gram
     scale = metric.scale()
     worst = 0.0
     detail = None
+    plan, factors = real.curvature_plan, metric_factors(real, params)
     for route, ric in (
-        ("direct", ricci_direct(real.algebra, metric,
-                                levi_civita_koszul(real.algebra, metric))),
+        ("direct", ricci_direct(plan, levi_civita_koszul(plan, factors),
+                                factors)),
         ("closed_form", ricci_closed_form(real, params)),
     ):
         dev = np.abs(ric.gram - target)

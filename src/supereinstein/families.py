@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import invariants
+from . import curvature, invariants
 from .supercore import (
     MAX_DENSE_ENTRIES,
     BilinearFormMatrix,
@@ -317,6 +317,12 @@ class Realization:
         return {rng: invariants.ideal_invariants(self.algebra,
                                                  self.canonical_form, rng)
                 for rng in self.algebra.decomposition}
+
+    @cached_property
+    def curvature_plan(self) -> curvature.CurvaturePlan:
+        """The Koszul and direct-Ricci plan of the canonical form, which
+        serves every metric of the family; built once, on first use."""
+        return curvature.plan_curvature(self.algebra, self.canonical_form)
 
 
 def _exact_inverse(a: list) -> list:

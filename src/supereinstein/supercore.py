@@ -453,7 +453,8 @@ def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:
         raise ValueError("form is not defined on this algebra's basis")
     scale = form.scale()
     _, evenness, supersymmetry = _even_supersymmetric_part(alg, g)
-    _, diff = _group_sum(*_koszul_terms(alg, g, third=False))
+    keys, terms, _ = _koszul_terms(alg, g, third=False)
+    _, diff = _group_sum(keys, terms)
     bi_invariance = float(np.max(np.abs(diff), initial=0.0)) / scale
     scaled_det = _scaled_abs_det(g)
     return FormReport(evenness / scale, supersymmetry / scale, bi_invariance,
@@ -477,12 +478,13 @@ def _even_supersymmetric_part(alg: LieSuperAlgebra,
 
 
 def _koszul_terms(alg: LieSuperAlgebra, g: np.ndarray,
-                  third: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Keys ``(i * n + j) * n + k`` and values of the sparse terms of
-    g([e_i, e_j], e_k) - g(e_i, [e_j, e_k]) and, with ``third``, of
+                  third: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys ``(i * n + j) * n + k``, values and Gram rows of the sparse terms
+    of g([e_i, e_j], e_k) - g(e_i, [e_j, e_k]) and, with ``third``, of
     -(-1)**(p_i p_j) g(e_j, [e_i, e_k]): joins of the structure constants
     with the nonzeros of the Gram matrix. Grouping them sums the terms per
-    (i, j, k)."""
+    (i, j, k). Each term reads one Gram entry, in the returned row, so a
+    Gram with its rows scaled by d scales each term by d[row]."""
     n = alg.dim
     idx, c = alg.index, alg.numer / alg.denom
     rows, cols = np.nonzero(g)
@@ -491,16 +493,19 @@ def _koszul_terms(alg: LieSuperAlgebra, g: np.ndarray,
     a, q = _join(idx[:, 2], rows)
     keys = [(idx[a, 0] * n + idx[a, 1]) * n + cols[q]]
     terms = [c[a] * vals[q]]
+    read = [rows[q]]
     a, q = _join(idx[:, 2], cols)
     keys.append((rows[q] * n + idx[a, 0]) * n + idx[a, 1])
     terms.append(-(c[a] * vals[q]))
+    read.append(rows[q])
     if third:
         # c[i, k, m] g[j, m]
         p = alg.basis.parity_array()
         sign = 2 * (p[idx[a, 0]] & p[rows[q]]) - 1
         keys.append((idx[a, 0] * n + rows[q]) * n + idx[a, 1])
         terms.append(sign * (c[a] * vals[q]))
-    return np.concatenate(keys), np.concatenate(terms)
+        read.append(rows[q])
+    return np.concatenate(keys), np.concatenate(terms), np.concatenate(read)
 
 
 def _scaled_abs_det(g: np.ndarray) -> float:

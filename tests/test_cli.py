@@ -136,6 +136,20 @@ class TestInputContract:
         assert err.startswith("error: A(1,0): a join of ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_negative_seed_refused_before_any_section(self, capsys,
+                                                      monkeypatch, jobs):
+        # numpy's default_rng would refuse it inside the first realizable
+        # section's route draws, and the refusal would name that family
+        def enumerated(*args):
+            raise AssertionError("the catalog was enumerated")
+
+        monkeypatch.setattr(cli, "iter_catalog", enumerated)
+        code, out, err = run(capsys, "report", "--max-m", "2", "--seed", "-5",
+                             "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be >= 0, got -5\n"
+
     @pytest.mark.parametrize("max_m,bound,family", [
         ("1000", None, "A(22,21) has dimension 2,024"),
         ("2", 100, "A(2,0) has dimension 15"),

@@ -10,7 +10,9 @@ from supereinstein.curvature import (
     MetricParams,
     levi_civita_blockwise,
     levi_civita_koszul,
+    metric_factors,
     metric_from_params,
+    plan_curvature,
     ricci_closed_form,
     ricci_direct,
 )
@@ -115,15 +117,15 @@ class TestMetricFromParams:
 
 class TestLeviCivita:
     def test_bi_invariant_metric_gives_half_bracket(self, osp32):
-        metric = metric_from_params(osp32, MetricParams((1.0, 1.0)))
-        conn = levi_civita_koszul(osp32.algebra, metric)
+        factors = metric_factors(osp32, MetricParams((1.0, 1.0)))
+        conn = levi_civita_koszul(osp32.curvature_plan, factors)
         assert np.max(np.abs(dense_connection(conn)
                              - 0.5 * dense_constants(osp32.algebra))) < 1e-12
 
     def test_routes_agree_on_b11(self, osp32):
         params = MetricParams((2.0, 1.0 / 3.0))
-        metric = metric_from_params(osp32, params)
-        ck = levi_civita_koszul(osp32.algebra, metric)
+        ck = levi_civita_koszul(osp32.curvature_plan,
+                                metric_factors(osp32, params))
         cb = levi_civita_blockwise(osp32, params)
         assert np.max(np.abs(dense_connection(ck) - dense_connection(cb))) < 1e-10
 
@@ -131,7 +133,7 @@ class TestLeviCivita:
         basis = SuperBasis((0, 0))
         alg = LieSuperAlgebra(basis, {}, (DecompositionRange(0, 2, "abelian"),))
         metric = BilinearFormMatrix(np.eye(2))
-        conn = levi_civita_koszul(alg, metric)
+        conn = levi_civita_koszul(plan_curvature(alg, metric))
         assert np.max(np.abs(dense_connection(conn))) == 0.0
 
     def test_blockwise_cases(self, osp32):
@@ -153,7 +155,8 @@ class TestLeviCivita:
         for _ in range(5):
             params = MetricParams(seeded_params(rng, 2))
             metric = metric_from_params(osp32, params)
-            conn = levi_civita_koszul(osp32.algebra, metric)
+            conn = levi_civita_koszul(osp32.curvature_plan,
+                                      metric_factors(osp32, params))
             compat, torsion = connection_residuals(osp32.algebra, metric, conn)
             assert compat < 1e-9 and torsion < 1e-9
 
@@ -161,16 +164,15 @@ class TestLeviCivita:
 class TestRicci:
     def test_sl21_unit_metric_einstein(self, sl21):
         metric = metric_from_params(sl21, MetricParams((1.0, 1.0)))
-        ric = ricci_direct(sl21.algebra, metric,
-                           levi_civita_koszul(sl21.algebra, metric))
+        plan = plan_curvature(sl21.algebra, metric)
+        ric = ricci_direct(plan, levi_civita_koszul(plan))
         assert np.max(np.abs(ric.gram + 0.25 * metric.gram)) < 1e-9
 
     def test_cross_ideal_and_mixed_blocks_vanish(self):
         real = realize(family_spec("A", 2, 1))
         params = MetricParams((1.7, -0.6, 2.2))
-        metric = metric_from_params(real, params)
-        ric = ricci_direct(real.algebra, metric,
-                           levi_civita_koszul(real.algebra, metric))
+        plan, factors = real.curvature_plan, metric_factors(real, params)
+        ric = ricci_direct(plan, levi_civita_koszul(plan, factors), factors)
         ranges = real.algebra.decomposition
         for i in range(len(ranges)):
             for j in range(len(ranges)):
@@ -202,9 +204,9 @@ class TestRicci:
         rng = np.random.default_rng(11)
         for _ in range(5):
             params = MetricParams(seeded_params(rng, real.data.n_params))
-            metric = metric_from_params(real, params)
-            conn = levi_civita_koszul(real.algebra, metric)
-            ric_d = ricci_direct(real.algebra, metric, conn)
+            plan, factors = real.curvature_plan, metric_factors(real, params)
+            ric_d = ricci_direct(plan, levi_civita_koszul(plan, factors),
+                                 factors)
             ric_c = ricci_closed_form(real, params)
             assert np.max(np.abs(ric_d.gram - ric_c.gram)) < 1e-8
 
@@ -260,8 +262,9 @@ class TestRouteGrid:
         for x in product((1.0, 2.0, 3.0), repeat=real.data.n_params):
             params = MetricParams(x)
             metric = metric_from_params(real, params)
-            ric_d = ricci_direct(real.algebra, metric,
-                                 levi_civita_blockwise(real, params))
+            ric_d = ricci_direct(real.curvature_plan,
+                                 levi_civita_blockwise(real, params),
+                                 metric_factors(real, params))
             ric_c = ricci_closed_form(real, params)
             assert np.max(np.abs(ric_d.gram - ric_c.gram)) \
                 <= 1e-12 * metric.scale(), x

@@ -2,8 +2,9 @@
 no module-level import goes unused, no module-level private function or
 constant and no public definition or method is left without a reference
 anywhere in the package (``__all__`` counts as one), no module calls
-``einsum``, the front end compares no family kind, and only the catalog
-makes family records inside ``families``."""
+``einsum``, the front end compares no family kind, only the catalog
+makes family records inside ``families``, and only the curvature plan
+inverts a dense form."""
 
 import ast
 import functools
@@ -121,11 +122,16 @@ def test_cli_asks_the_family_record_not_its_kind():
     assert _kind_comparisons(_tree(SRC / "cli.py")) == []
 
 
+def _call_sites(tree: ast.AST, name: str) -> list:
+    """The calls in ``tree`` of ``name``, a name or a dotted attribute."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == name]
+
+
 def _callers(tree: ast.Module, name: str) -> set:
     """The module-level functions of ``tree`` that call ``name``."""
     return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
-            for node in ast.walk(fn) if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name) and node.func.id == name}
+            and _call_sites(fn, name)}
 
 
 def test_only_the_catalog_makes_family_records():
@@ -133,6 +139,17 @@ def test_only_the_catalog_makes_family_records():
     # rebuilds one from a basis function's integers
     assert _callers(_tree(SRC / "families.py"), "family_spec") <= \
         {"iter_catalog", "family_spec"}
+
+
+def test_only_the_curvature_plan_inverts_a_form():
+    # every metric of a family is g = D B, so g^-1 = B^-1 D^-1: the one
+    # inverse of B, made with the plan, serves every metric
+    sites = {path.name: len(_call_sites(_tree(path), "np.linalg.inv"))
+             for path in MODULES}
+    assert {name: count for name, count in sites.items() if count} == \
+        {"curvature.py": 1}
+    assert _callers(_tree(SRC / "curvature.py"), "np.linalg.inv") == \
+        {"plan_curvature"}
 
 
 def test_checks_catch_what_they_look_for():
@@ -161,3 +178,12 @@ def test_checks_catch_what_they_look_for():
                      "def _osp_basis(l, k):\n"
                      "    return family_spec('B', (l - 1) // 2, k // 2)\n")
     assert _callers(tree, "family_spec") == {"catalog", "_osp_basis"}
+    tree = ast.parse("def plan(g):\n"
+                     "    return np.linalg.inv(g)\n"
+                     "def metric(g, d):\n"
+                     "    return np.linalg.solve(g, d), np.linalg.inv(d * g)\n"
+                     "class Form:\n"
+                     "    def inverse(self):\n"
+                     "        return np.linalg.inv(self.gram)\n")
+    assert len(_call_sites(tree, "np.linalg.inv")) == 3
+    assert _callers(tree, "np.linalg.inv") == {"plan", "metric"}

@@ -12,12 +12,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from supereinstein import cli, families, invariants
+from supereinstein import cli, curvature, families, invariants, supercore
 from supereinstein.curvature import (
     MetricParams,
     levi_civita_blockwise,
     levi_civita_koszul,
+    metric_factors,
     metric_from_params,
+    plan_curvature,
     ricci_direct,
 )
 from supereinstein.supercore import (
@@ -106,6 +108,14 @@ def seeded_metric(real, seed):
     return params, metric_from_params(real, params)
 
 
+def planned(plan, real, params):
+    """The Koszul connection and direct Ricci tensor of one metric,
+    evaluated through ``plan``."""
+    factors = metric_factors(real, params)
+    conn = levi_civita_koszul(plan, factors)
+    return conn, ricci_direct(plan, conn, factors).gram
+
+
 @pytest.mark.parametrize("spec", REALIZABLE, ids=lambda sp: sp.name)
 def test_kernels_match_dense_oracles(spec):
     real = families.realize(spec)
@@ -113,20 +123,26 @@ def test_kernels_match_dense_oracles(spec):
     k_dense = dense_killing(alg)
     k = killing_form(alg)
     assert np.max(np.abs(k.gram - k_dense)) <= TOL * max(k.scale(), 1.0)
-    for seed in (1, 2):
-        _, metric = seeded_metric(real, [seed, alg.dim])
+    plan = plan_curvature(alg, real.canonical_form)  # shared by every metric
+    first = None
+    for seed in (1, 2, 3):
+        params, metric = seeded_metric(real, [seed, alg.dim])
         g = metric.gram
         scale = metric.scale()
         assert abs(check_form(alg, metric).bi_invariance
                    - dense_bi_invariance(alg, g) / scale) <= TOL
-        conn = levi_civita_koszul(alg, metric)
+        conn, ric = planned(plan, real, params)
+        first = first or (params, conn.values, ric)
         gamma = dense_koszul(alg, g)
         assert np.max(np.abs(dense_connection(conn) - gamma)) <= TOL * max(
             float(np.max(np.abs(gamma))), 1.0)
-        ric = ricci_direct(alg, metric, conn).gram
         ric_dense = dense_ricci(alg, gamma)
         assert np.max(np.abs(ric - ric_dense)) <= TOL * max(
             float(np.max(np.abs(ric_dense))), scale)
+    # evaluating the first metric again, after the others, leaves no trace
+    params, values, ric = first
+    conn, again = planned(plan, real, params)
+    assert np.array_equal(conn.values, values) and np.array_equal(again, ric)
 
 
 def test_bi_invariance_of_a_random_form_matches_oracle(sl21):
@@ -142,12 +158,59 @@ def test_bi_invariance_of_a_random_form_matches_oracle(sl21):
 def test_no_dense_structure_tensor_on_the_verify_path():
     real = families.realize(families.family_spec("B", 1, 1))
     alg = real.algebra
-    params, metric = seeded_metric(real, 5)
+    params, _ = seeded_metric(real, 5)
     check_form(alg, killing_form(alg))
-    ricci_direct(alg, metric, levi_civita_koszul(alg, metric))
+    planned(real.curvature_plan, real, params)
     levi_civita_blockwise(real, params)
     assert cli._route_equivalence(real, np.random.default_rng(5), 2) < 1e-8
     assert "c" not in alg.__dict__
+
+
+def test_plan_is_built_once_and_reused(monkeypatch):
+    # the joins are all made with the plan: later metrics only evaluate it
+    real = families.realize(families.family_spec("B", 2, 2))
+    joins = []
+
+    def counted(*args, **kwargs):
+        joins.append(args)
+        return _join(*args, **kwargs)
+
+    monkeypatch.setattr(supercore, "_join", counted)
+    monkeypatch.setattr(curvature, "_join", counted)
+    made = []
+    for seed in (1, 2, 3):
+        planned(real.curvature_plan, real, seeded_metric(real, seed)[0])
+        made.append(len(joins))
+    assert made[0] > 0 and made[1] == made[2] == made[0]
+
+
+def test_one_plan_per_report_section(monkeypatch):
+    # B(1,1): two route draws and two verified solutions, one plan
+    built = []
+    init = curvature.CurvaturePlan.__post_init__
+    monkeypatch.setattr(curvature.CurvaturePlan, "__post_init__",
+                        lambda plan: built.append(plan) or init(plan))
+    verified = []
+    inner = cli.einstein.verify_solution
+    monkeypatch.setattr(cli.einstein, "verify_solution",
+                        lambda *args: verified.append(args) or inner(*args))
+    section, _ = cli.report_section(families.family_spec("B", 1, 1), 1, 0,
+                                    cli.einstein.C_WINDOW, cli.DEFAULT_TOL)
+    assert section["pass"] and len(verified) == 2 and len(built) == 1
+
+
+def test_plan_retains_a_bounded_footprint():
+    # B(4,4), dim 144, 4,464 structure constants: measured 507,545 bytes
+    real = families.realize(families.family_spec("B", 4, 4))
+    plan_curvature(real.algebra, real.canonical_form)  # first-call set-up
+    tracemalloc.start()
+    try:
+        plan = plan_curvature(real.algebra, real.canonical_form)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.keys) == 4464
+    assert retained <= 1.25 * 507_545
 
 
 def two_dim(v):
@@ -167,7 +230,7 @@ def test_singular_metric_raises(psl22):
     metric = killing_form(psl22.algebra)  # identically zero on psl(2|2)
     assert not np.any(metric.gram)
     with pytest.raises(DegeneracyError, match="singular"):
-        levi_civita_koszul(psl22.algebra, metric)
+        levi_civita_koszul(plan_curvature(psl22.algebra, metric))
 
 
 @pytest.mark.parametrize("spec", REALIZABLE, ids=lambda sp: sp.name)
