@@ -18,15 +18,8 @@ from itertools import repeat
 import numpy as np
 
 from . import einstein
-from .curvature import (
-    ROUTE_TOL,
-    MetricParams,
-    levi_civita_blockwise,
-    levi_civita_koszul,
-    metric_factors,
-    ricci_closed_form,
-    ricci_direct,
-)
+from .curvature import ROUTE_TOL, MetricParams, levi_civita_blockwise, \
+    ricci_routes
 from .families import FamilySpec, check_dense_size, family_spec, \
     iter_catalog, realize, verify_realization
 from .supercore import VERIFY_TOL, algebra_to_json, \
@@ -203,8 +196,7 @@ def _family_solutions(spec: FamilySpec, cmax: float, tol: float) -> tuple:
     the default window, so --cmax filters what it omits instead of hiding it
     outside the scan."""
     real = realize(spec) if spec.realizable else None
-    found = einstein.solve(spec.data, c_window=max(cmax, einstein.C_WINDOW),
-                           residual_tol=tol)
+    found = einstein.solve(spec.data, c_window=max(cmax, einstein.C_WINDOW))
     sols = [s for s in found if abs(s.c) <= cmax]
     if real is not None:
         sols = [einstein.verify_solution(real, s) for s in sols]
@@ -212,13 +204,17 @@ def _family_solutions(spec: FamilySpec, cmax: float, tol: float) -> tuple:
     return real, sols, len(found) - len(sols), ok
 
 
-def _notes(family: str, sols, omitted: int, cmax: float,
+def _notes(family: str, sols, omitted: int, cmax: float, tol: float,
            where: str) -> list[str]:
     """The stderr notes on one family's solutions: how many |c| > cmax left
-    out (after the prefix ``where``), then each solution that failed Ricci
-    verification, with its worst offender."""
+    out (after the prefix ``where``), then each solution whose residual is
+    not below ``tol`` and each that failed Ricci verification, with its
+    worst offender."""
     notes = [f"note: {where}{omitted} solution(s) with |c| > {cmax:g} "
              f"omitted by --cmax"] if omitted else []
+    notes += [f"note: {family}: solution c={s.c:.10g} has residual "
+              f"{s.residual:.3g}, not below --tol {tol:g}"
+              for s in sols if not s.residual < tol]
     return notes + [f"note: {family}: solution c={s.c:.10g} failed Ricci "
                     f"verification: {s.detail}"
                     for s in sols if s.ricci_verified == "failed"]
@@ -227,7 +223,7 @@ def _notes(family: str, sols, omitted: int, cmax: float,
 def _run_solve(args, require_verified: bool) -> int:
     spec = _spec_from_args(args)
     real, sols, omitted, ok = _family_solutions(spec, args.cmax, args.tol)
-    for note in _notes(spec.name, sols, omitted, args.cmax, ""):
+    for note in _notes(spec.name, sols, omitted, args.cmax, args.tol, ""):
         print(note, file=sys.stderr)
     data = spec.data
     doc = {"family": spec.name,
@@ -279,7 +275,6 @@ def _route_equivalence(real, rng, draws: int) -> float:
     """The largest deviation between the Koszul and blockwise connections
     and between the direct and closed-form Ricci tensors, over ``draws``
     random metrics evaluated through the realization's curvature plan."""
-    plan = real.curvature_plan
     worst = 0.0
     for _ in range(draws):
         vals = []
@@ -288,13 +283,11 @@ def _route_equivalence(real, rng, draws: int) -> float:
             if abs(v) >= 0.1:
                 vals.append(v)
         params = MetricParams(tuple(vals))
-        factors = metric_factors(real, params)
-        conn_k = levi_civita_koszul(plan, factors)
+        conn_k, ric_d, ric_c = ricci_routes(real, params)
         dev = conn_k.values.copy()
-        dev[plan.bracket_at] -= levi_civita_blockwise(real, params).values
+        dev[real.curvature_plan.bracket_at] -= \
+            levi_civita_blockwise(real, params).values
         worst = max(worst, float(np.max(np.abs(dev), initial=0.0)))
-        ric_d = ricci_direct(plan, conn_k, factors)
-        ric_c = ricci_closed_form(real, params)
         worst = max(worst, float(np.max(np.abs(ric_d.gram - ric_c.gram))))
     return worst
 
@@ -387,7 +380,7 @@ def _section(spec: FamilySpec, seed: int, index: int, c_window: float,
     gates["solutions"] = solutions_ok
     failed = [gate for gate, passed in gates.items() if not passed]
     section["pass"] = not failed
-    notes = _notes(spec.name, sols, omitted, c_window, f"{spec.name}: ")
+    notes = _notes(spec.name, sols, omitted, c_window, tol, f"{spec.name}: ")
     if failed:
         notes.append(f"note: {spec.name}: failed {', '.join(failed)}")
     return section, notes

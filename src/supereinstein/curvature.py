@@ -2,19 +2,22 @@
 independent routes) and the Ricci tensor (two independent routes).
 
 Every metric of a family is g = D B: the canonical form B with its rows
-scaled by a diagonal D, one factor per block (k_0, each simple k_i, 1 on the
-odd part). So every metric has B's nonzero pattern, and its inverse
-B^-1 D^-1 has B^-1's. The Koszul connection and the direct Ricci tensor
-therefore split into a plan and an evaluation, the symbolic/numeric split of
-sparse products (Gustavson, ACM TOMS 4(3), 1978). :func:`plan_curvature`
-works out once per canonical form the joins of the Koszul terms and their
-grouping, their contraction with the nonzeros of B^-1 (the one dense
-inverse), and the three joins of the direct Ricci tensor over the resulting
-connection keys, with the constant factors folded in.
-:func:`levi_civita_koszul` and :func:`ricci_direct` then evaluate one metric
-from its factor vector with gathers and bincounts only: no join, sort or
-inverse. A form that is not a family's canonical form is its own one-shot
-plan, evaluated at unit factors.
+scaled by a diagonal D that is constant on each block, one factor per block
+(x_0 on k_0, x_i on each simple k_i, 1 on the odd part; see
+:meth:`~supereinstein.supercore.LieSuperAlgebra.block_layout`). So every
+metric has B's nonzero pattern, its inverse B^-1 D^-1 has B^-1's, and the
+right side of the Koszul formula is linear in the block factors f: each of
+its terms reads one row of g. :func:`plan_curvature` works out once per
+canonical form, the symbolic half of sparse products (Gustavson, ACM TOMS
+4(3), 1978), the one linear map that gives every metric's Christoffel
+symbols: the Koszul terms summed per (i, j, k) and block, contracted with
+the nonzeros of B^-1 (the one dense inverse), a (symbols, blocks) matrix. It
+also plans the three joins of the direct Ricci tensor over the connection
+keys, with the constant factors folded in. :func:`levi_civita_koszul` is
+then one product with f and one division by D's factor on the index k;
+:func:`ricci_direct` is gathers and bincounts: no join, sort or inverse. A
+form that is not a family's canonical form is its own one-shot plan,
+evaluated at unit factors.
 
 A connection is sparse: its Christoffel symbols are stored at flat keys
 ``(i * n + j) * n + k``, and no route allocates a dense (n, n, n) array.
@@ -71,17 +74,17 @@ class Connection:
 @dataclass(frozen=True, eq=False)
 class CurvaturePlan:
     """The structure of the Koszul connection and of the direct Ricci tensor
-    of every metric D B of one form B, D diagonal, made by
+    of every metric D B of one form B, D constant on each block of
+    :meth:`~supereinstein.supercore.LieSuperAlgebra.block_layout`, made by
     :func:`plan_curvature`. Positions are int32.
 
-    Koszul: term t adds ``rhs_values[t] * d[rhs_rows[t]]`` to the right side
-    ``rhs[rhs_group[t]]``; contraction pair t adds
-    ``rhs[inv_from[t]] * inv_values[t]`` (1/2 B^-1 folded in) to symbol
-    ``inv_group[t]``, and symbol s is divided by ``d[key_k[s]]``.
+    Koszul: with f the block factors of D, the symbols are
+    ``koszul @ f`` (1/2 B^-1 folded in), symbol s divided by f on the block
+    of ``key_k[s]``.
 
     Ricci, from the symbols G at ``keys``: w = the sum of
     ``trace_sign * G[trace_at]`` per ``trace_j``; then G w[key_k],
-    G[pair_a] G[pair_b] with the first ``n_negative`` negated, and
+    ``pair_sign * G[pair_a] G[pair_b]`` and
     ``bracket_values * G[bracket_from]``, in this order, are summed per flat
     (x, y) entry ``ric_at``."""
 
@@ -90,18 +93,13 @@ class CurvaturePlan:
     key_k: np.ndarray
     bracket_at: np.ndarray  # where the structure constants' keys sit in keys
     row_max: np.ndarray  # max |B[i, :]|, so D B has scale max |d_i| row_max[i]
-    rhs_rows: np.ndarray
-    rhs_values: np.ndarray
-    rhs_group: np.ndarray
-    inv_from: np.ndarray
-    inv_values: np.ndarray
-    inv_group: np.ndarray
+    koszul: np.ndarray  # (symbols, blocks)
     trace_at: np.ndarray
     trace_j: np.ndarray
     trace_sign: np.ndarray
     pair_a: np.ndarray
     pair_b: np.ndarray
-    n_negative: int
+    pair_sign: np.ndarray
     bracket_from: np.ndarray
     bracket_values: np.ndarray
     ric_at: np.ndarray
@@ -123,39 +121,43 @@ def _positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 def plan_curvature(alg: LieSuperAlgebra,
                    form: BilinearFormMatrix) -> CurvaturePlan:
     """The :class:`CurvaturePlan` of ``form``: its one dense inverse, the
-    joins of :func:`~supereinstein.supercore._koszul_terms` grouped per
-    (i, j, k), their contraction with the nonzeros of the inverse, and the
-    three Ricci joins over the connection keys. Raises
-    :class:`DegeneracyError` when the form is singular."""
+    terms of :func:`~supereinstein.supercore._koszul_terms` summed per
+    (i, j, k) and block of the Gram row they read, their contraction with
+    the nonzeros of the inverse, and the three Ricci joins over the
+    connection keys. Raises :class:`DegeneracyError` when the form is
+    singular."""
     g = form.gram
     n = alg.dim
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError:
         raise DegeneracyError("metric is singular; no Levi-Civita connection")
-    terms, rhs_values, rhs_rows = _koszul_terms(alg, g, third=True)
-    rhs_keys, rhs_group = np.unique(terms, return_inverse=True)
-    del terms
+    block = alg.block_layout()
+    nb = len(alg.decomposition) + 1
+    terms, values, rows = _koszul_terms(alg, g, third=True)
+    rhs_keys, group = np.unique(terms, return_inverse=True)
+    rhs = np.bincount(group * nb + block[rows], weights=values,
+                      minlength=len(rhs_keys) * nb).reshape(-1, nb)
+    del terms, values, rows, group
     rows, cols = np.nonzero(ginv)
     pair, k = np.divmod(rhs_keys, n)
-    inv_from, q = _join(k, rows)
+    at, q = _join(k, rows)
     del k
-    keys, inv_group = np.unique(pair[inv_from] * n + cols[q],
-                                return_inverse=True)
-    inv_values = 0.5 * ginv[rows[q], cols[q]]
-    del pair, q, rows, cols, ginv
+    keys, symbol = np.unique(pair[at] * n + cols[q], return_inverse=True)
+    weights = rhs[at] * (0.5 * ginv[rows[q], cols[q]])[:, None]
+    koszul = np.bincount((symbol[:, None] * nb + np.arange(nb)).ravel(),
+                         weights=weights.ravel(),
+                         minlength=len(keys) * nb).reshape(-1, nb)
+    del pair, at, q, rows, cols, ginv, rhs, weights, symbol
     # the three terms of ricci_direct
     p = alg.basis.parity_array()
     sign = 1 - 2 * p
     ij, gk = np.divmod(keys, n)
     gi, gj = np.divmod(ij, n)
     trace_at = np.flatnonzero(gi == gk)
-    # G[z, y, m] G[x, m, z], joined on (m, z); negated pairs first
+    # G[z, y, m] G[x, m, z], joined on (m, z), signed -(-1)**(p_z + p_z p_x)
     a, b = _join(gk * n + gi, gj * n + gk)
-    negated = sign[gi[a]] * (1 - 2 * (p[gi[a]] & p[gi[b]])) > 0
-    order = np.argsort(~negated, kind="stable")
-    a, b = a[order], b[order]
-    del order
+    pair_sign = -sign[gi[a]] * (1 - 2 * (p[gi[a]] & p[gi[b]]))
     # c[z, x, m] G[m, y, z], joined on (m, z)
     idx = alg.index
     a2, b2 = _join(idx[:, 2] * n + idx[:, 0], gi * n + gk)
@@ -165,15 +167,11 @@ def plan_curvature(alg: LieSuperAlgebra,
         algebra=alg, keys=keys, key_k=gk.astype(int32),
         bracket_at=_positions(keys,
                               (idx[:, 0] * n + idx[:, 1]) * n + idx[:, 2]),
-        row_max=np.max(np.abs(g), axis=1, initial=0.0),
-        rhs_rows=rhs_rows.astype(int32), rhs_values=rhs_values,
-        rhs_group=rhs_group.astype(int32),
-        inv_from=inv_from.astype(int32), inv_values=inv_values,
-        inv_group=inv_group.astype(int32),
+        row_max=np.max(np.abs(g), axis=1, initial=0.0), koszul=koszul,
         trace_at=trace_at.astype(int32), trace_j=gj[trace_at].astype(int32),
         trace_sign=sign[gi[trace_at]].astype(float),
         pair_a=a.astype(int32), pair_b=b.astype(int32),
-        n_negative=int(np.count_nonzero(negated)),
+        pair_sign=pair_sign.astype(float),
         bracket_from=b2.astype(int32),
         bracket_values=-sign[idx[a2, 0]] * (alg.numer[a2] / alg.denom),
         ric_at=ric_at.astype(int32))
@@ -186,20 +184,11 @@ def _check_params(real, params: MetricParams) -> None:
             f"got {len(params.x)}")
 
 
-def _block_factors(alg: LieSuperAlgebra, factors, odd: float) -> np.ndarray:
-    """Per-basis-index vector: ``factors[r]`` on the r-th decomposition
-    range, ``odd`` on the odd part."""
-    out = np.full(alg.dim, float(odd))
-    for rng, f in zip(alg.decomposition, factors):
-        out[rng.start:rng.stop] = f
-    return out
-
-
 def metric_factors(real, params: MetricParams) -> np.ndarray:
     """The row factors d of the metric D B: each even block's x_i, and 1 on
     the odd block."""
     _check_params(real, params)
-    return _block_factors(real.algebra, params.x, 1.0)
+    return np.append(params.x, 1.0)[real.algebra.block_layout()]
 
 
 def metric_from_params(real, params: MetricParams) -> BilinearFormMatrix:
@@ -212,16 +201,20 @@ def metric_from_params(real, params: MetricParams) -> BilinearFormMatrix:
 def levi_civita_koszul(plan: CurvaturePlan,
                        factors: np.ndarray | None = None) -> Connection:
     """Connection of the metric D B from the graded Koszul formula: the
-    right side 2 g(nabla_(e_i) e_j, e_k), summed sparsely per (i, j, k),
-    contracted with the nonzeros of g^-1 = B^-1 D^-1. ``factors`` is D's
-    diagonal (:func:`metric_factors`); None is B itself."""
+    right side 2 g(nabla_(e_i) e_j, e_k) is linear in the block factors f
+    of D, and so, after the contraction with g^-1 = B^-1 D^-1, is each
+    symbol up to its division by d_k. ``factors`` is D's diagonal
+    (:func:`metric_factors`); None is B itself. Raises ValueError when D
+    is not constant on each block."""
     n = plan.algebra.dim
     d = np.ones(n) if factors is None else factors
-    rhs = np.bincount(plan.rhs_group,
-                      weights=plan.rhs_values * d[plan.rhs_rows])
-    gamma = np.bincount(plan.inv_group, minlength=len(plan.keys),
-                        weights=rhs[plan.inv_from] * plan.inv_values)
-    return Connection(n, plan.keys, gamma / d[plan.key_k])
+    block = plan.algebra.block_layout()
+    f = np.ones(plan.koszul.shape[1])
+    f[block] = d
+    if np.any(f[block] != d):
+        raise ValueError("metric factors vary inside a block; the plan "
+                         "takes one factor per block")
+    return Connection(n, plan.keys, plan.koszul @ f / d[plan.key_k])
 
 
 def levi_civita_blockwise(real, params: MetricParams) -> Connection:
@@ -261,7 +254,7 @@ def ricci_direct(plan: CurvaturePlan, conn: Connection,
     vals = np.empty(len(plan.ric_at))
     np.multiply(gv, w[plan.key_k], out=vals[:first])
     np.multiply(gv[plan.pair_a], gv[plan.pair_b], out=vals[first:second])
-    vals[first:first + plan.n_negative] *= -1.0
+    vals[first:second] *= plan.pair_sign
     np.multiply(plan.bracket_values, gv[plan.bracket_from], out=vals[second:])
     mat = np.bincount(plan.ric_at, weights=vals, minlength=n * n).reshape(n, n)
     part, even_res, sym_res = _even_supersymmetric_part(plan.algebra, mat)
@@ -289,5 +282,16 @@ def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:
         factors.append(-xi * xi / 4.0 if rng.kind == "abelian"
                        else (inv.l * xi * xi - 1.0) / (4.0 * inv.b))
         odd += (xi / 2.0 - 1.0) * inv.gamma
-    scale = _block_factors(alg, factors, odd)
+    scale = np.append(factors, odd)[alg.block_layout()]
     return BilinearFormMatrix(scale[:, None] * real.canonical_form.gram)
+
+
+def ricci_routes(real, params: MetricParams) -> tuple[
+        Connection, BilinearFormMatrix, BilinearFormMatrix]:
+    """The Koszul connection of the metric of ``params``, through the
+    realization's curvature plan, and its Ricci tensor by both routes:
+    direct from that connection, and the closed form."""
+    plan, factors = real.curvature_plan, metric_factors(real, params)
+    conn = levi_civita_koszul(plan, factors)
+    return (conn, ricci_direct(plan, conn, factors),
+            ricci_closed_form(real, params))

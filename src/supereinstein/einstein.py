@@ -11,8 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import MetricParams, levi_civita_koszul, metric_factors, \
-    metric_from_params, ricci_closed_form, ricci_direct
+from .curvature import MetricParams, metric_from_params, ricci_routes
 from .families import FamilyData, FamilySpec, Realization
 from .supercore import MAX_JOIN_PAIRS
 
@@ -175,8 +174,7 @@ def _kept_points(nodes, kept, n_grid: int):
 
 
 def solve(data: FamilyData, c_window: float = C_WINDOW,
-          grid_step: float = GRID_STEP, residual_tol: float = SOLUTION_TOL,
-          ) -> list[EinsteinSolution]:
+          grid_step: float = GRID_STEP) -> list[EinsteinSolution]:
     """All real solutions with every x_i nonzero of the family's Einstein
     system for its canonical form: ``c = -x0/4`` on the abelian block,
     ``(l_i x_i^2 - 1)/4 = c b_i x_i`` on each simple ideal and
@@ -197,8 +195,8 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
     tangent roots. Grid points are neighbours only when their indices are.
     Every evaluated c and g is bit-identical to a scan of the whole grid,
     so the solutions are too. Candidates survive only if the full system
-    residual passes, then are deduplicated and returned in ascending order
-    of ``(c, x)``.
+    residual is below ``SOLUTION_TOL``, then are deduplicated and returned
+    in ascending order of ``(c, x)``.
 
     Raises ValueError, before allocating, when the coarse nodes or the kept
     points of one branch exceed ``supercore.MAX_JOIN_PAIRS``.
@@ -264,7 +262,7 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
             if min(abs(v) for v in vec) < 1e-9:
                 continue  # degenerate metric: outside the family
             res = system_residual(data, vec, c)
-            if res < residual_tol:
+            if res < SOLUTION_TOL:
                 found.append((vec, c))
     found.sort(key=lambda t: (t[1], t[0]))
     solutions: list[EinsteinSolution] = []
@@ -489,12 +487,8 @@ def verify_solution(real: Realization, sol: EinsteinSolution,
     scale = metric.scale()
     worst = 0.0
     detail = None
-    plan, factors = real.curvature_plan, metric_factors(real, params)
-    for route, ric in (
-        ("direct", ricci_direct(plan, levi_civita_koszul(plan, factors),
-                                factors)),
-        ("closed_form", ricci_closed_form(real, params)),
-    ):
+    _, direct, closed_form = ricci_routes(real, params)
+    for route, ric in (("direct", direct), ("closed_form", closed_form)):
         dev = np.abs(ric.gram - target)
         route_worst = float(np.max(dev))
         if route_worst >= tol * scale and detail is None:
@@ -507,7 +501,7 @@ def verify_solution(real: Realization, sol: EinsteinSolution,
 
 
 def _block_of(real: Realization, idx: int) -> str:
-    for pos, rng in enumerate(real.algebra.decomposition):
-        if rng.start <= idx < rng.stop:
-            return f"k{pos if real.data.has_k0 else pos + 1}"
-    return "odd"
+    r = int(real.algebra.block_layout()[idx])
+    if r == len(real.algebra.decomposition):
+        return "odd"
+    return f"k{r if real.data.has_k0 else r + 1}"

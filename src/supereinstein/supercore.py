@@ -98,11 +98,6 @@ class DecompositionRange:
         return range(self.start, self.stop)
 
 
-def _parity_sign_matrix(parity: np.ndarray) -> np.ndarray:
-    """S[i, j] = (-1)**(parity_i * parity_j)."""
-    return 1.0 - 2.0 * np.outer(parity, parity)
-
-
 def _exact_coo(entries) -> tuple[np.ndarray, np.ndarray, int]:
     """Structure constants as (index, numer, denom) in lowest terms, zeros
     dropped. ``entries`` is ``{(i, j, k): int | Fraction}`` or a triple
@@ -199,6 +194,13 @@ class LieSuperAlgebra:
 
     def odd_range(self) -> range:
         return range(self.dim_even, self.dim)
+
+    def block_layout(self) -> np.ndarray:
+        """The block of each basis index: r on the r-th decomposition range,
+        ``len(decomposition)`` on the odd part. The ranges tile the even
+        part in order, so the blocks ascend."""
+        sizes = [r.dim for r in self.decomposition] + [self.dim_odd]
+        return np.repeat(np.arange(len(sizes)), sizes)
 
     def simple_ideals(self) -> tuple[DecompositionRange, ...]:
         return tuple(r for r in self.decomposition if r.kind == "simple")
@@ -466,14 +468,18 @@ def _even_supersymmetric_part(alg: LieSuperAlgebra,
     """The even supersymmetric part of a bilinear form's matrix,
     (mat + S mat^T)/2 with S = (-1)**(p_i p_j) and its mixed-parity entries
     zeroed, and how far ``mat`` is from it, unscaled: its largest
-    mixed-parity |entry| and the largest |mat - S mat^T|."""
-    p = alg.basis.parity_array()
-    mixed = p[:, None] != p[None, :]
-    evenness = float(np.max(np.abs(mat[mixed]))) if mixed.any() else 0.0
-    transposed = _parity_sign_matrix(p) * mat.T
+    mixed-parity |entry| and the largest |mat - S mat^T|. Even indices
+    precede odd ones, so S is -1 on the odd-odd block only and the mixed
+    entries are the two off-diagonal blocks."""
+    e = alg.dim_even
+    evenness = max(float(np.max(np.abs(mat[:e, e:]), initial=0.0)),
+                   float(np.max(np.abs(mat[e:, :e]), initial=0.0)))
+    transposed = mat.T.copy()
+    transposed[e:, e:] *= -1.0
     supersymmetry = float(np.max(np.abs(mat - transposed)))
     part = 0.5 * (mat + transposed)
-    part[mixed] = 0.0
+    part[:e, e:] = 0.0
+    part[e:, :e] = 0.0
     return part, evenness, supersymmetry
 
 

@@ -75,6 +75,12 @@ def dense_constants(alg):
     return c
 
 
+def parity_sign_matrix(parity):
+    """S[i, j] = (-1)**(parity_i * parity_j), dense: the oracle of the
+    graded transpose."""
+    return 1.0 - 2.0 * np.outer(parity, parity)
+
+
 def sign_vector(basis):
     """(-1)**parity as float over a super basis, the supertrace weights."""
     return 1.0 - 2.0 * basis.parity_array()

@@ -394,6 +394,37 @@ class TestFailedSolutionNotes:
             "note: B(1,1): failed solutions"]
 
 
+TOL_NOTE = re.compile(r"note: B\(1,1\): solution c=(\S+) has residual \S+, "
+                      r"not below --tol 1e-300")
+
+
+class TestTolGates:
+    """--tol fails a solution whose residual is not below it and names it on
+    stderr; the solver keeps every solution, so none is dropped silently."""
+
+    def test_solve_lists_and_names_the_solution_over_tol(self, capsys):
+        code, out, err = run(capsys, "solve", *B11, "--tol", "1e-300")
+        assert code == 1
+        cs = [s["c"] for s in json.loads(out)["solutions"]]
+        assert cs == [-0.25, pytest.approx(0.25, abs=1e-12)]
+        named = [TOL_NOTE.fullmatch(line) for line in err.splitlines()]
+        assert all(named) and [m.group(1) for m in named] == ["0.25"]
+
+    def test_report_lists_and_names_the_solution_over_tol(self, capsys):
+        code, out, err = run(capsys, "report", "--max-m", "1",
+                             "--tol", "1e-300")
+        assert code == 1
+        section = next(sec for sec in json.loads(out)["families"]
+                       if sec["family"] == "B(1,1)")
+        assert [round(s["c"], 12) for s in section["solutions"]] == \
+            [-0.25, 0.25]
+        assert section["pass"] is False
+        lines = err.splitlines()
+        assert [m.group(1) for m in map(TOL_NOTE.fullmatch, lines) if m] == \
+            ["0.25"]
+        assert "note: B(1,1): failed solutions" in lines
+
+
 @pytest.mark.parametrize("cpus,workers", [(64, 7), (3, 3), (1, None)])
 def test_report_pool_capped_by_sections_and_cpus(capsys, monkeypatch, cpus,
                                                  workers):

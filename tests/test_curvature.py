@@ -22,19 +22,19 @@ from supereinstein.supercore import (
     DecompositionRange,
     LieSuperAlgebra,
     SuperBasis,
-    _parity_sign_matrix,
     check_form,
     killing_form,
 )
 
-from conftest import dense_connection, dense_constants, seeded_params
+from conftest import dense_connection, dense_constants, parity_sign_matrix, \
+    seeded_params
 
 def connection_residuals(alg, metric, conn):
     """(metric compatibility, torsion) max residuals over basis triples,
     from the dense symbols: an oracle independent of the sparse kernels."""
     g = metric.gram
     gamma = dense_connection(conn)
-    s = _parity_sign_matrix(alg.basis.parity_array())
+    s = parity_sign_matrix(alg.basis.parity_array())
     compat = np.einsum("ijm,mk->ijk", gamma, g, optimize=True) \
         + s[:, :, None] * np.einsum("ikm,jm->ijk", gamma, g, optimize=True)
     torsion = gamma - s[:, :, None] * np.swapaxes(gamma, 0, 1) \
@@ -135,6 +135,31 @@ class TestLeviCivita:
         metric = BilinearFormMatrix(np.eye(2))
         conn = levi_civita_koszul(plan_curvature(alg, metric))
         assert np.max(np.abs(dense_connection(conn))) == 0.0
+
+    def test_factors_varying_inside_a_block_refused(self, osp32):
+        # the plan is linear in one factor per block: a D that varies inside
+        # a block has no such factors and must not give a connection
+        plan = osp32.curvature_plan
+        factors = metric_factors(osp32, MetricParams((2.0, 0.5)))
+        factors[osp32.algebra.dim - 1] = 3.0  # one odd index only
+        with pytest.raises(ValueError, match="vary inside a block"):
+            levi_civita_koszul(plan, factors)
+        alg = LieSuperAlgebra(SuperBasis((0, 0)), {},
+                              (DecompositionRange(0, 2, "abelian"),))
+        with pytest.raises(ValueError, match="vary inside a block"):
+            levi_civita_koszul(plan_curvature(alg, BilinearFormMatrix(np.eye(2))),
+                               np.array([1.0, 2.0]))
+
+    def test_block_factors_give_the_exact_connection(self, osp32):
+        # any block-constant D, the odd factor included, evaluated through
+        # B's plan equals the one-shot plan of the metric D B itself
+        alg, gram = osp32.algebra, osp32.canonical_form.gram
+        d = np.array([2.0, -0.5, 3.0])[alg.block_layout()]
+        conn = levi_civita_koszul(osp32.curvature_plan, d)
+        direct = levi_civita_koszul(
+            plan_curvature(alg, BilinearFormMatrix(d[:, None] * gram)))
+        assert np.array_equal(conn.keys, direct.keys)
+        assert np.max(np.abs(conn.values - direct.values)) < 1e-12
 
     def test_blockwise_cases(self, osp32):
         alg = osp32.algebra

@@ -2,9 +2,9 @@
 no module-level import goes unused, no module-level private function or
 constant and no public definition or method is left without a reference
 anywhere in the package (``__all__`` counts as one), no module calls
-``einsum``, the front end compares no family kind, only the catalog
-makes family records inside ``families``, and only the curvature plan
-inverts a dense form."""
+``einsum`` or ``np.outer``, the front end compares no family kind, only
+the catalog makes family records inside ``families``, and only the
+curvature plan inverts a dense form."""
 
 import ast
 import functools
@@ -152,6 +152,13 @@ def test_only_the_curvature_plan_inverts_a_form():
         {"plan_curvature"}
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dense_outer_product(path):
+    # a parity sign or mask over all index pairs is a block of the basis,
+    # even indices first: a slice, not a dense (n, n) outer product
+    assert _call_sites(_tree(path), "np.outer") == []
+
+
 def test_checks_catch_what_they_look_for():
     tree = ast.parse("from typing import Callable, Optional\n"
                      "import numpy as np\n"
@@ -187,3 +194,8 @@ def test_checks_catch_what_they_look_for():
                      "        return np.linalg.inv(self.gram)\n")
     assert len(_call_sites(tree, "np.linalg.inv")) == 3
     assert _callers(tree, "np.linalg.inv") == {"plan", "metric"}
+    tree = ast.parse("def sign(p):\n"
+                     "    return 1.0 - 2.0 * np.outer(p, p)\n"
+                     "def mixed(p, np):\n"
+                     "    return np.subtract.outer(p, p), np.outer\n")
+    assert [node.lineno for node in _call_sites(tree, "np.outer")] == [2]

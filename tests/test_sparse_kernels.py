@@ -30,15 +30,14 @@ from supereinstein.supercore import (
     SuperBasis,
     MAX_JOIN_PAIRS,
     _join,
-    _parity_sign_matrix,
     check_form,
     check_super_jacobi,
     dual_basis,
     killing_form,
 )
 
-from conftest import dense_connection, dense_constants, seeded_params, \
-    sign_vector
+from conftest import dense_connection, dense_constants, parity_sign_matrix, \
+    seeded_params, sign_vector
 
 REALIZABLE = [spec for spec in families.catalog(3) if spec.realizable]
 TOL = 1e-12
@@ -59,7 +58,7 @@ def dense_bi_invariance(alg, g):
 
 def dense_koszul(alg, g):
     c, n = dense_constants(alg), alg.dim
-    s = _parity_sign_matrix(alg.basis.parity_array())
+    s = parity_sign_matrix(alg.basis.parity_array())
     t1 = np.einsum("ijm,mk->ijk", c, g, optimize=True)
     t2 = np.einsum("jkm,im->ijk", c, g, optimize=True)
     t3 = np.einsum("ikm,jm->ijk", c, g, optimize=True)
@@ -69,7 +68,7 @@ def dense_koszul(alg, g):
 
 def dense_ricci(alg, gamma):
     sign = sign_vector(alg.basis)
-    s = _parity_sign_matrix(alg.basis.parity_array())
+    s = parity_sign_matrix(alg.basis.parity_array())
     g2 = np.einsum("zmz->zm", gamma)
     t1 = np.einsum("xym,zm->zxy", gamma, g2, optimize=True)
     t2 = np.einsum("zym,xmz->zxy", gamma, gamma, optimize=True)
@@ -200,7 +199,7 @@ def test_one_plan_per_report_section(monkeypatch):
 
 
 def test_plan_retains_a_bounded_footprint():
-    # B(4,4), dim 144, 4,464 structure constants: measured 507,545 bytes
+    # B(4,4), dim 144, 4,464 structure constants: measured 364,757 bytes
     real = families.realize(families.family_spec("B", 4, 4))
     plan_curvature(real.algebra, real.canonical_form)  # first-call set-up
     tracemalloc.start()
@@ -210,7 +209,7 @@ def test_plan_retains_a_bounded_footprint():
     finally:
         tracemalloc.stop()
     assert len(plan.keys) == 4464
-    assert retained <= 1.25 * 507_545
+    assert retained <= 1.25 * 364_757
 
 
 def two_dim(v):

@@ -13,6 +13,7 @@ from supereinstein.supercore import (
     DegeneracyError,
     LieSuperAlgebra,
     SuperBasis,
+    _even_supersymmetric_part,
     algebra_to_json,
     bracket,
     check_form,
@@ -22,7 +23,7 @@ from supereinstein.supercore import (
 )
 
 from conftest import defining_matrices, dense_constants, exact_entries, \
-    expand_in_basis, sign_vector
+    expand_in_basis, parity_sign_matrix, sign_vector
 
 
 def unit(n, i):
@@ -447,6 +448,45 @@ class TestCheckForm:
         m = rng.normal(size=(n, n))
         form = BilinearFormMatrix(m + m.T)
         assert not check_form(sl21.algebra, form).is_bi_invariant
+
+
+def mask_even_supersymmetric_part(alg, mat):
+    """The dense-mask formula of the even supersymmetric part: S mat^T with
+    the full sign matrix S, and the mixed entries picked by a boolean mask."""
+    p = alg.basis.parity_array()
+    mixed = p[:, None] != p[None, :]
+    evenness = float(np.max(np.abs(mat[mixed]))) if mixed.any() else 0.0
+    transposed = parity_sign_matrix(p) * mat.T
+    supersymmetry = float(np.max(np.abs(mat - transposed)))
+    part = 0.5 * (mat + transposed)
+    part[mixed] = 0.0
+    return part, evenness, supersymmetry
+
+
+ALL_ODD = LieSuperAlgebra(SuperBasis((1, 1, 1)), {}, ())
+
+
+class TestEvenSupersymmetricPart:
+    @pytest.mark.parametrize("alg", [abelian_algebra(3, 0), ALL_ODD, "B(1,1)"],
+                             ids=["dim_odd=0", "dim_even=0", "B(1,1)"])
+    def test_slices_match_the_mask_formula_bit_for_bit(self, alg, osp32):
+        alg = osp32.algebra if alg == "B(1,1)" else alg
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            mat = rng.normal(size=(alg.dim, alg.dim))
+            mat[rng.random(mat.shape) < 0.3] = -0.0
+            part, evenness, supersymmetry = _even_supersymmetric_part(alg, mat)
+            want = mask_even_supersymmetric_part(alg, mat)
+            assert part.tobytes() == want[0].tobytes()
+            assert (evenness, supersymmetry) == want[1:]
+
+    def test_block_layout(self, osp32):
+        alg = osp32.algebra
+        want = [r for r, rng in enumerate(alg.decomposition) for _ in rng.indices()]
+        want += [len(alg.decomposition)] * alg.dim_odd
+        assert alg.block_layout().tolist() == want
+        assert ALL_ODD.block_layout().tolist() == [0, 0, 0]
+        assert abelian_algebra(3, 0).block_layout().tolist() == [0, 0, 0]
 
 
 class TestDualBasis:
