@@ -33,7 +33,6 @@ from .families import (
     realize,
 )
 from .invariants import (
-    CasimirResult,
     b_ratio,
     casimir_on_odd,
     representation_index,
@@ -47,20 +46,21 @@ from .supercore import (
     bracket,
     check_form,
     check_super_jacobi,
-    dual_basis,
+    exact_form,
+    exact_inverse,
     killing_form,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BilinearFormMatrix", "CasimirResult", "Connection", "DecompositionRange",
+    "BilinearFormMatrix", "Connection", "DecompositionRange",
     "DegeneracyError", "EinsteinSolution", "FamilyData", "FamilySpec",
     "LieSuperAlgebra", "MetricParams", "Realization", "SuperBasis",
     "b_ratio", "bracket", "casimir_on_odd", "catalog", "check_form",
-    "check_super_jacobi", "dual_basis", "elimination_polynomial", "family_spec",
-    "killing_form", "levi_civita_blockwise", "levi_civita_koszul",
-    "lift_real_form", "metric_factors", "metric_from_params",
-    "plan_curvature", "realize", "representation_index", "ricci_closed_form",
-    "ricci_direct", "solve", "verify_solution",
+    "check_super_jacobi", "elimination_polynomial", "exact_form",
+    "exact_inverse", "family_spec", "killing_form", "levi_civita_blockwise",
+    "levi_civita_koszul", "lift_real_form", "metric_factors",
+    "metric_from_params", "plan_curvature", "realize", "representation_index",
+    "ricci_closed_form", "ricci_direct", "solve", "verify_solution",
 ]

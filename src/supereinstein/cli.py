@@ -22,8 +22,7 @@ from .curvature import ROUTE_TOL, MetricParams, levi_civita_blockwise, \
     ricci_routes
 from .families import FamilySpec, check_dense_size, family_spec, \
     iter_catalog, realize, verify_realization
-from .supercore import VERIFY_TOL, algebra_to_json, \
-    check_super_jacobi, form_to_json
+from .supercore import algebra_to_json, check_super_jacobi, form_to_json
 
 DEFAULT_SEED = 12345
 DEFAULT_TOL = einstein.SOLUTION_TOL
@@ -77,7 +76,6 @@ def _structural(real) -> dict:
     supersymmetry and bi-invariance, and :func:`verify_realization` hold."""
     jac = check_super_jacobi(real.algebra)
     form = real.canonical_form.report
-    k_max = float(np.max(np.abs(real.killing.gram)))
     realization, _ = verify_realization(real)
     return {
         "jacobi_residual": jac.residual,
@@ -88,8 +86,8 @@ def _structural(real) -> dict:
             "bi_invariance": form.bi_invariance,
             "scaled_det": form.scaled_det,
         },
-        "killing_max_entry": k_max,
-        "killing_identically_zero": bool(k_max < VERIFY_TOL),
+        "killing_max_entry": float(np.max(np.abs(real.killing.gram))),
+        "killing_identically_zero": not real.killing.numer.size,
         "realization": realization,
         "pass": bool(jac.residual < STRUCT_TOL and form.is_even
                      and form.is_supersymmetric and form.is_bi_invariant
@@ -297,11 +295,12 @@ def _quartic_section(spec: FamilySpec, ref: tuple, sols) -> dict:
     checked against it and against the solutions."""
     quartic = einstein.elimination_polynomial(spec)
     cubic = einstein.cubic_factor(quartic)
-    roots = sorted({round(r, 8) for r in einstein.real_roots(quartic)
-                    if abs(r) > 1e-9})
-    x1s = sorted({round(s.x[0], 8) for s in sols})
-    bijection = len(roots) == len(x1s) and all(
-        abs(a - b) < 1e-8 for a, b in zip(roots, x1s))
+    # distinct at the tolerance that matches them: each value closer than
+    # 1e-8 to the one before it is dropped
+    roots, x1s = (v[np.diff(v, prepend=-np.inf) >= 1e-8] for v in (
+        np.sort([r for r in einstein.real_roots(quartic) if abs(r) > 1e-9]),
+        np.sort([s.x[0] for s in sols])))
+    bijection = len(roots) == len(x1s) and np.all(np.abs(roots - x1s) < 1e-8)
     return {
         "quartic": [str(v) for v in quartic],
         "cubic_factor": [str(v) for v in cubic],

@@ -11,12 +11,12 @@ its terms reads one row of g. :func:`plan_curvature` works out once per
 canonical form, the symbolic half of sparse products (Gustavson, ACM TOMS
 4(3), 1978), the one linear map that gives every metric's Christoffel
 symbols: the Koszul terms summed per (i, j, k) and block, contracted with
-the nonzeros of B^-1 (the one dense inverse), a (symbols, blocks) matrix. It
+the nonzeros of B^-1, exact and sparse, a (symbols, blocks) matrix. It
 also plans the three joins of the direct Ricci tensor over the connection
 keys, with the constant factors folded in. :func:`levi_civita_koszul` is
 then one product with f and one division by D's factor on the index k;
-:func:`ricci_direct` is gathers and bincounts: no join, sort or inverse. A
-form that is not a family's canonical form is its own one-shot plan,
+:func:`ricci_direct` is gathers and bincounts: no join, sort or inverse. An
+exact form that is not a family's canonical form is its own one-shot plan,
 evaluated at unit factors.
 
 A connection is sparse: its Christoffel symbols are stored at flat keys
@@ -34,11 +34,11 @@ import numpy as np
 
 from .supercore import (
     BilinearFormMatrix,
-    DegeneracyError,
     LieSuperAlgebra,
     _even_supersymmetric_part,
     _join,
     _koszul_terms,
+    exact_inverse,
 )
 
 RICCI_SYM_TOL = 1e-9
@@ -120,18 +120,16 @@ def _positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 def plan_curvature(alg: LieSuperAlgebra,
                    form: BilinearFormMatrix) -> CurvaturePlan:
-    """The :class:`CurvaturePlan` of ``form``: its one dense inverse, the
-    terms of :func:`~supereinstein.supercore._koszul_terms` summed per
+    """The :class:`CurvaturePlan` of the exact ``form``: its exact inverse,
+    the terms of :func:`~supereinstein.supercore._koszul_terms` summed per
     (i, j, k) and block of the Gram row they read, their contraction with
     the nonzeros of the inverse, and the three Ricci joins over the
-    connection keys. Raises :class:`DegeneracyError` when the form is
-    singular."""
+    connection keys. Raises
+    :class:`~supereinstein.supercore.DegeneracyError` when the form is
+    singular, and ValueError on a float form."""
     g = form.gram
     n = alg.dim
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        raise DegeneracyError("metric is singular; no Levi-Civita connection")
+    inv_keys, inv, inv_denom = exact_inverse(*form.block(range(n)), n)
     block = alg.block_layout()
     nb = len(alg.decomposition) + 1
     terms, values, rows = _koszul_terms(alg, g, third=True)
@@ -139,16 +137,17 @@ def plan_curvature(alg: LieSuperAlgebra,
     rhs = np.bincount(group * nb + block[rows], weights=values,
                       minlength=len(rhs_keys) * nb).reshape(-1, nb)
     del terms, values, rows, group
-    rows, cols = np.nonzero(ginv)
+    rows, cols = np.divmod(inv_keys, n)
     pair, k = np.divmod(rhs_keys, n)
     at, q = _join(k, rows)
     del k
     keys, symbol = np.unique(pair[at] * n + cols[q], return_inverse=True)
-    weights = rhs[at] * (0.5 * ginv[rows[q], cols[q]])[:, None]
+    # B = numer / denom, so B^-1 = denom * inv / inv_denom
+    weights = rhs[at] * (0.5 * (inv[q] * form.denom / inv_denom))[:, None]
     koszul = np.bincount((symbol[:, None] * nb + np.arange(nb)).ravel(),
                          weights=weights.ravel(),
                          minlength=len(keys) * nb).reshape(-1, nb)
-    del pair, at, q, rows, cols, ginv, rhs, weights, symbol
+    del pair, at, q, rows, cols, inv, rhs, weights, symbol
     # the three terms of ricci_direct
     p = alg.basis.parity_array()
     sign = 1 - 2 * p

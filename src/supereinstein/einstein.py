@@ -263,16 +263,15 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
                 continue  # degenerate metric: outside the family
             res = system_residual(data, vec, c)
             if res < SOLUTION_TOL:
-                found.append((vec, c))
+                found.append((vec, c, res))
     found.sort(key=lambda t: (t[1], t[0]))
     solutions: list[EinsteinSolution] = []
-    for vec, c in found:
+    for vec, c, res in found:
         dup = any(
             max(abs(c - s.c), max(abs(a - bb) for a, bb in zip(vec, s.x))) < DEDUPE_TOL
             for s in solutions)
         if not dup:
-            solutions.append(EinsteinSolution(vec, c,
-                                              system_residual(data, vec, c)))
+            solutions.append(EinsteinSolution(vec, c, res))
     return solutions
 
 

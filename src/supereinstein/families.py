@@ -3,23 +3,22 @@
 Each family's record names the basis function that states its basis once,
 as (sparse integer matrix, parity, label) triples, and ``realize`` is the
 one constructor. ``_assemble`` forms every super-commutator from the
-matrices' entries and reads its coordinates exactly through the inverse of
-the integer Frobenius Gram, checking that they rebuild the bracket, so the
-structure constants are exact rationals, which the algebra stores once.
-The case2/6/7 canonical forms come exactly from the same matrix products and
-are stored as float Gram matrices with their axiom report; the basis
-matrices themselves are not kept. A realization is refused from its record's
-dimensions, before its basis is made, when its dense (dim, dim) forms would
-exceed ``supercore.MAX_DENSE_ENTRIES`` entries, and every join of entries,
-here and downstream, refuses on its own a pair count over
-``supercore.MAX_JOIN_PAIRS`` before allocating it. The
+matrices' entries and reads its coordinates through the exact inverse of
+the sparse integer Frobenius Gram, checking that they rebuild the bracket,
+so the structure constants are exact rationals, which the algebra stores
+once. The case2/6/7 canonical forms are exact forms from the same products,
+like the Killing form, and the realized l, b and gamma are rationals that
+must equal the catalog's. The basis matrices are not kept. A realization is
+refused from its record's dimensions, before its basis is made, when its
+dense (dim, dim) forms would exceed ``supercore.MAX_DENSE_ENTRIES`` entries,
+and every join of entries, here and downstream, refuses on its own a pair
+count over ``supercore.MAX_JOIN_PAIRS`` before allocating it. The
 exceptional families F(4) and G(3), and the one-parameter deformation family
 at alpha != 1, exist only at the data-catalog level.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -32,16 +31,16 @@ from .supercore import (
     MAX_DENSE_ENTRIES,
     BilinearFormMatrix,
     DecompositionRange,
+    DegeneracyError,
     LieSuperAlgebra,
     SuperBasis,
     _contract,
     _group_sum,
     _join,
-    check_form,
+    exact_form,
+    exact_inverse,
     killing_form,
 )
-
-REALIZATION_MATCH_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -325,74 +324,25 @@ class Realization:
         return curvature.plan_curvature(self.algebra, self.canonical_form)
 
 
-def _exact_inverse(a: list) -> list:
-    """Inverse of a square integer matrix by Fraction Gauss-Jordan."""
-    n = len(a)
-    m = [[Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(n)]
-         for r, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ValueError("the basis matrices are linearly dependent")
-        m[col], m[piv] = m[piv], m[col]
-        m[col] = [v / m[col][col] for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def _gram_solve(wkeys: np.ndarray, w: np.ndarray, gkeys: np.ndarray,
-                g: np.ndarray, span: int) -> tuple:
-    """x = w G^-1 exactly, for integer rows w at keys ``pair * span + k`` and
-    the symmetric integer Gram G with nonzeros g at ``row * span + col``: the
-    keys of x, its numerators and their denominator. Only the block of the
-    rows of G with an off-diagonal nonzero is dense, inverted exactly."""
-    row, col = np.divmod(gkeys, span)
-    on_diag = row == col
-    diag = np.zeros(span, dtype=np.int64)
-    diag[row[on_diag]] = g[on_diag]
-    is_coupled = np.zeros(span, dtype=bool)
-    is_coupled[row[~on_diag]] = True
-    coupled, free = np.flatnonzero(is_coupled), np.flatnonzero(~is_coupled)
-    if not diag[free].all():
-        raise ValueError("the basis matrices are linearly dependent")
-    at = np.cumsum(is_coupled) - 1  # position of a coupled row in the block
-    inside = is_coupled[row]  # by symmetry, the column is coupled too
-    block = np.zeros((len(coupled), len(coupled)), dtype=np.int64)
-    block[at[row[inside]], at[col[inside]]] = g[inside]
-    inverse = _exact_inverse(block.tolist())
-    denom = math.lcm(*diag[free].tolist(),
-                     *(v.denominator for r in inverse for v in r))
-    block[:] = [[v.numerator * (denom // v.denominator) for v in r]
-                for r in inverse]
-    # a free coordinate divides by its diagonal entry; the coupled ones of a
-    # pair take the block
-    pair, k = np.divmod(wkeys, span)
-    on_block = is_coupled[k]
-    pairs, pos = np.unique(pair[on_block], return_inverse=True)
-    w_block = np.zeros((len(pairs), len(coupled)), dtype=np.int64)
-    w_block[pos, at[k[on_block]]] = w[on_block]
-    x_block = w_block @ block
-    r, c = np.nonzero(x_block)
-    return (*_group_sum(
-        np.concatenate([wkeys[~on_block], pairs[r] * span + coupled[c]]),
-        np.concatenate([w[~on_block] * (denom // diag[k[~on_block]]),
-                        x_block[r, c]])), denom)
-
-
 def _coordinates(keys: np.ndarray, brackets: np.ndarray, owner: np.ndarray,
                  flat: np.ndarray, val: np.ndarray, span: int, npos: int):
-    """Exact coordinates x = v B^T G^-1 of the brackets v, entries
+    """Exact coordinates x = v B* of the brackets v, entries
     ``pair * npos + position``, on the spanning matrices B, entries
-    ``(owner, flat position, val)``, with G = B B^T. Returns the keys
-    ``pair * span + k``, their numerators and the common denominator;
-    refuses a bracket the coordinates do not rebuild."""
+    ``(owner, flat position, val)``: the brackets paired with the dual
+    matrices B* = B^T G^-1, G = B B^T the Frobenius Gram, whose exact
+    inverse is sparse. Returns the keys ``pair * span + k``, their
+    numerators and the common denominator; refuses a bracket the
+    coordinates do not rebuild."""
+    try:
+        inv_keys, inv, denom = exact_inverse(
+            *_contract(flat, flat, val, val, owner, owner, span), span)
+    except DegeneracyError:
+        raise ValueError("the basis matrices are linearly dependent") from None
+    row, col = np.divmod(inv_keys, span)
+    dual_keys, dual = _contract(owner, row, val, inv, flat, col, span)
+    position, k = np.divmod(dual_keys, span)
     pair, at = np.divmod(keys, npos)
-    xkeys, x, denom = _gram_solve(
-        *_contract(at, flat, brackets, val, pair, owner, span),
-        *_contract(flat, flat, val, val, owner, owner, span), span)
+    xkeys, x = _contract(at, position, brackets, dual, pair, k, span)
     rebuilt_keys, rebuilt = _contract(xkeys % span, owner, x, val,
                                       xkeys // span, flat, npos)
     if not (np.array_equal(rebuilt_keys, keys)
@@ -446,11 +396,9 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
     else:
         # str(B_i B_j) from the diagonal product entries, signed by slot
         on_diag = row[a] == col[b]
-        strace = np.zeros(dim * dim, dtype=np.int64)
-        np.add.at(strace, (i * dim + j)[on_diag],
-                  np.where(row[a] < even_slot, prod, -prod)[on_diag])
-        gram = (spec.form_scale * strace).reshape(dim, dim).astype(float)
-        form = BilinearFormMatrix(gram, check_form(alg, BilinearFormMatrix(gram)))
+        keys, strace = _group_sum((i * dim + j)[on_diag], np.where(
+            row[a] < even_slot, prod, -prod)[on_diag])
+        form = exact_form(alg, keys, spec.form_scale * strace)
     return Realization(spec, alg, form, killing)
 
 
@@ -595,7 +543,7 @@ def check_dense_size(spec: FamilySpec) -> None:
 
 def verify_realization(real: Realization) -> tuple[dict, list[dict]]:
     """Compare the realized dimensions and each ideal's realized l, b and
-    gamma with the catalog, all at ``REALIZATION_MATCH_TOL``.
+    gamma with the catalog, the rationals exactly.
 
     Returns the summary (dimensions, worst index and b-ratio residuals, and
     ``pass`` over every comparison) and one row per ideal, k0 first when
@@ -613,28 +561,26 @@ def verify_realization(real: Realization) -> tuple[dict, list[dict]]:
     for key, (got, want) in checks.items():
         report[key] = {"computed": got, "catalog": want}
         report["pass"] &= got == want
-    rows = []
+    catalog = list(zip(alg.simple_ideals(), data.l, data.b, data.gamma))
     if data.has_k0:
-        gamma = real.ideal_invariants[k0].gamma
-        rows.append({"ideal": "k0", "dim": k0.dim, "l": None, "l_catalog": None,
-                     "b": None, "b_catalog": None, "gamma": gamma,
-                     "gamma_catalog": str(data.gamma0),
-                     "residual": abs(gamma - float(data.gamma0))})
-    l_res, b_res = [], []
+        catalog.insert(0, (k0, None, None, data.gamma0))
+    rows, l_res, b_res = [], [Fraction(0)], [Fraction(0)]
     for pos, (ideal, l_cat, b_cat, g_cat) in enumerate(
-            zip(alg.simple_ideals(), data.l, data.b, data.gamma)):
+            catalog, start=0 if data.has_k0 else 1):
         inv = real.ideal_invariants[ideal]
-        gamma = inv.gamma
-        l_res.append(abs(inv.l - float(l_cat)))
-        b_res.append(abs(inv.b - float(b_cat)))
-        rows.append({"ideal": f"k{pos + 1}", "dim": ideal.dim,
-                     "l": inv.l, "l_catalog": str(l_cat),
-                     "b": inv.b, "b_catalog": str(b_cat),
-                     "gamma": gamma, "gamma_catalog": str(g_cat),
-                     "residual": max(l_res[-1], b_res[-1],
-                                     abs(gamma - float(g_cat)))})
-    report["index_residual"] = max(l_res, default=0.0)
-    report["b_ratio_residual"] = max(b_res, default=0.0)
-    report["pass"] = bool(report["pass"] and all(
-        r["residual"] < REALIZATION_MATCH_TOL for r in rows))
+        row = {"ideal": f"k{pos}", "dim": ideal.dim, "l": None,
+               "l_catalog": None, "b": None, "b_catalog": None}
+        residual = abs(inv.gamma - g_cat)
+        if l_cat is not None:
+            l_res.append(abs(inv.l - l_cat))
+            b_res.append(abs(inv.b - b_cat))
+            residual = max(residual, l_res[-1], b_res[-1])
+            row.update(l=float(inv.l), l_catalog=str(l_cat), b=float(inv.b),
+                       b_catalog=str(b_cat))
+        report["pass"] &= residual == 0
+        rows.append(row | {"gamma": float(inv.gamma),
+                           "gamma_catalog": str(g_cat),
+                           "residual": float(residual)})
+    report["index_residual"] = float(max(l_res))
+    report["b_ratio_residual"] = float(max(b_res))
     return report, rows

@@ -9,14 +9,17 @@ them is a join over these entries: the Jacobi identity and the trace forms
 the odd part) are summed exactly in int64; the bi-invariance check joins
 them with the nonzeros of the Gram matrix in float64. ``bracket``
 scatters the entries directly. No (n, n, n) array is built, and a join
-whose pair count could exhaust memory is refused before it allocates.
+whose pair count could exhaust memory is refused before it allocates. An
+exact form keeps its integer nonzeros beside the float Gram derived from
+them, and :func:`exact_inverse`, the package's one inverse, inverts them
+exactly, one connected component of their pattern at a time.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -24,8 +27,6 @@ import numpy as np
 
 # Verification residuals, relative to the max absolute Gram/tensor entry.
 VERIFY_TOL = 1e-10
-# Dual-basis round trip.
-DUAL_TOL = 1e-12
 # Row-max-scaled determinant threshold for non-degeneracy.
 NONDEG_TOL = 1e-10
 # Largest number of entry pairs one join may expand to. The Jacobi kernel,
@@ -216,16 +217,24 @@ class LieSuperAlgebra:
 class BilinearFormMatrix:
     """Gram matrix of a bilinear form and, when it was checked, the
     :class:`FormReport` of its axioms from :func:`check_form` (None when
-    unchecked). Degenerate forms are legal values, never errors.
+    unchecked). An exact form (:func:`exact_form`) also keeps its nonzeros,
+    integer ``numer`` over ``denom`` at the ascending flat keys
+    ``row * dim + col``; a float form (a metric, a Ricci tensor) has None
+    there. Degenerate forms are legal values, never errors.
     """
 
     gram: np.ndarray
     report: Optional[FormReport] = field(default=None, repr=False)
+    keys: Optional[np.ndarray] = field(default=None, repr=False)
+    numer: Optional[np.ndarray] = field(default=None, repr=False)
+    denom: int = 1
 
     def __post_init__(self):
         if self.gram.ndim != 2 or self.gram.shape[0] != self.gram.shape[1]:
             raise ValueError("gram must be square")
-        self.gram.setflags(write=False)
+        for value in (self.gram, self.keys, self.numer):
+            if value is not None:
+                value.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -234,6 +243,30 @@ class BilinearFormMatrix:
     def scale(self) -> float:
         m = float(np.max(np.abs(self.gram))) if self.gram.size else 0.0
         return m if m > 0 else 1.0
+
+    def block(self, rng) -> tuple[np.ndarray, np.ndarray]:
+        """The exact nonzeros on the index range ``rng`` x ``rng``: keys
+        local to it, ascending, and numerators; refuses a float form."""
+        if self.keys is None:
+            raise ValueError("an exact form is needed here, not a float Gram")
+        start, size, n = rng.start, rng.stop - rng.start, self.dim
+        rows = slice(*np.searchsorted(self.keys, [start * n, rng.stop * n]))
+        # local columns; one outside the range comes out at least size
+        row, col = np.divmod(self.keys[rows] - start * (n + 1), n)
+        inside = col < size
+        return row[inside] * size + col[inside], self.numer[rows][inside]
+
+
+def exact_form(alg: LieSuperAlgebra, keys: np.ndarray, numer: np.ndarray,
+               denom: int = 1) -> BilinearFormMatrix:
+    """The exact form on ``alg``'s basis with the nonzeros ``numer / denom``
+    at the ascending flat keys ``row * dim + col``; its Gram is derived from
+    them, and it carries its :func:`check_form` report."""
+    gram = np.zeros(alg.dim * alg.dim)
+    gram[keys] = numer / float(denom)
+    form = BilinearFormMatrix(gram.reshape(alg.dim, alg.dim), keys=keys,
+                              numer=numer, denom=denom)
+    return replace(form, report=check_form(alg, form))
 
 
 @dataclass(frozen=True)
@@ -316,9 +349,9 @@ def _trace_form(alg: LieSuperAlgebra, first: range, inner: range,
 def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     """K(e_i, e_j) = str(ad e_i o ad e_j) = sum_(k, m) (-1)**p_k c_jkm c_imk.
 
-    The signed :func:`_trace_form` over all indices, exact over ``denom**2``;
-    evenness and supersymmetry are asserted exactly, and the form carries
-    its :func:`check_form` report.
+    The signed :func:`_trace_form` over all indices, an exact form over
+    ``denom**2``; evenness and supersymmetry are asserted exactly, and the
+    form carries its :func:`check_form` report.
     """
     n = alg.dim
     everything = range(n)
@@ -329,10 +362,7 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     if np.any(p[i] != p[j]) or np.any(keys[at] != j * n + i) or np.any(
             acc[at] != (1 - 2 * (p[i] & p[j])) * acc):
         raise ValueError("Killing form failed the evenness/supersymmetry check")
-    k = np.zeros(n * n)
-    k[keys] = acc / float(alg.denom**2)
-    k = k.reshape(n, n)
-    return BilinearFormMatrix(k, check_form(alg, BilinearFormMatrix(k)))
+    return exact_form(alg, keys, acc, alg.denom**2)
 
 
 def _join(a_key: np.ndarray, b_key: np.ndarray,
@@ -524,24 +554,81 @@ def _scaled_abs_det(g: np.ndarray) -> float:
     return float(np.exp(logdet))
 
 
-def dual_basis(form: BilinearFormMatrix,
-               subspace: DecompositionRange | range) -> np.ndarray:
-    """Vectors e_j* with B(e_j, e_k*) = delta_jk on the given index range.
+def exact_inverse(keys: np.ndarray, numer: np.ndarray,
+                  size: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The inverse of the symmetric integer (size, size) matrix with the
+    nonzeros ``numer`` at the ascending flat keys ``row * size + col``,
+    exactly: the ascending keys of its nonzeros, their numerators and one
+    positive common denominator.
 
-    Returns a (dim, r) array whose columns are the dual vectors embedded in
-    the full space (supported on the subspace itself).
+    Each connected component of the nonzero pattern is a diagonal block of
+    the matrix and of its inverse, so each is inverted on its own: those of
+    one or two indices by their adjugates over their determinants, all at
+    once, and each larger one by fraction-free Gauss-Jordan. Raises
+    DegeneracyError naming the indices of a singular component; refuses
+    numerators that could overflow int64.
     """
-    start, stop = subspace.start, subspace.stop
-    sub = form.gram[start:stop, start:stop]
-    try:
-        d = np.linalg.solve(sub, np.eye(stop - start))
-    except np.linalg.LinAlgError:
-        raise DegeneracyError(f"form degenerate on subspace [{start}:{stop})")
-    if np.max(np.abs(sub @ d - np.eye(stop - start))) > DUAL_TOL:
-        raise DegeneracyError(f"form ill-conditioned on subspace [{start}:{stop})")
-    out = np.zeros((form.dim, stop - start))
-    out[start:stop, :] = d
-    return out
+    big = int(np.max(np.abs(numer), initial=0))
+    if 2 * big * big >= 2**63:
+        raise ValueError(f"numerators up to {big} could overflow int64")
+    row, col = np.divmod(keys, size)
+    label, least = None, np.arange(size)
+    while label is None or (least != label).any():  # a component's least index
+        label, least = least, least.copy()
+        np.minimum.at(least, row, label[col])
+        least = least[least]
+    members = np.argsort(label, kind="stable")  # by component, ascending
+    place = np.argsort(members)  # of each index in members
+    counts = np.bincount(label, minlength=size)  # of each component, by label
+    found, padded_keys, padded = [], np.append(keys, -1), np.append(numer, 0)
+    for k in sorted(set(counts.tolist()) - {0}):
+        index = members[place[counts == k][:, None] + np.arange(k)]
+        flat = (index[:, :, None] * size + index[:, None]).reshape(-1, k * k)
+        at = np.searchsorted(keys, flat)
+        block = np.where(padded_keys[at] == flat, padded[at], 0)  # row-major
+        if k == 1:
+            adj, det = np.ones_like(block), block[:, 0]
+        elif k == 2:  # [[a, b], [c, d]]: adjugate [[d, -b], [-c, a]]
+            adj = block[:, [3, 1, 2, 0]] * [1, -1, -1, 1]
+            det = block[:, 0] * block[:, 3] - block[:, 1] * block[:, 2]
+        else:
+            adj, det = map(np.array, zip(*map(
+                _gauss_jordan, block.reshape(-1, k, k).tolist())))
+            adj = adj.reshape(-1, k * k)
+        if not det.all():
+            bad = index[np.argmin(np.abs(det))].tolist()
+            raise DegeneracyError(f"form is singular on the indices {bad}")
+        found.append((flat.ravel(), (adj * np.sign(det)[:, None]).ravel(),
+                      np.repeat(np.abs(det), k * k)))
+    keys, adj, det = map(np.concatenate, zip(*found))
+    denom = math.lcm(*set(det.tolist()))
+    if denom * int(np.max(np.abs(adj))) >= 2**63:
+        raise ValueError(f"an inverse over {denom} could overflow int64")
+    keep = adj != 0
+    order = np.argsort(keys[keep])
+    return keys[keep][order], (adj * (denom // det))[keep][order], denom
+
+
+def _gauss_jordan(a: list) -> tuple[list, int]:
+    """D A^-1 and D for a square integer matrix A, by fraction-free
+    Gauss-Jordan elimination (Bareiss), whose divisions are exact, with D
+    the last pivot, +-det A, over the gcd of all: A^-1 in lowest terms. The
+    matrix itself and 0 when it is singular."""
+    n = len(a)
+    m = [row + [int(r == c) for c in range(n)] for r, row in enumerate(a)]
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return a, 0
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col:
+                f, p = m[r][col], m[col][col]
+                m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], m[col])]
+        prev = m[col][col]
+    common = math.gcd(prev, *(v for row in m for v in row[n:]))
+    return [[v // common for v in row[n:]] for row in m], prev // common
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,31 @@ def dense_constants(alg):
     return c
 
 
+def dense_integers(keys, numer, size):
+    """A sparse integer matrix, nonzeros ``numer`` at the flat keys
+    ``row * size + col``, as a dense int64 array."""
+    out = np.zeros(size * size, dtype=np.int64)
+    out[keys] = numer
+    return out.reshape(size, size)
+
+
+def dense_odd_action(alg, ideal):
+    """rho[a, v, w]: the matrix of ad e_a on the odd part, a in the ideal."""
+    odd = alg.odd_range()
+    block = dense_constants(alg)[ideal.start:ideal.stop, odd.start:, odd.start:]
+    return np.swapaxes(block, 1, 2)
+
+
+def dense_casimir(alg, form, ideal):
+    """sum_j rho(e_j) rho(e_j*) on the odd part, the duals e_j* from a float
+    inverse of the form's Gram on the ideal: the dense oracle of the exact
+    Casimir operator."""
+    sl = slice(ideal.start, ideal.stop)
+    rho = dense_odd_action(alg, ideal)
+    rho_dual = np.tensordot(np.linalg.inv(form.gram[sl, sl]), rho, ([0], [0]))
+    return np.einsum("jvu,juw->vw", rho, rho_dual, optimize=True)
+
+
 def parity_sign_matrix(parity):
     """S[i, j] = (-1)**(parity_i * parity_j), dense: the oracle of the
     graded transpose."""

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -355,6 +356,42 @@ def test_failing_report_section_names_its_gate(capsys, monkeypatch):
     assert err == "note: B(1,1): failed quartic.root_solution_bijection\n"
     assert [s["family"] for s in json.loads(out)["families"]
             if not s["pass"]] == ["B(1,1)"]
+
+
+def test_killing_zero_read_from_the_exact_sums(monkeypatch):
+    # a Killing form whose one entry, 1e-12, lies below every float
+    # tolerance is still not identically zero
+    v = Fraction(1, 10**6)
+    alg = supercore.LieSuperAlgebra(
+        supercore.SuperBasis((0, 0)), {(0, 1, 1): v, (1, 0, 1): -v},
+        (supercore.DecompositionRange(0, 2, "abelian"),))
+    k = supercore.killing_form(alg)
+    monkeypatch.setattr(cli, "verify_realization",
+                        lambda real: ({"pass": True}, []))
+    st = cli._structural(SimpleNamespace(algebra=alg, canonical_form=k,
+                                         killing=k))
+    assert st["killing_max_entry"] == 1e-12
+    assert st["killing_identically_zero"] is False
+
+
+def test_quartic_roots_match_solutions_by_distance(monkeypatch):
+    # a root and a solution 6e-12 apart straddle an 8-digit rounding
+    # boundary: rounded, they are 0.1234568 and 0.12345679, 1.0000000009e-8
+    # apart, which is not below the 1e-8 match
+    spec = families.family_spec("B", 1, 1)
+    ref = einstein.cubic_reference_coefficients(spec)
+
+    def bijection(roots, x1s):
+        monkeypatch.setattr(einstein, "real_roots", lambda quartic: roots)
+        sols = [SimpleNamespace(x=(x1,)) for x1 in x1s]
+        return cli._quartic_section(spec, ref, sols)["root_solution_bijection"]
+
+    assert bijection([0.123456795003], [0.123456794997]) is True
+    # roots, and solutions, closer than 1e-8 are one; 2e-8 apart are two
+    assert bijection([0.5, 0.5 + 5e-9], [0.5 + 2e-9]) is True
+    assert bijection([0.5], [0.5, 0.5 + 2e-8]) is False
+    assert bijection([0.5, 0.5 + 2e-8], [0.5, 0.5 + 2e-8]) is True
+    assert bijection([0.5, 1e-10], [0.5]) is True  # the zero root is left out
 
 
 B11 = ("--family", "B", "--m", "1", "--n", "1")

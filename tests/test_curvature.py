@@ -23,11 +23,19 @@ from supereinstein.supercore import (
     LieSuperAlgebra,
     SuperBasis,
     check_form,
+    exact_form,
     killing_form,
 )
 
 from conftest import dense_connection, dense_constants, parity_sign_matrix, \
     seeded_params
+
+
+def identity_form(alg):
+    """The exact form with the identity Gram on ``alg``'s basis."""
+    return exact_form(alg, np.arange(alg.dim) * (alg.dim + 1),
+                      np.ones(alg.dim, dtype=np.int64))
+
 
 def connection_residuals(alg, metric, conn):
     """(metric compatibility, torsion) max residuals over basis triples,
@@ -132,7 +140,7 @@ class TestLeviCivita:
     def test_abelian_connection_vanishes(self):
         basis = SuperBasis((0, 0))
         alg = LieSuperAlgebra(basis, {}, (DecompositionRange(0, 2, "abelian"),))
-        metric = BilinearFormMatrix(np.eye(2))
+        metric = identity_form(alg)
         conn = levi_civita_koszul(plan_curvature(alg, metric))
         assert np.max(np.abs(dense_connection(conn))) == 0.0
 
@@ -147,17 +155,19 @@ class TestLeviCivita:
         alg = LieSuperAlgebra(SuperBasis((0, 0)), {},
                               (DecompositionRange(0, 2, "abelian"),))
         with pytest.raises(ValueError, match="vary inside a block"):
-            levi_civita_koszul(plan_curvature(alg, BilinearFormMatrix(np.eye(2))),
+            levi_civita_koszul(plan_curvature(alg, identity_form(alg)),
                                np.array([1.0, 2.0]))
 
     def test_block_factors_give_the_exact_connection(self, osp32):
         # any block-constant D, the odd factor included, evaluated through
-        # B's plan equals the one-shot plan of the metric D B itself
-        alg, gram = osp32.algebra, osp32.canonical_form.gram
+        # B's plan equals the one-shot plan of the metric D B itself, made
+        # exact as (2 D) B / 2
+        alg, form = osp32.algebra, osp32.canonical_form
         d = np.array([2.0, -0.5, 3.0])[alg.block_layout()]
         conn = levi_civita_koszul(osp32.curvature_plan, d)
-        direct = levi_civita_koszul(
-            plan_curvature(alg, BilinearFormMatrix(d[:, None] * gram)))
+        twice = (2 * d).astype(np.int64)[form.keys // alg.dim]
+        direct = levi_civita_koszul(plan_curvature(alg, exact_form(
+            alg, form.keys, twice * form.numer, 2 * form.denom)))
         assert np.array_equal(conn.keys, direct.keys)
         assert np.max(np.abs(conn.values - direct.values)) < 1e-12
 
@@ -189,7 +199,7 @@ class TestLeviCivita:
 class TestRicci:
     def test_sl21_unit_metric_einstein(self, sl21):
         metric = metric_from_params(sl21, MetricParams((1.0, 1.0)))
-        plan = plan_curvature(sl21.algebra, metric)
+        plan = sl21.curvature_plan  # the unit metric is the canonical form
         ric = ricci_direct(plan, levi_civita_koszul(plan))
         assert np.max(np.abs(ric.gram + 0.25 * metric.gram)) < 1e-9
 
@@ -246,7 +256,7 @@ def test_closed_form_is_the_catalog_block_formula(spec):
     # catalog's exact l, b, gamma and gamma0
     real = realize(spec)
     data = spec.data
-    assert all(v is None or type(v) is float
+    assert all(v is None or type(v) is Fraction
                for inv in real.ideal_invariants.values()
                for v in dataclasses.astuple(inv))
     alg = real.algebra

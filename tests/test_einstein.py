@@ -174,6 +174,21 @@ class TestSolveRegression:
     def test_f4_unique(self):
         match_sets(solve(sys_for("F4")), [(1, 1, -0.25)], 1e-10)
 
+    def test_solutions_carry_their_gating_residual(self, monkeypatch):
+        # the residual that gates a candidate is the one its solution
+        # carries: none is evaluated again while the solutions are made
+        inner, made = einstein.system_residual, einstein.EinsteinSolution
+        calls, at_made = [], []
+        monkeypatch.setattr(einstein, "system_residual",
+                            lambda *args: calls.append(args) or inner(*args))
+        monkeypatch.setattr(einstein, "EinsteinSolution", lambda *args: (
+            at_made.append(len(calls)) or made(*args)))
+        data = sys_for("D", 3, 2)
+        sols = solve(data)
+        assert len(sols) == 4 and at_made == [len(calls)] * 4
+        assert [s.residual for s in sols] == \
+            [inner(data, s.x, s.c) for s in sols]
+
     def test_g3_two_with_printed_digits(self):
         sols = solve(sys_for("G3"))
         assert len(sols) == 2

@@ -16,7 +16,7 @@ from supereinstein.families import (
     verify_realization,
 )
 
-from conftest import defining_matrices, dense_constants
+from conftest import defining_matrices, dense_constants, dense_integers
 
 
 class TestFamilySpec:
@@ -104,7 +104,7 @@ class TestBuildPsl:
         b = [b_ratio(psl22.canonical_form, i,
                      ideal_killing_gram(psl22.algebra, i))
              for i in psl22.algebra.simple_ideals()]
-        assert b == pytest.approx([1.0, -1.0])
+        assert b == [Fraction(1), Fraction(-1)]
 
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):
@@ -266,7 +266,7 @@ class TestRealizationChecks:
         assert list(r.ideal_invariants) == list(r.algebra.decomposition)
         for rng, inv in r.ideal_invariants.items():
             direct = casimir_on_odd(r.algebra, r.canonical_form, rng)
-            assert inv.gamma == direct.scalar
+            assert inv.gamma == direct
 
     def test_representation_indices_computed_once(self):
         from supereinstein.invariants import ideal_killing_gram, \
@@ -337,3 +337,44 @@ class TestExactAssembly:
     def test_dependent_basis_refused(self, extra):
         with pytest.raises(ValueError, match="linearly dependent"):
             self._assemble(list(self.SL2.values()) + [extra])
+
+
+REALIZABLE_4 = [s for s in catalog(4) if s.realizable]
+
+
+class TestExactInverse:
+    """The one exact inverse, on the two integer forms every realization
+    inverts: its Frobenius Gram and its canonical form."""
+
+    @pytest.mark.parametrize("spec", REALIZABLE_4, ids=lambda s: s.name)
+    def test_inverse_times_form_is_the_identity(self, spec, monkeypatch):
+        grams = []
+
+        def recording(keys, numer, size):
+            grams.append((keys, numer, size))
+            return supercore.exact_inverse(keys, numer, size)
+
+        monkeypatch.setattr(families, "exact_inverse", recording)
+        form = realize(spec).canonical_form
+        assert len(grams) == 1  # the Frobenius Gram of the basis
+        for keys, numer, size in grams + [(*form.block(range(form.dim)),
+                                           form.dim)]:
+            inv_keys, inv, denom = supercore.exact_inverse(keys, numer, size)
+            assert np.all(np.diff(inv_keys) > 0) and np.all(inv != 0)
+            product = dense_integers(keys, numer, size) \
+                @ dense_integers(inv_keys, inv, size)
+            assert np.array_equal(product,
+                                  denom * np.eye(size, dtype=np.int64))
+
+
+@pytest.mark.parametrize("spec", REALIZABLE_4, ids=lambda s: s.name)
+def test_realized_invariants_equal_the_catalog(spec):
+    real = realize(spec)
+    data, alg = spec.data, real.algebra
+    want = [(None, None, data.gamma0)] if data.has_k0 else []
+    want += list(zip(data.l, data.b, data.gamma))
+    got = [dataclasses.astuple(real.ideal_invariants[rng])
+           for rng in alg.decomposition]
+    assert got == want
+    assert all(v is None or type(v) is Fraction for row in got for v in row)
+    assert verify_realization(real)[0]["pass"]

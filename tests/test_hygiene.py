@@ -3,8 +3,9 @@ no module-level import goes unused, no module-level private function or
 constant and no public definition or method is left without a reference
 anywhere in the package (``__all__`` counts as one), no module calls
 ``einsum`` or ``np.outer``, the front end compares no family kind, only
-the catalog makes family records inside ``families``, and only the
-curvature plan inverts a dense form."""
+the catalog makes family records inside ``families``, and no float inverse
+or solve is left: one exact inverse serves the basis coordinates, the
+Casimir duals and the curvature plan."""
 
 import ast
 import functools
@@ -142,14 +143,18 @@ def test_only_the_catalog_makes_family_records():
 
 
 def test_only_the_curvature_plan_inverts_a_form():
-    # every metric of a family is g = D B, so g^-1 = B^-1 D^-1: the one
-    # inverse of B, made with the plan, serves every metric
-    sites = {path.name: len(_call_sites(_tree(path), "np.linalg.inv"))
-             for path in MODULES}
-    assert {name: count for name, count in sites.items() if count} == \
-        {"curvature.py": 1}
-    assert _callers(_tree(SRC / "curvature.py"), "np.linalg.inv") == \
-        {"plan_curvature"}
+    # no float inverse or solve is left: every metric of a family is g = D B,
+    # so g^-1 = B^-1 D^-1, and the one exact inverse of B, made with the
+    # plan, serves every metric; the same exact inverse gives the dual
+    # bases of the Casimir operators and the coordinates of a matrix basis
+    for path in MODULES:
+        for name in ("np.linalg.inv", "np.linalg.solve"):
+            assert _call_sites(_tree(path), name) == [], (path.name, name)
+    callers = {(path.name, fn) for path in MODULES
+               for fn in _callers(_tree(path), "exact_inverse")}
+    assert callers == {("families.py", "_coordinates"),
+                       ("invariants.py", "casimir_on_odd"),
+                       ("curvature.py", "plan_curvature")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

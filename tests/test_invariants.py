@@ -3,18 +3,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from supereinstein import invariants, supercore
 from supereinstein.families import family_spec, realize
 from supereinstein.invariants import (
-    _ratio_fit,
     b_ratio,
     casimir_on_odd,
     ideal_killing_gram,
     representation_index,
 )
-from supereinstein.supercore import LieSuperAlgebra, killing_form
+from supereinstein.supercore import DegeneracyError, LieSuperAlgebra, exact_form, \
+    killing_form
 
-from conftest import defining_matrices, dense_constants, exact_entries
+from conftest import defining_matrices, dense_casimir, dense_constants, \
+    exact_entries
 
 
 # Dense oracles of the Casimir and trace identities behind the closed-form
@@ -34,21 +34,23 @@ def defining_rep_index(real, matrices, ideal):
     rep_tr = np.array([[float(np.trace(x @ y)) for y in mats] for x in mats])
     cid = dense_constants(real.algebra)[np.ix_(idx, idx, idx)]
     ad_tr = np.einsum("bvw,awv->ab", cid, cid, optimize=True)
-    l, res = _ratio_fit(rep_tr, ad_tr)
-    if res >= invariants.FIT_TOL:
+    l = float(np.sum(rep_tr * ad_tr)) / float(np.sum(ad_tr * ad_tr))
+    res = float(np.max(np.abs(rep_tr - l * ad_tr))) / float(np.max(np.abs(ad_tr)))
+    if res >= 1e-9:
         raise ValueError(f"defining-rep fit residual {res:g} on {ideal}")
     return l
 
 
 def verify_killing_casimir(alg, form):
     """Max residual, over odd basis pairs, of the identity expressing the
-    Killing form on the odd part through the per-ideal Casimir operators."""
+    Killing form on the odd part through the per-ideal Casimir operators,
+    each its scalar times the identity."""
     odd = list(alg.odd_range())
     k_odd = killing_form(alg).gram[np.ix_(odd, odd)]
     b_odd = form.gram[np.ix_(odd, odd)]
     total = np.zeros_like(k_odd)
     for ideal in alg.decomposition:
-        total += b_odd @ casimir_on_odd(alg, form, ideal).operator
+        total += float(casimir_on_odd(alg, form, ideal)) * b_odd
     return float(np.max(np.abs(k_odd - 2.0 * total)))
 
 
@@ -62,7 +64,7 @@ def verify_trace_identities(alg, form, ideal):
     t = np.array([sum(c[m, v, v] for v in odd) for m in idx])
     r1 = float(np.max(np.abs(
         np.einsum("xym,m->xy", c[np.ix_(odd, odd, idx)], t))))
-    bc = form.gram[np.ix_(odd, odd)] @ casimir_on_odd(alg, form, ideal).operator
+    bc = float(casimir_on_odd(alg, form, ideal)) * form.gram[np.ix_(odd, odd)]
     lhs2 = np.einsum("yaw,xwa->xy", c[np.ix_(odd, idx, odd)],
                      c[np.ix_(odd, odd, idx)], optimize=True)
     r2 = float(np.max(np.abs(lhs2 - bc)))
@@ -76,12 +78,12 @@ class TestRepresentationIndex:
     def test_so3_inside_osp32(self, osp32):
         so3 = osp32.algebra.simple_ideals()[0]
         ki = ideal_killing_gram(osp32.algebra, so3)
-        assert representation_index(osp32.algebra, so3, ki) == pytest.approx(2.0)
+        assert representation_index(osp32.algebra, so3, ki) == 2
 
     def test_sl2_inside_sl21(self, sl21):
         sl2 = sl21.algebra.simple_ideals()[0]
         ki = ideal_killing_gram(sl21.algebra, sl2)
-        assert representation_index(sl21.algebra, sl2, ki) == pytest.approx(0.5)
+        assert representation_index(sl21.algebra, sl2, ki) == Fraction(1, 2)
 
     def test_abelian_rejected(self, sl21):
         with pytest.raises(ValueError, match="abelian"):
@@ -98,7 +100,7 @@ class TestRepresentationIndex:
                    for (i, j, k), v in exact_entries(alg).items()}
         rescaled = LieSuperAlgebra(alg.basis, entries, alg.decomposition)
         ki = ideal_killing_gram(rescaled, ideal)
-        assert representation_index(rescaled, ideal, ki) == pytest.approx(0.5)
+        assert representation_index(rescaled, ideal, ki) == Fraction(1, 2)
 
 
 class TestDefiningRepIndex:
@@ -118,36 +120,46 @@ class TestCasimir:
     def test_b11_first_ideal_scalar(self, osp32):
         k = osp32.canonical_form
         cas = casimir_on_odd(osp32.algebra, k, osp32.algebra.simple_ideals()[0])
-        assert cas.scalar == pytest.approx(-1.0)
-        assert cas.off_scalar_residual < 1e-9
+        assert cas == -1
 
     def test_psl22_case2_scalar(self, psl22):
         cas = casimir_on_odd(psl22.algebra, psl22.canonical_form,
                              psl22.algebra.simple_ideals()[0])
-        assert cas.scalar == pytest.approx(3 / 8)
+        assert cas == Fraction(3, 8)
 
     def test_c3_abelian_scalar(self):
         r = realize(family_spec("C", n=3))
         cas = casimir_on_odd(r.algebra, r.canonical_form, r.algebra.abelian_ideal())
-        assert cas.scalar == pytest.approx(-1 / 8)
+        assert cas == Fraction(-1, 8)
+
+    def test_singular_form_raises(self, psl22):
+        # psl(2|2)'s Killing form vanishes: no dual basis on any ideal
+        k = killing_form(psl22.algebra)
+        with pytest.raises(DegeneracyError, match="singular"):
+            casimir_on_odd(psl22.algebra, k, psl22.algebra.simple_ideals()[0])
 
     def test_commutes_with_ideal_action(self, osp32):
         alg = osp32.algebra
         odd = list(alg.odd_range())
         c = dense_constants(alg)
         for ideal in alg.simple_ideals():
-            cas = casimir_on_odd(alg, osp32.canonical_form, ideal).operator
+            # the dense oracle of the operator is the exact scalar times the
+            # identity, and commutes with the action
+            cas = dense_casimir(alg, osp32.canonical_form, ideal)
+            gamma = casimir_on_odd(alg, osp32.canonical_form, ideal)
+            assert np.max(np.abs(cas - float(gamma) * np.eye(len(odd)))) < 1e-9
             for a in ideal.indices():
                 rho = c[a][np.ix_(odd, odd)].T
                 assert np.max(np.abs(rho @ cas - cas @ rho)) < 1e-9
 
     def test_scaling_float(self, osp32):
-        from supereinstein.supercore import BilinearFormMatrix
-        alg = osp32.algebra
+        # the form doubled, as an exact form: the duals, and so the scalar,
+        # halve exactly
+        alg, form = osp32.algebra, osp32.canonical_form
         ideal = alg.simple_ideals()[1]
-        base = casimir_on_odd(alg, osp32.canonical_form, ideal).scalar
-        doubled = BilinearFormMatrix(2.0 * osp32.canonical_form.gram)
-        assert casimir_on_odd(alg, doubled, ideal).scalar == pytest.approx(base / 2)
+        base = casimir_on_odd(alg, form, ideal)
+        doubled = exact_form(alg, form.keys, 2 * form.numer, form.denom)
+        assert casimir_on_odd(alg, doubled, ideal) == base / 2
 
 
 class TestBRatio:
@@ -159,17 +171,17 @@ class TestBRatio:
         k = killing_form(real.algebra)
         for ideal, l in zip(real.algebra.simple_ideals(), real.data.l):
             got = b_ratio(k, ideal, ideal_killing_gram(real.algebra, ideal))
-            assert got == pytest.approx(1 - float(l), abs=1e-9)
+            assert got == 1 - l
 
     def test_case_forms(self, psl22):
         d32 = realize(family_spec("D", 3, 2))
         ideals = d32.algebra.simple_ideals()
         ki = ideal_killing_gram(d32.algebra, ideals[1])
-        assert b_ratio(d32.canonical_form, ideals[1], ki) == pytest.approx(-2 / 3)
+        assert b_ratio(d32.canonical_form, ideals[1], ki) == Fraction(-2, 3)
         ideals = psl22.algebra.simple_ideals()
         assert [b_ratio(psl22.canonical_form, i,
                         ideal_killing_gram(psl22.algebra, i)) for i in ideals] \
-            == pytest.approx([1.0, -1.0])
+            == [1, -1]
 
 
 class TestKillingCasimirIdentity:

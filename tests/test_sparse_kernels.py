@@ -32,12 +32,11 @@ from supereinstein.supercore import (
     _join,
     check_form,
     check_super_jacobi,
-    dual_basis,
     killing_form,
 )
 
-from conftest import dense_connection, dense_constants, parity_sign_matrix, \
-    seeded_params, sign_vector
+from conftest import dense_casimir, dense_connection, dense_constants, \
+    dense_odd_action, parity_sign_matrix, seeded_params, sign_vector
 
 REALIZABLE = [spec for spec in families.catalog(3) if spec.realizable]
 TOL = 1e-12
@@ -77,13 +76,6 @@ def dense_ricci(alg, gamma):
                      optimize=True)
 
 
-def dense_odd_action(alg, ideal):
-    """rho[a, v, w]: the matrix of ad e_a on the odd part, a in the ideal."""
-    odd = alg.odd_range()
-    block = dense_constants(alg)[ideal.start:ideal.stop, odd.start:, odd.start:]
-    return np.swapaxes(block, 1, 2)
-
-
 def dense_index_traces(alg, ideal):
     """tr(rho(X) rho(Y)) and tr(ad X ad Y) on the ideal, the two sides of
     the representation index; the second is the ideal's own Killing form."""
@@ -94,11 +86,13 @@ def dense_index_traces(alg, ideal):
     return rep_tr, np.einsum("bvw,awv->ab", cid, cid, optimize=True)
 
 
-def dense_casimir(alg, form, ideal):
-    rho = dense_odd_action(alg, ideal)
-    d = dual_basis(form, ideal)[ideal.start:ideal.stop, :]
-    rho_dual = np.einsum("mj,mvw->jvw", d, rho, optimize=True)
-    return np.einsum("jvu,juw->vw", rho, rho_dual, optimize=True)
+def dense_form(form, size):
+    """A sparse exact form (keys, numerators, denominator) on a block of
+    ``size`` indices as a dense float Gram."""
+    keys, numer, denom = form
+    gram = np.zeros(size * size)
+    gram[keys] = numer / float(denom)
+    return gram.reshape(size, size)
 
 
 def seeded_metric(real, seed):
@@ -239,15 +233,16 @@ def test_invariants_match_dense_oracles(spec):
     for ideal in alg.simple_ideals():
         rep_tr, ad_tr = dense_index_traces(alg, ideal)
         ki = invariants.ideal_killing_gram(alg, ideal)
-        assert np.array_equal(ki, ad_tr)
-        assert np.array_equal(
-            invariants._trace_gram(alg, ideal, alg.odd_range()), rep_tr)
-        assert invariants.representation_index(alg, ideal, ki) == \
-            invariants._ratio_fit(rep_tr, ad_tr)[0]
+        assert np.array_equal(dense_form(ki, ideal.dim), ad_tr)
+        rep = supercore._trace_form(alg, ideal.indices(), alg.odd_range())
+        assert np.array_equal(dense_form((*rep, alg.denom**2), ideal.dim),
+                              rep_tr)
+        l = invariants.representation_index(alg, ideal, ki)
+        assert np.array_equal(rep_tr * l.denominator, ad_tr * l.numerator)
     for ideal in alg.decomposition:
-        op = invariants.casimir_on_odd(alg, real.canonical_form, ideal)
+        gamma = invariants.casimir_on_odd(alg, real.canonical_form, ideal)
         want = dense_casimir(alg, real.canonical_form, ideal)
-        assert np.max(np.abs(op.operator - want)) <= \
+        assert np.max(np.abs(float(gamma) * np.eye(alg.dim_odd) - want)) <= \
             1e-14 * float(np.max(np.abs(want)))
 
 

@@ -18,12 +18,12 @@ from supereinstein.supercore import (
     bracket,
     check_form,
     check_super_jacobi,
-    dual_basis,
+    exact_inverse,
     killing_form,
 )
 
-from conftest import defining_matrices, dense_constants, exact_entries, \
-    expand_in_basis, parity_sign_matrix, sign_vector
+from conftest import defining_matrices, dense_constants, dense_integers, \
+    exact_entries, expand_in_basis, parity_sign_matrix, sign_vector
 
 
 def unit(n, i):
@@ -243,7 +243,7 @@ class TestKillingForm:
         k = killing_form(osp32.algebra)
         for ideal, l in zip(osp32.algebra.simple_ideals(), osp32.data.l):
             ki = ideal_killing_gram(osp32.algebra, ideal)
-            assert b_ratio(k, ideal, ki) == pytest.approx(1 - float(l))
+            assert b_ratio(k, ideal, ki) == 1 - l
 
 
 @pytest.fixture(scope="module")
@@ -490,27 +490,47 @@ class TestEvenSupersymmetricPart:
 
 
 class TestDualBasis:
+    """The dual basis of a form on a block is the columns of the exact
+    inverse of the block."""
+
     def test_orthonormal_is_self_dual(self):
-        form = BilinearFormMatrix(np.eye(4))
-        d = dual_basis(form, range(0, 4))
-        assert np.allclose(d, np.eye(4))
+        keys, numer, denom = exact_inverse(np.array([0, 5, 10, 15]),
+                                           np.ones(4, dtype=np.int64), 4)
+        assert keys.tolist() == [0, 5, 10, 15] and numer.tolist() == [1] * 4
+        assert denom == 1
 
     def test_diagonal_scaling(self):
-        form = BilinearFormMatrix(np.diag([2.0, 1.0]))
-        d = dual_basis(form, range(0, 1))
-        assert d[0, 0] == pytest.approx(0.5)
+        keys, numer, denom = exact_inverse(np.array([0, 3]), np.array([2, 1]), 2)
+        assert (keys.tolist(), numer.tolist(), denom) == ([0, 3], [1, 2], 2)
 
     def test_osp32_ideal_round_trip(self, osp32):
         k = killing_form(osp32.algebra)
-        ideal = osp32.algebra.simple_ideals()[0]
-        d = dual_basis(k, ideal)
-        prod = k.gram[ideal.start:ideal.stop, :] @ d
-        assert np.max(np.abs(prod - np.eye(ideal.dim))) < 1e-12
+        for ideal in osp32.algebra.decomposition:
+            block = k.block(ideal)
+            inverse = exact_inverse(*block, ideal.dim)
+            prod = dense_integers(*block, ideal.dim) \
+                @ dense_integers(*inverse[:2], ideal.dim)
+            assert np.array_equal(prod, inverse[2] * np.eye(ideal.dim, dtype=int))
 
     def test_degenerate_names_subspace(self, psl22):
+        # psl(2|2)'s Killing form vanishes: every index is a singular
+        # component of its own, and the first one is named
         k = killing_form(psl22.algebra)
-        with pytest.raises(DegeneracyError, match=r"\[0:3\)"):
-            dual_basis(k, range(0, 3))
+        with pytest.raises(DegeneracyError, match=r"singular on the indices \[0\]"):
+            exact_inverse(*k.block(range(0, 3)), 3)
+        # a singular component of three indices among regular ones of one
+        # and two, then a singular pair: each is named by its indices
+        rows = [(0, 0, 1), (1, 2, 1), (2, 1, 1), (3, 3, 1), (3, 4, 1),
+                (4, 3, 1), (4, 4, 2), (4, 5, 1), (5, 4, 1), (5, 5, 1)]
+        keys = np.array([r * 6 + c for r, c, _ in rows])
+        numer = np.array([v for _, _, v in rows])
+        with pytest.raises(DegeneracyError, match=r"indices \[3, 4, 5\]"):
+            exact_inverse(keys, numer, 6)
+        singular_pair = [(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2)]
+        with pytest.raises(DegeneracyError, match=r"indices \[0, 1\]"):
+            exact_inverse(np.array([r * 2 + c for r, c, _ in singular_pair]),
+                          np.array([v for _, _, v in singular_pair]), 2)
+        assert issubclass(DegeneracyError, ValueError)
 
 
 class TestSerialization:
