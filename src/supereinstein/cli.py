@@ -7,13 +7,15 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input or scope.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import random
 import sys
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -27,6 +29,8 @@ from .supercore import algebra_to_json, check_super_jacobi, form_to_json
 DEFAULT_SEED = 12345
 DEFAULT_TOL = einstein.SOLUTION_TOL
 STRUCT_TOL = 1e-12
+# Encoder chunks per write of a JSON document, about 11 kB of text.
+JSON_BATCH = 1024
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -43,8 +47,17 @@ def _emit(text: str, out_path) -> None:
             sys.stdout.write("\n")
 
 
-def _json_dumps(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _emit_json(doc, out_path) -> None:
+    """Write ``doc`` as indented JSON and a newline to ``out_path`` or
+    stdout, the text ``json.dump`` writes, in batches of the encoder's
+    chunks: the whole text is never held, and an unbuffered stdout
+    (PYTHONUNBUFFERED) is not written once per chunk."""
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        while batch := "".join(islice(chunks, JSON_BATCH)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +79,7 @@ def cmd_build(args) -> int:
         "canonical_form": form_to_json(real.canonical_form),
         "verification": verification,
     }
-    _emit(_json_dumps(doc), args.out)
+    _emit_json(doc, args.out)
     return 0 if verification["pass"] else 1
 
 
@@ -113,8 +126,8 @@ def cmd_indices(args) -> int:
     report, rows = verify_realization(realize(spec))
     ok = report["pass"]
     if args.format == "json":
-        _emit(_json_dumps({"family": spec.name, "ideals": rows,
-                           "pass": bool(ok)}), args.out)
+        _emit_json({"family": spec.name, "ideals": rows, "pass": bool(ok)},
+                   args.out)
     elif args.format == "csv":
         _emit(_rows_to_csv(rows, INDEX_COLUMNS), args.out)
     else:
@@ -230,7 +243,7 @@ def _run_solve(args, require_verified: bool) -> int:
     rows = _solution_rows(spec.name, doc["params"], data.form_kind,
                           data.has_k0, doc["solutions"])
     if args.format == "json":
-        _emit(_json_dumps(doc), args.out)
+        _emit_json(doc, args.out)
     elif args.format == "csv":
         _emit(_rows_to_csv(rows), args.out)
     else:
@@ -347,7 +360,7 @@ def _section(spec: FamilySpec, seed: int, index: int, c_window: float,
     gates: dict[str, bool] = {}  # in the order the failure note names them
     if real is not None:
         st = _structural(real)
-        route = _route_equivalence(real, np.random.default_rng([seed, index]), 2)
+        route = _route_equivalence(real, random.Random(f"{seed}/{index}"), 2)
         section["structural"] = {
             "jacobi_residual": st["jacobi_residual"],
             "bi_invariance_residual": st["form_residuals"]["bi_invariance"],
@@ -498,7 +511,7 @@ def cmd_report(args) -> int:
                        else args.max_m, args.seed, args.cmax, args.tol,
                        jobs=args.jobs)
     if args.format == "json":
-        _emit(_json_dumps(doc), args.out)
+        _emit_json(doc, args.out)
     elif args.format == "csv":
         _emit(_rows_to_csv([r for sec in doc["families"]
                             for r in _section_rows(sec)]), args.out)

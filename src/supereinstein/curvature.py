@@ -38,7 +38,6 @@ from .supercore import (
     _even_supersymmetric_part,
     _join,
     _koszul_terms,
-    exact_inverse,
 )
 
 RICCI_SYM_TOL = 1e-9
@@ -129,7 +128,7 @@ def plan_curvature(alg: LieSuperAlgebra,
     singular, and ValueError on a float form."""
     g = form.gram
     n = alg.dim
-    inv_keys, inv, inv_denom = exact_inverse(*form.block(range(n)), n)
+    inv_keys, inv, inv_denom = form.inverse
     block = alg.block_layout()
     nb = len(alg.decomposition) + 1
     terms, values, rows = _koszul_terms(alg, g, third=True)

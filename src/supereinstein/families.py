@@ -10,11 +10,13 @@ once. The case2/6/7 canonical forms are exact forms from the same products,
 like the Killing form, and the realized l, b and gamma are rationals that
 must equal the catalog's. The basis matrices are not kept. A realization is
 refused from its record's dimensions, before its basis is made, when its
-dense (dim, dim) forms would exceed ``supercore.MAX_DENSE_ENTRIES`` entries,
-and every join of entries, here and downstream, refuses on its own a pair
-count over ``supercore.MAX_JOIN_PAIRS`` before allocating it. The
-exceptional families F(4) and G(3), and the one-parameter deformation family
-at alpha != 1, exist only at the data-catalog level.
+dense (dim, dim) forms would exceed ``supercore.MAX_DENSE_ENTRIES`` entries.
+Every join of entries, here and downstream, refuses on its own a pair count
+over ``supercore.MAX_JOIN_PAIRS`` before allocating it, except the Jacobi
+check, which joins in blocks of first indices and refuses only a first
+index over it. The exceptional families F(4) and G(3), and the
+one-parameter deformation family at alpha != 1, exist only at the
+data-catalog level.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ constants; ratios and scalarity are checked exactly."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -15,9 +16,9 @@ from .supercore import (
     BilinearFormMatrix,
     DecompositionRange,
     LieSuperAlgebra,
+    _block,
     _contract,
     _trace_form,
-    exact_inverse,
 )
 
 
@@ -77,12 +78,18 @@ def casimir_on_odd(alg: LieSuperAlgebra, form: BilinearFormMatrix,
                    ideal: DecompositionRange) -> Fraction:
     """The scalar of sum_j ad(e_j) o ad(e_j*) on the odd part, for the dual
     basis e_j*, the columns d[:, j] of the exact inverse of the form's block
-    on the ideal (DegeneracyError when it is singular). Two sparse int64
-    contractions: the entries c[m, w, u] of the ideal's action on the odd
-    part with the nonzeros of d, then the result with the entries c[j, u, v]
-    on (j, u). The operator must be exactly scalar; anything else is a
-    verification failure, not a fallback path."""
-    dkeys, d, ddenom = exact_inverse(*form.block(ideal), ideal.dim)
+    on the ideal. An even invariant form is zero across the ideals and the
+    odd part, so that is the ideal's block of the form's own :attr:`inverse
+    <supereinstein.supercore.BilinearFormMatrix.inverse>`, made once per
+    form (DegeneracyError when the form is singular), here in lowest terms.
+    Two sparse int64 contractions: the entries c[m, w, u] of the ideal's
+    action on the odd part with the nonzeros of d, then the result with the
+    entries c[j, u, v] on (j, u). The operator must be exactly scalar;
+    anything else is a verification failure, not a fallback path."""
+    keys, inv, denom = form.inverse
+    dkeys, d = _block(keys, inv, form.dim, ideal)
+    common = math.gcd(denom, int(np.gcd.reduce(d, initial=0)))
+    d, ddenom = d // common, denom // common
     rows, j = np.divmod(dkeys, ideal.dim)
     odd, n_odd = alg.odd_range(), alg.dim_odd
     idx = alg.index

@@ -9,10 +9,14 @@ them is a join over these entries: the Jacobi identity and the trace forms
 the odd part) are summed exactly in int64; the bi-invariance check joins
 them with the nonzeros of the Gram matrix in float64. ``bracket``
 scatters the entries directly. No (n, n, n) array is built, and a join
-whose pair count could exhaust memory is refused before it allocates. An
+whose pair count could exhaust memory is refused before it allocates. The
+Jacobi check, the largest join, streams over blocks of first indices
+under a fixed pair budget, so its memory does not grow with the algebra;
+it refuses only a first index whose pairs alone are over the bound. An
 exact form keeps its integer nonzeros beside the float Gram derived from
 them, and :func:`exact_inverse`, the package's one inverse, inverts them
-exactly, one connected component of their pattern at a time.
+exactly, one connected component of their pattern at a time; the form
+keeps that inverse, made once.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 import numbers
 from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,12 +34,18 @@ import numpy as np
 VERIFY_TOL = 1e-10
 # Row-max-scaled determinant threshold for non-degeneracy.
 NONDEG_TOL = 1e-10
-# Largest number of entry pairs one join may expand to. The Jacobi kernel,
-# whose two equal joins are the largest, peaks at about 80 traced bytes per
-# pair of one join (A(18,0): 0.50M pairs, 39 MiB; A(20,0): 0.73M pairs,
-# 57 MiB), so the bound holds it near 250 MB. The count grows about as
-# dim**2: catalog(6) joins at most 0.35M pairs (B(6,6)), A(40,0) 9.6M.
+# Largest number of entry pairs one join may expand to. A contraction
+# peaks at about 64 traced bytes per pair, so the bound holds one near
+# 200 MB. The Jacobi check applies it to the pairs of one first index
+# (A(30,0): 13,732; A(21,20), dim 1,848: 161,356), and its whole joins,
+# which grow about as dim**2 (A(20,0): 0.73M pairs each, A(21,20): 13M),
+# run in blocks.
 MAX_JOIN_PAIRS = 3_000_000
+# Entry pairs one block of the Jacobi check joins at most, unless one first
+# index alone joins more: the check's traced peak stays near 1.5 MiB
+# (B(4,4): 1.15 MiB; A(20,0): 1.45 MiB). Blocks twice as large raise the
+# peak RSS of ``build`` B(4,4) from 33.9 to 34.8 MB, one block 38.9 MB.
+JACOBI_BLOCK_PAIRS = 2**14
 # Largest number of entries of one dense (dim, dim) form. A ``verify`` peaks
 # at 76 to 94 bytes per entry (A(40,0), dim 1,763: 292 MB; A(42,0), dim
 # 1,935: 327 MB; A(60,0), dim 3,843: 1,129 MB), so the bound, dim <= 2,000,
@@ -249,12 +260,28 @@ class BilinearFormMatrix:
         local to it, ascending, and numerators; refuses a float form."""
         if self.keys is None:
             raise ValueError("an exact form is needed here, not a float Gram")
-        start, size, n = rng.start, rng.stop - rng.start, self.dim
-        rows = slice(*np.searchsorted(self.keys, [start * n, rng.stop * n]))
-        # local columns; one outside the range comes out at least size
-        row, col = np.divmod(self.keys[rows] - start * (n + 1), n)
-        inside = col < size
-        return row[inside] * size + col[inside], self.numer[rows][inside]
+        return _block(self.keys, self.numer, self.dim, rng)
+
+    @cached_property
+    def inverse(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The :func:`exact_inverse` of the integer matrix ``numer`` of an
+        exact form (the form's own inverse is ``denom`` times it), made
+        once, on first use; refuses a float form and raises
+        DegeneracyError on a singular one."""
+        return exact_inverse(*self.block(range(self.dim)), self.dim)
+
+
+def _block(keys: np.ndarray, numer: np.ndarray, n: int,
+           rng) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the sparse (n, n) matrix with the values ``numer`` at
+    the ascending flat keys ``row * n + col`` on the index range ``rng`` x
+    ``rng``: keys local to it, ascending, and their values."""
+    start, size = rng.start, rng.stop - rng.start
+    rows = slice(*np.searchsorted(keys, [start * n, rng.stop * n]))
+    # local columns; one outside the range comes out at least size
+    row, col = np.divmod(keys[rows] - start * (n + 1), n)
+    inside = col < size
+    return row[inside] * size + col[inside], numer[rows][inside]
 
 
 def exact_form(alg: LieSuperAlgebra, keys: np.ndarray, numer: np.ndarray,
@@ -379,9 +406,17 @@ def _join(a_key: np.ndarray, b_key: np.ndarray,
         where = f" in the {stage}" if stage else ""
         raise ValueError(f"a join of {total:,} entry pairs{where} is over the "
                          f"{MAX_JOIN_PAIRS:,}-pair memory limit")
-    p = np.repeat(np.arange(len(a_key)), counts)
-    run = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return p, order[np.repeat(lo, counts) + run]
+    p, q = _expand(np.arange(len(a_key)), lo, counts)
+    return p, order[q]
+
+
+def _expand(left: np.ndarray, start: np.ndarray,
+            count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (p, q) of a join in which the position ``left[t]`` meets
+    the ``count[t]`` consecutive positions from ``start[t]``."""
+    q = np.repeat(start - (np.cumsum(count) - count), count)
+    q += np.arange(len(q))
+    return np.repeat(left, count), q
 
 
 def _group_sum(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -427,51 +462,101 @@ def check_super_jacobi(alg: LieSuperAlgebra) -> JacobiReport:
 
     The inner entry c[x, y, m] of each term has x <= y on a sorted triple:
     (x, y) is (j, k) in the first term, (i, j) in the second and (i, k) in
-    the third. Only those entries join, which halves both joins; a joined
+    the third. Only those entries join, which halves the joins; a joined
     pair is kept where the outer index completes a sorted triple (i <= j,
     j <= k and i <= j <= k respectively). So every term of a sorted triple
     is summed and no term of any other triple.
+
+    The sums are taken in blocks of consecutive first indices i (see
+    :func:`_jacobi_block_sums`). Every term belongs to exactly one i: the
+    second and third terms take it from the inner entry (i = x), the first
+    from the outer one (i is its first index). So each block holds every
+    term of its keys and its sums are complete. The blocks come in ascending
+    i and their keys ascend within each, so keeping a block's largest |sum|
+    only where it is strictly larger than all before it finds the same
+    first key reaching the maximum as one sum over all triples.
     """
     n = alg.dim
-    idx, num = alg.index, alg.numer
-    big = int(np.max(np.abs(num), initial=0))
+    big = int(np.max(np.abs(alg.numer), initial=0))
     if 3 * n * big * big >= 2**63 or n**4 >= 2**63:
         raise ValueError(f"Jacobi sums of a dim-{n} algebra with numerators "
                          f"up to {big} could overflow int64")
-    terms = _sorted_jacobi_terms(alg, 1) + _sorted_jacobi_terms(alg, 0)
-    keys, acc = _group_sum(*map(np.concatenate, zip(*terms)))
-    if not acc.size:
-        return JacobiReport(0.0, (0, 0, 0))
-    acc = np.abs(acc)
-    first = int(np.argmax(acc))
-    ijk = int(keys[first]) // n
-    return JacobiReport(int(acc[first]) / alg.denom**2,
-                        (ijk // (n * n), ijk // n % n, ijk % n))
+    worst, at = 0, 0
+    for keys, acc in _jacobi_block_sums(alg):
+        if acc.size:
+            first = int(np.argmax(np.abs(acc)))
+            if abs(int(acc[first])) > worst:
+                worst, at = abs(int(acc[first])), int(keys[first]) // n
+    return JacobiReport(worst / alg.denom**2,
+                        (at // (n * n), at // n % n, at % n))
 
 
-def _sorted_jacobi_terms(alg: LieSuperAlgebra,
-                         axis: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(keys ``((i * n + j) * n + k) * n + l``, values) of the Jacobi terms
-    on sorted triples i <= j <= k that join the entries c[x, y, m] with
-    x <= y with c[z, m, l] (``axis`` 1) or with c[m, z, l] (``axis`` 0),
-    one pair of arrays per term."""
+def _jacobi_block_sums(alg: LieSuperAlgebra):
+    """The exact Jacobi sums of the sorted triples i <= j <= k, one block of
+    consecutive first indices i at a time, in ascending i: the ascending
+    keys ``((i * n + j) * n + k) * n + l`` of each block's nonzero sums,
+    and those sums.
+
+    Two joins on m serve a block. The inner entries c[x, y, m], x <= y,
+    whose x is in the block join the entries c[m, w, l], which
+    ``alg.index`` holds by m already: the second and third terms. The
+    entries c[z, m, l] whose z is in the block join the inner entries, put
+    in order of m once: the first term. Both sliced sides are contiguous,
+    since ``alg.index`` is sorted by its first index. The pairs of each
+    entry are counted from the key counts before any pair exists, and a
+    block takes first indices while its pairs stay within
+    ``JACOBI_BLOCK_PAIRS``; a first index whose pairs alone exceed
+    ``MAX_JOIN_PAIRS`` is refused."""
     n, idx, num = alg.dim, alg.index, alg.numer
-    inner = np.flatnonzero(idx[:, 0] <= idx[:, 1])
-    a, b = _join(idx[inner, 2], idx[:, axis], stage="Jacobi check")
-    a = inner[a]
-    x, y, z, l = idx[a, 0], idx[a, 1], idx[b, 1 - axis], idx[b, 2]
-    prod = num[a] * num[b]
-
-    def kept(i, j, k, vals, keep):
-        return ((i[keep] * n + j[keep]) * n + k[keep]) * n + l[keep], vals[keep]
-
-    if axis == 0:  # -[[e_i, e_j], e_k] at (i, j, k) = (x, y, z)
-        return [kept(x, y, z, -prod, y <= z)]
-    # [e_i, [e_j, e_k]] at (i, j, k) = (z, x, y), and
-    # -(-1)**(p_i p_j) [e_j, [e_i, e_k]] at (i, j, k) = (x, z, y)
     p = alg.basis.parity_array()
-    return [kept(z, x, y, prod, z <= x),
-            kept(x, z, y, (2 * (p[x] & p[z]) - 1) * prod, (x <= z) & (z <= y))]
+    inner = np.flatnonzero(idx[:, 0] <= idx[:, 1])
+    inner_m = idx[inner, 2]
+    # where each first index starts, in alg.index and among the inner entries
+    by_first = np.bincount(idx[:, 0], minlength=n)
+    rows_at = np.concatenate([[0], np.cumsum(by_first)])
+    inner_at = np.concatenate(
+        [[0], np.cumsum(np.bincount(idx[inner, 0], minlength=n))])
+    by_m = inner[np.argsort(inner_m, kind="stable")]
+    with_m = np.bincount(inner_m, minlength=n)
+    m_at = np.cumsum(with_m) - with_m
+    # pairs through each first index: of the inner entries, then of the outer
+    pairs = np.concatenate([[0], np.cumsum(by_first[inner_m])])[inner_at] \
+        + np.concatenate([[0], np.cumsum(with_m[idx[:, 1]])])[rows_at]
+    del inner_m
+    most = int(np.max(np.diff(pairs), initial=0))
+    if most > MAX_JOIN_PAIRS:
+        raise ValueError(f"a join of {most:,} entry pairs in the Jacobi check "
+                         f"is over the {MAX_JOIN_PAIRS:,}-pair memory limit")
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(
+            pairs, pairs[lo] + JACOBI_BLOCK_PAIRS, "right")) - 1)
+        # c[x, y, m] c[m, w, l]
+        a = inner[inner_at[lo]:inner_at[hi]]
+        m = idx[a, 2]
+        a, b = _expand(a, rows_at[m], by_first[m])
+        x, y, w, l = idx[a, 0], idx[a, 1], idx[b, 1], idx[b, 2]
+        prod = num[a] * num[b]
+        # -[[e_i, e_j], e_k] at (i, j, k) = (x, y, w), and
+        # -(-1)**(p_i p_j) [e_j, [e_i, e_k]] at (x, w, y), read from
+        # c[w, m, l] = -(-1)**(p_w p_m) c[m, w, l] with p_m = p_x + p_y
+        second, third = y <= w, (x <= w) & (w <= y)
+        sign = (2 * (p[x] & p[w]) - 1) * (2 * (p[w] & (p[x] ^ p[y])) - 1)
+        keys = [((x * n + y) * n + w)[second] * n + l[second],
+                ((x * n + w) * n + y)[third] * n + l[third]]
+        vals = [-prod[second], (sign * prod)[third]]
+        del a, b, x, y, w, l, prod, second, third, sign
+        # c[z, m, l] c[x, y, m]: [e_i, [e_j, e_k]] at (z, x, y)
+        m = idx[rows_at[lo]:rows_at[hi], 1]
+        b, a = _expand(np.arange(rows_at[lo], rows_at[hi]), m_at[m], with_m[m])
+        a = by_m[a]
+        z, x = idx[b, 0], idx[a, 0]
+        first = z <= x
+        keys.append(((z * n + x) * n + idx[a, 1])[first] * n + idx[b, 2][first])
+        vals.append((num[a] * num[b])[first])
+        del a, b, z, x, first
+        yield _group_sum(np.concatenate(keys), np.concatenate(vals))
+        lo = hi
 
 
 def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:

@@ -10,6 +10,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -93,7 +94,7 @@ class TestInputContract:
         ("report", "--max-m", "1", "--max-n", "-1"),
         C3 + ("--jobs", "0"),
         ("report", "--max-m", "1", "--jobs", "-1"),
-        ("build", "--family", "A", "--m", "40", "--n", "0"),
+        ("build", "--family", "A", "--m", "43", "--n", "0"),
         ("build", "--family", "X"),
         ("solve", "--family", "B", "--m", "abc", "--n", "1"),
         ("build", "--family", "B", "--m", "1", "--n", "1", "--format", "csv"),
@@ -117,21 +118,28 @@ class TestInputContract:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_join_refusal_names_the_jacobi_check(self, capsys, monkeypatch):
-        # realizing sl(2|1) = A(1,0) joins at most 56 pairs, and each join of
-        # its Jacobi check more than 100
-        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 100)
+        # the Jacobi check of sl(2|1) = A(1,0) joins at most 48 pairs per
+        # first index, fewer than its realization's largest join (56), so the
+        # bound drops to 10 once the realization is made
+        def realized(spec):
+            real = families.realize(spec)
+            monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 10)
+            return real
+
+        monkeypatch.setattr(cli, "realize", realized)
         code, out, err = run(capsys, "build", "--family", "A", "--m", "1",
                              "--n", "0")
         assert (code, out) == (2, "")
         assert err.startswith("error: a join of ") and err.count("\n") == 1
-        assert "pairs in the Jacobi check is over the 100-pair memory limit" \
+        assert "pairs in the Jacobi check is over the 10-pair memory limit" \
             in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_section_refusal_names_its_family(self, capsys, monkeypatch, jobs):
-        # A(1,0), the first family of catalog(1), is refused in its Jacobi
-        # check; a forked worker inherits the patched bound
-        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 100)
+        # A(1,0), the first family of catalog(1), is refused in its
+        # realization, whose largest join is 56 pairs; a forked worker
+        # inherits the patched bound
+        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 10)
         code, out, err = run(capsys, "report", "--max-m", "1", "--jobs", jobs)
         assert (code, out) == (2, "")
         assert err.startswith("error: A(1,0): a join of ")
@@ -140,8 +148,8 @@ class TestInputContract:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_negative_seed_refused_before_any_section(self, capsys,
                                                       monkeypatch, jobs):
-        # numpy's default_rng would refuse it inside the first realizable
-        # section's route draws, and the refusal would name that family
+        # the route draws, seeded by the string "seed/index", would accept
+        # it; the contract refuses it before the catalog is enumerated
         def enumerated(*args):
             raise AssertionError("the catalog was enumerated")
 
@@ -496,3 +504,33 @@ def test_import_leaves_out_the_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_report_leaves_out_numpy_random(tmp_path):
+    # the route draws come from the standard library's generator; numpy's
+    # costs 5 MB of RSS when first imported
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); "
+             "from supereinstein import cli; "
+             "code = cli.main(['report', '--max-m', '1', '--out', sys.argv[1]]); "
+             "print(code, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, tmp_path / "r.json"],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0 False\n"
+
+
+def test_json_written_without_holding_its_text(tmp_path):
+    # B(4,4)'s algebra and form are 627,226 bytes of JSON; streamed, the
+    # encoder holds a few chunks at a time (67 kB traced)
+    real = families.realize(families.family_spec("B", 4, 4))
+    doc = {"algebra": supercore.algebra_to_json(real.algebra),
+           "canonical_form": supercore.form_to_json(real.canonical_form)}
+    target = tmp_path / "b44.json"
+    tracemalloc.start()
+    try:
+        cli._emit_json(doc, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert peak < target.stat().st_size / 4

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from supereinstein import families, supercore
+from supereinstein import cli, einstein, families, supercore
 from supereinstein.supercore import DecompositionRange
 from supereinstein.families import (
     catalog,
@@ -365,6 +365,24 @@ class TestExactInverse:
                 @ dense_integers(inv_keys, inv, size)
             assert np.array_equal(product,
                                   denom * np.eye(size, dtype=np.int64))
+
+    def test_one_inverse_per_form_over_a_report(self, monkeypatch):
+        # each realization inverts its Frobenius Gram and its canonical form,
+        # once: the curvature plan and every Casimir dual read the form's
+        # inverse (113 inversions before, 57 of them Casimir blocks)
+        sizes, inverse = [], supercore.exact_inverse
+
+        def counting(keys, numer, size):
+            sizes.append(size)
+            return inverse(keys, numer, size)
+
+        monkeypatch.setattr(families, "exact_inverse", counting)
+        monkeypatch.setattr(supercore, "exact_inverse", counting)
+        doc = cli.build_report(3, 3, cli.DEFAULT_SEED, einstein.C_WINDOW,
+                               cli.DEFAULT_TOL)
+        realized = [s for s in doc["families"] if s["realizable"]]
+        assert doc["summary"]["all_pass"] and len(realized) == 28
+        assert len(sizes) == 2 * 28
 
 
 @pytest.mark.parametrize("spec", REALIZABLE_4, ids=lambda s: s.name)

@@ -130,9 +130,14 @@ def _call_sites(tree: ast.AST, name: str) -> list:
 
 
 def _callers(tree: ast.Module, name: str) -> set:
-    """The module-level functions of ``tree`` that call ``name``."""
-    return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
-            and _call_sites(fn, name)}
+    """The module-level functions of ``tree`` that call ``name``, and its
+    classes' methods that do, as ``Class.method``."""
+    functions = [(fn.name, fn) for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef)]
+    return {label for label, fn in functions if _call_sites(fn, name)}
 
 
 def test_only_the_catalog_makes_family_records():
@@ -142,19 +147,18 @@ def test_only_the_catalog_makes_family_records():
         {"iter_catalog", "family_spec"}
 
 
-def test_only_the_curvature_plan_inverts_a_form():
+def test_only_the_form_itself_inverts_a_form():
     # no float inverse or solve is left: every metric of a family is g = D B,
-    # so g^-1 = B^-1 D^-1, and the one exact inverse of B, made with the
-    # plan, serves every metric; the same exact inverse gives the dual
-    # bases of the Casimir operators and the coordinates of a matrix basis
+    # so g^-1 = B^-1 D^-1, and the one exact inverse of B, kept with B,
+    # serves every metric and the dual bases of the Casimir operators; the
+    # same kernel gives the coordinates of a matrix basis
     for path in MODULES:
         for name in ("np.linalg.inv", "np.linalg.solve"):
             assert _call_sites(_tree(path), name) == [], (path.name, name)
     callers = {(path.name, fn) for path in MODULES
                for fn in _callers(_tree(path), "exact_inverse")}
     assert callers == {("families.py", "_coordinates"),
-                       ("invariants.py", "casimir_on_odd"),
-                       ("curvature.py", "plan_curvature")}
+                       ("supercore.py", "BilinearFormMatrix.inverse")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -198,7 +202,8 @@ def test_checks_catch_what_they_look_for():
                      "    def inverse(self):\n"
                      "        return np.linalg.inv(self.gram)\n")
     assert len(_call_sites(tree, "np.linalg.inv")) == 3
-    assert _callers(tree, "np.linalg.inv") == {"plan", "metric"}
+    assert _callers(tree, "np.linalg.inv") == {"plan", "metric",
+                                               "Form.inverse"}
     tree = ast.parse("def sign(p):\n"
                      "    return 1.0 - 2.0 * np.outer(p, p)\n"
                      "def mixed(p, np):\n"

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -246,6 +247,26 @@ class TestKillingForm:
             assert b_ratio(k, ideal, ki) == 1 - l
 
 
+# Jacobi block budgets: one first index per block, a few per block on the
+# small algebras, the default, and one block for everything
+BUDGETS = (1, 40, supercore.JACOBI_BLOCK_PAIRS, 10**9)
+
+
+@pytest.fixture(scope="module")
+def realized_3():
+    return [families.realize(s) for s in families.catalog(3) if s.realizable]
+
+
+def traced_jacobi_peak(alg):
+    """The traced peak of one Jacobi check of ``alg``, in bytes."""
+    tracemalloc.start()
+    try:
+        check_super_jacobi(alg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture(scope="module")
 def b44():
     """B(4,4) = osp(9|8), dim 144, uncached: freed after the module."""
@@ -294,8 +315,11 @@ class TestJacobi:
         alg = data.draw(st.sampled_from([sl21, psl22, osp32])).algebra
         for _ in range(data.draw(st.integers(1, 3))):
             alg = draw_perturbation(data, alg)
-        report = check_super_jacobi(alg)
-        assert (report.residual, report.worst_triple) == full_sum_jacobi(alg)
+        want = full_sum_jacobi(alg)
+        for budget in BUDGETS:
+            with mock.patch.object(supercore, "JACOBI_BLOCK_PAIRS", budget):
+                report = check_super_jacobi(alg)
+            assert (report.residual, report.worst_triple) == want, budget
 
     def test_tied_sorted_triples_resolve_like_full_sum(self, sl21):
         # Several distinct sorted triples share the largest |J|, and both
@@ -309,41 +333,79 @@ class TestJacobi:
                  perturbed(twice, odd + 1, odd + 1, 0, Fraction(1, 2))]
         for alg in cases:
             assert len(sorted_triples_at_max(alg)) > 1
-            report = check_super_jacobi(alg)
-            assert (report.residual, report.worst_triple) == \
-                full_sum_jacobi(alg)
+            for budget in BUDGETS:
+                with mock.patch.object(supercore, "JACOBI_BLOCK_PAIRS", budget):
+                    report = check_super_jacobi(alg)
+                assert (report.residual, report.worst_triple) == \
+                    full_sum_jacobi(alg), budget
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_catalog_holds_at_every_budget(self, monkeypatch, budget,
+                                           realized_3):
+        monkeypatch.setattr(supercore, "JACOBI_BLOCK_PAIRS", budget)
+        for real in realized_3:
+            report = check_super_jacobi(real.algebra)
+            assert (report.residual, report.worst_triple) == (0.0, (0, 0, 0)), \
+                real.name
 
     def test_join_pairs_halved(self, monkeypatch, b44):
-        counts = []
-        inner = supercore._join
+        # the full sums join 140,280 pairs twice; each block makes two joins
+        pairs = []
+        inner = supercore._expand
 
-        def counting(*args, **kwargs):
-            pairs = inner(*args, **kwargs)
-            counts.append(len(pairs[0]))
-            return pairs
+        def counting(*args):
+            joined = inner(*args)
+            pairs.append(len(joined[0]))
+            return joined
 
-        monkeypatch.setattr(supercore, "_join", counting)
+        monkeypatch.setattr(supercore, "_expand", counting)
         full_sum_jacobi(b44)
-        assert counts == [140_280, 140_280]
-        counts.clear()
+        assert pairs == [140_280, 140_280]
+        pairs.clear()
         assert check_super_jacobi(b44).residual == 0.0
-        assert len(counts) == 2 and max(counts) <= 70_752
+        blocks = [sum(pairs[k:k + 2]) for k in range(0, len(pairs), 2)]
+        assert len(blocks) > 1
+        assert max(blocks) <= supercore.JACOBI_BLOCK_PAIRS
+        assert sum(blocks) == 2 * 70_752
+
+    def test_join_sides_ordered_once_per_check(self, monkeypatch, b44):
+        # the blocks grow from 9 to 144 (one per first index), and the only
+        # argsort, of the inner entries by m, is made once per check
+        sorts, blocks = [], []
+        argsort, group_sum = np.argsort, supercore._group_sum
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1)
+                            or argsort(*a, **k))
+        monkeypatch.setattr(supercore, "_group_sum", lambda *a: blocks.append(1)
+                            or group_sum(*a))
+        counts = []
+        for budget in (supercore.JACOBI_BLOCK_PAIRS, 1):
+            monkeypatch.setattr(supercore, "JACOBI_BLOCK_PAIRS", budget)
+            sorts.clear(), blocks.clear()
+            assert check_super_jacobi(b44).residual == 0.0
+            counts.append((len(sorts), len(blocks)))
+        assert counts == [(1, 9), (1, 144)]
 
     def test_traced_peak_under_half_the_full_sum(self, b44):
-        # the full-sum kernel peaks at 43.7 MiB on B(4,4)
-        tracemalloc.start()
-        try:
-            check_super_jacobi(b44)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 43.7 / 2 * 2**20
+        # the full-sum kernel peaks at 43.7 MiB on B(4,4), the unblocked
+        # sorted-triple kernel at 5.7 MiB
+        assert traced_jacobi_peak(b44) <= 2 * 2**20
+
+    def test_traced_peak_does_not_grow_with_the_join(self):
+        # A(20,0) joins ten times the pairs of B(4,4); unblocked, its check
+        # peaked at 56.7 MiB
+        alg = families.realize(families.family_spec("A", 20, 0)).algebra
+        assert traced_jacobi_peak(alg) <= 2 * 2**20
 
     def test_join_refusal_names_the_jacobi_check(self, monkeypatch, sl21):
-        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 10)
-        with pytest.raises(ValueError, match="in the Jacobi check is over "
-                                             "the 10-pair memory limit"):
+        # the first index of sl(2|1) = A(1,0) with the most pairs joins 48
+        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 47)
+        with pytest.raises(ValueError, match="a join of 48 entry pairs in the "
+                                             "Jacobi check is over the "
+                                             "47-pair memory limit"):
             check_super_jacobi(sl21.algebra)
+        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 48)
+        monkeypatch.setattr(supercore, "JACOBI_BLOCK_PAIRS", 1)
+        assert check_super_jacobi(sl21.algebra).residual == 0.0
 
     def test_exactly_zero_over_catalog(self):
         for spec in families.catalog(4):
