@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import os
 import random
 import sys
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -29,8 +30,11 @@ from .supercore import algebra_to_json, check_super_jacobi, form_to_json
 DEFAULT_SEED = 12345
 DEFAULT_TOL = einstein.SOLUTION_TOL
 STRUCT_TOL = 1e-12
-# Encoder chunks per write of a JSON document, about 11 kB of text.
-JSON_BATCH = 1024
+# Characters of JSON text gathered before one write; a batch passes it by
+# at most one piece, such as one block of a Gram matrix's rows.
+JSON_BATCH = 2**14
+# The values json writes as scalars (a bool is an int).
+_JSON_SCALARS = (str, int, float, type(None))
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -49,15 +53,93 @@ def _emit(text: str, out_path) -> None:
 
 def _emit_json(doc, out_path) -> None:
     """Write ``doc`` as indented JSON and a newline to ``out_path`` or
-    stdout, the text ``json.dump`` writes, in batches of the encoder's
-    chunks: the whole text is never held, and an unbuffered stdout
-    (PYTHONUNBUFFERED) is not written once per chunk."""
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    stdout: byte for byte the text ``json.dump(doc, fh, indent=2)`` writes
+    plus ``"\\n"``, with each numpy array written as its ``tolist()``.
+
+    Every list, tuple or dict whose members are all scalars is one call of
+    json's C encoder, its items separated by a comma, a newline and their
+    indent, so json's own scalar text (float ``repr``, ``NaN`` and
+    ``Infinity``, string escapes, ``true`` and ``null``) is kept, and so is
+    every run of list items that are all nonempty lists of scalars, such as
+    a block of an array's rows; other containers recurse. An array whose
+    rows are arrays or records is made into lists a few kB of rows at a
+    time. The text goes out in batches of about ``JSON_BATCH`` characters,
+    so neither the whole text nor an array's nested lists are ever held,
+    and an unbuffered stdout (PYTHONUNBUFFERED) is not written once per
+    piece.
+    """
+
+    @functools.cache
+    def encode(inner: str):
+        # json's C encoder, its items separated by a comma and ``inner``
+        return json.JSONEncoder(separators=("," + inner, ": ")).encode
+
+    def scalars(values) -> bool:
+        return all(map(isinstance, values, repeat(_JSON_SCALARS)))
+
+    def pieces(value, newline: str):
+        # the text of ``value`` on a line that ``newline`` (a newline and
+        # the line's indent) begins, in pieces
+        inner = newline + "  "
+        if isinstance(value, np.ndarray):
+            if value.size and (value.ndim > 1 or value.dtype.names):
+                # rows of about JSON_BATCH / 8 bytes at a time (256
+                # float64s), made into lists
+                step = max(1, JSON_BATCH // 8 * len(value) // value.nbytes)
+                yield from list_pieces((value[at:at + step].tolist() for at
+                                        in range(0, len(value), step)), newline)
+                return
+            value = value.tolist()
+        if isinstance(value, dict) and not scalars(value.values()):
+            separator = "{" + inner
+            for key, item in value.items():
+                # a key that is not a str is named by its scalar text, as
+                # json names it (true, null, 1.5)
+                yield separator + encode(inner)(
+                    key if isinstance(key, str) else encode(inner)(key)) + ": "
+                separator = "," + inner
+                yield from pieces(item, inner)
+            yield newline + "}"
+        elif isinstance(value, (list, tuple)) and not scalars(value):
+            yield from list_pieces([value], newline)
+        else:  # a scalar or a container of scalars: one C encoder call
+            text = encode(inner)(value)
+            yield text[0] + inner + text[1:-1] + newline + text[-1] \
+                if isinstance(value, (dict, list, tuple)) and value else text
+
+    def list_pieces(blocks, newline: str):
+        # a nonempty list from blocks of its items; a block of nonempty
+        # lists of scalars is one C encoder call, whose row boundaries
+        # "],<deeper>[" take the indented form (no scalar's text holds a
+        # newline, so only a boundary matches)
+        inner = newline + "  "
+        deeper = inner + "  "
+        separator = "[" + inner
+        for block in blocks:
+            if all(isinstance(row, (list, tuple)) and row and scalars(row)
+                   for row in block):
+                text = encode(deeper)(block)[2:-2].replace(
+                    "]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+                yield separator + "[" + deeper + text + inner + "]"
+                separator = "," + inner
+                continue
+            for item in block:
+                yield separator
+                separator = "," + inner
+                yield from pieces(item, inner)
+        yield newline + "]"
+
     with (open(out_path, "w", encoding="utf-8") if out_path
           else contextlib.nullcontext(sys.stdout)) as fh:
-        while batch := "".join(islice(chunks, JSON_BATCH)):
-            fh.write(batch)
-        fh.write("\n")
+        batch, size = [], 0
+        for piece in pieces(doc, "\n"):
+            batch.append(piece)
+            size += len(piece)
+            if size >= JSON_BATCH:
+                fh.write("".join(batch))
+                batch, size = [], 0
+        batch.append("\n")
+        fh.write("".join(batch))
 
 
 # ---------------------------------------------------------------------------

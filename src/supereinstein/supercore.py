@@ -721,23 +721,35 @@ def _gauss_jordan(a: list) -> tuple[list, int]:
 # ---------------------------------------------------------------------------
 
 def algebra_to_json(alg: LieSuperAlgebra) -> dict:
-    """Schema: dim_even, dim_odd, parity, sparse c triplets, decomposition."""
-    triplets = [[i, j, k, v / alg.denom, 0.0]
-                for (i, j, k), v in zip(alg.index.tolist(), alg.numer.tolist())]
+    """Schema: dim_even, dim_odd, parity, sparse c triplets, decomposition;
+    unchanged. ``c`` holds the rows [i, j, k, c_ijk, 0.0] as a structured
+    array made from the algebra's arrays, with no Python list per row.
+    ``cli._emit_json`` writes each record as that list, so the text is byte
+    for byte what ``json.dumps`` wrote for the nested lists, which
+    ``default=np.ndarray.tolist`` gives too. The float64 quotient
+    ``numer / denom`` is the one Python's int division gives while both
+    stay below 2**53 (the catalog's are two-digit)."""
+    c = np.zeros(len(alg.numer), dtype="i8, i8, i8, f8, f8")
+    for name, column in zip(c.dtype.names, [*alg.index.T,
+                                            alg.numer / alg.denom]):
+        c[name] = column
     return {
         "dim_even": alg.dim_even,
         "dim_odd": alg.dim_odd,
         "parity": [int(p) for p in alg.basis.parity],
-        "c": triplets,
+        "c": c,
         "decomposition": [[r.start, r.stop, r.kind] for r in alg.decomposition],
     }
 
 
 def form_to_json(form: BilinearFormMatrix) -> dict:
-    """The Gram matrix and the axiom flags of a checked form's report."""
+    """The Gram matrix and the axiom flags of a checked form's report;
+    schema unchanged. The Gram is the form's own (dim, dim) array, which
+    ``cli._emit_json`` writes a few rows at a time, byte for byte as the
+    nested lists of floats it stands for."""
     report = form.report
     return {
-        "gram": [[float(v) for v in row] for row in form.gram],
+        "gram": form.gram,
         "flags": {
             "even": report.is_even,
             "supersymmetric": report.is_supersymmetric,

@@ -3,10 +3,12 @@ tables of ``solve`` and ``report``, the input contract (exit code 2 and a
 one-line error), the ``--cmax`` filter, and the ``build`` and ``indices``
 outputs."""
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -15,7 +17,10 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from supereinstein import cli, einstein, families, invariants, supercore
 
@@ -519,18 +524,91 @@ def test_report_leaves_out_numpy_random(tmp_path):
     assert out == "0 False\n"
 
 
-def test_json_written_without_holding_its_text(tmp_path):
-    # B(4,4)'s algebra and form are 627,226 bytes of JSON; streamed, the
-    # encoder holds a few chunks at a time (67 kB traced)
-    real = families.realize(families.family_spec("B", 4, 4))
-    doc = {"algebra": supercore.algebra_to_json(real.algebra),
-           "canonical_form": supercore.form_to_json(real.canonical_form)}
-    target = tmp_path / "b44.json"
+def _traced_write(doc, target) -> int:
+    """The traced peak of writing ``doc`` to ``target``, in bytes."""
     tracemalloc.start()
     try:
         cli._emit_json(doc, target)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert target.read_text() == json.dumps(doc, indent=2) + "\n"
-    assert peak < target.stat().st_size / 4
+
+
+def _build_doc(spec) -> dict:
+    real = families.realize(spec)
+    return {"algebra": supercore.algebra_to_json(real.algebra),
+            "canonical_form": supercore.form_to_json(real.canonical_form)}
+
+
+def test_json_written_without_holding_its_text(tmp_path):
+    # B(4,4)'s algebra and form are 627,226 bytes of JSON, their arrays
+    # written a block of rows at a time (90 kB traced)
+    doc = _build_doc(families.family_spec("B", 4, 4))
+    target = tmp_path / "b44.json"
+    peak = _traced_write(doc, target)
+    assert target.read_text() == \
+        json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
+    assert peak < target.stat().st_size / 6
+
+
+def test_json_peak_does_not_grow_with_the_arrays(tmp_path):
+    # A(20,0), dim 483: its Gram alone as nested lists of floats is about
+    # 6 MB; its 5.1 MB document is written at 93 kB traced
+    doc = _build_doc(families.family_spec("A", 20, 0))
+    target = tmp_path / "a20.json"
+    assert _traced_write(doc, target) < 2**20 < target.stat().st_size / 4
+
+
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf,
+                     "\u00e9\u4e2d\U0001f600", "\"\\/\b\f\n\r\t\x00\x1f\x7f"]))
+_JSON_ARRAY = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3,
+                                            min_side=0, max_side=4)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                          min_side=0, max_side=4)),
+    # records, as ``algebra_to_json`` gives its triplets
+    st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.floats()),
+             max_size=5).map(lambda rows: np.array(rows, dtype="i8, f8")))
+_JSON_TREE = st.recursive(
+    _JSON_SCALAR | _JSON_ARRAY,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(doc=_JSON_TREE)
+def test_json_text_is_the_reference_encoders(doc):
+    # empty containers at any depth, scalars of every kind inside flat
+    # lists, and arrays, whose reference text is that of their lists
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(doc, None)
+    assert out.getvalue() == \
+        json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
+
+
+@pytest.mark.parametrize("spec", [s for s in families.catalog(2)
+                                  if s.realizable], ids=lambda s: s.name)
+def test_build_text_is_the_former_lists(capsys, monkeypatch, spec):
+    # the arrays of ``build`` give the text of the nested Python lists it
+    # printed before: triplets with Python's int quotient and Gram rows of
+    # floats
+    docs = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json",
+                        lambda doc, out: emit(docs.append(doc) or doc, out))
+    monkeypatch.setattr(cli, "_spec_from_args", lambda args: spec)
+    code, out, _ = run(capsys, "build", "--family", "A", "--m", "1",
+                       "--n", "0")
+    assert code == 0
+    (doc,), alg = docs, families.realize(spec).algebra
+    doc["algebra"]["c"] = [[i, j, k, v / alg.denom, 0.0] for (i, j, k), v
+                           in zip(alg.index.tolist(), alg.numer.tolist())]
+    gram = doc["canonical_form"]["gram"]
+    doc["canonical_form"]["gram"] = [[float(v) for v in row] for row in gram]
+    assert out == json.dumps(doc, indent=2) + "\n"

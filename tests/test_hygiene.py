@@ -5,7 +5,8 @@ anywhere in the package (``__all__`` counts as one), no module calls
 ``einsum`` or ``np.outer``, the front end compares no family kind, only
 the catalog makes family records inside ``families``, and no float inverse
 or solve is left: one exact inverse serves the basis coordinates, the
-Casimir duals and the curvature plan."""
+Casimir duals and the curvature plan. One function writes JSON, with
+json's C encoder."""
 
 import ast
 import functools
@@ -166,6 +167,25 @@ def test_no_dense_outer_product(path):
     # a parity sign or mask over all index pairs is a block of the basis,
     # even indices first: a slice, not a dense (n, n) outer product
     assert _call_sites(_tree(path), "np.outer") == []
+
+
+_JSON_WRITERS = ("json.dump", "json.dumps", "dumps", "json.JSONEncoder",
+                 "JSONEncoder")
+
+
+def test_one_json_writer():
+    # every JSON document goes out through cli._emit_json, and only json's
+    # C encoder writes it: an ``indent`` would select the pure-Python one
+    sites = {(path.name, node.lineno) for path, tree in
+             zip(MODULES, map(_tree, MODULES)) for name in _JSON_WRITERS
+             for node in _call_sites(tree, name)}
+    emit = next(fn for fn in _tree(SRC / "cli.py").body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_emit_json")
+    calls = [node for name in _JSON_WRITERS
+             for node in _call_sites(emit, name)]
+    assert calls and sites == {("cli.py", node.lineno) for node in calls}
+    assert [kw.arg for node in calls for kw in node.keywords
+            if kw.arg == "indent"] == []
 
 
 def test_checks_catch_what_they_look_for():

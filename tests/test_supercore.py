@@ -603,4 +603,4 @@ class TestSerialization:
 
     def test_small_entries_omitted(self):
         alg = abelian_algebra(2, 2)
-        assert algebra_to_json(alg)["c"] == []
+        assert algebra_to_json(alg)["c"].tolist() == []
