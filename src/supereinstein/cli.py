@@ -29,7 +29,6 @@ from .supercore import algebra_to_json, check_super_jacobi, form_to_json
 
 DEFAULT_SEED = 12345
 DEFAULT_TOL = einstein.SOLUTION_TOL
-STRUCT_TOL = 1e-12
 # Characters of JSON text gathered before one write; a batch passes it by
 # at most one piece, such as one block of a Gram matrix's rows.
 JSON_BATCH = 2**14
@@ -170,7 +169,7 @@ def _structural(real) -> dict:
     ``pass`` when the Jacobi identity, the canonical form's evenness,
     supersymmetry and bi-invariance, and :func:`verify_realization` hold."""
     jac = check_super_jacobi(real.algebra)
-    form = real.canonical_form.report
+    form, killing = real.canonical_form.report, real.killing
     realization, _ = verify_realization(real)
     return {
         "jacobi_residual": jac.residual,
@@ -179,12 +178,13 @@ def _structural(real) -> dict:
             "evenness": form.evenness,
             "supersymmetry": form.supersymmetry,
             "bi_invariance": form.bi_invariance,
-            "scaled_det": form.scaled_det,
+            "scaled_det": float(form.scaled_det),
         },
-        "killing_max_entry": float(np.max(np.abs(real.killing.gram))),
-        "killing_identically_zero": not real.killing.numer.size,
+        "killing_max_entry": float(np.max(np.abs(killing.numer), initial=0)
+                                   / float(killing.denom)),
+        "killing_identically_zero": not killing.numer.size,
         "realization": realization,
-        "pass": bool(jac.residual < STRUCT_TOL and form.is_even
+        "pass": bool(jac.residual == 0 and form.is_even
                      and form.is_supersymmetric and form.is_bi_invariant
                      and realization["pass"]),
     }

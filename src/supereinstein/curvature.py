@@ -126,12 +126,15 @@ def plan_curvature(alg: LieSuperAlgebra,
     connection keys. Raises
     :class:`~supereinstein.supercore.DegeneracyError` when the form is
     singular, and ValueError on a float form."""
-    g = form.gram
     n = alg.dim
-    inv_keys, inv, inv_denom = form.inverse
+    inv_keys, inv, inv_denom, _ = form.inverse
     block = alg.block_layout()
     nb = len(alg.decomposition) + 1
-    terms, values, rows = _koszul_terms(alg, g, third=True)
+    vals = form.numer / float(form.denom)  # the Gram's nonzeros
+    row_max = np.zeros(n)
+    np.maximum.at(row_max, form.keys // n, np.abs(vals))
+    terms, values, rows = _koszul_terms(alg, alg.numer / alg.denom, form.keys,
+                                        vals, third=True)
     rhs_keys, group = np.unique(terms, return_inverse=True)
     rhs = np.bincount(group * nb + block[rows], weights=values,
                       minlength=len(rhs_keys) * nb).reshape(-1, nb)
@@ -165,7 +168,7 @@ def plan_curvature(alg: LieSuperAlgebra,
         algebra=alg, keys=keys, key_k=gk.astype(int32),
         bracket_at=_positions(keys,
                               (idx[:, 0] * n + idx[:, 1]) * n + idx[:, 2]),
-        row_max=np.max(np.abs(g), axis=1, initial=0.0), koszul=koszul,
+        row_max=row_max, koszul=koszul,
         trace_at=trace_at.astype(int32), trace_j=gj[trace_at].astype(int32),
         trace_sign=sign[gi[trace_at]].astype(float),
         pair_a=a.astype(int32), pair_b=b.astype(int32),

@@ -336,7 +336,7 @@ def _coordinates(keys: np.ndarray, brackets: np.ndarray, owner: np.ndarray,
     numerators and the common denominator; refuses a bracket the
     coordinates do not rebuild."""
     try:
-        inv_keys, inv, denom = exact_inverse(
+        inv_keys, inv, denom, _ = exact_inverse(
             *_contract(flat, flat, val, val, owner, owner, span), span)
     except DegeneracyError:
         raise ValueError("the basis matrices are linearly dependent") from None

@@ -86,7 +86,7 @@ def casimir_on_odd(alg: LieSuperAlgebra, form: BilinearFormMatrix,
     action on the odd part with the nonzeros of d, then the result with the
     entries c[j, u, v] on (j, u). The operator must be exactly scalar;
     anything else is a verification failure, not a fallback path."""
-    keys, inv, denom = form.inverse
+    keys, inv, denom, _ = form.inverse
     dkeys, d = _block(keys, inv, form.dim, ideal)
     common = math.gcd(denom, int(np.gcd.reduce(d, initial=0)))
     d, ddenom = d // common, denom // common

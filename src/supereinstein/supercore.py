@@ -6,8 +6,8 @@ function. Structure constants are exact rationals, stored once as sparse
 integer numerators over one common denominator, and every contraction of
 them is a join over these entries: the Jacobi identity and the trace forms
 (the Killing form, an ideal's own Killing form, the trace of its action on
-the odd part) are summed exactly in int64; the bi-invariance check joins
-them with the nonzeros of the Gram matrix in float64. ``bracket``
+the odd part), and their join with an exact form's integer nonzeros in
+its bi-invariance check, are summed exactly in int64. ``bracket``
 scatters the entries directly. No (n, n, n) array is built, and a join
 whose pair count could exhaust memory is refused before it allocates. The
 Jacobi check, the largest join, streams over blocks of first indices
@@ -16,24 +16,21 @@ it refuses only a first index whose pairs alone are over the bound. An
 exact form keeps its integer nonzeros beside the float Gram derived from
 them, and :func:`exact_inverse`, the package's one inverse, inverts them
 exactly, one connected component of their pattern at a time; the form
-keeps that inverse, made once.
+keeps that inverse, made once, whose determinant decides its
+nondegeneracy: every verdict of :func:`check_form` is exact.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-# Verification residuals, relative to the max absolute Gram/tensor entry.
-VERIFY_TOL = 1e-10
-# Row-max-scaled determinant threshold for non-degeneracy.
-NONDEG_TOL = 1e-10
 # Largest number of entry pairs one join may expand to. A contraction
 # peaks at about 64 traced bytes per pair, so the bound holds one near
 # 200 MB. The Jacobi check applies it to the pairs of one first index
@@ -230,8 +227,9 @@ class BilinearFormMatrix:
     :class:`FormReport` of its axioms from :func:`check_form` (None when
     unchecked). An exact form (:func:`exact_form`) also keeps its nonzeros,
     integer ``numer`` over ``denom`` at the ascending flat keys
-    ``row * dim + col``; a float form (a metric, a Ricci tensor) has None
-    there. Degenerate forms are legal values, never errors.
+    ``row * dim + col``, which its checks and inverse read; a float form (a
+    metric, a Ricci tensor) has None there. Degenerate forms are legal
+    values, never errors.
     """
 
     gram: np.ndarray
@@ -263,11 +261,11 @@ class BilinearFormMatrix:
         return _block(self.keys, self.numer, self.dim, rng)
 
     @cached_property
-    def inverse(self) -> tuple[np.ndarray, np.ndarray, int]:
+    def inverse(self) -> tuple[np.ndarray, np.ndarray, int, int]:
         """The :func:`exact_inverse` of the integer matrix ``numer`` of an
-        exact form (the form's own inverse is ``denom`` times it), made
-        once, on first use; refuses a float form and raises
-        DegeneracyError on a singular one."""
+        exact form (the form's own inverse is ``denom`` times it) and that
+        matrix's |det|, made once, on first use; refuses a float form and
+        raises DegeneracyError on a singular one."""
         return exact_inverse(*self.block(range(self.dim)), self.dim)
 
 
@@ -288,12 +286,14 @@ def exact_form(alg: LieSuperAlgebra, keys: np.ndarray, numer: np.ndarray,
                denom: int = 1) -> BilinearFormMatrix:
     """The exact form on ``alg``'s basis with the nonzeros ``numer / denom``
     at the ascending flat keys ``row * dim + col``; its Gram is derived from
-    them, and it carries its :func:`check_form` report."""
+    them. The form itself, not a copy, gets its :func:`check_form` report,
+    so it keeps the inverse that check made."""
     gram = np.zeros(alg.dim * alg.dim)
     gram[keys] = numer / float(denom)
     form = BilinearFormMatrix(gram.reshape(alg.dim, alg.dim), keys=keys,
                               numer=numer, denom=denom)
-    return replace(form, report=check_form(alg, form))
+    object.__setattr__(form, "report", check_form(alg, form))
+    return form
 
 
 @dataclass(frozen=True)
@@ -304,28 +304,17 @@ class JacobiReport:
 
 @dataclass(frozen=True)
 class FormReport:
-    """Max residuals of the four form axioms, relative to the Gram scale."""
+    """The exact results of :func:`check_form`; each flag tests one for 0."""
 
     evenness: float
     supersymmetry: float
     bi_invariance: float
-    scaled_det: float
+    scaled_det: Fraction
 
-    @property
-    def is_even(self) -> bool:
-        return self.evenness < VERIFY_TOL
-
-    @property
-    def is_supersymmetric(self) -> bool:
-        return self.supersymmetry < VERIFY_TOL
-
-    @property
-    def is_bi_invariant(self) -> bool:
-        return self.bi_invariance < VERIFY_TOL
-
-    @property
-    def is_nondegenerate(self) -> bool:
-        return self.scaled_det > NONDEG_TOL
+    is_even = property(lambda self: self.evenness == 0)
+    is_supersymmetric = property(lambda self: self.supersymmetry == 0)
+    is_bi_invariant = property(lambda self: self.bi_invariance == 0)
+    is_nondegenerate = property(lambda self: self.scaled_det != 0)
 
 
 def _coefficients(alg: LieSuperAlgebra, *vectors) -> list[np.ndarray]:
@@ -377,19 +366,15 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     """K(e_i, e_j) = str(ad e_i o ad e_j) = sum_(k, m) (-1)**p_k c_jkm c_imk.
 
     The signed :func:`_trace_form` over all indices, an exact form over
-    ``denom**2``; evenness and supersymmetry are asserted exactly, and the
-    form carries its :func:`check_form` report.
+    ``denom**2`` that carries its :func:`check_form` report; raises
+    ValueError unless that report finds it even and supersymmetric.
     """
-    n = alg.dim
-    everything = range(n)
-    keys, acc = _trace_form(alg, everything, everything, signed=True)
-    p = alg.basis.parity_array()
-    i, j = np.divmod(keys, n)
-    at = np.minimum(np.searchsorted(keys, j * n + i), len(keys) - 1)
-    if np.any(p[i] != p[j]) or np.any(keys[at] != j * n + i) or np.any(
-            acc[at] != (1 - 2 * (p[i] & p[j])) * acc):
+    everything = range(alg.dim)
+    form = exact_form(alg, *_trace_form(alg, everything, everything, True),
+                      alg.denom**2)
+    if not (form.report.is_even and form.report.is_supersymmetric):
         raise ValueError("Killing form failed the evenness/supersymmetry check")
-    return exact_form(alg, keys, acc, alg.denom**2)
+    return form
 
 
 def _join(a_key: np.ndarray, b_key: np.ndarray,
@@ -560,22 +545,39 @@ def _jacobi_block_sums(alg: LieSuperAlgebra):
 
 
 def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:
-    """Verify evenness, supersymmetry, bi-invariance and non-degeneracy.
-
-    Residuals are reported relative to the largest Gram entry;
-    non-degeneracy is the absolute determinant after row-max scaling.
-    """
-    g = form.gram
-    if g.shape[0] != alg.dim:
+    """Decide the four axioms of the exact ``form`` B from its integer
+    nonzeros; refuses a float form. The residuals, over B's largest |entry|,
+    are the largest |entry| of B on mixed parity, of B - S B^T with
+    S = (-1)**(p_i p_j), and of B([e_i, e_j], e_k) - B(e_i, [e_j, e_k]), a
+    join summed in int64 over the numerators' gcd (refused if it could
+    overflow); the scaled determinant is |det B|, from B's one
+    :attr:`~BilinearFormMatrix.inverse`, over the product of its row maxima."""
+    n = alg.dim
+    if form.dim != n:
         raise ValueError("form is not defined on this algebra's basis")
-    scale = form.scale()
-    _, evenness, supersymmetry = _even_supersymmetric_part(alg, g)
-    keys, terms, _ = _koszul_terms(alg, g, third=False)
-    _, diff = _group_sum(keys, terms)
-    bi_invariance = float(np.max(np.abs(diff), initial=0.0)) / scale
-    scaled_det = _scaled_abs_det(g)
-    return FormReport(evenness / scale, supersymmetry / scale, bi_invariance,
-                      scaled_det)
+    keys, numer = form.block(range(n))  # refuses a float form
+    row, col = np.divmod(keys, n)
+    p = alg.basis.parity_array()
+    row_max = np.zeros(n, dtype=np.int64)
+    np.maximum.at(row_max, row, np.abs(numer))
+    big = int(row_max.max(initial=0)) or 1
+    common = int(np.gcd.reduce(numer, initial=0)) or 1
+    if 2 * n * big * int(np.abs(alg.numer).max(initial=0)) >= 2**63 * common:
+        raise ValueError(f"bi-invariance sums on dim {n} could overflow int64")
+    # B - S B^T as Python ints, which the difference of two int64s may need
+    _, skew = _group_sum(np.concatenate([keys, col * n + row]), np.concatenate(
+        [numer, (2 * (p[row] & p[col]) - 1) * numer]).astype(object))
+    _, diff = _group_sum(*_koszul_terms(alg, alg.numer, keys, numer // common,
+                                        third=False)[:2])
+    try:
+        det = form.inverse[3] if row_max.all() else 0
+    except DegeneracyError:
+        det = 0
+    return FormReport(
+        int(np.abs(numer[p[row] != p[col]]).max(initial=0)) / big,
+        max(map(abs, skew), default=0) / big,
+        int(np.abs(diff).max(initial=0)) * common / (alg.denom * big),
+        Fraction(det, math.prod(row_max.tolist()) or 1))
 
 
 def _even_supersymmetric_part(alg: LieSuperAlgebra,
@@ -598,18 +600,18 @@ def _even_supersymmetric_part(alg: LieSuperAlgebra,
     return part, evenness, supersymmetry
 
 
-def _koszul_terms(alg: LieSuperAlgebra, g: np.ndarray,
-                  third: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keys ``(i * n + j) * n + k``, values and Gram rows of the sparse terms
+def _koszul_terms(alg: LieSuperAlgebra, c: np.ndarray, keys: np.ndarray,
+                  vals: np.ndarray, third: bool) -> tuple:
+    """Keys ``(i * n + j) * n + k``, values and g rows of the sparse terms
     of g([e_i, e_j], e_k) - g(e_i, [e_j, e_k]) and, with ``third``, of
-    -(-1)**(p_i p_j) g(e_j, [e_i, e_k]): joins of the structure constants
-    with the nonzeros of the Gram matrix. Grouping them sums the terms per
-    (i, j, k). Each term reads one Gram entry, in the returned row, so a
-    Gram with its rows scaled by d scales each term by d[row]."""
+    -(-1)**(p_i p_j) g(e_j, [e_i, e_k]): joins of the structure constants,
+    valued ``c``, with the nonzeros ``vals`` of g at the flat ``keys``,
+    in their dtype. Grouping them sums the terms per (i, j, k). Each term
+    reads one entry of g, in the returned row, so a g with its rows scaled
+    by d scales each term by d[row]."""
     n = alg.dim
-    idx, c = alg.index, alg.numer / alg.denom
-    rows, cols = np.nonzero(g)
-    vals = g[rows, cols]
+    idx = alg.index
+    rows, cols = np.divmod(keys, n)
     # c[i, j, m] g[m, k], then c[j, k, m] g[i, m]
     a, q = _join(idx[:, 2], rows)
     keys = [(idx[a, 0] * n + idx[a, 1]) * n + cols[q]]
@@ -629,27 +631,18 @@ def _koszul_terms(alg: LieSuperAlgebra, g: np.ndarray,
     return np.concatenate(keys), np.concatenate(terms), np.concatenate(read)
 
 
-def _scaled_abs_det(g: np.ndarray) -> float:
-    row_max = np.max(np.abs(g), axis=1)
-    if np.any(row_max < 1e-300):
-        return 0.0
-    sign, logdet = np.linalg.slogdet(g / row_max[:, None])
-    if sign == 0:
-        return 0.0
-    return float(np.exp(logdet))
-
-
 def exact_inverse(keys: np.ndarray, numer: np.ndarray,
-                  size: int) -> tuple[np.ndarray, np.ndarray, int]:
+                  size: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """The inverse of the symmetric integer (size, size) matrix with the
     nonzeros ``numer`` at the ascending flat keys ``row * size + col``,
     exactly: the ascending keys of its nonzeros, their numerators and one
-    positive common denominator.
+    positive common denominator; and the matrix's |det|, a Python int.
 
     Each connected component of the nonzero pattern is a diagonal block of
     the matrix and of its inverse, so each is inverted on its own: those of
     one or two indices by their adjugates over their determinants, all at
-    once, and each larger one by fraction-free Gauss-Jordan. Raises
+    once, and each larger one by fraction-free Gauss-Jordan, whose last
+    pivot is its determinant; |det| is their product. Raises
     DegeneracyError naming the indices of a singular component; refuses
     numerators that could overflow int64.
     """
@@ -665,7 +658,8 @@ def exact_inverse(keys: np.ndarray, numer: np.ndarray,
     members = np.argsort(label, kind="stable")  # by component, ascending
     place = np.argsort(members)  # of each index in members
     counts = np.bincount(label, minlength=size)  # of each component, by label
-    found, padded_keys, padded = [], np.append(keys, -1), np.append(numer, 0)
+    found, absdet = [], 1
+    padded_keys, padded = np.append(keys, -1), np.append(numer, 0)
     for k in sorted(set(counts.tolist()) - {0}):
         index = members[place[counts == k][:, None] + np.arange(k)]
         flat = (index[:, :, None] * size + index[:, None]).reshape(-1, k * k)
@@ -677,12 +671,13 @@ def exact_inverse(keys: np.ndarray, numer: np.ndarray,
             adj = block[:, [3, 1, 2, 0]] * [1, -1, -1, 1]
             det = block[:, 0] * block[:, 3] - block[:, 1] * block[:, 2]
         else:
-            adj, det = map(np.array, zip(*map(
-                _gauss_jordan, block.reshape(-1, k, k).tolist())))
-            adj = adj.reshape(-1, k * k)
+            adj, det, pivot = zip(*map(_gauss_jordan,
+                                       block.reshape(-1, k, k).tolist()))
+            adj, det = np.reshape(adj, (-1, k * k)), np.array(det)
         if not det.all():
             bad = index[np.argmin(np.abs(det))].tolist()
             raise DegeneracyError(f"form is singular on the indices {bad}")
+        absdet *= abs(math.prod(pivot if k > 2 else det.tolist()))
         found.append((flat.ravel(), (adj * np.sign(det)[:, None]).ravel(),
                       np.repeat(np.abs(det), k * k)))
     keys, adj, det = map(np.concatenate, zip(*found))
@@ -691,21 +686,22 @@ def exact_inverse(keys: np.ndarray, numer: np.ndarray,
         raise ValueError(f"an inverse over {denom} could overflow int64")
     keep = adj != 0
     order = np.argsort(keys[keep])
-    return keys[keep][order], (adj * (denom // det))[keep][order], denom
+    return (keys[keep][order], (adj * (denom // det))[keep][order], denom,
+            absdet)
 
 
-def _gauss_jordan(a: list) -> tuple[list, int]:
-    """D A^-1 and D for a square integer matrix A, by fraction-free
-    Gauss-Jordan elimination (Bareiss), whose divisions are exact, with D
-    the last pivot, +-det A, over the gcd of all: A^-1 in lowest terms. The
-    matrix itself and 0 when it is singular."""
+def _gauss_jordan(a: list) -> tuple[list, int, int]:
+    """D A^-1, D and the last pivot, +-det A, for a square integer matrix
+    A, by fraction-free Gauss-Jordan elimination (Bareiss), whose divisions
+    are exact, with D the last pivot over the gcd of all: A^-1 in lowest
+    terms. The matrix itself, 0 and 0 when it is singular."""
     n = len(a)
     m = [row + [int(r == c) for c in range(n)] for r, row in enumerate(a)]
     prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
-            return a, 0
+            return a, 0, 0
         m[col], m[piv] = m[piv], m[col]
         for r in range(n):
             if r != col:
@@ -713,7 +709,7 @@ def _gauss_jordan(a: list) -> tuple[list, int]:
                 m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], m[col])]
         prev = m[col][col]
     common = math.gcd(prev, *(v for row in m for v in row[n:]))
-    return [[v // common for v in row[n:]] for row in m], prev // common
+    return [[v // common for v in row[n:]] for row in m], prev // common, prev
 
 
 # ---------------------------------------------------------------------------

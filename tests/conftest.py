@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from supereinstein import families
+from supereinstein.supercore import exact_form
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +83,27 @@ def dense_integers(keys, numer, size):
     out = np.zeros(size * size, dtype=np.int64)
     out[keys] = numer
     return out.reshape(size, size)
+
+
+def integer_form(alg, mat):
+    """The exact form on ``alg``'s basis with the dense integer matrix
+    ``mat``, checked on construction."""
+    keys = np.flatnonzero(mat)
+    return exact_form(alg, keys, np.asarray(mat, dtype=np.int64).ravel()[keys])
+
+
+def exact_metric(real, x):
+    """The metric D B of the rational block factors ``x`` as an exact form:
+    the canonical form's numerators scaled by the integers
+    ``x_i * lcm(denominators)`` per row, over ``denom * lcm``."""
+    x = [Fraction(v) for v in x] + [Fraction(1)]
+    scale = math.lcm(*(v.denominator for v in x))
+    factors = np.array([int(v * scale) for v in x])[
+        real.algebra.block_layout()]
+    form = real.canonical_form
+    return exact_form(real.algebra, form.keys,
+                      form.numer * factors[form.keys // form.dim],
+                      form.denom * scale)
 
 
 def dense_odd_action(alg, ideal):

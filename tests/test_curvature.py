@@ -27,8 +27,8 @@ from supereinstein.supercore import (
     killing_form,
 )
 
-from conftest import dense_connection, dense_constants, parity_sign_matrix, \
-    seeded_params
+from conftest import dense_connection, dense_constants, exact_metric, \
+    parity_sign_matrix, seeded_params
 
 
 def identity_form(alg):
@@ -110,9 +110,12 @@ class TestMetricFromParams:
     def test_flags(self, osp32):
         metric = metric_from_params(osp32, MetricParams((2.0, 0.5)))
         assert metric.report is None
-        report = check_form(osp32.algebra, metric)
+        exact = exact_metric(osp32, (2, Fraction(1, 2)))
+        assert np.array_equal(exact.gram, metric.gram)
+        report = check_form(osp32.algebra, exact)
         assert report.is_even and report.is_supersymmetric
         assert not report.is_bi_invariant
+        assert report.is_nondegenerate
 
     def test_zero_param_rejected(self):
         with pytest.raises(ValueError):

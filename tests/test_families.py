@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import math
 import weakref
 from fractions import Fraction
 
@@ -359,12 +360,16 @@ class TestExactInverse:
         assert len(grams) == 1  # the Frobenius Gram of the basis
         for keys, numer, size in grams + [(*form.block(range(form.dim)),
                                            form.dim)]:
-            inv_keys, inv, denom = supercore.exact_inverse(keys, numer, size)
+            inv_keys, inv, denom, det = supercore.exact_inverse(keys, numer,
+                                                                size)
             assert np.all(np.diff(inv_keys) > 0) and np.all(inv != 0)
-            product = dense_integers(keys, numer, size) \
-                @ dense_integers(inv_keys, inv, size)
+            dense = dense_integers(keys, numer, size)
+            product = dense @ dense_integers(inv_keys, inv, size)
             assert np.array_equal(product,
                                   denom * np.eye(size, dtype=np.int64))
+            sign, logdet = np.linalg.slogdet(dense)
+            assert sign != 0 and math.log(det) == pytest.approx(logdet,
+                                                                 rel=1e-12)
 
     def test_one_inverse_per_form_over_a_report(self, monkeypatch):
         # each realization inverts its Frobenius Gram and its canonical form,

@@ -3,10 +3,10 @@ no module-level import goes unused, no module-level private function or
 constant and no public definition or method is left without a reference
 anywhere in the package (``__all__`` counts as one), no module calls
 ``einsum`` or ``np.outer``, the front end compares no family kind, only
-the catalog makes family records inside ``families``, and no float inverse
-or solve is left: one exact inverse serves the basis coordinates, the
-Casimir duals and the curvature plan. One function writes JSON, with
-json's C encoder."""
+the catalog makes family records inside ``families``, and nothing calls
+``np.linalg``: one exact inverse serves the basis coordinates, the form
+checks, the Casimir duals and the curvature plan. One function writes JSON,
+with json's C encoder."""
 
 import ast
 import functools
@@ -130,6 +130,16 @@ def _call_sites(tree: ast.AST, name: str) -> list:
             and ast.unparse(node.func) == name]
 
 
+def _linalg_sites(tree: ast.AST) -> list:
+    """Line numbers of the uses of a ``linalg`` module: every attribute
+    ``linalg`` (so every ``np.linalg.*`` call) and every import that names
+    one (so every alias of it)."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "linalg"
+                  or isinstance(node, (ast.Import, ast.ImportFrom))
+                  and "linalg" in ast.unparse(node))
+
+
 def _callers(tree: ast.Module, name: str) -> set:
     """The module-level functions of ``tree`` that call ``name``, and its
     classes' methods that do, as ``Class.method``."""
@@ -149,13 +159,13 @@ def test_only_the_catalog_makes_family_records():
 
 
 def test_only_the_form_itself_inverts_a_form():
-    # no float inverse or solve is left: every metric of a family is g = D B,
-    # so g^-1 = B^-1 D^-1, and the one exact inverse of B, kept with B,
-    # serves every metric and the dual bases of the Casimir operators; the
-    # same kernel gives the coordinates of a matrix basis
+    # no np.linalg call is left: every metric of a family is g = D B, so
+    # g^-1 = B^-1 D^-1, and the one exact inverse of B, kept with B, serves
+    # every metric, the dual bases of the Casimir operators and B's own
+    # nondegeneracy check; the same kernel gives the coordinates of a
+    # matrix basis
     for path in MODULES:
-        for name in ("np.linalg.inv", "np.linalg.solve"):
-            assert _call_sites(_tree(path), name) == [], (path.name, name)
+        assert _linalg_sites(_tree(path)) == [], path.name
     callers = {(path.name, fn) for path in MODULES
                for fn in _callers(_tree(path), "exact_inverse")}
     assert callers == {("families.py", "_coordinates"),
@@ -224,6 +234,14 @@ def test_checks_catch_what_they_look_for():
     assert len(_call_sites(tree, "np.linalg.inv")) == 3
     assert _callers(tree, "np.linalg.inv") == {"plan", "metric",
                                                "Form.inverse"}
+    assert _linalg_sites(tree) == [2, 4, 4, 7]
+    tree = ast.parse("import numpy.linalg\n"
+                     "from numpy.linalg import slogdet\n"
+                     "from numpy import linalg as la\n"
+                     "sign, logdet = np.linalg.slogdet(g)\n"
+                     "lu = scipy.linalg.lu\n"
+                     "detail = np.asarray(g)\n")
+    assert _linalg_sites(tree) == [1, 2, 3, 4, 5]
     tree = ast.parse("def sign(p):\n"
                      "    return 1.0 - 2.0 * np.outer(p, p)\n"
                      "def mixed(p, np):\n"

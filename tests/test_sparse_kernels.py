@@ -7,6 +7,7 @@ here only, as independent references.
 
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -36,7 +37,8 @@ from supereinstein.supercore import (
 )
 
 from conftest import dense_casimir, dense_connection, dense_constants, \
-    dense_odd_action, parity_sign_matrix, seeded_params, sign_vector
+    dense_odd_action, exact_metric, integer_form, parity_sign_matrix, \
+    seeded_params, sign_vector
 
 REALIZABLE = [spec for spec in families.catalog(3) if spec.realizable]
 TOL = 1e-12
@@ -122,8 +124,12 @@ def test_kernels_match_dense_oracles(spec):
         params, metric = seeded_metric(real, [seed, alg.dim])
         g = metric.gram
         scale = metric.scale()
-        assert abs(check_form(alg, metric).bi_invariance
-                   - dense_bi_invariance(alg, g) / scale) <= TOL
+        # the same check on the exact metric of the nearest nonzero halves
+        exact = exact_metric(real, [Fraction(round(2 * x) or 1, 2)
+                                    for x in params.x])
+        assert abs(check_form(alg, exact).bi_invariance
+                   - dense_bi_invariance(alg, exact.gram) / exact.scale()) \
+            <= TOL
         conn, ric = planned(plan, real, params)
         first = first or (params, conn.values, ric)
         gamma = dense_koszul(alg, g)
@@ -140,8 +146,8 @@ def test_kernels_match_dense_oracles(spec):
 
 def test_bi_invariance_of_a_random_form_matches_oracle(sl21):
     alg = sl21.algebra
-    m = np.random.default_rng(3).normal(size=(alg.dim, alg.dim))
-    form = BilinearFormMatrix(m + m.T)
+    m = np.random.default_rng(3).integers(-9, 10, size=(alg.dim, alg.dim))
+    form = integer_form(alg, m + m.T)
     residual = check_form(alg, form).bi_invariance
     assert residual > 0.1
     assert residual == pytest.approx(

@@ -24,7 +24,8 @@ from supereinstein.supercore import (
 )
 
 from conftest import defining_matrices, dense_constants, dense_integers, \
-    exact_entries, expand_in_basis, parity_sign_matrix, sign_vector
+    exact_entries, expand_in_basis, integer_form, parity_sign_matrix, \
+    sign_vector
 
 
 def unit(n, i):
@@ -504,11 +505,52 @@ class TestCheckForm:
         rep = check_form(psl22.algebra, psl22.canonical_form)
         assert rep.is_bi_invariant and rep.is_nondegenerate
 
+    def test_cartan_chain_is_nondegenerate_exactly(self):
+        # A(m,0)'s Cartan chain makes the scaled determinant (m + 1) / 2**m:
+        # 7.3e-11 at m = 39, under any float threshold, and still nonzero
+        for m in (1, 3, 39):
+            real = families.realize(families.family_spec("A", m, 0))
+            report = real.canonical_form.report
+            assert report.scaled_det == Fraction(m + 1, 2**m)
+            assert report.is_nondegenerate
+
+    def test_one_perturbed_entry_fails_its_axiom(self, osp32):
+        # the canonical form times 1000 passes; one entry moved by 1 fails
+        # the axiom it breaks, by 1 over the largest entry where it is a
+        # key lookup, and a diagonal entry moved breaks bi-invariance only
+        alg, form = osp32.algebra, osp32.canonical_form
+        base = 1000 * dense_integers(form.keys, form.numer, alg.dim)
+        assert check_form(alg, integer_form(alg, base)) == form.report
+        for axiom, at in (("even", (0, alg.dim_even)),
+                          ("supersymmetric", (0, 1)),
+                          ("bi_invariant", (0, 0))):
+            moved = base.copy()
+            moved[at] += 1
+            report = check_form(alg, integer_form(alg, moved))
+            residual = {"even": report.evenness,
+                        "supersymmetric": report.supersymmetry,
+                        "bi_invariant": report.bi_invariance}[axiom]
+            assert 0 < residual < 1e-3 and not getattr(report, f"is_{axiom}")
+            if axiom != "bi_invariant":
+                assert residual == 1 / np.max(np.abs(moved))
+        assert report.is_even and report.is_supersymmetric
+
+    def test_bi_invariance_overflow_refused(self, sl21):
+        # coprime numerators near 2**60: the int64 sums could overflow
+        n = sl21.algebra.dim
+        with pytest.raises(ValueError, match="bi-invariance.*overflow int64"):
+            integer_form(sl21.algebra, np.diag([2**60 + 1] + [1] * (n - 1)))
+
+    def test_float_form_refused(self, sl21):
+        with pytest.raises(ValueError, match="exact form is needed") as err:
+            check_form(sl21.algebra, BilinearFormMatrix(np.eye(sl21.algebra.dim)))
+        assert "\n" not in str(err.value)
+
     def test_random_symmetric_form_not_invariant(self, sl21):
         rng = np.random.default_rng(7)
         n = sl21.algebra.dim
-        m = rng.normal(size=(n, n))
-        form = BilinearFormMatrix(m + m.T)
+        m = rng.integers(-9, 10, size=(n, n))
+        form = integer_form(sl21.algebra, m + m.T)
         assert not check_form(sl21.algebra, form).is_bi_invariant
 
 
@@ -556,14 +598,16 @@ class TestDualBasis:
     inverse of the block."""
 
     def test_orthonormal_is_self_dual(self):
-        keys, numer, denom = exact_inverse(np.array([0, 5, 10, 15]),
-                                           np.ones(4, dtype=np.int64), 4)
+        keys, numer, denom, det = exact_inverse(np.array([0, 5, 10, 15]),
+                                                np.ones(4, dtype=np.int64), 4)
         assert keys.tolist() == [0, 5, 10, 15] and numer.tolist() == [1] * 4
-        assert denom == 1
+        assert denom == 1 and det == 1
 
     def test_diagonal_scaling(self):
-        keys, numer, denom = exact_inverse(np.array([0, 3]), np.array([2, 1]), 2)
+        keys, numer, denom, det = exact_inverse(np.array([0, 3]),
+                                                np.array([2, 1]), 2)
         assert (keys.tolist(), numer.tolist(), denom) == ([0, 3], [1, 2], 2)
+        assert det == 2
 
     def test_osp32_ideal_round_trip(self, osp32):
         k = killing_form(osp32.algebra)
