@@ -167,10 +167,13 @@ def cmd_build(args) -> int:
 def _structural(real) -> dict:
     """The structural checks of one realization, as ``build`` prints them;
     ``pass`` when the Jacobi identity, the canonical form's evenness,
-    supersymmetry and bi-invariance, and :func:`verify_realization` hold."""
+    supersymmetry, bi-invariance and nondegeneracy, and
+    :func:`verify_realization` hold."""
     jac = check_super_jacobi(real.algebra)
     form, killing = real.canonical_form.report, real.killing
-    realization, _ = verify_realization(real)
+    # the invariants need the form's inverse, which a singular form lacks
+    realization = (verify_realization(real)[0] if form.is_nondegenerate
+                   else {"pass": False})
     return {
         "jacobi_residual": jac.residual,
         "jacobi_worst_triple": list(jac.worst_triple),
@@ -186,7 +189,7 @@ def _structural(real) -> dict:
         "realization": realization,
         "pass": bool(jac.residual == 0 and form.is_even
                      and form.is_supersymmetric and form.is_bi_invariant
-                     and realization["pass"]),
+                     and form.is_nondegenerate and realization["pass"]),
     }
 
 
@@ -318,6 +321,10 @@ def _run_solve(args, require_verified: bool) -> int:
     real, sols, omitted, ok = _family_solutions(spec, args.cmax, args.tol)
     for note in _notes(spec.name, sols, omitted, args.cmax, args.tol, ""):
         print(note, file=sys.stderr)
+    found = len(sols) + omitted
+    if spec.single_metric and found != 1:
+        print(f"note: {spec.name}: {found} solutions found, but the family "
+              f"has exactly one Einstein metric", file=sys.stderr)
     data = spec.data
     doc = {"family": spec.name,
            "params": {"m": spec.m, "n": spec.n, "alpha": spec.alpha},
@@ -366,8 +373,10 @@ def _data_json(data) -> dict:
 
 def _route_equivalence(real, rng, draws: int) -> float:
     """The largest deviation between the Koszul and blockwise connections
-    and between the direct and closed-form Ricci tensors, over ``draws``
-    random metrics evaluated through the realization's curvature plan."""
+    and between the direct and closed-form Ricci tensors, compared on the
+    Ricci slots, over ``draws`` random metrics evaluated through the
+    realization's curvature plan."""
+    plan = real.curvature_plan
     worst = 0.0
     for _ in range(draws):
         vals = []
@@ -378,10 +387,10 @@ def _route_equivalence(real, rng, draws: int) -> float:
         params = MetricParams(tuple(vals))
         conn_k, ric_d, ric_c = ricci_routes(real, params)
         dev = conn_k.values.copy()
-        dev[real.curvature_plan.bracket_at] -= \
-            levi_civita_blockwise(real, params).values
+        dev[plan.bracket_at] -= levi_civita_blockwise(real, params).values
         worst = max(worst, float(np.max(np.abs(dev), initial=0.0)))
-        worst = max(worst, float(np.max(np.abs(ric_d.gram - ric_c.gram))))
+        worst = max(worst, float(np.max(np.abs(
+            plan.at_slots(ric_d) - plan.at_slots(ric_c)), initial=0.0)))
     return worst
 
 

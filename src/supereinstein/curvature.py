@@ -23,7 +23,13 @@ A connection is sparse: its Christoffel symbols are stored at flat keys
 ``(i * n + j) * n + k``, and no route allocates a dense (n, n, n) array.
 The metric and the closed-form Ricci tensor are the canonical form B with
 its rows scaled by one factor per block: B is even, supersymmetric and zero
-across blocks, and a block-constant row scaling keeps all three.
+across blocks, and a block-constant row scaling keeps all three, so both
+are stored on B's nonzeros. The direct Ricci tensor lives on the plan's
+Ricci slots: the entries its terms reach and B's nonzeros, closed under
+transposition, each with its mirror slot and its parity class. Its even
+supersymmetric part is slot arithmetic, and every comparison of the two
+routes with each other or with c g reads the slots
+(:meth:`CurvaturePlan.at_slots`), so no (n, n) array is made.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ import numpy as np
 from .supercore import (
     BilinearFormMatrix,
     LieSuperAlgebra,
-    _even_supersymmetric_part,
     _join,
     _koszul_terms,
 )
@@ -84,8 +89,11 @@ class CurvaturePlan:
     Ricci, from the symbols G at ``keys``: w = the sum of
     ``trace_sign * G[trace_at]`` per ``trace_j``; then G w[key_k],
     ``pair_sign * G[pair_a] G[pair_b]`` and
-    ``bracket_values * G[bracket_from]``, in this order, are summed per flat
-    (x, y) entry ``ric_at``."""
+    ``bracket_values * G[bracket_from]``, in this order, are summed per
+    slot ``ric_at``. The slots are the ascending flat (x, y) keys the terms
+    reach and B's, closed under transposition: slot s holds entry
+    ``slots[s]``, its transpose is slot ``mirror[s]`` and ``slot_parity[s]``
+    is p_x + p_y."""
 
     algebra: LieSuperAlgebra
     keys: np.ndarray  # ascending flat (i, j, k) keys of the symbols, int64
@@ -101,20 +109,71 @@ class CurvaturePlan:
     pair_sign: np.ndarray
     bracket_from: np.ndarray
     bracket_values: np.ndarray
-    ric_at: np.ndarray
+    ric_at: np.ndarray  # the slot of each Ricci term
+    slots: np.ndarray  # ascending flat (x, y) keys, int64
+    mirror: np.ndarray
+    slot_parity: np.ndarray  # 0 even-even, 1 mixed, 2 odd-odd
 
     def __post_init__(self):
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
+    def at_slots(self, form: BilinearFormMatrix) -> np.ndarray:
+        """The values of ``form``, whose entries must lie on the slots (a
+        metric, either Ricci tensor), at every slot: zero where it has
+        none."""
+        if form.keys is self.slots:
+            return form.values
+        out = np.zeros(len(self.slots))
+        out[_positions(self.slots, form.keys)] = form.values
+        return out
+
 
 def _positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Where the ascending symbol keys ``wanted`` sit among a plan's."""
+    """Where the ascending keys ``wanted`` sit among a plan's ``keys``, its
+    symbols' or its slots'."""
     at = np.searchsorted(keys, wanted)
     if np.any(at == len(keys)) or np.any(keys[at] != wanted):
-        raise ValueError("connection has symbols outside the plan's pattern")
+        raise ValueError("entries outside the plan's pattern")
     return at.astype(np.int32)
+
+
+def _slot_layout(keys: np.ndarray, parity: np.ndarray,
+                 n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slots of the flat (x, y) ``keys`` of an (n, n) form: their
+    distinct values and transposes, ascending; the slot of each one's
+    transpose; and each one's parity class p_x + p_y. Distinct values are
+    taken from a sort, many times faster than numpy 2's hashed
+    ``np.unique`` on a million keys."""
+    def distinct(values):
+        values = np.sort(values)
+        return values[np.diff(values, prepend=-1) != 0]
+
+    keys = distinct(keys)
+    row, col = np.divmod(keys, n)
+    slots = distinct(np.concatenate([keys, col * n + row]))
+    row, col = np.divmod(slots, n)
+    mirror = np.searchsorted(slots, col * n + row).astype(np.int32)
+    return slots, mirror, (parity[row] + parity[col]).astype(np.int8)
+
+
+def _even_supersymmetric_part(mirror: np.ndarray, slot_parity: np.ndarray,
+                              vals: np.ndarray) -> tuple[np.ndarray, float,
+                                                         float]:
+    """The even supersymmetric part of a bilinear form given by its values
+    ``vals`` on slots (:func:`_slot_layout`), (v + S v^T)/2 with
+    S = (-1)**(p_x p_y) and its mixed-parity entries zeroed, and how far
+    the form is from it, unscaled: its largest mixed-parity |entry| and the
+    largest |v - S v^T|. S is -1 on the odd-odd slots only."""
+    mixed = slot_parity == 1
+    evenness = float(np.max(np.abs(vals[mixed]), initial=0.0))
+    transposed = vals[mirror]
+    transposed[slot_parity == 2] *= -1.0
+    supersymmetry = float(np.max(np.abs(vals - transposed), initial=0.0))
+    part = 0.5 * (vals + transposed)
+    part[mixed] = 0.0
+    return part, evenness, supersymmetry
 
 
 def plan_curvature(alg: LieSuperAlgebra,
@@ -162,7 +221,10 @@ def plan_curvature(alg: LieSuperAlgebra,
     # c[z, x, m] G[m, y, z], joined on (m, z)
     idx = alg.index
     a2, b2 = _join(idx[:, 2] * n + idx[:, 0], gi * n + gk)
-    ric_at = np.concatenate([ij, gi[b] * n + gj[a], idx[a2, 1] * n + gj[b2]])
+    ric_keys = np.concatenate([ij, gi[b] * n + gj[a],
+                               idx[a2, 1] * n + gj[b2]])
+    slots, mirror, slot_parity = _slot_layout(
+        np.concatenate([ric_keys, form.keys]), p, n)
     int32 = np.int32
     return CurvaturePlan(
         algebra=alg, keys=keys, key_k=gk.astype(int32),
@@ -175,7 +237,8 @@ def plan_curvature(alg: LieSuperAlgebra,
         pair_sign=pair_sign.astype(float),
         bracket_from=b2.astype(int32),
         bracket_values=-sign[idx[a2, 0]] * (alg.numer[a2] / alg.denom),
-        ric_at=ric_at.astype(int32))
+        ric_at=np.searchsorted(slots, ric_keys).astype(int32), slots=slots,
+        mirror=mirror, slot_parity=slot_parity)
 
 
 def _check_params(real, params: MetricParams) -> None:
@@ -192,11 +255,18 @@ def metric_factors(real, params: MetricParams) -> np.ndarray:
     return np.append(params.x, 1.0)[real.algebra.block_layout()]
 
 
+def _rows_scaled(form: BilinearFormMatrix,
+                 scale: np.ndarray) -> BilinearFormMatrix:
+    """The float form D B of ``form`` B and D = diag(``scale``), on B's
+    nonzeros."""
+    return BilinearFormMatrix(form.dim, form.keys,
+                              scale[form.keys // form.dim] * form.values)
+
+
 def metric_from_params(real, params: MetricParams) -> BilinearFormMatrix:
     """The canonical form with each even block scaled by its x_i and the odd
     block fixed; the metric carries no report."""
-    scale = metric_factors(real, params)
-    return BilinearFormMatrix(scale[:, None] * real.canonical_form.gram)
+    return _rows_scaled(real.canonical_form, metric_factors(real, params))
 
 
 def levi_civita_koszul(plan: CurvaturePlan,
@@ -241,7 +311,9 @@ def ricci_direct(plan: CurvaturePlan, conn: Connection,
 
     With G the symbols and w_m = sum_z (-1)**p_z G_zmz, the three sparse
     terms are sum_m G_xym w_m, -sum_(z, m) (-1)**(p_z + p_z p_x) G_zym G_xmz
-    and -sum_(z, m) (-1)**p_z c_zxm G_myz.
+    and -sum_(z, m) (-1)**p_z c_zxm G_myz, summed by one bincount over the
+    plan's Ricci slots; the tensor returned is their even supersymmetric
+    part, on those slots.
     """
     n = plan.algebra.dim
     if conn.keys is plan.keys:
@@ -257,13 +329,14 @@ def ricci_direct(plan: CurvaturePlan, conn: Connection,
     np.multiply(gv[plan.pair_a], gv[plan.pair_b], out=vals[first:second])
     vals[first:second] *= plan.pair_sign
     np.multiply(plan.bracket_values, gv[plan.bracket_from], out=vals[second:])
-    mat = np.bincount(plan.ric_at, weights=vals, minlength=n * n).reshape(n, n)
-    part, even_res, sym_res = _even_supersymmetric_part(plan.algebra, mat)
+    part, even_res, sym_res = _even_supersymmetric_part(
+        plan.mirror, plan.slot_parity,
+        np.bincount(plan.ric_at, weights=vals, minlength=len(plan.slots)))
     d = np.ones(n) if factors is None else factors
     scale = float(np.max(np.abs(d) * plan.row_max, initial=0.0)) or 1.0
     if max(sym_res, even_res) > RICCI_SYM_TOL * scale:
         raise ValueError("Ricci tensor failed the evenness/supersymmetry check")
-    return BilinearFormMatrix(part)
+    return BilinearFormMatrix(n, plan.slots, part)
 
 
 def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:
@@ -283,8 +356,8 @@ def ricci_closed_form(real, params: MetricParams) -> BilinearFormMatrix:
         factors.append(-xi * xi / 4.0 if rng.kind == "abelian"
                        else (inv.l * xi * xi - 1.0) / (4.0 * inv.b))
         odd += (xi / 2.0 - 1.0) * inv.gamma
-    scale = np.append(factors, odd)[alg.block_layout()]
-    return BilinearFormMatrix(scale[:, None] * real.canonical_form.gram)
+    return _rows_scaled(real.canonical_form,
+                        np.append(factors, odd)[alg.block_layout()])
 
 
 def ricci_routes(real, params: MetricParams) -> tuple[

@@ -71,6 +71,8 @@ def system_residual(data: FamilyData, x, c: float) -> float:
 
 # Grid steps per coarse cell of the enclosure pass in :func:`solve`.
 _BLOCK = 64
+# Grid points one chunk of the fine pass of :func:`solve` owns at most.
+_CHUNK = _BLOCK * _BLOCK
 
 
 def _branch_roots(data: FamilyData, i: int, c) -> dict:
@@ -150,27 +152,17 @@ def _refine_tangent(f, c0: float) -> float:
     return c
 
 
-def _check_scan_size(count: int, what: str) -> None:
-    if count > MAX_JOIN_PAIRS:
-        raise ValueError(f"the c-grid scan needs {count:,} {what}, over the "
-                         f"{MAX_JOIN_PAIRS:,}-element memory limit; use a "
-                         f"smaller c window")
-
-
-def _kept_points(nodes, kept, n_grid: int):
-    """Sorted grid indices of the kept coarse cells, each widened by one
-    grid point on both sides, without repeats."""
+def _runs(nodes, kept, n_grid: int):
+    """The grid indices of the kept coarse cells, each widened by one grid
+    point on both sides, as maximal runs of consecutive indices: ascending
+    inclusive (first, last) pairs. Ranges that overlap or abut join one
+    run, so two grid points are neighbours in a run exactly when their
+    indices are."""
     starts = np.maximum(nodes[kept] - 1, 0)
     stops = np.minimum(nodes[kept + 1] + 1, n_grid)
-    # merge the ranges of adjacent kept cells, which overlap, into runs
-    fresh = np.append(True, starts[1:] > stops[:-1])
-    run_starts = starts[fresh]
-    run_stops = stops[np.append(fresh[1:], True)]
-    lengths = run_stops - run_starts + 1
-    total = int(lengths.sum())
-    _check_scan_size(total, "fine-pass points")
-    offsets = np.cumsum(lengths) - lengths
-    return np.arange(total) + np.repeat(run_starts - offsets, lengths)
+    fresh = np.append(True, starts[1:] > stops[:-1] + 1)
+    return zip(starts[fresh].tolist(),
+               stops[np.append(fresh[1:], True)].tolist())
 
 
 def solve(data: FamilyData, c_window: float = C_WINDOW,
@@ -189,20 +181,29 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
     ideal's terms at every ``_BLOCK``-th grid point, once for all branches,
     and drops each coarse cell whose enclosure lies outside
     ``[-2 TANGENT_PROBE, 2 TANGENT_PROBE]``: it can hold no zero, sign
-    change or small minimum of |g|. On the kept cells, widened by one grid
-    point, the fine pass bisects sign changes down, keeps exact zeros and
-    polishes local minima of |g| below ``TANGENT_PROBE`` as candidate
-    tangent roots. Grid points are neighbours only when their indices are.
-    Every evaluated c and g is bit-identical to a scan of the whole grid,
-    so the solutions are too. Candidates survive only if the full system
-    residual is below ``SOLUTION_TOL``, then are deduplicated and returned
-    in ascending order of ``(c, x)``.
+    change or small minimum of |g|. The kept cells, widened by one grid
+    point, form runs of consecutive grid points, and the fine pass scans
+    each run in chunks: a chunk owns at most ``_CHUNK`` points and also
+    evaluates the one neighbour on each side of them inside the run. From
+    the points it owns it bisects the sign changes to the next point down,
+    keeps the exact zeros and polishes the local minima of |g| below
+    ``TANGENT_PROBE`` as candidate tangent roots. Every evaluated c and g is
+    bit-identical to a scan of the whole grid, and every grid point is
+    owned by one chunk, so the solutions are too; the fine pass holds one
+    chunk at a time, so its memory does not grow with the window.
+    Candidates survive only if the full system residual is below
+    ``SOLUTION_TOL``, then are deduplicated and returned in ascending order
+    of ``(c, x)``.
 
-    Raises ValueError, before allocating, when the coarse nodes or the kept
-    points of one branch exceed ``supercore.MAX_JOIN_PAIRS``.
+    Raises ValueError, before allocating, when the coarse nodes exceed
+    ``supercore.MAX_JOIN_PAIRS``.
     """
     n_grid = int(round(2.0 * c_window / grid_step))
-    _check_scan_size(n_grid // _BLOCK + 2, "coarse nodes")
+    n_nodes = n_grid // _BLOCK + 2
+    if n_nodes > MAX_JOIN_PAIRS:
+        raise ValueError(f"the c-grid scan needs {n_nodes:,} coarse nodes, "
+                         f"over the {MAX_JOIN_PAIRS:,}-element memory limit; "
+                         f"use a smaller c window")
     # n_grid = 0 leaves the one coarse cell [0, 0]
     nodes = np.append(np.arange(0, max(n_grid, 1), _BLOCK), n_grid)
     c_nodes = -c_window + grid_step * nodes
@@ -226,9 +227,6 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
                               & (hi >= -2.0 * TANGENT_PROBE))
         if kept.size == 0:
             continue
-        idx = _kept_points(nodes, kept, n_grid)
-        c_pts = -c_window + grid_step * idx
-        g = _trace_residual(data, signs, c_pts)
         scalar = lambda c: float(_trace_residual(data, signs, c))  # noqa: E731
         candidates: list[float] = []
 
@@ -240,22 +238,33 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
             refined = _refine_tangent(scalar, c0)
             candidates.append(refined if abs(refined - c0) <= 1e-7 else c0)
 
-        # An exact zero at a point, else a sign change over the cell to its
-        # neighbour (a zero makes the product 0, so never both).
-        adjacent = idx[1:] == idx[:-1] + 1
-        crossing = adjacent & (g[:-1] * g[1:] < 0.0)
-        for p in np.flatnonzero((g == 0.0) | np.append(crossing, False)):
-            if g[p] == 0.0:
-                add_sharpened(float(c_pts[p]))
-            else:
-                add_sharpened(_bisect(scalar, float(c_pts[p]),
-                                      float(c_pts[p + 1]), BISECT_TOL))
-        absg = np.abs(g)
-        mid = absg[1:-1]  # minima need both neighbours; plateaus count
-        minima = (adjacent[:-1] & adjacent[1:] & (mid < TANGENT_PROBE)
-                  & (mid <= absg[:-2]) & (mid <= absg[2:]))
-        for p in np.flatnonzero(minima) + 1:
-            candidates.append(_refine_tangent(scalar, float(c_pts[p])))
+        for first, last in _runs(nodes, kept, n_grid):
+            for own in range(first, last + 1, _CHUNK):
+                # the owned points own..end - 1 and a neighbour on each side
+                end = min(own + _CHUNK, last + 1)
+                start = max(own - 1, first)
+                c_pts = -c_window + grid_step * np.arange(start,
+                                                          min(end, last) + 1)
+                g = _trace_residual(data, signs, c_pts)
+                owned = slice(own - start, end - start)
+                # An exact zero at a point, else a sign change over the cell
+                # to its neighbour (a zero makes the product 0, so never
+                # both).
+                hit = g == 0.0
+                hit[:-1] |= g[:-1] * g[1:] < 0.0
+                for p in np.flatnonzero(hit[owned]) + owned.start:
+                    if g[p] == 0.0:
+                        add_sharpened(float(c_pts[p]))
+                    else:
+                        add_sharpened(_bisect(scalar, float(c_pts[p]),
+                                              float(c_pts[p + 1]), BISECT_TOL))
+                absg = np.abs(g)
+                mid = absg[1:-1]  # minima need both neighbours; plateaus count
+                minima = np.zeros(len(g), dtype=bool)
+                minima[1:-1] = ((mid < TANGENT_PROBE) & (mid <= absg[:-2])
+                                & (mid <= absg[2:]))
+                for p in np.flatnonzero(minima[owned]) + owned.start:
+                    candidates.append(_refine_tangent(scalar, float(c_pts[p])))
         for c in candidates:
             c = c + 0.0  # normalize -0.0
             vec = _branch_vector(data, signs, c)
@@ -479,21 +488,25 @@ def lift_real_form(sol: EinsteinSolution,
 def verify_solution(real: Realization, sol: EinsteinSolution,
                     tol: float = RICCI_TOL) -> EinsteinSolution:
     """Check ric = c * metric by both Ricci routes, the direct one through
-    the realization's curvature plan; stamp the outcome."""
+    the realization's curvature plan; stamp the outcome. Both tensors and
+    c times the metric are compared on the plan's Ricci slots, every entry
+    off them being zero in all three; a failure names the blocks of the
+    first slot where the deviation is largest."""
     params = MetricParams(sol.x)
     metric = metric_from_params(real, params)
-    target = sol.c * metric.gram
+    plan = real.curvature_plan
+    target = sol.c * plan.at_slots(metric)
     scale = metric.scale()
     worst = 0.0
     detail = None
     _, direct, closed_form = ricci_routes(real, params)
     for route, ric in (("direct", direct), ("closed_form", closed_form)):
-        dev = np.abs(ric.gram - target)
-        route_worst = float(np.max(dev))
+        dev = np.abs(plan.at_slots(ric) - target)
+        route_worst = float(np.max(dev, initial=0.0))
         if route_worst >= tol * scale and detail is None:
-            i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+            i, j = divmod(int(plan.slots[np.argmax(dev)]), real.algebra.dim)
             detail = (f"{route} route deviates {route_worst:.3g} at "
-                      f"{_block_of(real, int(i))} x {_block_of(real, int(j))}")
+                      f"{_block_of(real, i)} x {_block_of(real, j)}")
         worst = max(worst, route_worst)
     status = "verified" if worst < tol * scale else "failed"
     return replace(sol, ricci_verified=status, detail=detail)

@@ -12,12 +12,12 @@ scatters the entries directly. No (n, n, n) array is built, and a join
 whose pair count could exhaust memory is refused before it allocates. The
 Jacobi check, the largest join, streams over blocks of first indices
 under a fixed pair budget, so its memory does not grow with the algebra;
-it refuses only a first index whose pairs alone are over the bound. An
-exact form keeps its integer nonzeros beside the float Gram derived from
-them, and :func:`exact_inverse`, the package's one inverse, inverts them
-exactly, one connected component of their pattern at a time; the form
-keeps that inverse, made once, whose determinant decides its
-nondegeneracy: every verdict of :func:`check_form` is exact.
+it refuses only a first index whose pairs alone are over the bound. A
+form is stored by its nonzeros alone, an exact one as integers beside
+their float values, and :func:`exact_inverse`, the package's one inverse,
+inverts those integers exactly, one connected component of their pattern
+at a time; the form keeps that inverse, made once, whose determinant
+decides its nondegeneracy: every verdict of :func:`check_form` is exact.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ MAX_JOIN_PAIRS = 3_000_000
 # (B(4,4): 1.15 MiB; A(20,0): 1.45 MiB). Blocks twice as large raise the
 # peak RSS of ``build`` B(4,4) from 33.9 to 34.8 MB, one block 38.9 MB.
 JACOBI_BLOCK_PAIRS = 2**14
-# Largest number of entries of one dense (dim, dim) form. A ``verify`` peaks
-# at 76 to 94 bytes per entry (A(40,0), dim 1,763: 292 MB; A(42,0), dim
-# 1,935: 327 MB; A(60,0), dim 3,843: 1,129 MB), so the bound, dim <= 2,000,
-# holds it near 350 MB.
+# Largest number of entries of one dense (dim, dim) form: the Gram that
+# ``build`` prints, which no other command makes. The bound, dim <= 2,000,
+# holds that Gram at 32 MB (A(42,0), dim 1,935: ``build`` peaks at 100 MB
+# RSS, and ``verify``, whose curvature plan is its largest part, at 194 MB).
 MAX_DENSE_ENTRIES = 4_000_000
 
 
@@ -223,41 +223,49 @@ class LieSuperAlgebra:
 
 @dataclass(frozen=True, eq=False)
 class BilinearFormMatrix:
-    """Gram matrix of a bilinear form and, when it was checked, the
+    """A bilinear form on a basis of ``dim`` vectors, stored by its pattern:
+    float ``values`` at the ascending flat keys ``row * dim + col``, every
+    entry not listed being zero, and, when it was checked, the
     :class:`FormReport` of its axioms from :func:`check_form` (None when
-    unchecked). An exact form (:func:`exact_form`) also keeps its nonzeros,
-    integer ``numer`` over ``denom`` at the ascending flat keys
-    ``row * dim + col``, which its checks and inverse read; a float form (a
-    metric, a Ricci tensor) has None there. Degenerate forms are legal
-    values, never errors.
+    unchecked). An exact form (:func:`exact_form`) lists its nonzeros and
+    keeps them as integer ``numer`` over ``denom`` too, which its checks and
+    inverse read; a float form (a metric, a Ricci tensor) has None there.
+    The dense :attr:`gram` is built only when it is read. Degenerate forms
+    are legal values, never errors.
     """
 
-    gram: np.ndarray
+    dim: int
+    keys: np.ndarray
+    values: np.ndarray
     report: Optional[FormReport] = field(default=None, repr=False)
-    keys: Optional[np.ndarray] = field(default=None, repr=False)
     numer: Optional[np.ndarray] = field(default=None, repr=False)
     denom: int = 1
 
     def __post_init__(self):
-        if self.gram.ndim != 2 or self.gram.shape[0] != self.gram.shape[1]:
-            raise ValueError("gram must be square")
-        for value in (self.gram, self.keys, self.numer):
+        if self.keys.shape != self.values.shape or self.keys.ndim != 1:
+            raise ValueError("a form needs one value per key")
+        for value in (self.keys, self.values, self.numer):
             if value is not None:
                 value.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[0]
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The dense (dim, dim) Gram matrix, built on first read; only
+        ``build``'s output needs it."""
+        gram = np.zeros(self.dim * self.dim)
+        gram[self.keys] = self.values
+        gram.setflags(write=False)
+        return gram.reshape(self.dim, self.dim)
 
     def scale(self) -> float:
-        m = float(np.max(np.abs(self.gram))) if self.gram.size else 0.0
+        m = float(np.max(np.abs(self.values), initial=0.0))
         return m if m > 0 else 1.0
 
     def block(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """The exact nonzeros on the index range ``rng`` x ``rng``: keys
         local to it, ascending, and numerators; refuses a float form."""
-        if self.keys is None:
-            raise ValueError("an exact form is needed here, not a float Gram")
+        if self.numer is None:
+            raise ValueError("an exact form is needed here, not a float form")
         return _block(self.keys, self.numer, self.dim, rng)
 
     @cached_property
@@ -285,12 +293,10 @@ def _block(keys: np.ndarray, numer: np.ndarray, n: int,
 def exact_form(alg: LieSuperAlgebra, keys: np.ndarray, numer: np.ndarray,
                denom: int = 1) -> BilinearFormMatrix:
     """The exact form on ``alg``'s basis with the nonzeros ``numer / denom``
-    at the ascending flat keys ``row * dim + col``; its Gram is derived from
-    them. The form itself, not a copy, gets its :func:`check_form` report,
-    so it keeps the inverse that check made."""
-    gram = np.zeros(alg.dim * alg.dim)
-    gram[keys] = numer / float(denom)
-    form = BilinearFormMatrix(gram.reshape(alg.dim, alg.dim), keys=keys,
+    at the ascending flat keys ``row * dim + col``; its float values are
+    their quotients. The form itself, not a copy, gets its
+    :func:`check_form` report, so it keeps the inverse that check made."""
+    form = BilinearFormMatrix(alg.dim, keys, numer / float(denom),
                               numer=numer, denom=denom)
     object.__setattr__(form, "report", check_form(alg, form))
     return form
@@ -580,26 +586,6 @@ def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:
         Fraction(det, math.prod(row_max.tolist()) or 1))
 
 
-def _even_supersymmetric_part(alg: LieSuperAlgebra,
-                              mat: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The even supersymmetric part of a bilinear form's matrix,
-    (mat + S mat^T)/2 with S = (-1)**(p_i p_j) and its mixed-parity entries
-    zeroed, and how far ``mat`` is from it, unscaled: its largest
-    mixed-parity |entry| and the largest |mat - S mat^T|. Even indices
-    precede odd ones, so S is -1 on the odd-odd block only and the mixed
-    entries are the two off-diagonal blocks."""
-    e = alg.dim_even
-    evenness = max(float(np.max(np.abs(mat[:e, e:]), initial=0.0)),
-                   float(np.max(np.abs(mat[e:, :e]), initial=0.0)))
-    transposed = mat.T.copy()
-    transposed[e:, e:] *= -1.0
-    supersymmetry = float(np.max(np.abs(mat - transposed)))
-    part = 0.5 * (mat + transposed)
-    part[:e, e:] = 0.0
-    part[e:, :e] = 0.0
-    return part, evenness, supersymmetry
-
-
 def _koszul_terms(alg: LieSuperAlgebra, c: np.ndarray, keys: np.ndarray,
                   vals: np.ndarray, third: bool) -> tuple:
     """Keys ``(i * n + j) * n + k``, values and g rows of the sparse terms
@@ -740,9 +726,9 @@ def algebra_to_json(alg: LieSuperAlgebra) -> dict:
 
 def form_to_json(form: BilinearFormMatrix) -> dict:
     """The Gram matrix and the axiom flags of a checked form's report;
-    schema unchanged. The Gram is the form's own (dim, dim) array, which
-    ``cli._emit_json`` writes a few rows at a time, byte for byte as the
-    nested lists of floats it stands for."""
+    schema unchanged. The Gram is the form's dense view, which only this
+    output reads, and ``cli._emit_json`` writes it a few rows at a time,
+    byte for byte as the nested lists of floats it stands for."""
     report = form.report
     return {
         "gram": form.gram,

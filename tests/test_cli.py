@@ -371,6 +371,85 @@ def test_failing_report_section_names_its_gate(capsys, monkeypatch):
             if not s["pass"]] == ["B(1,1)"]
 
 
+A10 = ("--family", "A", "--m", "1", "--n", "0")
+
+
+def _with_form(monkeypatch, form_of):
+    """Make every realization in ``cli`` carry ``form_of(canonical form)``
+    as its canonical form."""
+    def realized(spec):
+        real = families.realize(spec)
+        return dataclasses.replace(real,
+                                   canonical_form=form_of(real.canonical_form))
+
+    monkeypatch.setattr(cli, "realize", realized)
+
+
+def test_degenerate_canonical_form_fails_build_and_report(capsys,
+                                                          monkeypatch):
+    # one zeroed row and column: the form stays even and supersymmetric,
+    # and the invariants, which need its inverse, are not made
+    def zeroed(form):
+        keep = (form.keys // form.dim != 0) & (form.keys % form.dim != 0)
+        return supercore.exact_form(families.realize(
+            families.family_spec("A", 1, 0)).algebra, form.keys[keep],
+            form.numer[keep], form.denom)
+
+    _with_form(monkeypatch, zeroed)
+    code, out, _ = run(capsys, "build", *A10)
+    doc = json.loads(out)
+    assert code == 1 and doc["verification"]["pass"] is False
+    assert doc["verification"]["realization"]["pass"] is False
+    assert doc["canonical_form"]["flags"]["nondegenerate"] is False
+    assert doc["canonical_form"]["gram"][0] == [0.0] * 8
+    # no metric is made from it, so a report refuses the family
+    code, out, err = run(capsys, "report", "--max-m", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: A(1,0): form is singular on the indices [0]\n"
+
+
+def test_nondegeneracy_gates_build_and_the_structural_gate(capsys,
+                                                           monkeypatch):
+    # a form whose checks all pass but its determinant, which reads 0: the
+    # one failing axiom fails build and the report's structural gate
+    def singular(form):
+        return dataclasses.replace(form, report=dataclasses.replace(
+            form.report, scaled_det=Fraction(0)))
+
+    _with_form(monkeypatch, singular)
+    code, out, _ = run(capsys, "build", *A10)
+    flags = json.loads(out)["canonical_form"]["flags"]
+    assert code == 1
+    assert flags == {"even": True, "supersymmetric": True,
+                     "bi_invariant": True, "nondegenerate": False}
+    section, notes = cli.report_section(
+        families.family_spec("A", 1, 0), cli.DEFAULT_SEED, 0,
+        einstein.C_WINDOW, cli.DEFAULT_TOL)
+    assert section["pass"] is False
+    assert notes == ["note: A(1,0): failed structural"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_solution_count_against_the_single_metric_claim(capsys, command):
+    # A(9,8) is claimed to have exactly one Einstein metric; the grid
+    # solver finds it twice, c = -0.2499999995 and -0.2499998047
+    code, out, err = run(capsys, command, "--family", "A", "--m", "9",
+                         "--n", "8")
+    assert code == 0 and len(json.loads(out)["solutions"]) == 2
+    assert err == ("note: A(9,8): 2 solutions found, but the family has "
+                   "exactly one Einstein metric\n")
+    # the claim is about the family: solutions --cmax leaves out count
+    code, out, err = run(capsys, command, "--family", "A", "--m", "9",
+                         "--n", "8", "--cmax", "0.1")
+    assert code == 0 and json.loads(out)["solutions"] == []
+    assert err.splitlines()[-1] == ("note: A(9,8): 2 solutions found, but "
+                                    "the family has exactly one Einstein "
+                                    "metric")
+    code, out, err = run(capsys, command, *A10)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["solutions"]) == 1
+
+
 def test_killing_zero_read_from_the_exact_sums(monkeypatch):
     # a Killing form whose one entry, 1e-12, lies below every float
     # tolerance is still not identically zero

@@ -335,7 +335,7 @@ class TestNaturallyReductive:
         alg = LieSuperAlgebra(basis, {}, (DecompositionRange(0, 2, "abelian"),))
         stub = SimpleNamespace(
             algebra=alg,
-            canonical_form=BilinearFormMatrix(np.eye(2)),
+            canonical_form=BilinearFormMatrix(2, np.array([0, 3]), np.ones(2)),
             data=SimpleNamespace(n_params=1),
             name="abelian",
         )

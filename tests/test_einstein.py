@@ -9,6 +9,8 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from supereinstein import einstein
+from supereinstein.curvature import MetricParams, metric_from_params, \
+    ricci_routes
 from supereinstein.einstein import (
     EinsteinSolution,
     cubic_factor,
@@ -21,7 +23,8 @@ from supereinstein.einstein import (
     system_residual,
     verify_solution,
 )
-from supereinstein.families import FamilyData, catalog, family_spec, realize
+from supereinstein.families import FamilyData, catalog, family_spec, \
+    iter_catalog, realize
 
 F = Fraction
 
@@ -384,6 +387,41 @@ class TestVerifySolution:
         assert stamped.ricci_verified == "failed"
         assert stamped.detail is not None
 
+    @pytest.mark.parametrize("fam,m,n", [("A", 2, 1), ("B", 1, 1),
+                                         ("C", None, 3), ("D", 3, 2)])
+    def test_slots_match_the_dense_comparison(self, fam, m, n):
+        # the outcome and the named blocks of dense (dim, dim) comparisons
+        # of each route with c g, on solutions moved off in c or in x
+        real = realize(family_spec(fam, m, n))
+        plan = real.curvature_plan
+        for sol in solve(real.data):
+            for dc, dx in ((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3), (0.0, -0.3)):
+                moved = dataclasses.replace(sol, c=sol.c + dc, x=tuple(
+                    v + dx * (i + 1) for i, v in enumerate(sol.x)))
+                got = verify_solution(real, moved)
+                params = MetricParams(moved.x)
+                metric = metric_from_params(real, params)
+                target = moved.c * metric.gram
+                _, direct, closed = ricci_routes(real, params)
+                devs = [np.abs(ric.gram - target) for ric in (direct, closed)]
+                bound = einstein.RICCI_TOL * metric.scale()
+                worst = max(float(dev.max()) for dev in devs)
+                assert got.ricci_verified == \
+                    ("verified" if worst < bound else "failed")
+                failing = [(route, dev) for route, dev in
+                           zip(("direct", "closed_form"), devs)
+                           if dev.max() >= bound]
+                if not failing:
+                    assert got.detail is None
+                    continue
+                route, dev = failing[0]
+                i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+                assert got.detail == (
+                    f"{route} route deviates {dev.max():.3g} at "
+                    f"{einstein._block_of(real, int(i))} x "
+                    f"{einstein._block_of(real, int(j))}")
+                assert len(plan.slots) < dev.size
+
 
 def branch_signs(sys):
     return [tuple(1 if (branch_id >> i) & 1 == 0 else -1 for i in range(sys.s))
@@ -477,6 +515,55 @@ def full_grid_solve(sys, c_window=einstein.C_WINDOW,
             candidates.append(
                 (signs, einstein._refine_tangent(f, float(c_grid[k]))))
     return solutions_from_candidates(sys, candidates)
+
+
+def whole_range_solve(data, c_window=einstein.C_WINDOW,
+                      grid_step=einstein.GRID_STEP):
+    """Oracle for the chunked fine pass of :func:`solve`: the same coarse
+    pass, then every kept point of a branch evaluated in one array, with
+    neighbours found from consecutive indices, through the same
+    per-candidate tail."""
+    block = einstein._BLOCK
+    n_grid = int(round(2.0 * c_window / grid_step))
+    nodes = np.append(np.arange(0, max(n_grid, 1), block), n_grid)
+    c_nodes = -c_window + grid_step * nodes
+    candidates = []
+    for signs in branch_signs(data):
+        terms = [einstein._trace_residual(data, (), c_nodes)] + [
+            einstein._ideal_term(data, i, c_nodes)[sgn]
+            for i, sgn in enumerate(signs)]
+        lo = sum(np.minimum(t[:-1], t[1:]) for t in terms)
+        hi = sum(np.maximum(t[:-1], t[1:]) for t in terms)
+        kept = np.flatnonzero((lo <= 2.0 * einstein.TANGENT_PROBE)
+                              & (hi >= -2.0 * einstein.TANGENT_PROBE))
+        idx = np.unique(np.concatenate(
+            [np.arange(max(nodes[k] - 1, 0), min(nodes[k + 1] + 1, n_grid) + 1)
+             for k in kept] or [np.zeros(0, dtype=np.int64)]))
+        c_pts = -c_window + grid_step * idx
+        g = einstein._trace_residual(data, signs, c_pts)
+        f = lambda c: float(einstein._trace_residual(data, signs, c))  # noqa: E731
+
+        def sharpened(c0):
+            refined = einstein._refine_tangent(f, c0)
+            return signs, (refined if abs(refined - c0) <= 1e-7 else c0)
+
+        adjacent = idx[1:] == idx[:-1] + 1
+        crossing = adjacent & (g[:-1] * g[1:] < 0.0)
+        for p in np.flatnonzero((g == 0.0) | np.append(crossing, False)):
+            if g[p] == 0.0:
+                candidates.append(sharpened(float(c_pts[p])))
+            else:
+                candidates.append(sharpened(einstein._bisect(
+                    f, float(c_pts[p]), float(c_pts[p + 1]),
+                    einstein.BISECT_TOL)))
+        absg = np.abs(g)
+        mid = absg[1:-1]
+        minima = (adjacent[:-1] & adjacent[1:] & (mid < einstein.TANGENT_PROBE)
+                  & (mid <= absg[:-2]) & (mid <= absg[2:]))
+        for p in np.flatnonzero(minima) + 1:
+            candidates.append(
+                (signs, einstein._refine_tangent(f, float(c_pts[p]))))
+    return solutions_from_candidates(data, candidates)
 
 
 def with_candidates(solver, *args):
@@ -627,12 +714,52 @@ class TestSolverInternals:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_oversized_kept_region_refused(self, monkeypatch):
+    def test_large_kept_region_scanned_in_chunks(self, monkeypatch):
         # D(3,3)'s (+, +) branch keeps |c| < 1.24, about 24,800 points,
-        # where its trace residual stays under 2 TANGENT_PROBE
+        # where its trace residual stays under 2 TANGENT_PROBE: over a
+        # memory limit of 10,000, and scanned in chunks all the same
+        sys = sys_for("D", 3, 3)
+        want = solve(sys)
+        sizes = []
+        residual = einstein._trace_residual
         monkeypatch.setattr(einstein, "MAX_JOIN_PAIRS", 10_000)
-        with pytest.raises(ValueError, match="fine-pass points"):
-            solve(sys_for("D", 3, 3))
+        monkeypatch.setattr(einstein, "_trace_residual", lambda data, signs, c: (
+            sizes.append(np.size(c)) or residual(data, signs, c)))
+        assert bits(solve(sys)) == bits(want)
+        assert max(sizes) <= einstein._CHUNK + 2
+        assert sum(size > 1 for size in sizes) > 2 ** sys.s
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_chunk_boundaries_keep_every_candidate(self, monkeypatch, chunk):
+        # with chunks of a few points, zeros, sign changes and minima fall
+        # on every position relative to a chunk's edge
+        monkeypatch.setattr(einstein, "_CHUNK", chunk)
+        for spec in catalog(2) + [family_spec("D21a", alpha=0.4)]:
+            got, got_starts = with_candidates(solve, spec.data, 0.5, 1e-3)
+            want = whole_range_solve(spec.data, 0.5, 1e-3)
+            assert bits(got) == bits(want), spec.name
+            _, full_starts = with_candidates(full_grid_solve, spec.data,
+                                             0.5, 1e-3)
+            assert got_starts == full_starts, spec.name
+
+    def test_runs_join_ranges_that_overlap_or_abut(self):
+        # cells [0, 2], [2, 5], [5, 8] widened: [0, 3] and [4, 8] abut, so
+        # points 3 and 4 are neighbours; [0, 3] and [6, 8] are apart
+        nodes = np.array([0, 2, 5, 8])
+        assert list(einstein._runs(nodes, np.array([0, 2]), 8)) == [(0, 8)]
+        assert list(einstein._runs(nodes, np.array([0, 1]), 8)) == [(0, 6)]
+        assert list(einstein._runs(np.array([0, 2, 6, 8]), np.array([0, 2]),
+                                   8)) == [(0, 3), (5, 8)]
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_chunked_plateau_owns_each_point_once(self, monkeypatch, chunk):
+        # every grid point of the identically-zero residual is a zero and
+        # every interior one a minimum, each polished once at any chunk size
+        monkeypatch.setattr(einstein, "_CHUNK", chunk)
+        sys = dataclasses.replace(sys_for("C", n=3), dim_k=(), l=(), b=(),
+                                  gamma=(), gamma0=F(-1, 2), trace_rhs=F(0))
+        _, starts = with_candidates(solve, sys, 0.5, 1e-2)
+        assert len(starts) == 101 + 99 and len(set(starts)) == 101
 
     def test_exact_zero_on_grid_is_not_bisected(self, monkeypatch):
         # A(1,0): the trace residual of the one branch is exactly 0.0 at the
@@ -673,3 +800,48 @@ class TestSolverInternals:
                             lambda f, c0: refined.append(c0) or refine(f, c0))
         solve(sys, c_window=0.5, grid_step=1e-2)
         assert len(refined) == 101 + 99
+
+
+CHUNK_SPECS = list(iter_catalog(6)) + [family_spec("D21a", alpha=a)
+                                       for a in (0.4, -3.0)]
+
+
+@pytest.mark.parametrize("c_window", [einstein.C_WINDOW, 37.5])
+@pytest.mark.parametrize("spec", CHUNK_SPECS, ids=lambda s: s.name)
+def test_chunked_scan_matches_the_whole_range_scan(spec, c_window):
+    assert bits(solve(spec.data, c_window)) == \
+        bits(whole_range_solve(spec.data, c_window))
+
+
+class TestMemoryBounds:
+    """Peaks traced by tracemalloc: no (dim, dim) array on the verify path,
+    and no array over the whole kept range in the solver."""
+
+    def test_verify_solution_stays_off_dense_arrays(self):
+        # A(20,0) has dim 483: one dense (dim, dim) float array is 1.8 MiB,
+        # and comparing the routes on them peaked at 12.75 MiB
+        spec = family_spec("A", 20, 0)
+        real = realize(spec)
+        real.curvature_plan, real.ideal_invariants
+        sol = solve(spec.data)[0]
+        tracemalloc.start()
+        try:
+            checked = verify_solution(real, sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checked.ricci_verified == "verified"
+        assert peak < 6 * 2**20
+
+    def test_solve_holds_one_chunk(self):
+        # B(4,4)'s fine pass evaluates 22,787 points; in one array that
+        # peaked at 1.81 MiB
+        data = sys_for("B", 4, 4)
+        solve(data)  # caches outside the solver are warm
+        tracemalloc.start()
+        try:
+            solve(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -6,7 +6,7 @@ anywhere in the package (``__all__`` counts as one), no module calls
 the catalog makes family records inside ``families``, and nothing calls
 ``np.linalg``: one exact inverse serves the basis coordinates, the form
 checks, the Casimir duals and the curvature plan. One function writes JSON,
-with json's C encoder."""
+with json's C encoder, and only it reads a form's dense Gram."""
 
 import ast
 import functools
@@ -140,15 +140,39 @@ def _linalg_sites(tree: ast.AST) -> list:
                   and "linalg" in ast.unparse(node))
 
 
+def _functions(tree: ast.Module) -> list:
+    """The module-level functions of ``tree`` and its classes' methods, as
+    ``(label, node)``, a method labelled ``Class.method``."""
+    functions = [(fn.name, fn) for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)]
+    return functions + [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                        if isinstance(cls, ast.ClassDef) for fn in cls.body
+                        if isinstance(fn, ast.FunctionDef)]
+
+
 def _callers(tree: ast.Module, name: str) -> set:
     """The module-level functions of ``tree`` that call ``name``, and its
     classes' methods that do, as ``Class.method``."""
-    functions = [(fn.name, fn) for fn in tree.body
-                 if isinstance(fn, ast.FunctionDef)]
-    functions += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
-                  if isinstance(cls, ast.ClassDef) for fn in cls.body
-                  if isinstance(fn, ast.FunctionDef)]
-    return {label for label, fn in functions if _call_sites(fn, name)}
+    return {label for label, fn in _functions(tree) if _call_sites(fn, name)}
+
+
+def _readers(tree: ast.Module, attr: str) -> set:
+    """The functions and methods of ``tree`` that read an attribute
+    ``attr``, labelled as by :func:`_functions`, and ``<module>`` when a
+    statement outside them reads one."""
+    def reads(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == attr
+                   and isinstance(n.ctx, ast.Load) for n in ast.walk(node))
+
+    inside = _functions(tree)
+    nodes = {id(fn) for _, fn in inside}
+    classes = [cls for cls in tree.body if isinstance(cls, ast.ClassDef)]
+    rest = [node for node in tree.body if not isinstance(node, ast.ClassDef)
+            and id(node) not in nodes]
+    rest += [node for cls in classes for node in cls.body
+             if id(node) not in nodes]
+    found = {label for label, fn in inside if reads(fn)}
+    return found | ({"<module>"} if any(map(reads, rest)) else set())
 
 
 def test_only_the_catalog_makes_family_records():
@@ -170,6 +194,14 @@ def test_only_the_form_itself_inverts_a_form():
                for fn in _callers(_tree(path), "exact_inverse")}
     assert callers == {("families.py", "_coordinates"),
                        ("supercore.py", "BilinearFormMatrix.inverse")}
+
+
+def test_only_the_build_output_reads_a_dense_gram():
+    # a form is stored by its nonzeros; the dense Gram view is for build's
+    # JSON alone, so the solve, verify and report paths never make one
+    readers = {(path.name, label) for path in MODULES
+               for label in _readers(_tree(path), "gram")}
+    assert readers == {("supercore.py", "form_to_json")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -242,6 +274,16 @@ def test_checks_catch_what_they_look_for():
                      "lu = scipy.linalg.lu\n"
                      "detail = np.asarray(g)\n")
     assert _linalg_sites(tree) == [1, 2, 3, 4, 5]
+    tree = ast.parse("LIMIT = form.gram.size\n"
+                     "def to_json(form):\n"
+                     "    return {'gram': form.gram}\n"
+                     "class Form:\n"
+                     "    gram = None\n"
+                     "    def scale(self):\n"
+                     "        return abs(self.gram).max()\n"
+                     "    def store(self, g):\n"
+                     "        self.gram = g\n")
+    assert _readers(tree, "gram") == {"<module>", "to_json", "Form.scale"}
     tree = ast.parse("def sign(p):\n"
                      "    return 1.0 - 2.0 * np.outer(p, p)\n"
                      "def mixed(p, np):\n"

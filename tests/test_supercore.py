@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supereinstein import families, supercore
+from supereinstein.curvature import _even_supersymmetric_part, _slot_layout
 from supereinstein.supercore import (
     BilinearFormMatrix,
     DecompositionRange,
     DegeneracyError,
     LieSuperAlgebra,
     SuperBasis,
-    _even_supersymmetric_part,
     algebra_to_json,
     bracket,
     check_form,
@@ -543,7 +543,9 @@ class TestCheckForm:
 
     def test_float_form_refused(self, sl21):
         with pytest.raises(ValueError, match="exact form is needed") as err:
-            check_form(sl21.algebra, BilinearFormMatrix(np.eye(sl21.algebra.dim)))
+            n = sl21.algebra.dim
+            check_form(sl21.algebra, BilinearFormMatrix(
+                n, np.arange(n) * (n + 1), np.ones(n)))
         assert "\n" not in str(err.value)
 
     def test_random_symmetric_form_not_invariant(self, sl21):
@@ -574,14 +576,30 @@ class TestEvenSupersymmetricPart:
     @pytest.mark.parametrize("alg", [abelian_algebra(3, 0), ALL_ODD, "B(1,1)"],
                              ids=["dim_odd=0", "dim_even=0", "B(1,1)"])
     def test_slices_match_the_mask_formula_bit_for_bit(self, alg, osp32):
+        # the slot arithmetic on every entry, then on a random pattern with
+        # the matrix zero off it: the same entries, bit for bit
         alg = osp32.algebra if alg == "B(1,1)" else alg
+        n, p = alg.dim, alg.basis.parity_array()
         rng = np.random.default_rng(11)
         for _ in range(5):
-            mat = rng.normal(size=(alg.dim, alg.dim))
+            mat = rng.normal(size=(n, n))
             mat[rng.random(mat.shape) < 0.3] = -0.0
-            part, evenness, supersymmetry = _even_supersymmetric_part(alg, mat)
+            slots, mirror, parity = _slot_layout(np.arange(n * n), p, n)
+            assert slots.tolist() == list(range(n * n))
+            part, evenness, supersymmetry = _even_supersymmetric_part(
+                mirror, parity, mat.ravel())
             want = mask_even_supersymmetric_part(alg, mat)
             assert part.tobytes() == want[0].tobytes()
+            assert (evenness, supersymmetry) == want[1:]
+            keys = np.flatnonzero(rng.random(n * n) < 0.2)
+            slots, mirror, parity = _slot_layout(keys, p, n)
+            sparse = np.zeros(n * n)
+            sparse[keys] = mat.ravel()[keys]
+            part, evenness, supersymmetry = _even_supersymmetric_part(
+                mirror, parity, sparse[slots])
+            want = mask_even_supersymmetric_part(alg, sparse.reshape(n, n))
+            assert part.tobytes() == want[0].ravel()[slots].tobytes()
+            assert not np.delete(want[0].ravel(), slots).any()
             assert (evenness, supersymmetry) == want[1:]
 
     def test_block_layout(self, osp32):
