@@ -1,7 +1,8 @@
 """Command-line front end: build and verify algebras, compute invariants,
 solve Einstein systems, and emit the full per-family reproduction report.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input or scope.
+Exit codes: 0 success, 1 a failed check (never from ``solve``, which reads
+the family record alone), 2 invalid input or scope.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .families import FamilySpec, check_dense_size, family_spec, \
 from .supercore import algebra_to_json, check_super_jacobi, form_to_json
 
 DEFAULT_SEED = 12345
-DEFAULT_TOL = einstein.SOLUTION_TOL
 # Characters of JSON text gathered before one write; a batch passes it by
 # at most one piece, such as one block of a Gram matrix's rows.
 JSON_BATCH = 2**14
@@ -285,46 +285,45 @@ def _rows_to_markdown(rows: list[dict], columns: list[str], header: list[str],
     return "\n".join(lines) + "\n"
 
 
-def _family_solutions(spec: FamilySpec, cmax: float, tol: float) -> tuple:
-    """The family's realization (None when it has none), its solutions with
-    |c| <= cmax, Ricci-verified when realized, how many were left out, and
-    whether all kept pass ``tol`` and verification. The scan covers at least
-    the default window, so --cmax filters what it omits instead of hiding it
-    outside the scan."""
-    real = realize(spec) if spec.realizable else None
+def _family_solutions(spec: FamilySpec, cmax: float) -> tuple:
+    """The family's solutions with |c| <= cmax, from its record alone, and
+    how many were left out. The scan covers at least the default window, so
+    --cmax filters what it omits instead of hiding it outside the scan."""
     found = einstein.solve(spec.data, c_window=max(cmax, einstein.C_WINDOW))
     sols = [s for s in found if abs(s.c) <= cmax]
-    if real is not None:
-        sols = [einstein.verify_solution(real, s) for s in sols]
-    ok = all(s.residual < tol and s.ricci_verified != "failed" for s in sols)
-    return real, sols, len(found) - len(sols), ok
+    return sols, len(found) - len(sols)
 
 
-def _notes(family: str, sols, omitted: int, cmax: float, tol: float,
+def _notes(family: str, sols, omitted: int, cmax: float,
            where: str) -> list[str]:
     """The stderr notes on one family's solutions: how many |c| > cmax left
-    out (after the prefix ``where``), then each solution whose residual is
-    not below ``tol`` and each that failed Ricci verification, with its
-    worst offender."""
+    out (after the prefix ``where``), then each solution that failed Ricci
+    verification, with its worst offender."""
     notes = [f"note: {where}{omitted} solution(s) with |c| > {cmax:g} "
              f"omitted by --cmax"] if omitted else []
-    notes += [f"note: {family}: solution c={s.c:.10g} has residual "
-              f"{s.residual:.3g}, not below --tol {tol:g}"
-              for s in sols if not s.residual < tol]
     return notes + [f"note: {family}: solution c={s.c:.10g} failed Ricci "
                     f"verification: {s.detail}"
                     for s in sols if s.ricci_verified == "failed"]
 
 
 def _run_solve(args, require_verified: bool) -> int:
+    """Print the family's solutions with |c| <= --cmax and the notes on them,
+    those --cmax left out counted against the record's claim. ``solve`` reads
+    only the record, so each is ``not_applicable``; ``verify`` Ricci-verifies
+    each on the family's realization and exits 1 when one fails."""
     spec = _spec_from_args(args)
-    real, sols, omitted, ok = _family_solutions(spec, args.cmax, args.tol)
-    for note in _notes(spec.name, sols, omitted, args.cmax, args.tol, ""):
+    real = realize(spec) if require_verified and spec.realizable else None
+    sols, omitted = _family_solutions(spec, args.cmax)
+    if real is not None:
+        sols = [einstein.verify_solution(real, s) for s in sols]
+    for note in _notes(spec.name, sols, omitted, args.cmax, ""):
         print(note, file=sys.stderr)
     found = len(sols) + omitted
-    if spec.single_metric and found != 1:
-        print(f"note: {spec.name}: {found} solutions found, but the family "
-              f"has exactly one Einstein metric", file=sys.stderr)
+    if not spec.count_as_claimed(found):
+        claim = ("exactly one Einstein metric" if spec.single_metric
+                 else "at least two Einstein metrics")
+        print(f"note: {spec.name}: {found} solution{'s' * (found != 1)} "
+              f"found, but the family has {claim}", file=sys.stderr)
     data = spec.data
     doc = {"family": spec.name,
            "params": {"m": spec.m, "n": spec.n, "alpha": spec.alpha},
@@ -341,15 +340,7 @@ def _run_solve(args, require_verified: bool) -> int:
     if real is None and require_verified:
         print(f"{spec.name}: no matrix realization; Ricci verification "
               f"not applicable", file=sys.stderr)
-    return 0 if ok else 1
-
-
-def cmd_solve(args) -> int:
-    return _run_solve(args, require_verified=False)
-
-
-def cmd_verify(args) -> int:
-    return _run_solve(args, require_verified=True)
+    return int(any(s.ricci_verified == "failed" for s in sols))
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +416,22 @@ def _fold_section(spec: FamilySpec, sols) -> dict:
     }
 
 
-def report_section(spec: FamilySpec, seed: int, index: int, c_window: float,
-                   tol: float) -> tuple[dict, list[str]]:
+def report_section(spec: FamilySpec, seed: int, index: int,
+                   c_window: float) -> tuple[dict, list[str]]:
     """One family's report block, and its stderr notes: those of
     :func:`_notes`, then, when the section fails, one naming the gates that
     failed; pure given (spec, seed, index, config). A refusal inside it is
     raised again with the family's name in front."""
     try:
-        return _section(spec, seed, index, c_window, tol)
+        return _section(spec, seed, index, c_window)
     except ValueError as exc:
         raise ValueError(f"{spec.name}: {exc}") from exc
 
 
-def _section(spec: FamilySpec, seed: int, index: int, c_window: float,
-             tol: float) -> tuple[dict, list[str]]:
-    real, sols, omitted, solutions_ok = _family_solutions(spec, c_window, tol)
+def _section(spec: FamilySpec, seed: int, index: int,
+             c_window: float) -> tuple[dict, list[str]]:
+    real = realize(spec) if spec.realizable else None
+    sols, omitted = _family_solutions(spec, c_window)
     data = spec.data
     section: dict = {
         "family": spec.name,
@@ -450,6 +442,7 @@ def _section(spec: FamilySpec, seed: int, index: int, c_window: float,
     }
     gates: dict[str, bool] = {}  # in the order the failure note names them
     if real is not None:
+        sols = [einstein.verify_solution(real, s) for s in sols]
         st = _structural(real)
         route = _route_equivalence(real, random.Random(f"{seed}/{index}"), 2)
         section["structural"] = {
@@ -465,8 +458,8 @@ def _section(spec: FamilySpec, seed: int, index: int, c_window: float,
     section["solutions"] = [s.to_json() for s in sols]
     section["solution_count"] = len(sols)
     section["expected_single"] = spec.single_metric
-    count_ok = len(sols) == 1 if spec.single_metric else len(sols) >= 2
-    section["count_ok"] = gates["count_ok"] = count_ok
+    section["count_ok"] = gates["count_ok"] = \
+        spec.count_as_claimed(len(sols) + omitted)
     if spec.flat_and_nonflat:
         flat = any(abs(s.c) <= 1e-12 for s in sols)
         nonflat = any(abs(s.c) > 1e-6 for s in sols)
@@ -480,17 +473,17 @@ def _section(spec: FamilySpec, seed: int, index: int, c_window: float,
     if not data.killing_nondegenerate:
         section["folding"] = _fold_section(spec, sols)
         gates["folding.all_fold"] = section["folding"]["all_fold"]
-    gates["solutions"] = solutions_ok
+    gates["solutions"] = all(s.ricci_verified != "failed" for s in sols)
     failed = [gate for gate, passed in gates.items() if not passed]
     section["pass"] = not failed
-    notes = _notes(spec.name, sols, omitted, c_window, tol, f"{spec.name}: ")
+    notes = _notes(spec.name, sols, omitted, c_window, f"{spec.name}: ")
     if failed:
         notes.append(f"note: {spec.name}: failed {', '.join(failed)}")
     return section, notes
 
 
 def build_report(max_m: int, max_n: int, seed: int, c_window: float,
-                 tol: float, jobs: int = 1) -> dict:
+                 jobs: int = 1) -> dict:
     """The report document. Prints each family's notes on stderr, in
     catalog order: what ``c_window`` left out, which solutions failed Ricci
     verification and, for a failing section, which gates failed. At most
@@ -504,8 +497,7 @@ def build_report(max_m: int, max_n: int, seed: int, c_window: float,
         if spec.realizable:
             check_dense_size(spec)
         specs.append(spec)
-    inputs = (specs, repeat(seed), range(len(specs)), repeat(c_window),
-              repeat(tol))
+    inputs = (specs, repeat(seed), range(len(specs)), repeat(c_window))
     workers = min(jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pools pay for it
@@ -523,7 +515,8 @@ def build_report(max_m: int, max_n: int, seed: int, c_window: float,
     doc = {
         "config": {
             "max_m": max_m, "max_n": max_n, "seed": seed,
-            "c_window": c_window, "solution_tolerance": tol,
+            "c_window": c_window,
+            "solution_tolerance": einstein.SOLUTION_TOL,
             "ricci_sign_convention": "ric(X,Y) = str(Z -> R(Z,X)Y)",
         },
         "families": sections,
@@ -599,8 +592,7 @@ def _report_markdown(doc: dict) -> str:
 
 def cmd_report(args) -> int:
     doc = build_report(args.max_m, args.max_n if args.max_n is not None
-                       else args.max_m, args.seed, args.cmax, args.tol,
-                       jobs=args.jobs)
+                       else args.max_m, args.seed, args.cmax, jobs=args.jobs)
     if args.format == "json":
         _emit_json(doc, args.out)
     elif args.format == "csv":
@@ -633,8 +625,6 @@ def _add_output_args(p: argparse.ArgumentParser, formats: bool = True) -> None:
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cmax", type=float, default=einstein.C_WINDOW)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="solution residual gate; may only tighten the default")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -660,14 +650,15 @@ def make_parser() -> argparse.ArgumentParser:
     _add_family_args(p_idx)
     _add_output_args(p_idx)
     p_idx.set_defaults(func=cmd_indices)
-    for name, func, text in (
-            ("solve", cmd_solve, "solve the Einstein system"),
-            ("verify", cmd_verify, "solve and require Ricci verification")):
+    for name, verified, text in (
+            ("solve", False, "solve the Einstein system"),
+            ("verify", True, "solve and require Ricci verification")):
         p_solve = sub.add_parser(name, help=text, allow_abbrev=False)
         _add_family_args(p_solve)
         _add_output_args(p_solve)
         _add_solver_args(p_solve)
-        p_solve.set_defaults(func=func)
+        p_solve.set_defaults(func=functools.partial(
+            _run_solve, require_verified=verified))
     p_rep = sub.add_parser("report", help="full reproduction report",
                            allow_abbrev=False)
     p_rep.add_argument("--max-m", type=int, required=True)
@@ -683,26 +674,16 @@ def make_parser() -> argparse.ArgumentParser:
 def _input_error(args) -> str | None:
     """The first value, among the options the subcommand has, outside its
     domain, as a message, else None."""
-    cmax, tol = getattr(args, "cmax", None), getattr(args, "tol", None)
+    cmax = getattr(args, "cmax", None)
     if cmax is not None and not (math.isfinite(cmax) and cmax > 0):
         return f"--cmax must be finite and > 0, got {cmax:g}"
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        return f"--tol must be finite and > 0, got {tol:g}"
-    if tol is not None and tol > DEFAULT_TOL:
-        return f"--tol may only tighten the default {DEFAULT_TOL:g}"
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        return f"--jobs must be >= 1, got {jobs}"
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        return f"--seed must be >= 0, got {seed}"
     alpha = getattr(args, "alpha", None)
     if alpha is not None and not math.isfinite(alpha):
         return f"--alpha must be finite, got {alpha:g}"
-    for opt in ("max_m", "max_n"):
+    for opt, least in (("jobs", 1), ("seed", 0), ("max_m", 0), ("max_n", 0)):
         value = getattr(args, opt, None)
-        if value is not None and value < 0:
-            return f"--{opt.replace('_', '-')} must be >= 0, got {value}"
+        if value is not None and value < least:
+            return f"--{opt.replace('_', '-')} must be >= {least}, got {value}"
     return None
 
 

@@ -485,10 +485,11 @@ def lift_real_form(sol: EinsteinSolution,
 # ---------------------------------------------------------------------------
 
 
-def verify_solution(real: Realization, sol: EinsteinSolution,
-                    tol: float = RICCI_TOL) -> EinsteinSolution:
+def verify_solution(real: Realization,
+                    sol: EinsteinSolution) -> EinsteinSolution:
     """Check ric = c * metric by both Ricci routes, the direct one through
-    the realization's curvature plan; stamp the outcome. Both tensors and
+    the realization's curvature plan, to ``RICCI_TOL`` times the metric's
+    largest |entry|, read at the call; stamp the outcome. Both tensors and
     c times the metric are compared on the plan's Ricci slots, every entry
     off them being zero in all three; a failure names the blocks of the
     first slot where the deviation is largest."""
@@ -496,20 +497,18 @@ def verify_solution(real: Realization, sol: EinsteinSolution,
     metric = metric_from_params(real, params)
     plan = real.curvature_plan
     target = sol.c * plan.at_slots(metric)
-    scale = metric.scale()
-    worst = 0.0
+    bound = RICCI_TOL * metric.scale()
     detail = None
     _, direct, closed_form = ricci_routes(real, params)
     for route, ric in (("direct", direct), ("closed_form", closed_form)):
         dev = np.abs(plan.at_slots(ric) - target)
-        route_worst = float(np.max(dev, initial=0.0))
-        if route_worst >= tol * scale and detail is None:
+        worst = float(np.max(dev, initial=0.0))
+        if detail is None and not worst < bound:
             i, j = divmod(int(plan.slots[np.argmax(dev)]), real.algebra.dim)
-            detail = (f"{route} route deviates {route_worst:.3g} at "
+            detail = (f"{route} route deviates {worst:.3g} at "
                       f"{_block_of(real, i)} x {_block_of(real, j)}")
-        worst = max(worst, route_worst)
-    status = "verified" if worst < tol * scale else "failed"
-    return replace(sol, ricci_verified=status, detail=detail)
+    return replace(sol, detail=detail,
+                   ricci_verified="verified" if detail is None else "failed")
 
 
 def _block_of(real: Realization, idx: int) -> str:

@@ -83,6 +83,11 @@ class FamilySpec:
     def realizable(self) -> bool:
         return self.basis is not None
 
+    def count_as_claimed(self, found: int) -> bool:
+        """Whether ``found`` Einstein metrics is what the paper claims:
+        exactly one when ``single_metric``, at least two otherwise."""
+        return found == 1 if self.single_metric else found >= 2
+
 
 # the parameters each family takes
 _PARAMS = {"A": ("m", "n"), "B": ("m", "n"), "C": ("n",), "D": ("m", "n"),

@@ -16,8 +16,9 @@ it refuses only a first index whose pairs alone are over the bound. A
 form is stored by its nonzeros alone, an exact one as integers beside
 their float values, and :func:`exact_inverse`, the package's one inverse,
 inverts those integers exactly, one connected component of their pattern
-at a time; the form keeps that inverse, made once, whose determinant
-decides its nondegeneracy: every verdict of :func:`check_form` is exact.
+at a time; the form keeps that elimination, made once, whose component
+determinants decide its nondegeneracy and whose inverse is assembled
+where it is read: every verdict of :func:`check_form` is exact.
 """
 
 from __future__ import annotations
@@ -269,12 +270,16 @@ class BilinearFormMatrix:
         return _block(self.keys, self.numer, self.dim, rng)
 
     @cached_property
+    def _elimination(self) -> tuple:  # read by check_form and the inverse
+        return _eliminate(*self.block(range(self.dim)), self.dim)
+
+    @cached_property
     def inverse(self) -> tuple[np.ndarray, np.ndarray, int, int]:
         """The :func:`exact_inverse` of the integer matrix ``numer`` of an
         exact form (the form's own inverse is ``denom`` times it) and that
-        matrix's |det|, made once, on first use; refuses a float form and
-        raises DegeneracyError on a singular one."""
-        return exact_inverse(*self.block(range(self.dim)), self.dim)
+        matrix's |det|, made once, from its one elimination; refuses a float
+        form and raises DegeneracyError on a singular one."""
+        return _int64_inverse(*self._elimination)
 
 
 def _block(keys: np.ndarray, numer: np.ndarray, n: int,
@@ -556,8 +561,8 @@ def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:
     are the largest |entry| of B on mixed parity, of B - S B^T with
     S = (-1)**(p_i p_j), and of B([e_i, e_j], e_k) - B(e_i, [e_j, e_k]), a
     join summed in int64 over the numerators' gcd (refused if it could
-    overflow); the scaled determinant is |det B|, from B's one
-    :attr:`~BilinearFormMatrix.inverse`, over the product of its row maxima."""
+    overflow); the scaled determinant is |det B|, from its components'
+    determinants, not its inverse, over the product of its row maxima."""
     n = alg.dim
     if form.dim != n:
         raise ValueError("form is not defined on this algebra's basis")
@@ -576,7 +581,7 @@ def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:
     _, diff = _group_sum(*_koszul_terms(alg, alg.numer, keys, numer // common,
                                         third=False)[:2])
     try:
-        det = form.inverse[3] if row_max.all() else 0
+        det = form._elimination[3] if row_max.all() else 0
     except DegeneracyError:
         det = 0
     return FormReport(
@@ -621,17 +626,20 @@ def exact_inverse(keys: np.ndarray, numer: np.ndarray,
                   size: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """The inverse of the symmetric integer (size, size) matrix with the
     nonzeros ``numer`` at the ascending flat keys ``row * size + col``,
-    exactly: the ascending keys of its nonzeros, their numerators and one
-    positive common denominator; and the matrix's |det|, a Python int.
+    exactly (ascending keys, numerators and one positive denominator), and
+    its |det|; it raises as :func:`_eliminate` and :func:`_int64_inverse`."""
+    return _int64_inverse(*_eliminate(keys, numer, size))
 
-    Each connected component of the nonzero pattern is a diagonal block of
-    the matrix and of its inverse, so each is inverted on its own: those of
-    one or two indices by their adjugates over their determinants, all at
-    once, and each larger one by fraction-free Gauss-Jordan, whose last
-    pivot is its determinant; |det| is their product. Raises
-    DegeneracyError naming the indices of a singular component; refuses
-    numerators that could overflow int64.
-    """
+
+def _eliminate(keys: np.ndarray, numer: np.ndarray, size: int) -> tuple:
+    """The inverses of the connected components of the nonzero pattern of
+    the matrix of :func:`exact_inverse`, each a diagonal block of it and of
+    its inverse: their entries' keys, numerators and positive denominators;
+    and the matrix's |det|, the product of theirs. Those of one or two
+    indices are inverted by their adjugates over their determinants, all at
+    once, each larger one by fraction-free Gauss-Jordan, whose last pivot is
+    its determinant. Raises DegeneracyError naming the indices of a singular
+    component; refuses numerators that could overflow int64."""
     big = int(np.max(np.abs(numer), initial=0))
     if 2 * big * big >= 2**63:
         raise ValueError(f"numerators up to {big} could overflow int64")
@@ -666,7 +674,13 @@ def exact_inverse(keys: np.ndarray, numer: np.ndarray,
         absdet *= abs(math.prod(pivot if k > 2 else det.tolist()))
         found.append((flat.ravel(), (adj * np.sign(det)[:, None]).ravel(),
                       np.repeat(np.abs(det), k * k)))
-    keys, adj, det = map(np.concatenate, zip(*found))
+    return (*map(np.concatenate, zip(*found)), absdet)
+
+
+def _int64_inverse(keys: np.ndarray, adj: np.ndarray, det: np.ndarray,
+                   absdet: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The :func:`exact_inverse` assembled from :func:`_eliminate`'s parts
+    over one denominator; refuses numerators that could overflow int64."""
     denom = math.lcm(*set(det.tolist()))
     if denom * int(np.max(np.abs(adj))) >= 2**63:
         raise ValueError(f"an inverse over {denom} could overflow int64")

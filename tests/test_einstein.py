@@ -387,6 +387,13 @@ class TestVerifySolution:
         assert stamped.ricci_verified == "failed"
         assert stamped.detail is not None
 
+    def test_nan_deviation_fails(self, osp32):
+        # NaN compares false with the bound either way: it must not pass
+        good = solve_family(family_spec("B", 1, 1), verify=False)[0]
+        stamped = verify_solution(osp32, dataclasses.replace(good, c=math.nan))
+        assert stamped.ricci_verified == "failed"
+        assert stamped.detail.startswith("direct route deviates nan at ")
+
     @pytest.mark.parametrize("fam,m,n", [("A", 2, 1), ("B", 1, 1),
                                          ("C", None, 3), ("D", 3, 2)])
     def test_slots_match_the_dense_comparison(self, fam, m, n):

@@ -372,19 +372,18 @@ class TestExactInverse:
                                                                  rel=1e-12)
 
     def test_one_inverse_per_form_over_a_report(self, monkeypatch):
-        # each realization inverts its Frobenius Gram and its canonical form,
-        # once: the curvature plan and every Casimir dual read the form's
-        # inverse (113 inversions before, 57 of them Casimir blocks)
-        sizes, inverse = [], supercore.exact_inverse
+        # each realization eliminates its Frobenius Gram and its canonical
+        # form, once: the form's nondegeneracy check, the curvature plan and
+        # every Casimir dual read that one elimination (113 inversions
+        # before, 57 of them Casimir blocks)
+        sizes, eliminate = [], supercore._eliminate
 
         def counting(keys, numer, size):
             sizes.append(size)
-            return inverse(keys, numer, size)
+            return eliminate(keys, numer, size)
 
-        monkeypatch.setattr(families, "exact_inverse", counting)
-        monkeypatch.setattr(supercore, "exact_inverse", counting)
-        doc = cli.build_report(3, 3, cli.DEFAULT_SEED, einstein.C_WINDOW,
-                               cli.DEFAULT_TOL)
+        monkeypatch.setattr(supercore, "_eliminate", counting)
+        doc = cli.build_report(3, 3, cli.DEFAULT_SEED, einstein.C_WINDOW)
         realized = [s for s in doc["families"] if s["realizable"]]
         assert doc["summary"]["all_pass"] and len(realized) == 28
         assert len(sizes) == 2 * 28

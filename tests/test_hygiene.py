@@ -6,7 +6,8 @@ anywhere in the package (``__all__`` counts as one), no module calls
 the catalog makes family records inside ``families``, and nothing calls
 ``np.linalg``: one exact inverse serves the basis coordinates, the form
 checks, the Casimir duals and the curvature plan. One function writes JSON,
-with json's C encoder, and only it reads a form's dense Gram."""
+with json's C encoder, and only it reads a form's dense Gram. Only the
+solver compares a residual with ``SOLUTION_TOL``."""
 
 import ast
 import functools
@@ -190,9 +191,12 @@ def test_only_the_form_itself_inverts_a_form():
     # matrix basis
     for path in MODULES:
         assert _linalg_sites(_tree(path)) == [], path.name
-    callers = {(path.name, fn) for path in MODULES
-               for fn in _callers(_tree(path), "exact_inverse")}
+    callers = {(path.name, fn) for path in MODULES for name in
+               ("exact_inverse", "_eliminate", "_int64_inverse")
+               for fn in _callers(_tree(path), name)}
     assert callers == {("families.py", "_coordinates"),
+                       ("supercore.py", "exact_inverse"),
+                       ("supercore.py", "BilinearFormMatrix._elimination"),
                        ("supercore.py", "BilinearFormMatrix.inverse")}
 
 
@@ -202,6 +206,37 @@ def test_only_the_build_output_reads_a_dense_gram():
     readers = {(path.name, label) for path in MODULES
                for label in _readers(_tree(path), "gram")}
     assert readers == {("supercore.py", "form_to_json")}
+
+
+def _comparers(tree: ast.Module, name: str) -> set:
+    """The functions and methods of ``tree``, labelled as by
+    :func:`_functions`, with a comparison one of whose operands is the name
+    or attribute ``name``; ``<module>`` for one outside them."""
+    def compares(node):
+        return any(isinstance(n, ast.Compare) and any(
+            isinstance(op, ast.Name) and op.id == name
+            or isinstance(op, ast.Attribute) and op.attr == name
+            for op in [n.left, *n.comparators]) for n in ast.walk(node))
+
+    inside = _functions(tree)
+    found = {label for label, fn in inside if compares(fn)}
+    nodes = {id(n) for _, fn in inside for n in ast.walk(fn)}
+    rest = [n for n in ast.walk(tree)
+            if isinstance(n, ast.Compare) and id(n) not in nodes]
+    return found | ({"<module>"} if any(map(compares, rest)) else set())
+
+
+def test_one_residual_gate():
+    # the solver keeps only candidates whose residual is below
+    # SOLUTION_TOL; a second gate on the residuals it returns could only
+    # disagree with it. Outside einstein only the report's config reads the
+    # constant, so no option or default can restate it either
+    comparers = {(path.name, label) for path in MODULES
+                 for label in _comparers(_tree(path), "SOLUTION_TOL")}
+    assert comparers == {("einstein.py", "solve")}
+    readers = {(path.name, label) for path in MODULES
+               for label in _readers(_tree(path), "SOLUTION_TOL")}
+    assert readers == {("cli.py", "build_report")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -284,6 +319,18 @@ def test_checks_catch_what_they_look_for():
                      "    def store(self, g):\n"
                      "        self.gram = g\n")
     assert _readers(tree, "gram") == {"<module>", "to_json", "Form.scale"}
+    tree = ast.parse("TOL = 1e-10\n"
+                     "ok = res < TOL\n"
+                     "def solve(res):\n"
+                     "    return [r for r in res if r < TOL]\n"
+                     "def gate(s, tol=einstein.TOL):\n"
+                     "    return tol >= s.residual\n"
+                     "def report(s):\n"
+                     "    return {'tol': einstein.TOL, 'ok': s.ok}\n"
+                     "class Run:\n"
+                     "    def check(self, s):\n"
+                     "        return not einstein.TOL > s.residual\n")
+    assert _comparers(tree, "TOL") == {"<module>", "solve", "Run.check"}
     tree = ast.parse("def sign(p):\n"
                      "    return 1.0 - 2.0 * np.outer(p, p)\n"
                      "def mixed(p, np):\n"

@@ -194,7 +194,7 @@ def test_one_plan_per_report_section(monkeypatch):
     monkeypatch.setattr(cli.einstein, "verify_solution",
                         lambda *args: verified.append(args) or inner(*args))
     section, _ = cli.report_section(families.family_spec("B", 1, 1), 1, 0,
-                                    cli.einstein.C_WINDOW, cli.DEFAULT_TOL)
+                                    cli.einstein.C_WINDOW)
     assert section["pass"] and len(verified) == 2 and len(built) == 1
 
 

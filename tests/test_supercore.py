@@ -24,8 +24,8 @@ from supereinstein.supercore import (
 )
 
 from conftest import defining_matrices, dense_constants, dense_integers, \
-    exact_entries, expand_in_basis, integer_form, parity_sign_matrix, \
-    sign_vector
+    exact_entries, exact_metric, expand_in_basis, integer_form, \
+    parity_sign_matrix, sign_vector
 
 
 def unit(n, i):
@@ -534,6 +534,35 @@ class TestCheckForm:
             if axiom != "bi_invariant":
                 assert residual == 1 / np.max(np.abs(moved))
         assert report.is_even and report.is_supersymmetric
+
+    @pytest.mark.parametrize("family,x", [
+        (("A", 1, 0), (Fraction(109, 44), Fraction(124, 45))),
+        (("A", 2, 0), (Fraction(112, 59), Fraction(74, 33))),
+        (("A", 2, 1), (Fraction(31, 18), Fraction(31, 11), Fraction(159, 64))),
+    ], ids=["A(1,0)", "A(2,0)", "A(2,1)"])
+    def test_nondegeneracy_read_apart_from_the_inverse(self, monkeypatch,
+                                                       family, x):
+        # exact metrics whose inverse's common denominator is too large for
+        # int64: the form still reads nondegenerate, from the determinants
+        # of its components, and the one elimination also serves the
+        # refused inverse
+        real = families.realize(families.family_spec(*family))
+        eliminated, inner = [], supercore._eliminate
+        monkeypatch.setattr(supercore, "_eliminate",
+                            lambda *args: eliminated.append(args) or inner(*args))
+        metric = exact_metric(real, x)
+        report = metric.report
+        assert report.is_even and report.is_supersymmetric
+        assert report.is_nondegenerate  # not bi-invariant: x scales blocks
+        dense = dense_integers(metric.keys, metric.numer, metric.dim)
+        row_max = np.abs(dense).max(axis=1)
+        sign, logdet = np.linalg.slogdet(dense)
+        assert sign != 0 and math.log(report.scaled_det) == pytest.approx(
+            logdet - np.log(row_max.astype(float)).sum(), abs=1e-9)
+        with pytest.raises(ValueError, match=r"an inverse over \d+ could "
+                                             r"overflow int64"):
+            metric.inverse
+        assert len(eliminated) == 1
 
     def test_bi_invariance_overflow_refused(self, sl21):
         # coprime numerators near 2**60: the int64 sums could overflow
