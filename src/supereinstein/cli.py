@@ -17,7 +17,7 @@ import math
 import os
 import random
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -29,116 +29,64 @@ from .families import FamilySpec, check_dense_size, family_spec, \
 from .supercore import algebra_to_json, check_super_jacobi, form_to_json
 
 DEFAULT_SEED = 12345
-# Characters of JSON text gathered before one write; a batch passes it by
-# at most one piece, such as one block of a Gram matrix's rows.
+# JSON_BATCH // 8 bytes of a row array (256 float64s) are made into lists
+# and encoded at a time.
 JSON_BATCH = 2**14
-# The values json writes as scalars (a bool is an int).
-_JSON_SCALARS = (str, int, float, type(None))
 
 
 def _spec_from_args(args) -> FamilySpec:
     return family_spec(args.family, m=args.m, n=args.n, alpha=args.alpha)
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _emit(pieces, out_path) -> None:
+    """Write the text ``pieces`` to ``out_path`` or stdout."""
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(pieces)
 
 
 def _emit_json(doc, out_path) -> None:
-    """Write ``doc`` as indented JSON and a newline to ``out_path`` or
-    stdout: byte for byte the text ``json.dump(doc, fh, indent=2)`` writes
-    plus ``"\\n"``, with each numpy array written as its ``tolist()``.
+    """Write ``doc`` byte for byte as ``json.dumps(doc, indent=2,
+    default=np.ndarray.tolist)`` and a newline, without holding the text or
+    the lists of a row array (a nonempty 2-D array or 1-D record array).
 
-    Every list, tuple or dict whose members are all scalars is one call of
-    json's C encoder, its items separated by a comma, a newline and their
-    indent, so json's own scalar text (float ``repr``, ``NaN`` and
-    ``Infinity``, string escapes, ``true`` and ``null``) is kept, and so is
-    every run of list items that are all nonempty lists of scalars, such as
-    a block of an array's rows; other containers recurse. An array whose
-    rows are arrays or records is made into lists a few kB of rows at a
-    time. The text goes out in batches of about ``JSON_BATCH`` characters,
-    so neither the whole text nor an array's nested lists are ever held,
-    and an unbuffered stdout (PYTHONUNBUFFERED) is not written once per
-    piece.
-    """
-
-    @functools.cache
-    def encode(inner: str):
-        # json's C encoder, its items separated by a comma and ``inner``
-        return json.JSONEncoder(separators=("," + inner, ": ")).encode
-
-    def scalars(values) -> bool:
-        return all(map(isinstance, values, repeat(_JSON_SCALARS)))
+    What holds no row array is one ``json.dumps``, re-indented by replacing
+    its newlines (json escapes those inside strings); only the dicts and
+    lists that hold one recurse. A row array goes ``JSON_BATCH // 8`` bytes
+    of rows at a time through json's C encoder, whose row boundaries
+    "],<deeper>[" then take the indented form."""
+    def holds_rows(value) -> bool:
+        if isinstance(value, (dict, list, tuple)):
+            return any(map(holds_rows, value.values()
+                           if isinstance(value, dict) else value))
+        return isinstance(value, np.ndarray) and value.size > 0 \
+            and value.ndim == (1 if value.dtype.names else 2)
 
     def pieces(value, newline: str):
-        # the text of ``value`` on a line that ``newline`` (a newline and
-        # the line's indent) begins, in pieces
-        inner = newline + "  "
-        if isinstance(value, np.ndarray):
-            if value.size and (value.ndim > 1 or value.dtype.names):
-                # rows of about JSON_BATCH / 8 bytes at a time (256
-                # float64s), made into lists
-                step = max(1, JSON_BATCH // 8 * len(value) // value.nbytes)
-                yield from list_pieces((value[at:at + step].tolist() for at
-                                        in range(0, len(value), step)), newline)
-                return
-            value = value.tolist()
-        if isinstance(value, dict) and not scalars(value.values()):
-            separator = "{" + inner
-            for key, item in value.items():
-                # a key that is not a str is named by its scalar text, as
-                # json names it (true, null, 1.5)
-                yield separator + encode(inner)(
-                    key if isinstance(key, str) else encode(inner)(key)) + ": "
-                separator = "," + inner
-                yield from pieces(item, inner)
-            yield newline + "}"
-        elif isinstance(value, (list, tuple)) and not scalars(value):
-            yield from list_pieces([value], newline)
-        else:  # a scalar or a container of scalars: one C encoder call
-            text = encode(inner)(value)
-            yield text[0] + inner + text[1:-1] + newline + text[-1] \
-                if isinstance(value, (dict, list, tuple)) and value else text
-
-    def list_pieces(blocks, newline: str):
-        # a nonempty list from blocks of its items; a block of nonempty
-        # lists of scalars is one C encoder call, whose row boundaries
-        # "],<deeper>[" take the indented form (no scalar's text holds a
-        # newline, so only a boundary matches)
-        inner = newline + "  "
-        deeper = inner + "  "
-        separator = "[" + inner
-        for block in blocks:
-            if all(isinstance(row, (list, tuple)) and row and scalars(row)
-                   for row in block):
-                text = encode(deeper)(block)[2:-2].replace(
+        # the text of ``value`` on a line begun by ``newline`` and its indent
+        inner, deeper = newline + "  ", newline + "    "
+        if not holds_rows(value):
+            yield json.dumps(value, indent=2, default=np.ndarray.tolist
+                             ).replace("\n", newline)
+        elif isinstance(value, np.ndarray):
+            encode = json.JSONEncoder(separators=("," + deeper, ": ")).encode
+            step = max(1, JSON_BATCH // 8 * len(value) // value.nbytes)
+            for at in range(0, len(value), step):
+                rows = encode(value[at:at + step].tolist())[2:-2].replace(
                     "]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-                yield separator + "[" + deeper + text + inner + "]"
-                separator = "," + inner
-                continue
-            for item in block:
-                yield separator
-                separator = "," + inner
+                yield f"{',' if at else '['}{inner}[{deeper}{rows}{inner}]"
+            yield newline + "]"
+        else:  # each key as json names it in {key: 0}, such as '"1.5": '
+            keyed = isinstance(value, dict)
+            opening, closing = "{}" if keyed else "[]"
+            items = ([(json.dumps({k: 0})[1:-2], v) for k, v in value.items()]
+                     if keyed else zip(repeat(""), value))
+            for at, (head, item) in enumerate(items):
+                yield ("," if at else opening) + inner + head
                 yield from pieces(item, inner)
-        yield newline + "]"
+            yield newline + closing
 
-    with (open(out_path, "w", encoding="utf-8") if out_path
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        batch, size = [], 0
-        for piece in pieces(doc, "\n"):
-            batch.append(piece)
-            size += len(piece)
-            if size >= JSON_BATCH:
-                fh.write("".join(batch))
-                batch, size = [], 0
-        batch.append("\n")
-        fh.write("".join(batch))
+    _emit(chain(pieces(doc, "\n"), "\n"), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +162,12 @@ def cmd_indices(args) -> int:
         _emit_json({"family": spec.name, "ideals": rows, "pass": bool(ok)},
                    args.out)
     elif args.format == "csv":
-        _emit(_rows_to_csv(rows, INDEX_COLUMNS), args.out)
+        _emit([_rows_to_csv(rows, INDEX_COLUMNS)], args.out)
     else:
         header = [k.replace("_catalog", " (catalog)") for k in INDEX_COLUMNS]
-        _emit(f"# {spec.name} invariants\n\n"
-              + _rows_to_markdown(rows, INDEX_COLUMNS, header, ".12g")
-              + f"\noverall: {'pass' if ok else 'FAIL'}\n", args.out)
+        _emit([f"# {spec.name} invariants\n\n",
+               _rows_to_markdown(rows, INDEX_COLUMNS, header, ".12g"),
+               f"\noverall: {'pass' if ok else 'FAIL'}\n"], args.out)
     return 0 if ok else 1
 
 
@@ -286,12 +234,11 @@ def _rows_to_markdown(rows: list[dict], columns: list[str], header: list[str],
 
 
 def _family_solutions(spec: FamilySpec, cmax: float) -> tuple:
-    """The family's solutions with |c| <= cmax, from its record alone, and
-    how many were left out. The scan covers at least the default window, so
-    --cmax filters what it omits instead of hiding it outside the scan."""
+    """Every solution of the family's record, and those with |c| <= cmax.
+    The scan covers at least the default window, so --cmax filters what it
+    omits instead of hiding it outside the scan."""
     found = einstein.solve(spec.data, c_window=max(cmax, einstein.C_WINDOW))
-    sols = [s for s in found if abs(s.c) <= cmax]
-    return sols, len(found) - len(sols)
+    return found, [s for s in found if abs(s.c) <= cmax]
 
 
 def _notes(family: str, sols, omitted: int, cmax: float,
@@ -313,17 +260,17 @@ def _run_solve(args, require_verified: bool) -> int:
     each on the family's realization and exits 1 when one fails."""
     spec = _spec_from_args(args)
     real = realize(spec) if require_verified and spec.realizable else None
-    sols, omitted = _family_solutions(spec, args.cmax)
+    found, sols = _family_solutions(spec, args.cmax)
     if real is not None:
         sols = [einstein.verify_solution(real, s) for s in sols]
-    for note in _notes(spec.name, sols, omitted, args.cmax, ""):
+    for note in _notes(spec.name, sols, len(found) - len(sols), args.cmax, ""):
         print(note, file=sys.stderr)
-    found = len(sols) + omitted
-    if not spec.count_as_claimed(found):
+    if not spec.count_as_claimed(len(found)):
         claim = ("exactly one Einstein metric" if spec.single_metric
                  else "at least two Einstein metrics")
-        print(f"note: {spec.name}: {found} solution{'s' * (found != 1)} "
-              f"found, but the family has {claim}", file=sys.stderr)
+        print(f"note: {spec.name}: {len(found)} solution"
+              f"{'s' * (len(found) != 1)} found, but the family has {claim}",
+              file=sys.stderr)
     data = spec.data
     doc = {"family": spec.name,
            "params": {"m": spec.m, "n": spec.n, "alpha": spec.alpha},
@@ -333,9 +280,9 @@ def _run_solve(args, require_verified: bool) -> int:
     if args.format == "json":
         _emit_json(doc, args.out)
     elif args.format == "csv":
-        _emit(_rows_to_csv(rows), args.out)
+        _emit([_rows_to_csv(rows)], args.out)
     else:
-        _emit(_rows_to_markdown(rows, CSV_COLUMNS, CSV_COLUMNS, ".10g"),
+        _emit([_rows_to_markdown(rows, CSV_COLUMNS, CSV_COLUMNS, ".10g")],
               args.out)
     if real is None and require_verified:
         print(f"{spec.name}: no matrix realization; Ricci verification "
@@ -431,7 +378,7 @@ def report_section(spec: FamilySpec, seed: int, index: int,
 def _section(spec: FamilySpec, seed: int, index: int,
              c_window: float) -> tuple[dict, list[str]]:
     real = realize(spec) if spec.realizable else None
-    sols, omitted = _family_solutions(spec, c_window)
+    found, sols = _family_solutions(spec, c_window)
     data = spec.data
     section: dict = {
         "family": spec.name,
@@ -458,25 +405,27 @@ def _section(spec: FamilySpec, seed: int, index: int,
     section["solutions"] = [s.to_json() for s in sols]
     section["solution_count"] = len(sols)
     section["expected_single"] = spec.single_metric
-    section["count_ok"] = gates["count_ok"] = \
-        spec.count_as_claimed(len(sols) + omitted)
+    # the claims are about the family, so they read the solutions --cmax
+    # leaves out too
+    section["count_ok"] = gates["count_ok"] = spec.count_as_claimed(len(found))
     if spec.flat_and_nonflat:
-        flat = any(abs(s.c) <= 1e-12 for s in sols)
-        nonflat = any(abs(s.c) > 1e-6 for s in sols)
+        flat = any(abs(s.c) <= 1e-12 for s in found)
+        nonflat = any(abs(s.c) > 1e-6 for s in found)
         section["ricci_flat_and_nonflat"] = gates["ricci_flat_and_nonflat"] = \
             flat and nonflat
     ref = einstein.cubic_reference_coefficients(spec)
     if ref is not None:
-        section["quartic"] = _quartic_section(spec, ref, sols)
+        section["quartic"] = _quartic_section(spec, ref, found)
         gates["quartic.root_solution_bijection"] = \
             section["quartic"]["root_solution_bijection"]
     if not data.killing_nondegenerate:
-        section["folding"] = _fold_section(spec, sols)
+        section["folding"] = _fold_section(spec, found)
         gates["folding.all_fold"] = section["folding"]["all_fold"]
     gates["solutions"] = all(s.ricci_verified != "failed" for s in sols)
     failed = [gate for gate, passed in gates.items() if not passed]
     section["pass"] = not failed
-    notes = _notes(spec.name, sols, omitted, c_window, f"{spec.name}: ")
+    notes = _notes(spec.name, sols, len(found) - len(sols), c_window,
+                   f"{spec.name}: ")
     if failed:
         notes.append(f"note: {spec.name}: failed {', '.join(failed)}")
     return section, notes
@@ -596,10 +545,10 @@ def cmd_report(args) -> int:
     if args.format == "json":
         _emit_json(doc, args.out)
     elif args.format == "csv":
-        _emit(_rows_to_csv([r for sec in doc["families"]
-                            for r in _section_rows(sec)]), args.out)
+        _emit([_rows_to_csv([r for sec in doc["families"]
+                             for r in _section_rows(sec)])], args.out)
     else:
-        _emit(_report_markdown(doc), args.out)
+        _emit([_report_markdown(doc)], args.out)
     return 0 if doc["summary"]["all_pass"] else 1
 
 

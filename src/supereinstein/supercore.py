@@ -388,19 +388,17 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     return form
 
 
-def _join(a_key: np.ndarray, b_key: np.ndarray,
-          stage: str = "") -> tuple[np.ndarray, np.ndarray]:
+def _join(a_key: np.ndarray,
+          b_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every position pair (p, q) with a_key[p] == b_key[q]. Refuses, before
-    allocating them, more than ``MAX_JOIN_PAIRS`` pairs, naming ``stage``
-    in the message when one is given."""
+    allocating them, more than ``MAX_JOIN_PAIRS`` pairs."""
     order = np.argsort(b_key, kind="stable")
     sorted_b = b_key[order]
     lo = np.searchsorted(sorted_b, a_key, "left")
     counts = np.searchsorted(sorted_b, a_key, "right") - lo
     total = int(counts.sum())
     if total > MAX_JOIN_PAIRS:
-        where = f" in the {stage}" if stage else ""
-        raise ValueError(f"a join of {total:,} entry pairs{where} is over the "
+        raise ValueError(f"a join of {total:,} entry pairs is over the "
                          f"{MAX_JOIN_PAIRS:,}-pair memory limit")
     p, q = _expand(np.arange(len(a_key)), lo, counts)
     return p, order[q]
@@ -720,9 +718,9 @@ def algebra_to_json(alg: LieSuperAlgebra) -> dict:
     """Schema: dim_even, dim_odd, parity, sparse c triplets, decomposition;
     unchanged. ``c`` holds the rows [i, j, k, c_ijk, 0.0] as a structured
     array made from the algebra's arrays, with no Python list per row.
-    ``cli._emit_json`` writes each record as that list, so the text is byte
-    for byte what ``json.dumps`` wrote for the nested lists, which
-    ``default=np.ndarray.tolist`` gives too. The float64 quotient
+    ``cli._emit_json`` makes it into lists a block of records at a time, so
+    the text is byte for byte what ``json.dumps`` wrote for the nested lists,
+    which ``default=np.ndarray.tolist`` gives too. The float64 quotient
     ``numer / denom`` is the one Python's int division gives while both
     stay below 2**53 (the catalog's are two-digit)."""
     c = np.zeros(len(alg.numer), dtype="i8, i8, i8, f8, f8")
@@ -741,8 +739,8 @@ def algebra_to_json(alg: LieSuperAlgebra) -> dict:
 def form_to_json(form: BilinearFormMatrix) -> dict:
     """The Gram matrix and the axiom flags of a checked form's report;
     schema unchanged. The Gram is the form's dense view, which only this
-    output reads, and ``cli._emit_json`` writes it a few rows at a time,
-    byte for byte as the nested lists of floats it stands for."""
+    output reads; ``cli._emit_json`` makes it into lists a block of rows at
+    a time, byte for byte as the nested lists of floats it stands for."""
     report = form.report
     return {
         "gram": form.gram,

@@ -1,11 +1,14 @@
 """The command-line front end, driven through ``cli.main``: the solution
 tables of ``solve``, ``verify`` and ``report``, the input contract (exit
 code 2 and a one-line error), the ``--cmax`` filter, ``solve`` reading the
-family record alone, and the ``build`` and ``indices`` outputs."""
+family record alone, the ``build`` and ``indices`` outputs, and one
+corruption per report gate that fails it."""
 
+import ast
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -23,6 +26,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from supereinstein import cli, einstein, families, invariants, supercore
+
+from conftest import exact_entries
 
 
 @pytest.fixture(scope="module")
@@ -254,11 +259,12 @@ class TestCmaxFilter:
     def test_report_notes_omitted_per_family(self, capsys, jobs):
         code, out, err = run(capsys, "report", "--max-m", "1", "--cmax", "0.2",
                              "--jobs", jobs)
-        # B(1,1) loses both solutions, so its quartic's roots match none
-        assert code == 1
+        # B(1,1) loses both printed solutions, and its quartic's roots
+        # still match the solutions found
+        assert code == 0
         assert "note: G(3): 1 solution(s) with |c| > 0.2 omitted by --cmax" \
             in err.splitlines()
-        assert "note: B(1,1): failed quartic.root_solution_bijection" \
+        assert "note: B(1,1): 2 solution(s) with |c| > 0.2 omitted by --cmax" \
             in err.splitlines()
         sections = json.loads(out)["families"]
         order = [s["family"] for s in sections]
@@ -270,13 +276,17 @@ class TestCmaxFilter:
         assert all(abs(sol["c"]) <= 0.2 for s in sections for sol in s["solutions"])
 
     def test_report_counts_the_omitted_solutions(self, capsys):
-        # the paper's count is about the family: A(1,0)'s one metric and
-        # B(1,1)'s two lie outside |c| <= 0.1, and both counts still hold
+        # the paper's claims are about the family: A(1,0)'s one metric,
+        # B(1,1)'s two and D(2,1;2.5)'s non-flat ones lie outside
+        # |c| <= 0.1, and the count, quartic and flat/non-flat claims hold
         code, out, err = run(capsys, "report", "--max-m", "1", "--cmax", "0.1")
+        assert code == 0 and ": failed " not in err
         sections = {s["family"]: s for s in json.loads(out)["families"]}
         for family in ("A(1,0)", "B(1,1)"):
             assert sections[family]["solutions"] == []
             assert sections[family]["count_ok"] is True
+        assert sections["B(1,1)"]["quartic"]["root_solution_bijection"] is True
+        assert sections["D(2,1;2.5)"]["ricci_flat_and_nonflat"] is True
         assert "note: A(1,0): 1 solution(s) with |c| > 0.1 omitted by --cmax" \
             in err.splitlines()
 
@@ -396,6 +406,118 @@ def test_failing_report_section_names_its_gate(capsys, monkeypatch):
     assert err == "note: B(1,1): failed quartic.root_solution_bijection\n"
     assert [s["family"] for s in json.loads(out)["families"]
             if not s["pass"]] == ["B(1,1)"]
+
+
+def _record_changed(family, **changes):
+    """A corruption of the report: ``family``'s record with ``changes``."""
+    def corrupt(monkeypatch):
+        catalog = cli.iter_catalog
+        monkeypatch.setattr(cli, "iter_catalog", lambda *args: [
+            dataclasses.replace(s, **changes) if s.name == family else s
+            for s in catalog(*args)])
+    return corrupt
+
+
+def _realization_changed(family, change):
+    """A corruption of the report: ``family``'s realization made into
+    ``change(realization)``."""
+    def corrupt(monkeypatch):
+        def realized(spec):
+            real = families.realize(spec)
+            return change(real) if spec.name == family else real
+
+        monkeypatch.setattr(cli, "realize", realized)
+    return corrupt
+
+
+def _odd_bracket_moved(real):
+    # c[i, j, k] + 1 on the first bracket of two distinct odd vectors, and
+    # on c[j, i, k], which graded antisymmetry makes equal to it. A moved
+    # bracket with an even vector is refused (exit 2) by the invariants' or
+    # the curvature's own checks before the structural gate is read
+    alg = real.algebra
+    odd = alg.basis.parity_array()
+    i, j, k = next(t for t in alg.index.tolist()
+                   if odd[t[0]] and odd[t[1]] and t[0] < t[1])
+    entries = exact_entries(alg)
+    entries[(i, j, k)] += 1
+    entries[(j, i, k)] += 1
+    return dataclasses.replace(real, algebra=supercore.LieSuperAlgebra(
+        alg.basis, entries, alg.decomposition))
+
+
+def _abelian_form_entry_moved(real):
+    # the canonical form's numerator on the abelian ideal's (0, 0) entry + 1
+    form = real.canonical_form
+    assert form.keys[0] == 0 and real.data.has_k0
+    numer = form.numer.copy()
+    numer[0] += 1
+    return dataclasses.replace(real, canonical_form=supercore.exact_form(
+        real.algebra, form.keys, numer, form.denom))
+
+
+def _first_solution_nudged(family):
+    """A corruption of the report: the first solution of ``family``'s
+    system with its first coordinate moved by 1e-6."""
+    def corrupt(monkeypatch):
+        solve = einstein.solve
+        data = next(s.data for s in families.catalog(1) if s.name == family)
+
+        def nudged(system, **kwargs):
+            sols = solve(system, **kwargs)
+            if system == data:
+                x = sols[0].x
+                sols[0] = dataclasses.replace(sols[0], x=(x[0] + 1e-6, *x[1:]))
+            return sols
+
+        monkeypatch.setattr(einstein, "solve", nudged)
+    return corrupt
+
+
+# For each gate of ``cli._section``: one corruption of one family of the
+# m = 1 report, and every gate it fails, in the order the note names them.
+GATE_MUTATIONS = {
+    "structural": (_realization_changed("B(1,1)", _odd_bracket_moved),
+                   "B(1,1)", ["structural", "route_equivalence", "solutions"]),
+    "route_equivalence": (
+        _realization_changed("A(1,0)", _abelian_form_entry_moved), "A(1,0)",
+        ["structural", "route_equivalence", "solutions"]),
+    "count_ok": (_record_changed("B(1,1)", single_metric=True), "B(1,1)",
+                 ["count_ok"]),
+    "ricci_flat_and_nonflat": (
+        _record_changed("A(1,0)", flat_and_nonflat=True), "A(1,0)",
+        ["ricci_flat_and_nonflat"]),
+    "quartic.root_solution_bijection": (
+        _first_solution_nudged("B(1,1)"), "B(1,1)",
+        ["quartic.root_solution_bijection", "solutions"]),
+    "folding.all_fold": (_record_changed("D(2,1;2.5)", folding=((1, 2),)),
+                         "D(2,1;2.5)", ["folding.all_fold"]),
+    "solutions": (_first_solution_nudged("A(1,0)"), "A(1,0)", ["solutions"]),
+}
+
+
+@pytest.mark.parametrize("gate", GATE_MUTATIONS)
+def test_gate_mutation_fails_the_report(capsys, monkeypatch, gate):
+    corrupt, family, failed = GATE_MUTATIONS[gate]
+    assert gate in failed
+    code, out, _ = run(capsys, "report", "--max-m", "1")
+    assert code == 0
+    corrupt(monkeypatch)
+    code, out, err = run(capsys, "report", "--max-m", "1")
+    assert code == 1
+    assert f"note: {family}: failed {', '.join(failed)}" in err.splitlines()
+    assert [s["family"] for s in json.loads(out)["families"]
+            if not s["pass"]] == [family]
+
+
+def test_every_gate_has_a_mutation():
+    # the gates are the keys ``_section`` stores into ``gates``
+    stored = {node.slice.value
+              for node in ast.walk(ast.parse(inspect.getsource(cli._section)))
+              if isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store)
+              and ast.unparse(node.value) == "gates"}
+    assert stored == set(GATE_MUTATIONS)
 
 
 A10 = ("--family", "A", "--m", "1", "--n", "0")
@@ -663,7 +785,7 @@ def _build_doc(spec) -> dict:
 
 def test_json_written_without_holding_its_text(tmp_path):
     # B(4,4)'s algebra and form are 627,226 bytes of JSON, their arrays
-    # written a block of rows at a time (90 kB traced)
+    # written a block of rows at a time (57 kB traced)
     doc = _build_doc(families.family_spec("B", 4, 4))
     target = tmp_path / "b44.json"
     peak = _traced_write(doc, target)
@@ -674,7 +796,7 @@ def test_json_written_without_holding_its_text(tmp_path):
 
 def test_json_peak_does_not_grow_with_the_arrays(tmp_path):
     # A(20,0), dim 483: its Gram alone as nested lists of floats is about
-    # 6 MB; its 5.1 MB document is written at 93 kB traced
+    # 6 MB; its 5.1 MB document is written at 83 kB traced
     doc = _build_doc(families.family_spec("A", 20, 0))
     target = tmp_path / "a20.json"
     assert _traced_write(doc, target) < 2**20 < target.stat().st_size / 4
@@ -697,7 +819,8 @@ _JSON_TREE = st.recursive(
     _JSON_SCALAR | _JSON_ARRAY,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    | st.dictionaries(st.text(max_size=4) | st.integers() | st.floats()
+                      | st.booleans() | st.none(), inner, max_size=4),
     max_leaves=30)
 
 
@@ -705,7 +828,8 @@ _JSON_TREE = st.recursive(
 @given(doc=_JSON_TREE)
 def test_json_text_is_the_reference_encoders(doc):
     # empty containers at any depth, scalars of every kind inside flat
-    # lists, and arrays, whose reference text is that of their lists
+    # lists, dict keys that json names by their scalar text (1, 1.5, true,
+    # null), and arrays, whose reference text is that of their lists
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit_json(doc, None)

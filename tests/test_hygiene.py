@@ -6,14 +6,18 @@ anywhere in the package (``__all__`` counts as one), no module calls
 the catalog makes family records inside ``families``, and nothing calls
 ``np.linalg``: one exact inverse serves the basis coordinates, the form
 checks, the Casimir duals and the curvature plan. One function writes JSON,
-with json's C encoder, and only it reads a form's dense Gram. Only the
-solver compares a residual with ``SOLUTION_TOL``."""
+and only it reads a form's dense Gram; no row array reaches ``json.dumps``.
+Only the solver compares a residual with ``SOLUTION_TOL``."""
 
 import ast
 import functools
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from supereinstein import cli, families, supercore
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "supereinstein"
 MODULES = sorted(SRC.glob("*.py"))
@@ -250,9 +254,20 @@ _JSON_WRITERS = ("json.dump", "json.dumps", "dumps", "json.JSONEncoder",
                  "JSONEncoder")
 
 
-def test_one_json_writer():
-    # every JSON document goes out through cli._emit_json, and only json's
-    # C encoder writes it: an ``indent`` would select the pure-Python one
+def _holds_row_array(value) -> bool:
+    """Whether ``value`` is, or holds, a nonempty 2-D array or a nonempty
+    1-D record array."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_row_array, value))
+    return isinstance(value, np.ndarray) and value.size > 0 \
+        and (value.ndim == 2 or value.dtype.names is not None)
+
+
+def test_one_json_writer(monkeypatch, tmp_path):
+    # every JSON document goes out through cli._emit_json, and no row array
+    # reaches json.dumps: its rows go to the C encoder a block at a time
     sites = {(path.name, node.lineno) for path, tree in
              zip(MODULES, map(_tree, MODULES)) for name in _JSON_WRITERS
              for node in _call_sites(tree, name)}
@@ -261,8 +276,16 @@ def test_one_json_writer():
     calls = [node for name in _JSON_WRITERS
              for node in _call_sites(emit, name)]
     assert calls and sites == {("cli.py", node.lineno) for node in calls}
-    assert [kw.arg for node in calls for kw in node.keywords
-            if kw.arg == "indent"] == []
+    seen, dumps = [], json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda value, **kw:
+                        seen.append(value) or dumps(value, **kw))
+    real = families.realize(families.family_spec("B", 1, 1))
+    records = np.array([(1, 2.5)], dtype="i8, f8")
+    cli._emit_json({"algebra": supercore.algebra_to_json(real.algebra),
+                    "forms": [supercore.form_to_json(real.canonical_form),
+                              (np.eye(2), {1.5: records}), np.arange(3)]},
+                   tmp_path / "doc.json")
+    assert seen and not any(map(_holds_row_array, seen))
 
 
 def test_checks_catch_what_they_look_for():
