@@ -5,6 +5,7 @@ against the curvature module."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -374,74 +375,182 @@ def cubic_reference_coefficients(spec: FamilySpec) -> Optional[tuple[Fraction, .
     )
 
 
-def _poly_derivative(p: list[Fraction]) -> list[Fraction]:
+def _poly_derivative(p: list) -> list:
     n = len(p) - 1
     return [c * (n - i) for i, c in enumerate(p[:-1])]
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    b = _poly_strip(b)
-    out = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+def _pseudo_divmod(a: list[int], b: list[int]):
+    """The q and r with |b_0|^k a = q b + r, k = deg a - deg b + 1 and deg r
+    < deg b: the quotient and remainder over Q times a positive integer, so
+    both keep their signs."""
+    lead, sign = abs(b[0]), (b[0] > 0) - (b[0] < 0)
+    q, r = [], list(a)
     for i in range(len(a) - len(b) + 1):
-        coef = out[i] / b[0]
-        q[i] = coef
-        if coef:
-            for j, bj in enumerate(b):
-                out[i + j] -= coef * bj
-    return q, _poly_strip(out[len(a) - len(b) + 1:])
+        c = sign * r[i]
+        q = [lead * v for v in q] + [c]
+        r = [lead * v for v in r]
+        for j, v in enumerate(b):
+            r[i + j] -= c * v
+    return q, _poly_strip(r[len(a) - len(b) + 1:])
 
 
-def _poly_strip(p: list[Fraction]) -> list[Fraction]:
+def _poly_strip(p: list) -> list:
     k = 0
     while k < len(p) - 1 and p[k] == 0:
         k += 1
     return p[k:]
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_strip(a), _poly_strip(b)
-    while len(b) > 1 or (len(b) == 1 and b[0] != 0):
-        a, b = b, _poly_divmod(a, b)[1]
-        if not b:
-            break
-    return [v / a[0] for v in a]
-
-
-def square_free_part(coeffs: list[Fraction]) -> list[Fraction]:
-    """Exact square-free reduction: repeated roots become simple, so the
-    numeric root finder recovers them to full precision."""
+def square_free_part(coeffs: list[Fraction]) -> list[int]:
+    """Exact square-free reduction p / gcd(p, p'), scaled by a positive
+    rational to coprime integer coefficients (a constant is returned as it
+    is): every root of p becomes simple, which Sturm's theorem in
+    :func:`real_roots` needs. The gcd is the last member of p's remainder
+    sequence, and it divides p exactly."""
     p = _poly_strip(list(coeffs))
     if len(p) <= 1:
         return p
-    g = _poly_gcd(p, _poly_derivative(p))
-    if len(g) == 1:
-        return p
-    return _poly_divmod(p, g)[0]
+    p = _primitive(p)
+    g = _remainder_sequence(p)[-1]
+    return p if len(g) == 1 else _primitive(_pseudo_divmod(p, g)[0])
 
 
 def real_roots(coeffs: list[Fraction]) -> list[float]:
-    """Real roots (without multiplicity) of a rational polynomial."""
+    """The distinct real roots of a rational polynomial, ascending, each
+    rounded to the nearest float.
+
+    Exact isolation (Collins & Akritas, SYMSAC 1976): the Sturm chain of
+    the square-free part p counts the distinct roots in (a, b] as V(a) -
+    V(b), V the sign changes along the chain (Sturm's theorem), and
+    Cauchy's bound puts every root inside (-2^e, 2^e). Bisecting that
+    interval at dyadic points a / 2^k, where every sign is an integer
+    Horner sum, leaves intervals (a, b] that hold one root each; a root on
+    a bisection point is the b of its interval and is returned as it is
+    (so 0 comes back as 0.0). Each other root is refined by Newton's
+    method in floats, safeguarded by bisection (:func:`_float_root`), and
+    its last bit is decided by exact signs at floats
+    (:func:`_nearest_float`)."""
     sf = square_free_part(coeffs)
-    arr = np.array([float(v) for v in sf])
-    if arr.size <= 1:
+    if len(sf) <= 1:
         return []
-    roots = np.roots(arr)
+    chain = _remainder_sequence(sf)
+    p = chain[0]
+    # Cauchy: every root has |x| < 1 + max|p_i| / |p_0| <= bound <= 2^e
+    lead = abs(p[0])
+    bound = -(-(lead + max(map(abs, p[1:]))) // lead)
+    e = (bound - 1).bit_length()
+    fl = [float(v) for v in p]
+    dfl = _poly_derivative(fl)
     out = []
-    fl = [float(v) for v in sf]
-    dfl = [float(v) for v in _poly_derivative(sf)]
-    for r in roots:
-        if abs(r.imag) > 1e-9:
-            continue
-        x = float(r.real)
-        for _ in range(3):  # Newton polish against the exact coefficients
-            fx = _horner(fl, x)
-            dx = _horner(dfl, x)
-            if dx == 0.0:
-                break
-            x -= fx / dx
-        out.append(x)
-    return sorted(out)
+    # intervals (lo / 2^k, hi / 2^k] with their sign changes, left first
+    todo = [(-1 << e, 1 << e, 0, _variations(chain, -1 << e, 1),
+             _variations(chain, 1 << e, 1))]
+    while todo:
+        lo, hi, k, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi > 1:
+            mid, k = lo + hi, k + 1
+            v_mid = _variations(chain, mid, 1 << k)
+            todo += [(mid, 2 * hi, k, v_mid, v_hi),
+                     (2 * lo, mid, k, v_lo, v_mid)]
+        elif v_lo - v_hi == 1:
+            a, b = math.ldexp(lo, -k), math.ldexp(hi, -k)
+            rising = _sign_at(p, hi, 1 << k)
+            if rising == 0:
+                out.append(b)
+            else:
+                x = _float_root(fl, dfl, a, b, rising > 0)
+                out.append(_nearest_float(p, rising, a, b, x))
+    return out
+
+
+def _remainder_sequence(p: list[int]) -> list[list[int]]:
+    """p, p', then the negated remainders -rem(p_(i-1), p_i) until one is
+    zero, for p with coprime integer coefficients and degree >= 1; each
+    member after p is scaled by a positive rational to coprime integer
+    coefficients, which keeps every sign. The last member is gcd(p, p') up
+    to a constant; for a square-free p it is a nonzero constant, and the
+    sequence is p's Sturm chain."""
+    seq = [p, _primitive(_poly_derivative(p))]
+    while len(seq[-1]) > 1:
+        r = _pseudo_divmod(seq[-2], seq[-1])[1]
+        if r == [0]:
+            break
+        seq.append(_primitive([-v for v in r]))
+    return seq
+
+
+def _primitive(p: list) -> list[int]:
+    """A rational polynomial scaled by a positive rational to coprime
+    integer coefficients."""
+    den = math.lcm(*(v.denominator for v in p))
+    ints = [v.numerator * (den // v.denominator) for v in p]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _sign_at(p: list[int], num: int, den: int) -> int:
+    """The sign of p(num / den) for den > 0, from the integer
+    den^deg p(num / den) by Horner's rule."""
+    acc, power = 0, 1
+    for c in p:
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[list[int]], num: int, den: int) -> int:
+    """Sign changes along the chain at num / den, zeros skipped."""
+    signs = [s for s in (_sign_at(q, num, den) for q in chain) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _float_root(fl: list[float], dfl: list[float], lo: float, hi: float,
+                rising: bool) -> float:
+    """Newton's method in floats on (lo, hi), where fl has its one root and
+    is negative left of it when ``rising``; a step that leaves the bracket
+    or is more than half the previous one bisects instead. Stops once a
+    step is within one ulp."""
+    x, last = 0.5 * (lo + hi), hi - lo
+    while True:
+        fx = _horner(fl, x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
+        dx = _horner(dfl, x)
+        step = fx / dx if dx else last
+        if not lo < x - step < hi or abs(step) > 0.5 * last:
+            step = x - 0.5 * (lo + hi)
+        if abs(step) <= math.ulp(x):
+            return x - step
+        x, last = x - step, abs(step)
+
+
+def _nearest_float(p: list[int], rising: int, lo: float, hi: float,
+                   x: float) -> float:
+    """The float nearest the one root of p in (lo, hi), decided by exact
+    signs at floats (p has the sign -``rising`` left of the root): from the
+    estimate x, steps toward the root that double from one ulp until they
+    pass it, then bisection down to two adjacent floats, and the sign at
+    their midpoint picks one (a tie goes to the even float)."""
+    step = math.ulp(x)
+    while math.nextafter(lo, hi) < hi:
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        s = rising * _sign_at(p, *x.as_integer_ratio())
+        if s == 0:
+            return x
+        if s < 0:
+            lo, x = x, x + step
+        else:
+            hi, x = x, x - step
+        step *= 2
+    mid = (Fraction(lo) + Fraction(hi)) / 2
+    s = rising * _sign_at(p, mid.numerator, mid.denominator)
+    return lo if s > 0 else hi if s < 0 else float(mid)
 
 
 def _horner(p: list[float], x: float) -> float:

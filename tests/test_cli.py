@@ -534,17 +534,121 @@ def _with_form(monkeypatch, form_of):
     monkeypatch.setattr(cli, "realize", realized)
 
 
+def _form_changed(change):
+    """A realization change: the canonical form rebuilt from its integer
+    entries, a dict {(row, col): numer} that ``change(entries, real)``
+    edits in place."""
+    def changed(real):
+        form, n = real.canonical_form, real.canonical_form.dim
+        entries = {divmod(int(k), n): int(v)
+                   for k, v in zip(form.keys, form.numer)}
+        change(entries, real)
+        keys = sorted(k for k, v in entries.items() if v)
+        flat = np.array([i * n + j for i, j in keys], dtype=np.int64)
+        numer = np.array([entries[k] for k in keys], dtype=np.int64)
+        return dataclasses.replace(real, canonical_form=supercore.exact_form(
+            real.algebra, flat, numer, form.denom))
+    return changed
+
+
+def _mixed_parity_pair(entries, real):
+    # B(e, o) = B(o, e) = 1 for the first even e and the first odd o
+    odd = real.algebra.basis.parity_array()
+    e, o = int(np.flatnonzero(odd == 0)[0]), int(np.flatnonzero(odd)[0])
+    entries[e, o] = entries[o, e] = 1
+
+
+def _odd_entry_moved(entries, real):
+    # one odd-odd entry + 1 and its transpose kept. An even-even entry moved
+    # alone is refused (exit 2) by the Casimir check before the flags are read
+    odd = real.algebra.basis.parity_array()
+    entries[next(k for k in sorted(entries) if odd[k[0]] and odd[k[1]])] += 1
+
+
+def _first_ideal_doubled(entries, real):
+    ideal = real.algebra.simple_ideals()[0]
+    for i, j in entries:
+        if ideal.start <= i < ideal.stop:
+            entries[i, j] *= 2
+
+
+def _first_row_zeroed(entries, real):
+    for key in [k for k in entries if 0 in k]:
+        del entries[key]
+
+
+def _first_l_moved(real):
+    # the record's first l off by 1/1000, so the realized l no longer equals it
+    data = real.data
+    return dataclasses.replace(real, spec=dataclasses.replace(
+        real.spec, data=dataclasses.replace(
+            data, l=(data.l[0] + Fraction(1, 1000), *data.l[1:]))))
+
+
+def _failed_terms(doc):
+    """The terms of ``cli._structural``'s ``pass`` that a ``build`` document
+    reads as failed, in the order ``_structural`` states them."""
+    flags, verification = doc["canonical_form"]["flags"], doc["verification"]
+    return [term for term, holds in [
+        ("jac.residual == 0", verification["jacobi_residual"] == 0),
+        ("form.is_even", flags["even"]),
+        ("form.is_supersymmetric", flags["supersymmetric"]),
+        ("form.is_bi_invariant", flags["bi_invariant"]),
+        ("form.is_nondegenerate", flags["nondegenerate"]),
+        ("realization['pass']", verification["realization"]["pass"]),
+    ] if not holds]
+
+
+# For each term of ``cli._structural``'s ``pass``: one corruption of
+# A(1,0)'s realization, and every term it fails.
+STRUCTURAL_MUTATIONS = {
+    "jac.residual == 0": (_odd_bracket_moved, ["jac.residual == 0"]),
+    "form.is_even": (_form_changed(_mixed_parity_pair),
+                     ["form.is_even", "form.is_bi_invariant"]),
+    "form.is_supersymmetric": (_form_changed(_odd_entry_moved),
+                               ["form.is_supersymmetric",
+                                "form.is_bi_invariant"]),
+    "form.is_bi_invariant": (_form_changed(_first_ideal_doubled),
+                             ["form.is_bi_invariant", "realization['pass']"]),
+    "form.is_nondegenerate": (_form_changed(_first_row_zeroed),
+                              ["form.is_bi_invariant", "form.is_nondegenerate",
+                               "realization['pass']"]),
+    "realization['pass']": (_first_l_moved, ["realization['pass']"]),
+}
+
+
+@pytest.mark.parametrize("term", STRUCTURAL_MUTATIONS)
+def test_structural_term_mutation_fails_build(capsys, monkeypatch, term):
+    change, failed = STRUCTURAL_MUTATIONS[term]
+    assert term in failed
+    code, out, _ = run(capsys, "build", *A10)
+    assert (code, _failed_terms(json.loads(out))) == (0, [])
+    _realization_changed("A(1,0)", change)(monkeypatch)
+    code, out, _ = run(capsys, "build", *A10)
+    doc = json.loads(out)
+    assert code == 1 and doc["verification"]["pass"] is False
+    assert _failed_terms(doc) == failed
+
+
+def test_every_structural_term_has_a_mutation():
+    # the terms are the operands of the ``and`` that ``_structural`` stores
+    # as ``pass``
+    (passed,) = [value.args[0] for node in ast.walk(ast.parse(
+        inspect.getsource(cli._structural))) if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and key.value == "pass"
+        and isinstance(value, ast.Call)]
+    assert isinstance(passed, ast.BoolOp) and isinstance(passed.op, ast.And)
+    assert [ast.unparse(t) for t in passed.values] == \
+        list(STRUCTURAL_MUTATIONS)
+
+
 def test_degenerate_canonical_form_fails_build_and_report(capsys,
                                                           monkeypatch):
     # one zeroed row and column: the form stays even and supersymmetric,
     # and the invariants, which need its inverse, are not made
-    def zeroed(form):
-        keep = (form.keys // form.dim != 0) & (form.keys % form.dim != 0)
-        return supercore.exact_form(families.realize(
-            families.family_spec("A", 1, 0)).algebra, form.keys[keep],
-            form.numer[keep], form.denom)
-
-    _with_form(monkeypatch, zeroed)
+    _realization_changed("A(1,0)", _form_changed(_first_row_zeroed))(
+        monkeypatch)
     code, out, _ = run(capsys, "build", *A10)
     doc = json.loads(out)
     assert code == 1 and doc["verification"]["pass"] is False

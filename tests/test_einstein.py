@@ -305,11 +305,65 @@ class TestElimination:
         assert all(abs(a - b) < 1e-8 for a, b in zip(sorted(roots), xs))
 
     def test_square_free_collapses_double_roots(self):
-        # (x - 1)^2 (2x - 1)^2, up to scale
-        quartic = elimination_polynomial(family_spec("D", 2, 2))
-        sf = square_free_part(quartic)
-        assert len(sf) == 3
-        assert sorted(real_roots(quartic)) == pytest.approx([0.5, 1.0])
+        # each case: coefficients, the square-free part's degree and the
+        # distinct real roots, each the float nearest the exact root
+        mul = einstein._poly_mul
+        cases = {
+            # (x - 1)^2 (2x - 1)^2, up to scale
+            "D(2,2)": (elimination_polynomial(family_spec("D", 2, 2)), 2,
+                       [0.5, 1.0]),
+            # x (2x - 1)(x - 1), up to scale: each root on a bisection point
+            "B(1,1)": (elimination_polynomial(family_spec("B", 1, 1)), 3,
+                       [0.0, 0.5, 1.0]),
+            "cluster": (mul([F(1), F(-1)], [F(1), -1 - F(1, 2**30)]), 2,
+                        [1.0, 1.0 + 2.0**-30]),
+            "x^2 + 1": ([F(1), F(0), F(1)], 2, []),
+            "degree 0": ([F(3)], 0, []),
+            "degree 1": ([F(3), F(-1)], 1, [1 / 3]),
+            # -(x^2 - 2)(x + 3)^2
+            "negative leading coefficient": (
+                [-v for v in mul([F(1), F(0), F(-2)], [F(1), F(6), F(9)])],
+                3, [-3.0, -math.sqrt(2), math.sqrt(2)]),
+            # (x - 10^6)(3x + 1)^2, whose Cauchy bound is over 10^6
+            "Cauchy bound over 10^6": (
+                mul([F(1), F(-10**6)], [F(9), F(6), F(1)]), 2,
+                [-1 / 3, 1e6]),
+        }
+        for name, (coeffs, degree, roots) in cases.items():
+            assert len(square_free_part(coeffs)) == degree + 1, name
+            assert real_roots(coeffs) == roots, name
+        zero = real_roots(cases["B(1,1)"][0])[0]
+        assert math.copysign(1.0, zero) == 1.0
+
+    @pytest.mark.parametrize("spec", [
+        s for s in catalog(6) if cubic_reference_coefficients(s) is not None],
+        ids=lambda s: s.name)
+    def test_real_roots_match_sympy(self, spec):
+        quartic = elimination_polynomial(spec)
+        exact = sp.Poly([sp.Rational(v.numerator, v.denominator)
+                         for v in quartic], sp.Symbol("x")).real_roots()
+        want = [float(r.evalf(30)) for r in sorted(set(exact))]
+        got = real_roots(quartic)
+        assert len(got) == len(want)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 50),
+                              st.integers(1, 3)), max_size=4),
+           st.lists(st.tuples(st.integers(1, 50), st.integers(1, 2)),
+                    max_size=2))
+    def test_real_roots_of_rational_products(self, linear, squares):
+        # prod (q x - p)^k prod (x^2 + a^2)^k has the real roots p / q
+        poly = [F(1)]
+        for p, q, k in linear:
+            for _ in range(k):
+                poly = einstein._poly_mul(poly, [F(q), F(-p)])
+        for a, k in squares:
+            for _ in range(k):
+                poly = einstein._poly_mul(poly, [F(1), F(0), F(a * a)])
+        assert real_roots(poly) == [
+            float(r) for r in sorted({F(p, q) for p, q, _ in linear})]
 
 
 class TestKnownSolutions:

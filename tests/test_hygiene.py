@@ -4,10 +4,12 @@ constant and no public definition or method is left without a reference
 anywhere in the package (``__all__`` counts as one), no module calls
 ``einsum`` or ``np.outer``, the front end compares no family kind, only
 the catalog makes family records inside ``families``, and nothing calls
-``np.linalg``: one exact inverse serves the basis coordinates, the form
-checks, the Casimir duals and the curvature plan. One function writes JSON,
-and only it reads a form's dense Gram; no row array reaches ``json.dumps``.
-Only the solver compares a residual with ``SOLUTION_TOL``."""
+``np.linalg`` or a numpy wrapper of LAPACK (``np.roots``, ``np.polyfit``,
+``np.poly``): one exact inverse serves the basis coordinates, the form
+checks, the Casimir duals and the curvature plan, and real roots are
+isolated exactly. One function writes JSON, and only it reads a form's
+dense Gram; no row array reaches ``json.dumps``. Only the solver compares a
+residual with ``SOLUTION_TOL``."""
 
 import ast
 import functools
@@ -135,14 +137,30 @@ def _call_sites(tree: ast.AST, name: str) -> list:
             and ast.unparse(node.func) == name]
 
 
+# numpy functions outside ``numpy.linalg`` that call LAPACK: ``roots``
+# takes the eigenvalues of a companion matrix, ``polyfit`` solves a least
+# squares problem and ``poly`` takes a square matrix's eigenvalues
+LAPACK_WRAPPERS = {"roots", "polyfit", "poly"}
+
+
 def _linalg_sites(tree: ast.AST) -> list:
-    """Line numbers of the uses of a ``linalg`` module: every attribute
-    ``linalg`` (so every ``np.linalg.*`` call) and every import that names
-    one (so every alias of it)."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "linalg"
-                  or isinstance(node, (ast.Import, ast.ImportFrom))
-                  and "linalg" in ast.unparse(node))
+    """Line numbers of the uses of a ``linalg`` module or of a numpy
+    wrapper of LAPACK: every attribute ``linalg`` (so every
+    ``np.linalg.*`` call), every ``np.`` or ``numpy.`` attribute in
+    ``LAPACK_WRAPPERS``, and every import that names one of them (so every
+    alias)."""
+    def names_one(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "linalg" or (
+                node.attr in LAPACK_WRAPPERS
+                and ast.unparse(node.value) in ("np", "numpy"))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return "linalg" in ast.unparse(node) or (
+                isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                and any(a.name in LAPACK_WRAPPERS for a in node.names))
+        return False
+
+    return sorted(node.lineno for node in ast.walk(tree) if names_one(node))
 
 
 def _functions(tree: ast.Module) -> list:
@@ -188,7 +206,8 @@ def test_only_the_catalog_makes_family_records():
 
 
 def test_only_the_form_itself_inverts_a_form():
-    # no np.linalg call is left: every metric of a family is g = D B, so
+    # no np.linalg call and no LAPACK wrapper is left: real roots are
+    # isolated by Sturm sequences, every metric of a family is g = D B, so
     # g^-1 = B^-1 D^-1, and the one exact inverse of B, kept with B, serves
     # every metric, the dual bases of the Casimir operators and B's own
     # nondegeneracy check; the same kernel gives the coordinates of a
@@ -332,6 +351,12 @@ def test_checks_catch_what_they_look_for():
                      "lu = scipy.linalg.lu\n"
                      "detail = np.asarray(g)\n")
     assert _linalg_sites(tree) == [1, 2, 3, 4, 5]
+    tree = ast.parse("roots = np.roots(coeffs)\n"
+                     "fit = numpy.polyfit(x, y, 2)\n"
+                     "from numpy import poly as char_poly\n"
+                     "value = np.polyval(coeffs, x)\n"
+                     "roots = real_roots(coeffs)\n")
+    assert _linalg_sites(tree) == [1, 2, 3]
     tree = ast.parse("LIMIT = form.gram.size\n"
                      "def to_json(form):\n"
                      "    return {'gram': form.gram}\n"
