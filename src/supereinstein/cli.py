@@ -17,6 +17,7 @@ import math
 import os
 import random
 import sys
+from dataclasses import replace
 from itertools import chain, repeat
 
 import numpy as np
@@ -115,13 +116,16 @@ def cmd_build(args) -> int:
 def _structural(real) -> dict:
     """The structural checks of one realization, as ``build`` prints them;
     ``pass`` when the Jacobi identity, the canonical form's evenness,
-    supersymmetry, bi-invariance and nondegeneracy, and
-    :func:`verify_realization` hold."""
+    supersymmetry, bi-invariance and nondegeneracy hold, and then
+    :func:`verify_realization`, which is run only on an algebra and form
+    that hold all five."""
     jac = check_super_jacobi(real.algebra)
     form, killing = real.canonical_form.report, real.killing
-    # the invariants need the form's inverse, which a singular form lacks
-    realization = (verify_realization(real)[0] if form.is_nondegenerate
-                   else {"pass": False})
+    # the invariants read the form's inverse and rely on every axiom: their
+    # own checks would refuse a corrupted realization first
+    exact = (jac.residual == 0 and form.is_even and form.is_supersymmetric
+             and form.is_bi_invariant and form.is_nondegenerate)
+    realization = verify_realization(real)[0] if exact else {"pass": False}
     return {
         "jacobi_residual": jac.residual,
         "jacobi_worst_triple": list(jac.worst_triple),
@@ -135,9 +139,7 @@ def _structural(real) -> dict:
                                    / float(killing.denom)),
         "killing_identically_zero": not killing.numer.size,
         "realization": realization,
-        "pass": bool(jac.residual == 0 and form.is_even
-                     and form.is_supersymmetric and form.is_bi_invariant
-                     and form.is_nondegenerate and realization["pass"]),
+        "pass": bool(exact and realization["pass"]),
     }
 
 
@@ -388,20 +390,30 @@ def _section(spec: FamilySpec, seed: int, index: int,
         "data": _data_json(data),
     }
     gates: dict[str, bool] = {}  # in the order the failure note names them
+    checked = True  # no realization, or one that passes its structural checks
     if real is not None:
-        sols = [einstein.verify_solution(real, s) for s in sols]
+        # the curvature plan, the route draws and the Ricci checks are made
+        # only on a realization that passes its structural checks
         st = _structural(real)
-        route = _route_equivalence(real, random.Random(f"{seed}/{index}"), 2)
+        checked, route = st["pass"], None
+        if checked:
+            sols = [einstein.verify_solution(real, s) for s in sols]
+            route = _route_equivalence(real, random.Random(f"{seed}/{index}"),
+                                       2)
+        else:
+            sols = [replace(s, ricci_verified="failed", detail="the "
+                            "realization fails its structural checks")
+                    for s in sols]
         section["structural"] = {
             "jacobi_residual": st["jacobi_residual"],
             "bi_invariance_residual": st["form_residuals"]["bi_invariance"],
             "killing_identically_zero": st["killing_identically_zero"],
             "indices_match_catalog": st["realization"]["pass"],
             "route_equivalence_max_deviation": route,
-            "route_equivalence_draws": 2,
+            "route_equivalence_draws": 2 if checked else 0,
         }
         gates["structural"] = st["pass"]
-        gates["route_equivalence"] = route < ROUTE_TOL
+        gates["route_equivalence"] = checked and route < ROUTE_TOL
     section["solutions"] = [s.to_json() for s in sols]
     section["solution_count"] = len(sols)
     section["expected_single"] = spec.single_metric
@@ -421,7 +433,8 @@ def _section(spec: FamilySpec, seed: int, index: int,
     if not data.killing_nondegenerate:
         section["folding"] = _fold_section(spec, found)
         gates["folding.all_fold"] = section["folding"]["all_fold"]
-    gates["solutions"] = all(s.ricci_verified != "failed" for s in sols)
+    gates["solutions"] = checked and all(s.ricci_verified != "failed"
+                                         for s in sols)
     failed = [gate for gate, passed in gates.items() if not passed]
     section["pass"] = not failed
     notes = _notes(spec.name, sols, len(found) - len(sols), c_window,
@@ -500,11 +513,13 @@ def _report_markdown(doc: dict) -> str:
                      f"{d['killing_nondegenerate']}")
         if "structural" in sec:
             st = sec["structural"]
+            route = st["route_equivalence_max_deviation"]
             lines.append(f"- structural: jacobi {st['jacobi_residual']:.2e}, "
                          f"bi-invariance {st['bi_invariance_residual']:.2e}, "
                          f"K = 0: {st['killing_identically_zero']}, "
                          f"indices match: {st['indices_match_catalog']}, "
-                         f"route deviation {st['route_equivalence_max_deviation']:.2e}")
+                         f"route deviation "
+                         f"{'not computed' if route is None else f'{route:.2e}'}")
         if "quartic" in sec:
             q = sec["quartic"]
             lines.append(f"- elimination cubic {q['cubic_factor']} "

@@ -189,7 +189,7 @@ def plan_curvature(alg: LieSuperAlgebra,
     inv_keys, inv, inv_denom, _ = form.inverse
     block = alg.block_layout()
     nb = len(alg.decomposition) + 1
-    vals = form.numer / float(form.denom)  # the Gram's nonzeros
+    vals = form.values  # the Gram's nonzeros, numer / denom
     row_max = np.zeros(n)
     np.maximum.at(row_max, form.keys // n, np.abs(vals))
     terms, values, rows = _koszul_terms(alg, alg.numer / alg.denom, form.keys,

@@ -1,7 +1,8 @@
 """The algebraic Einstein system for the block-scaled metric family, read
 from the family's catalog data: solved over the reals, exact elimination for
-the two-ideal families, folding to real forms, and brute-force verification
-against the curvature module."""
+the two-ideal families (whose real roots one exact bisection isolates and
+rounds), folding to real forms, and brute-force verification against the
+curvature module."""
 
 from __future__ import annotations
 
@@ -338,14 +339,10 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def cubic_factor(quartic: list[Fraction]) -> list[Fraction]:
     """Divide out the root at 1; the remainder must vanish exactly."""
-    out = []
-    acc = Fraction(0)
-    for coeff in quartic[:-1]:
-        acc += coeff
-        out.append(acc)
-    if acc + quartic[-1] != 0:
+    cubic, rem = _pseudo_divmod(quartic, [1, -1])
+    if rem != [0]:
         raise ValueError("1 is not a root of the quartic")
-    return out
+    return cubic
 
 
 def cubic_reference_coefficients(spec: FamilySpec) -> Optional[tuple[Fraction, ...]]:
@@ -380,10 +377,11 @@ def _poly_derivative(p: list) -> list:
     return [c * (n - i) for i, c in enumerate(p[:-1])]
 
 
-def _pseudo_divmod(a: list[int], b: list[int]):
+def _pseudo_divmod(a: list, b: list[int]):
     """The q and r with |b_0|^k a = q b + r, k = deg a - deg b + 1 and deg r
-    < deg b: the quotient and remainder over Q times a positive integer, so
-    both keep their signs."""
+    < deg b, for integer or rational a: the quotient and remainder over Q
+    times a positive integer, so both keep their signs (exact division when
+    |b_0| = 1)."""
     lead, sign = abs(b[0]), (b[0] > 0) - (b[0] < 0)
     q, r = [], list(a)
     for i in range(len(a) - len(b) + 1):
@@ -420,17 +418,14 @@ def real_roots(coeffs: list[Fraction]) -> list[float]:
     """The distinct real roots of a rational polynomial, ascending, each
     rounded to the nearest float.
 
-    Exact isolation (Collins & Akritas, SYMSAC 1976): the Sturm chain of
-    the square-free part p counts the distinct roots in (a, b] as V(a) -
-    V(b), V the sign changes along the chain (Sturm's theorem), and
-    Cauchy's bound puts every root inside (-2^e, 2^e). Bisecting that
-    interval at dyadic points a / 2^k, where every sign is an integer
-    Horner sum, leaves intervals (a, b] that hold one root each; a root on
-    a bisection point is the b of its interval and is returned as it is
-    (so 0 comes back as 0.0). Each other root is refined by Newton's
-    method in floats, safeguarded by bisection (:func:`_float_root`), and
-    its last bit is decided by exact signs at floats
-    (:func:`_nearest_float`)."""
+    One exact bisection isolates and refines them (Collins & Akritas,
+    SYMSAC 1976): the Sturm chain of the square-free part p counts the
+    distinct roots in (a, b] as V(a) - V(b), V the sign changes along the
+    chain (Sturm's theorem), and Cauchy's bound puts every root inside
+    (-2^e, 2^e). Bisecting that interval at dyadic points a / 2^k, where
+    every sign is an integer Horner sum, leaves intervals (a, b] that hold
+    one root each; :func:`_rounded_root` halves each further on the sign
+    of p alone."""
     sf = square_free_part(coeffs)
     if len(sf) <= 1:
         return []
@@ -440,8 +435,6 @@ def real_roots(coeffs: list[Fraction]) -> list[float]:
     lead = abs(p[0])
     bound = -(-(lead + max(map(abs, p[1:]))) // lead)
     e = (bound - 1).bit_length()
-    fl = [float(v) for v in p]
-    dfl = _poly_derivative(fl)
     out = []
     # intervals (lo / 2^k, hi / 2^k] with their sign changes, left first
     todo = [(-1 << e, 1 << e, 0, _variations(chain, -1 << e, 1),
@@ -454,13 +447,7 @@ def real_roots(coeffs: list[Fraction]) -> list[float]:
             todo += [(mid, 2 * hi, k, v_mid, v_hi),
                      (2 * lo, mid, k, v_lo, v_mid)]
         elif v_lo - v_hi == 1:
-            a, b = math.ldexp(lo, -k), math.ldexp(hi, -k)
-            rising = _sign_at(p, hi, 1 << k)
-            if rising == 0:
-                out.append(b)
-            else:
-                x = _float_root(fl, dfl, a, b, rising > 0)
-                out.append(_nearest_float(p, rising, a, b, x))
+            out.append(_rounded_root(p, lo, hi, k))
     return out
 
 
@@ -505,59 +492,31 @@ def _variations(chain: list[list[int]], num: int, den: int) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _float_root(fl: list[float], dfl: list[float], lo: float, hi: float,
-                rising: bool) -> float:
-    """Newton's method in floats on (lo, hi), where fl has its one root and
-    is negative left of it when ``rising``; a step that leaves the bracket
-    or is more than half the previous one bisects instead. Stops once a
-    step is within one ulp."""
-    x, last = 0.5 * (lo + hi), hi - lo
-    while True:
-        fx = _horner(fl, x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == rising:
-            lo = x
-        else:
-            hi = x
-        dx = _horner(dfl, x)
-        step = fx / dx if dx else last
-        if not lo < x - step < hi or abs(step) > 0.5 * last:
-            step = x - 0.5 * (lo + hi)
-        if abs(step) <= math.ulp(x):
-            return x - step
-        x, last = x - step, abs(step)
-
-
-def _nearest_float(p: list[int], rising: int, lo: float, hi: float,
-                   x: float) -> float:
-    """The float nearest the one root of p in (lo, hi), decided by exact
-    signs at floats (p has the sign -``rising`` left of the root): from the
-    estimate x, steps toward the root that double from one ulp until they
-    pass it, then bisection down to two adjacent floats, and the sign at
-    their midpoint picks one (a tie goes to the even float)."""
-    step = math.ulp(x)
-    while math.nextafter(lo, hi) < hi:
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        s = rising * _sign_at(p, *x.as_integer_ratio())
+def _rounded_root(p: list[int], lo: int, hi: int, k: int) -> float:
+    """The float nearest the one root of p in (lo / 2^k, hi / 2^k], by
+    halving the interval on the sign of p until its ends round to one float
+    a = b or to two adjacent floats a < b. Rounding is monotone, so the sign
+    at (a + b) / 2 picks one; a tie goes to float((a + b) / 2), the even one.
+    A root on a bisection point comes back as it is (so 0 comes back as
+    0.0), and every quotient of integers rounds correctly."""
+    right = _sign_at(p, hi, 1 << k)  # the sign of p right of the root
+    if right == 0:
+        return hi / (1 << k)
+    a, b = lo / (1 << k), hi / (1 << k)
+    while math.nextafter(a, b) != b:
+        mid, k = lo + hi, k + 1
+        s = _sign_at(p, mid, 1 << k)
         if s == 0:
-            return x
-        if s < 0:
-            lo, x = x, x + step
+            return mid / (1 << k)
+        if s == right:
+            lo, hi, b = 2 * lo, mid, mid / (1 << k)
         else:
-            hi, x = x, x - step
-        step *= 2
-    mid = (Fraction(lo) + Fraction(hi)) / 2
-    s = rising * _sign_at(p, mid.numerator, mid.denominator)
-    return lo if s > 0 else hi if s < 0 else float(mid)
-
-
-def _horner(p: list[float], x: float) -> float:
-    acc = 0.0
-    for c in p:
-        acc = acc * x + c
-    return acc
+            lo, hi, a = mid, 2 * hi, mid / (1 << k)
+    mid = (Fraction(a) + Fraction(b)) / 2
+    s = right * _sign_at(p, mid.numerator, mid.denominator)
+    # a 0 is a root on mid: ours unless mid is the open end lo / 2^k
+    return a if s > 0 else b if s < 0 or mid == Fraction(lo, 1 << k) \
+        else float(mid)
 
 
 # ---------------------------------------------------------------------------

@@ -392,7 +392,8 @@ class TestRealizedInvariants:
         assert [s["ricci_verified"] for s in section["solutions"]] == \
             ["failed", "failed"]
         assert section["pass"] is False
-        assert notes[-1] == "note: C(3): failed structural, solutions"
+        assert notes[-1] == ("note: C(3): failed structural, "
+                             "route_equivalence, solutions")
 
 
 def test_failing_report_section_names_its_gate(capsys, monkeypatch):
@@ -430,30 +431,44 @@ def _realization_changed(family, change):
     return corrupt
 
 
+def _bracket_moved(i, j, k):
+    """A realization change: c[i, j, k] + 1, and c[j, i, k] moved as graded
+    antisymmetry moves it (+1 for two odd vectors, -1 otherwise)."""
+    def moved(real):
+        alg = real.algebra
+        odd = alg.basis.parity_array()
+        entries = exact_entries(alg)
+        entries[(i, j, k)] += 1
+        entries[(j, i, k)] += 1 if odd[i] and odd[j] else -1
+        return dataclasses.replace(real, algebra=supercore.LieSuperAlgebra(
+            alg.basis, entries, alg.decomposition))
+    return moved
+
+
 def _odd_bracket_moved(real):
-    # c[i, j, k] + 1 on the first bracket of two distinct odd vectors, and
-    # on c[j, i, k], which graded antisymmetry makes equal to it. A moved
-    # bracket with an even vector is refused (exit 2) by the invariants' or
-    # the curvature's own checks before the structural gate is read
-    alg = real.algebra
-    odd = alg.basis.parity_array()
-    i, j, k = next(t for t in alg.index.tolist()
+    # the first bracket of two distinct odd vectors moved
+    odd = real.algebra.basis.parity_array()
+    i, j, k = next(t for t in real.algebra.index.tolist()
                    if odd[t[0]] and odd[t[1]] and t[0] < t[1])
-    entries = exact_entries(alg)
-    entries[(i, j, k)] += 1
-    entries[(j, i, k)] += 1
-    return dataclasses.replace(real, algebra=supercore.LieSuperAlgebra(
-        alg.basis, entries, alg.decomposition))
+    return _bracket_moved(i, j, k)(real)
+
+
+def _form_numerator_moved(at):
+    """A realization change: the canonical form's numerator at position
+    ``at`` of its nonzeros + 1."""
+    def moved(real):
+        form = real.canonical_form
+        numer = form.numer.copy()
+        numer[at] += 1
+        return dataclasses.replace(real, canonical_form=supercore.exact_form(
+            real.algebra, form.keys, numer, form.denom))
+    return moved
 
 
 def _abelian_form_entry_moved(real):
     # the canonical form's numerator on the abelian ideal's (0, 0) entry + 1
-    form = real.canonical_form
-    assert form.keys[0] == 0 and real.data.has_k0
-    numer = form.numer.copy()
-    numer[0] += 1
-    return dataclasses.replace(real, canonical_form=supercore.exact_form(
-        real.algebra, form.keys, numer, form.denom))
+    assert real.canonical_form.keys[0] == 0 and real.data.has_k0
+    return _form_numerator_moved(0)(real)
 
 
 def _first_solution_nudged(family):
@@ -559,10 +574,16 @@ def _mixed_parity_pair(entries, real):
 
 
 def _odd_entry_moved(entries, real):
-    # one odd-odd entry + 1 and its transpose kept. An even-even entry moved
-    # alone is refused (exit 2) by the Casimir check before the flags are read
+    # one odd-odd entry + 1 and its transpose kept
     odd = real.algebra.basis.parity_array()
     entries[next(k for k in sorted(entries) if odd[k[0]] and odd[k[1]])] += 1
+
+
+def _even_entry_moved(entries, real):
+    # one even-even entry off the diagonal + 1 and its transpose kept
+    odd = real.algebra.basis.parity_array()
+    entries[next(k for k in sorted(entries) if k[0] != k[1]
+                 and not odd[k[0]] and not odd[k[1]])] += 1
 
 
 def _first_ideal_doubled(entries, real):
@@ -600,14 +621,18 @@ def _failed_terms(doc):
 
 
 # For each term of ``cli._structural``'s ``pass``: one corruption of
-# A(1,0)'s realization, and every term it fails.
+# A(1,0)'s realization, and every term it fails. The catalog comparison is
+# made only when the five axioms hold, so it fails with any of them.
 STRUCTURAL_MUTATIONS = {
-    "jac.residual == 0": (_odd_bracket_moved, ["jac.residual == 0"]),
+    "jac.residual == 0": (_odd_bracket_moved,
+                          ["jac.residual == 0", "realization['pass']"]),
     "form.is_even": (_form_changed(_mixed_parity_pair),
-                     ["form.is_even", "form.is_bi_invariant"]),
+                     ["form.is_even", "form.is_bi_invariant",
+                      "realization['pass']"]),
     "form.is_supersymmetric": (_form_changed(_odd_entry_moved),
                                ["form.is_supersymmetric",
-                                "form.is_bi_invariant"]),
+                                "form.is_bi_invariant",
+                                "realization['pass']"]),
     "form.is_bi_invariant": (_form_changed(_first_ideal_doubled),
                              ["form.is_bi_invariant", "realization['pass']"]),
     "form.is_nondegenerate": (_form_changed(_first_row_zeroed),
@@ -630,17 +655,76 @@ def test_structural_term_mutation_fails_build(capsys, monkeypatch, term):
     assert _failed_terms(doc) == failed
 
 
+@pytest.mark.parametrize("term", STRUCTURAL_MUTATIONS)
+def test_structural_term_mutation_fails_report(capsys, monkeypatch, term):
+    # the report reads the structural checks before any curvature or Ricci
+    # check, so a corrupted realization fails its gate and is not refused
+    _realization_changed("A(1,0)", STRUCTURAL_MUTATIONS[term][0])(monkeypatch)
+    code, out, err = run(capsys, "report", "--max-m", "1")
+    assert code == 1
+    assert ("note: A(1,0): failed structural, route_equivalence, solutions"
+            in err.splitlines())
+    (section,) = [s for s in json.loads(out)["families"] if not s["pass"]]
+    assert section["family"] == "A(1,0)"
+    assert section["structural"]["route_equivalence_max_deviation"] is None
+    assert {s["ricci_verified"] for s in section["solutions"]} == {"failed"}
+
+
+def _even_brackets(family):
+    """Every structure constant (i, j, k) of ``family`` whose bracket
+    involves an even vector."""
+    alg = families.realize(families.family_spec(*family)).algebra
+    odd = alg.basis.parity_array()
+    return [tuple(t) for t in alg.index.tolist()
+            if not (odd[t[0]] and odd[t[1]])]
+
+
+@pytest.mark.parametrize("triple", _even_brackets(("A", 1, 0)), ids=str)
+def test_even_bracket_moved_fails_report(capsys, monkeypatch, triple):
+    _realization_changed("A(1,0)", _bracket_moved(*triple))(monkeypatch)
+    code, _, err = run(capsys, "report", "--max-m", "1")
+    assert code == 1
+    assert "note: A(1,0): failed structural" in err
+
+
+@pytest.mark.parametrize("at", range(len(families.realize(
+    families.family_spec("A", 1, 0)).canonical_form.numer)))
+def test_form_numerator_moved_fails_report(capsys, monkeypatch, at):
+    _realization_changed("A(1,0)", _form_numerator_moved(at))(monkeypatch)
+    code, _, err = run(capsys, "report", "--max-m", "1")
+    assert code == 1
+    assert "note: A(1,0): failed structural" in err
+
+
+def test_even_form_entry_moved_fails_build(capsys, monkeypatch):
+    # the form loses its supersymmetry, and the Casimir check that would
+    # refuse it is not reached
+    _realization_changed("A(1,0)", _form_changed(_even_entry_moved))(
+        monkeypatch)
+    code, out, _ = run(capsys, "build", *A10)
+    assert code == 1
+    assert "form.is_supersymmetric" in _failed_terms(json.loads(out))
+
+
 def test_every_structural_term_has_a_mutation():
     # the terms are the operands of the ``and`` that ``_structural`` stores
-    # as ``pass``
-    (passed,) = [value.args[0] for node in ast.walk(ast.parse(
-        inspect.getsource(cli._structural))) if isinstance(node, ast.Dict)
-        for key, value in zip(node.keys, node.values)
-        if isinstance(key, ast.Constant) and key.value == "pass"
-        and isinstance(value, ast.Call)]
-    assert isinstance(passed, ast.BoolOp) and isinstance(passed.op, ast.And)
+    # as ``exact`` (the five axioms), then the catalog comparison that
+    # ``pass`` adds to it
+    tree = ast.parse(inspect.getsource(cli._structural))
+    (axioms,) = [node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "exact"]
+    (passed,) = [value.args[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.Dict)
+                 for key, value in zip(node.keys, node.values)
+                 if isinstance(key, ast.Constant) and key.value == "pass"
+                 and isinstance(value, ast.Call)]
+    for op in (axioms, passed):
+        assert isinstance(op, ast.BoolOp) and isinstance(op.op, ast.And)
     assert [ast.unparse(t) for t in passed.values] == \
-        list(STRUCTURAL_MUTATIONS)
+        ["exact", "realization['pass']"]
+    assert [ast.unparse(t) for t in axioms.values] + \
+        ["realization['pass']"] == list(STRUCTURAL_MUTATIONS)
 
 
 def test_degenerate_canonical_form_fails_build_and_report(capsys,
@@ -655,10 +739,17 @@ def test_degenerate_canonical_form_fails_build_and_report(capsys,
     assert doc["verification"]["realization"]["pass"] is False
     assert doc["canonical_form"]["flags"]["nondegenerate"] is False
     assert doc["canonical_form"]["gram"][0] == [0.0] * 8
-    # no metric is made from it, so a report refuses the family
+    # no metric is made from it, so a report fails the family's structural
+    # gate before it makes one
     code, out, err = run(capsys, "report", "--max-m", "1")
-    assert (code, out) == (2, "")
-    assert err == "error: A(1,0): form is singular on the indices [0]\n"
+    assert code == 1
+    assert ("note: A(1,0): failed structural, route_equivalence, solutions"
+            in err.splitlines())
+    assert [s["family"] for s in json.loads(out)["families"]
+            if not s["pass"]] == ["A(1,0)"]
+    code, out, _ = run(capsys, "report", "--max-m", "1", "--format",
+                         "markdown")
+    assert code == 1 and out.count("route deviation not computed") == 1
 
 
 def test_nondegeneracy_gates_build_and_the_structural_gate(capsys,
@@ -679,7 +770,8 @@ def test_nondegeneracy_gates_build_and_the_structural_gate(capsys,
         families.family_spec("A", 1, 0), cli.DEFAULT_SEED, 0,
         einstein.C_WINDOW)
     assert section["pass"] is False
-    assert notes == ["note: A(1,0): failed structural"]
+    assert notes[-1] == ("note: A(1,0): failed structural, "
+                         "route_equivalence, solutions")
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

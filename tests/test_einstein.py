@@ -328,12 +328,33 @@ class TestElimination:
             "Cauchy bound over 10^6": (
                 mul([F(1), F(-10**6)], [F(9), F(6), F(1)]), 2,
                 [-1 / 3, 1e6]),
+            # halfway between the floats 1 and 1 + 2^-52: ties go to the
+            # even one, 1.0
+            "tie": ([F(1), -1 - F(1, 2**53)], 1, [1.0]),
+            "above the tie": ([F(1), -1 - F(1, 2**53) - F(1, 2**80)], 1,
+                              [1.0 + 2.0**-52]),
+            "below the tie": ([F(1), -1 - F(1, 2**53) + F(1, 2**80)], 1,
+                              [1.0]),
+            # (x^2 - 2)(x^2 - 2 - 2^-40): two irrational pairs 3.2e-13 apart;
+            # math.sqrt rounds correctly
+            "near-double irrational": (
+                mul([F(1), F(0), F(-2)], [F(1), F(0), -2 - F(1, 2**40)]), 4,
+                [-math.sqrt(2 + 2**-40), -math.sqrt(2), math.sqrt(2),
+                 math.sqrt(2 + 2**-40)]),
         }
         for name, (coeffs, degree, roots) in cases.items():
             assert len(square_free_part(coeffs)) == degree + 1, name
             assert real_roots(coeffs) == roots, name
         zero = real_roots(cases["B(1,1)"][0])[0]
         assert math.copysign(1.0, zero) == 1.0
+
+    def test_root_above_a_root_on_the_tie(self):
+        # x - (1 + 2^-53) has its root on the tie between 1 and 1 + 2^-52,
+        # and the interval isolating the root 2^-70 above it opens there:
+        # p is 0 at that midpoint, and the upper root still rounds up
+        tie = 1 + F(1, 2**53)
+        coeffs = einstein._poly_mul([F(1), -tie], [F(1), -tie - F(1, 2**70)])
+        assert real_roots(coeffs) == [1.0, 1.0 + 2.0**-52]
 
     @pytest.mark.parametrize("spec", [
         s for s in catalog(6) if cubic_reference_coefficients(s) is not None],
@@ -342,10 +363,9 @@ class TestElimination:
         quartic = elimination_polynomial(spec)
         exact = sp.Poly([sp.Rational(v.numerator, v.denominator)
                          for v in quartic], sp.Symbol("x")).real_roots()
-        want = [float(r.evalf(30)) for r in sorted(set(exact))]
-        got = real_roots(quartic)
-        assert len(got) == len(want)
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        # each the correctly rounded float of the exact root
+        want = [float(Fraction(str(r.evalf(60)))) for r in sorted(set(exact))]
+        assert real_roots(quartic) == want
 
     @settings(max_examples=60, deadline=None, database=None,
               derandomize=True)
