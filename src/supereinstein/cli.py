@@ -25,8 +25,8 @@ import numpy as np
 from . import einstein
 from .curvature import ROUTE_TOL, MetricParams, levi_civita_blockwise, \
     ricci_routes
-from .families import FamilySpec, check_dense_size, family_spec, \
-    iter_catalog, realize, verify_realization
+from .families import FamilySpec, check_dense_size, check_product_join, \
+    family_spec, iter_catalog, realize, verify_realization
 from .supercore import algebra_to_json, check_super_jacobi, form_to_json
 
 DEFAULT_SEED = 12345
@@ -101,6 +101,7 @@ def cmd_build(args) -> int:
         print(f"{spec.name}: equation-layer only (no matrix realization); "
               f"use 'solve' or 'report' for this family", file=sys.stderr)
         return 2
+    check_dense_size(spec)  # the printed Gram is the one dense array
     real = realize(spec)
     verification = _structural(real)
     doc = {
@@ -118,8 +119,8 @@ def _structural(real) -> dict:
     ``pass`` when the Jacobi identity, the canonical form's evenness,
     supersymmetry, bi-invariance and nondegeneracy hold, and then
     :func:`verify_realization`, which is run only on an algebra and form
-    that hold all five."""
-    jac = check_super_jacobi(real.algebra)
+    that hold all five; the Jacobi check reads the realization's matrices."""
+    jac = check_super_jacobi(real.algebra, real.matrices)
     form, killing = real.canonical_form.report, real.killing
     # the invariants read the form's inverse and rely on every axiom: their
     # own checks would refuse a corrupted realization first
@@ -451,13 +452,13 @@ def build_report(max_m: int, max_n: int, seed: int, c_window: float,
     verification and, for a failing section, which gates failed. At most
     ``jobs`` worker processes run the sections, and no more than there are
     sections or CPUs, since the pool starts every worker at once; the
-    document is the same at any count. A realizable family too large to
-    build is refused while the catalog is enumerated, before any section
+    document is the same at any count. :func:`check_product_join` refuses a
+    realizable family while the catalog is enumerated, before any section
     runs."""
     specs = []
     for spec in iter_catalog(max_m, max_n):
         if spec.realizable:
-            check_dense_size(spec)
+            check_product_join(spec)
         specs.append(spec)
     inputs = (specs, repeat(seed), range(len(specs)), repeat(c_window))
     workers = min(jobs, len(specs), os.cpu_count() or 1)

@@ -7,6 +7,7 @@ curvature module."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -414,6 +415,10 @@ def square_free_part(coeffs: list[Fraction]) -> list[int]:
     return p if len(g) == 1 else _primitive(_pseudo_divmod(p, g)[0])
 
 
+# Every real number in (-_EDGE, _EDGE] rounds to a finite float.
+_EDGE = int(sys.float_info.max) + 1
+
+
 def real_roots(coeffs: list[Fraction]) -> list[float]:
     """The distinct real roots of a rational polynomial, ascending, each
     rounded to the nearest float.
@@ -425,7 +430,7 @@ def real_roots(coeffs: list[Fraction]) -> list[float]:
     (-2^e, 2^e). Bisecting that interval at dyadic points a / 2^k, where
     every sign is an integer Horner sum, leaves intervals (a, b] that hold
     one root each; :func:`_rounded_root` halves each further on the sign
-    of p alone."""
+    of p alone. A root outside (-_EDGE, _EDGE] is refused."""
     sf = square_free_part(coeffs)
     if len(sf) <= 1:
         return []
@@ -439,6 +444,10 @@ def real_roots(coeffs: list[Fraction]) -> list[float]:
     # intervals (lo / 2^k, hi / 2^k] with their sign changes, left first
     todo = [(-1 << e, 1 << e, 0, _variations(chain, -1 << e, 1),
              _variations(chain, 1 << e, 1))]
+    if _variations(chain, -_EDGE, 1) - _variations(chain, _EDGE, 1) \
+            != todo[0][3] - todo[0][4]:
+        raise ValueError(f"a real root lies outside the float range "
+                         f"[-{sys.float_info.max!r}, {sys.float_info.max!r}]")
     while todo:
         lo, hi, k, v_lo, v_hi = todo.pop()
         if v_lo - v_hi > 1:
@@ -498,7 +507,9 @@ def _rounded_root(p: list[int], lo: int, hi: int, k: int) -> float:
     a = b or to two adjacent floats a < b. Rounding is monotone, so the sign
     at (a + b) / 2 picks one; a tie goes to float((a + b) / 2), the even one.
     A root on a bisection point comes back as it is (so 0 comes back as
-    0.0), and every quotient of integers rounds correctly."""
+    0.0), and every quotient of integers rounds correctly. The interval is
+    first cut to (-_EDGE, _EDGE], where :func:`real_roots` found the roots."""
+    lo, hi = max(lo, -_EDGE << k), min(hi, _EDGE << k)
     right = _sign_at(p, hi, 1 << k)  # the sign of p right of the root
     if right == 0:
         return hi / (1 << k)

@@ -6,21 +6,21 @@ one constructor. ``_assemble`` forms every super-commutator from the
 matrices' entries and reads its coordinates through the exact inverse of
 the sparse integer Frobenius Gram, checking that they rebuild the bracket,
 so the structure constants are exact rationals, which the algebra stores
-once. The case2/6/7 canonical forms are exact forms from the same products,
-like the Killing form, and the realized l, b and gamma are rationals that
-must equal the catalog's. The basis matrices are not kept. A realization is
-refused from its record's dimensions, before its basis is made, when its
-dense (dim, dim) forms would exceed ``supercore.MAX_DENSE_ENTRIES`` entries.
-Every join of entries, here and downstream, refuses on its own a pair count
-over ``supercore.MAX_JOIN_PAIRS`` before allocating it, except the Jacobi
-check, which joins in blocks of first indices and refuses only a first
-index over it. The exceptional families F(4) and G(3), and the
-one-parameter deformation family at alpha != 1, exist only at the
+once. The case2/6/7 canonical forms are exact supertrace forms of the same
+matrices, like the Killing form, and the realized l, b and gamma are
+rationals that must equal the catalog's. The realization keeps the basis
+matrices, which the Jacobi check reads again. Every join of entries, here
+and downstream, refuses a pair count over ``supercore.MAX_JOIN_PAIRS``
+before allocating it, and ``realize`` its first join from the record; only
+``build``, which prints the dense Gram, refuses a family over
+``supercore.MAX_DENSE_ENTRIES``. The exceptional families F(4) and G(3),
+and the one-parameter deformation family at alpha != 1, exist only at the
 data-catalog level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -31,16 +31,15 @@ import numpy as np
 from . import curvature, invariants
 from .supercore import (
     MAX_DENSE_ENTRIES,
+    MAX_JOIN_PAIRS,
+    BasisMatrices,
     BilinearFormMatrix,
     DecompositionRange,
-    DegeneracyError,
     LieSuperAlgebra,
     SuperBasis,
     _contract,
-    _group_sum,
-    _join,
+    _coordinates,
     exact_form,
-    exact_inverse,
     killing_form,
 )
 
@@ -299,13 +298,14 @@ def iter_catalog(max_m: int,
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """A matrix-realized family: its record, algebra, and canonical and
-    Killing forms."""
+    """A matrix-realized family: its record, algebra, canonical and Killing
+    forms, and the basis matrices its constants were read from."""
 
     spec: FamilySpec
     algebra: LieSuperAlgebra
     canonical_form: BilinearFormMatrix
     killing: BilinearFormMatrix
+    matrices: BasisMatrices
 
     @property
     def name(self) -> str:
@@ -331,33 +331,6 @@ class Realization:
         return curvature.plan_curvature(self.algebra, self.canonical_form)
 
 
-def _coordinates(keys: np.ndarray, brackets: np.ndarray, owner: np.ndarray,
-                 flat: np.ndarray, val: np.ndarray, span: int, npos: int):
-    """Exact coordinates x = v B* of the brackets v, entries
-    ``pair * npos + position``, on the spanning matrices B, entries
-    ``(owner, flat position, val)``: the brackets paired with the dual
-    matrices B* = B^T G^-1, G = B B^T the Frobenius Gram, whose exact
-    inverse is sparse. Returns the keys ``pair * span + k``, their
-    numerators and the common denominator; refuses a bracket the
-    coordinates do not rebuild."""
-    try:
-        inv_keys, inv, denom, _ = exact_inverse(
-            *_contract(flat, flat, val, val, owner, owner, span), span)
-    except DegeneracyError:
-        raise ValueError("the basis matrices are linearly dependent") from None
-    row, col = np.divmod(inv_keys, span)
-    dual_keys, dual = _contract(owner, row, val, inv, flat, col, span)
-    position, k = np.divmod(dual_keys, span)
-    pair, at = np.divmod(keys, npos)
-    xkeys, x = _contract(at, position, brackets, dual, pair, k, span)
-    rebuilt_keys, rebuilt = _contract(xkeys % span, owner, x, val,
-                                      xkeys // span, flat, npos)
-    if not (np.array_equal(rebuilt_keys, keys)
-            and np.array_equal(rebuilt, denom * brackets)):
-        raise ValueError("a bracket leaves the span of the basis")
-    return xkeys, x, denom
-
-
 def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
               odd_slot: int, quotient: Optional[dict] = None) -> Realization:
     """Common constructor tail: structure constants, algebra, canonical form.
@@ -373,40 +346,33 @@ def _assemble(spec: FamilySpec, elems: list, decomposition, even_slot: int,
     """
     dim = len(elems)
     parity = tuple(e[1] for e in elems)
-    p = np.array(parity, dtype=np.int64)
     size = even_slot + odd_slot
-    npos = size * size
     mats = [e[0] for e in elems] + ([quotient] if quotient else [])
-    span = len(mats)
     owner, row, col, val = np.array(
         [(k, r, c, v) for k, mat in enumerate(mats) for (r, c), v in mat.items()],
         dtype=np.int64).reshape(-1, 4).T
-    nb = int(np.searchsorted(owner, dim))  # the entries of the basis proper
-    # every product B_i B_j, joined on the inner index
-    a, b = _join(col[:nb], row[:nb])
-    i, j, prod = owner[a], owner[b], val[a] * val[b]
-    at = row[a] * size + col[b]
-    sign = 1 - 2 * (p[i] & p[j])
-    keys, brackets = _group_sum(
-        np.concatenate([(i * dim + j) * npos + at, (j * dim + i) * npos + at]),
-        np.concatenate([prod, -sign * prod]))
-    xkeys, x, denom = _coordinates(keys, brackets, owner, row * size + col, val,
-                                   span, npos)
-    pair, k = np.divmod(xkeys, span)
+    matrices = BasisMatrices(dim, owner, row * size + col, val, even_slot,
+                             size)
+    keys, brackets = matrices.supercommutators(np.array(parity))
+    xkeys, x, denom = _coordinates(keys, brackets, owner, matrices.flat, val,
+                                   len(mats), size * size)
+    del keys, brackets
+    pair, k = np.divmod(xkeys, len(mats))
     keep = k < dim  # the quotient direction's coefficient is dropped
     ijk = np.stack([pair // dim, pair % dim, k], axis=1)[keep]
     alg = LieSuperAlgebra(SuperBasis(parity, tuple(e[2] for e in elems)),
                           (ijk, x[keep], denom), tuple(decomposition))
+    del xkeys, x, pair, k, keep, ijk
     killing = killing_form(alg)
     if spec.form_scale is None:
         form = killing
-    else:
-        # str(B_i B_j) from the diagonal product entries, signed by slot
-        on_diag = row[a] == col[b]
-        keys, strace = _group_sum((i * dim + j)[on_diag], np.where(
-            row[a] < even_slot, prod, -prod)[on_diag])
+    else:  # str(B_i B_j): B_i's (r, c) meets B_j's (c, r), signed by r
+        nb = int(np.searchsorted(owner, dim))  # the basis proper
+        o, r, c, v = owner[:nb], row[:nb], col[:nb], val[:nb]
+        keys, strace = _contract(r * size + c, c * size + r,
+                                 np.where(r < even_slot, v, -v), v, o, o, dim)
         form = exact_form(alg, keys, spec.form_scale * strace)
-    return Realization(spec, alg, form, killing)
+    return Realization(spec, alg, form, killing, matrices)
 
 
 # -- special linear ----------------------------------------------------------
@@ -527,25 +493,39 @@ def _sp_and_odd(elems: list, decomposition: list, l: int, k: int) -> tuple:
 def realize(spec: FamilySpec) -> Realization:
     """Build the matrix realization of a realizable spec from its ``basis``;
     the realization carries ``spec`` itself. Nothing caches it, so it lives
-    as long as its caller holds it."""
+    as long as its caller holds it; :func:`check_product_join` runs first."""
     if spec.basis is None:
         raise ValueError(f"{spec.name} has no matrix realization here; "
                          "it is handled at the equation layer only")
-    check_dense_size(spec)
+    check_product_join(spec)
     build, *args = spec.basis
     return _assemble(spec, *build(*args))
 
 
 def check_dense_size(spec: FamilySpec) -> None:
-    """Refuse, from the record's dimensions alone and so before any basis
-    exists, a family whose dense (dim, dim) forms would exceed
-    ``MAX_DENSE_ENTRIES`` entries."""
-    data = spec.data
-    dim = data.dim_k0 + sum(data.dim_k) + data.dim_odd
+    """Refuse, from the record's dimension alone and so before any basis
+    exists, a family whose dense (dim, dim) Gram, which only ``build``
+    prints, would exceed ``MAX_DENSE_ENTRIES`` entries."""
+    dim = spec.data.dim_k0 + sum(spec.data.dim_k) + spec.data.dim_odd
     if dim * dim > MAX_DENSE_ENTRIES:
         raise ValueError(f"{spec.name} has dimension {dim:,}: a dense "
                          f"({dim}, {dim}) form is over the "
                          f"{MAX_DENSE_ENTRIES:,}-entry memory limit")
+
+
+def check_product_join(spec: FamilySpec) -> None:
+    """Refuse, from the record's dimension alone and so before any basis
+    exists, a family whose basis products, :func:`_assemble`'s first join,
+    must pair more than ``MAX_JOIN_PAIRS`` entries: each basis here has an
+    entry at every off-diagonal position of its N x N matrices, so each row
+    and column holds N - 1 or more, the products (an entry of column x with
+    one of row x) are at least N (N - 1)**2, and dim <= N**2."""
+    dim = spec.data.dim_k0 + sum(spec.data.dim_k) + spec.data.dim_odd
+    s = math.isqrt(dim)
+    if s * (s - 1) ** 2 > MAX_JOIN_PAIRS:
+        raise ValueError(f"{spec.name} has dimension {dim:,}: its basis products"
+                         f" join at least {s * (s - 1) ** 2:,} entry pairs, "
+                         f"over the {MAX_JOIN_PAIRS:,}-pair memory limit")
 
 
 def verify_realization(real: Realization) -> tuple[dict, list[dict]]:

@@ -4,21 +4,21 @@ brackets, bilinear forms, and axiom verification.
 All values are immutable after construction and every operation is a pure
 function. Structure constants are exact rationals, stored once as sparse
 integer numerators over one common denominator, and every contraction of
-them is a join over these entries: the Jacobi identity and the trace forms
-(the Killing form, an ideal's own Killing form, the trace of its action on
-the odd part), and their join with an exact form's integer nonzeros in
-its bi-invariance check, are summed exactly in int64. ``bracket``
-scatters the entries directly. No (n, n, n) array is built, and a join
-whose pair count could exhaust memory is refused before it allocates. The
-Jacobi check, the largest join, streams over blocks of first indices
-under a fixed pair budget, so its memory does not grow with the algebra;
-it refuses only a first index whose pairs alone are over the bound. A
-form is stored by its nonzeros alone, an exact one as integers beside
-their float values, and :func:`exact_inverse`, the package's one inverse,
-inverts those integers exactly, one connected component of their pattern
-at a time; the form keeps that elimination, made once, whose component
-determinants decide its nondegeneracy and whose inverse is assembled
-where it is read: every verdict of :func:`check_form` is exact.
+them is a join over these entries: the trace forms (the Killing form, an
+ideal's own Killing form, the trace of its action on the odd part), and
+their join with an exact form's integer nonzeros in its bi-invariance
+check, are summed exactly in int64. ``bracket`` scatters the entries
+directly. No (n, n, n) array is built, and a join whose pair count could
+exhaust memory is refused before it allocates. The Jacobi identity is
+checked as rho([e_i, e_j]) = [rho e_i, rho e_j], rho the basis matrices
+the constants were read from, or ad: two joins compared entry for entry,
+the rebuild that also proves a matrix basis's coordinates. A form is
+stored by its nonzeros alone, an exact one as integers beside their float
+values, and :func:`exact_inverse`, the package's one inverse, inverts
+those integers exactly, one connected component of their pattern at a
+time; the form keeps that elimination, made once, whose component
+determinants decide its nondegeneracy and whose inverse is assembled where
+it is read: every verdict of :func:`check_form` is exact.
 """
 
 from __future__ import annotations
@@ -34,20 +34,10 @@ import numpy as np
 
 # Largest number of entry pairs one join may expand to. A contraction
 # peaks at about 64 traced bytes per pair, so the bound holds one near
-# 200 MB. The Jacobi check applies it to the pairs of one first index
-# (A(30,0): 13,732; A(21,20), dim 1,848: 161,356), and its whole joins,
-# which grow about as dim**2 (A(20,0): 0.73M pairs each, A(21,20): 13M),
-# run in blocks.
+# 200 MB.
 MAX_JOIN_PAIRS = 3_000_000
-# Entry pairs one block of the Jacobi check joins at most, unless one first
-# index alone joins more: the check's traced peak stays near 1.5 MiB
-# (B(4,4): 1.15 MiB; A(20,0): 1.45 MiB). Blocks twice as large raise the
-# peak RSS of ``build`` B(4,4) from 33.9 to 34.8 MB, one block 38.9 MB.
-JACOBI_BLOCK_PAIRS = 2**14
-# Largest number of entries of one dense (dim, dim) form: the Gram that
-# ``build`` prints, which no other command makes. The bound, dim <= 2,000,
-# holds that Gram at 32 MB (A(42,0), dim 1,935: ``build`` peaks at 100 MB
-# RSS, and ``verify``, whose curvature plan is its largest part, at 194 MB).
+# Largest number of entries of the dense (dim, dim) Gram that ``build``
+# prints, which no other command makes: dim <= 2,000 holds it at 32 MB.
 MAX_DENSE_ENTRIES = 4_000_000
 
 
@@ -388,17 +378,18 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     return form
 
 
-def _join(a_key: np.ndarray,
-          b_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _join(a_key: np.ndarray, b_key: np.ndarray,
+          where: str = "") -> tuple[np.ndarray, np.ndarray]:
     """Every position pair (p, q) with a_key[p] == b_key[q]. Refuses, before
-    allocating them, more than ``MAX_JOIN_PAIRS`` pairs."""
+    allocating them, more than ``MAX_JOIN_PAIRS`` pairs, naming the join
+    ``where`` it is made (such as " in the Jacobi check")."""
     order = np.argsort(b_key, kind="stable")
     sorted_b = b_key[order]
     lo = np.searchsorted(sorted_b, a_key, "left")
     counts = np.searchsorted(sorted_b, a_key, "right") - lo
     total = int(counts.sum())
     if total > MAX_JOIN_PAIRS:
-        raise ValueError(f"a join of {total:,} entry pairs is over the "
+        raise ValueError(f"a join of {total:,} entry pairs{where} is over the "
                          f"{MAX_JOIN_PAIRS:,}-pair memory limit")
     p, q = _expand(np.arange(len(a_key)), lo, counts)
     return p, order[q]
@@ -425,132 +416,176 @@ def _group_sum(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _contract(a_on: np.ndarray, b_on: np.ndarray, a_val: np.ndarray,
               b_val: np.ndarray, a_key: np.ndarray, b_key: np.ndarray,
-              width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Join, multiply, group: sum ``a_val[p] * b_val[q]`` over the pairs
-    with ``a_on[p] == b_on[q]``, per key ``a_key[p] * width + b_key[q]``."""
-    p, q = _join(a_on, b_on)
+              width: int, where: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Join (refused as :func:`_join` refuses), multiply, group: sum
+    ``a_val[p] * b_val[q]`` over the pairs with ``a_on[p] == b_on[q]``, per
+    key ``a_key[p] * width + b_key[q]``."""
+    p, q = _join(a_on, b_on, where)
     keys, vals = a_key[p] * width + b_key[q], a_val[p] * b_val[q]
     del p, q  # before grouping, which peaks at several arrays of the pairs
     return _group_sum(keys, vals)
 
 
-def check_super_jacobi(alg: LieSuperAlgebra) -> JacobiReport:
-    """Exact residual of the graded Jacobi identity over all basis triples.
+@dataclass(frozen=True, eq=False)
+class BasisMatrices:
+    """Matrices rho(e_k) of a basis of ``dim`` vectors on ``size`` slots, the
+    first ``even_slot`` even: the integer entries ``value`` (for ad, the
+    constants' numerators) at the flat positions ``row * size + col`` of the
+    matrix ``owner``, ascending by owner; owner ``dim`` is a central matrix
+    that the bracket is taken modulo (the identity of psl(n|n))."""
 
-    Per (i, j, k, l) it sums the coefficient of e_l in
-    J(i, j, k) = [e_i, [e_j, e_k]] - [[e_i, e_j], e_k]
-                 - (-1)**(p_i p_j) [e_j, [e_i, e_k]]
-    as int64 numerators over ``denom**2``, joining the sparse entries on the
-    contracted index. Reports the largest |sum| as a float and the first
-    (i, j, k) reaching it; (0.0, (0, 0, 0)) when the identity holds exactly.
-    Refuses an algebra whose sums could overflow int64.
+    dim: int
+    owner: np.ndarray
+    flat: np.ndarray
+    value: np.ndarray
+    even_slot: int
+    size: int
 
-    Only the sorted triples i <= j <= k are summed. Under the graded
-    antisymmetry and parity consistency that the constructor enforces, J is
-    graded alternating (Scheunert, LNM 716, 1979): swapping two arguments of
-    parities p and p' multiplies it by -(-1)**(p p'). So all permutations of
-    a triple have the same |sum| per l, and the first key (i, j, k, l)
-    reaching the maximum is a sorted triple: its sorted permutation reaches
-    the same maximum and is never lexicographically larger. The residual and
-    worst triple over sorted triples are therefore those over all triples.
+    def __post_init__(self):
+        for value in (self.owner, self.flat, self.value):
+            value.setflags(write=False)
 
-    The inner entry c[x, y, m] of each term has x <= y on a sorted triple:
-    (x, y) is (j, k) in the first term, (i, j) in the second and (i, k) in
-    the third. Only those entries join, which halves the joins; a joined
-    pair is kept where the outer index completes a sorted triple (i <= j,
-    j <= k and i <= j <= k respectively). So every term of a sorted triple
-    is summed and no term of any other triple.
+    def supercommutators(self, p: np.ndarray,
+                         where: str = "") -> tuple[np.ndarray, np.ndarray]:
+        """Every [M_i, M_j] = M_i M_j - (-1)**(p_i p_j) M_j M_i of the basis
+        matrices, of the parities ``p``, by one join of their entries on the
+        inner index: the ascending keys ``(i * dim + j) * size**2 + position``
+        of the nonzeros, and their values."""
+        n, size = self.dim, self.size
+        row, col = np.divmod(self.flat[:np.searchsorted(self.owner, n)], size)
+        a, b = _join(col, row, where)
+        i, j = self.owner[a], self.owner[b]
+        prod = self.value[a] * self.value[b]
+        at = row[a] * size + col[b]
+        del a, b
+        sign = 1 - 2 * (p[i] & p[j])
+        return _group_sum(np.concatenate([(i * n + j) * size**2 + at,
+                                          (j * n + i) * size**2 + at]),
+                          np.concatenate([prod, -sign * prod]))
 
-    The sums are taken in blocks of consecutive first indices i (see
-    :func:`_jacobi_block_sums`). Every term belongs to exactly one i: the
-    second and third terms take it from the inner entry (i = x), the first
-    from the outer one (i is its first index). So each block holds every
-    term of its keys and its sums are complete. The blocks come in ascending
-    i and their keys ascend within each, so keeping a block's largest |sum|
-    only where it is strictly larger than all before it finds the same
-    first key reaching the maximum as one sum over all triples.
+
+def _coordinates(keys: np.ndarray, brackets: np.ndarray, owner: np.ndarray,
+                 flat: np.ndarray, val: np.ndarray, span: int, npos: int):
+    """Exact coordinates x = v B* of the brackets v, entries
+    ``pair * npos + position``, on the spanning matrices B, entries
+    ``(owner, flat position, val)``: the brackets paired with the dual
+    matrices B* = B^T G^-1, G = B B^T the Frobenius Gram, whose exact
+    inverse is sparse. Returns the keys ``pair * span + k``, their
+    numerators and the common denominator; refuses a bracket the
+    coordinates do not rebuild."""
+    try:
+        inv_keys, inv, denom, _ = exact_inverse(
+            *_contract(flat, flat, val, val, owner, owner, span), span)
+    except DegeneracyError:
+        raise ValueError("the basis matrices are linearly dependent") from None
+    row, col = np.divmod(inv_keys, span)
+    dual_keys, dual = _contract(owner, row, val, inv, flat, col, span)
+    position, k = np.divmod(dual_keys, span)
+    pair, at = np.divmod(keys, npos)
+    xkeys, x = _contract(at, position, brackets, dual, pair, k, span)
+    if not _rebuilds(xkeys, x, span, owner, flat, val, npos, keys,
+                     denom * brackets):
+        raise ValueError("a bracket leaves the span of the basis")
+    return xkeys, x, denom
+
+
+def _rebuilds(coef_keys: np.ndarray, coef: np.ndarray, width: int,
+              owner: np.ndarray, flat: np.ndarray, val: np.ndarray, npos: int,
+              keys: np.ndarray, target: np.ndarray,
+              central: tuple | None = None, where: str = "") -> bool:
+    """Whether sum_k coef[t, k] M_k, the coefficients at the keys
+    ``t * width + k`` and M_k the matrices with the entries ``(owner, flat,
+    val)``, has exactly the nonzeros ``target`` at the ascending keys
+    ``t * npos + position``: one join and two ``array_equal``. Modulo a
+    ``central`` Z, entries (flat, value), both sides are mapped to
+    z M - M[q] Z first (q Z's first position, z = Z[q]; the kernel is CZ)."""
+    sides = [_contract(coef_keys % width, owner, coef, val, coef_keys // width,
+                       flat, npos, where), (keys, target)]
+    if central is not None:
+        at, z = central
+        for t, (ks, vs) in enumerate(sides):
+            on_q = ks % npos == at[0]
+            moved = (ks[on_q] - at[0])[:, None] + at
+            sides[t] = _group_sum(
+                np.concatenate([ks, moved.ravel()]),
+                np.concatenate([z[0] * vs, (vs[on_q][:, None] * -z).ravel()]))
+    (got_keys, got), (keys, target) = sides
+    return np.array_equal(got_keys, keys) and np.array_equal(got, target)
+
+
+def check_super_jacobi(alg: LieSuperAlgebra,
+                       matrices: BasisMatrices | None = None) -> JacobiReport:
+    """Exact check of the graded Jacobi identity as rho([e_i, e_j]) =
+    [rho e_i, rho e_j] for every pair, the left side sum_k c[i, j, k]
+    rho(e_k) of the stored constants.
+
+    For ``matrices`` homogeneous of their vectors' parities and independent
+    (:func:`_coordinates` inverted their Frobenius Gram when the constants
+    were read from them), rho is injective and the constants are the
+    pull-back of the supercommutator of homogeneous matrices, which is
+    graded antisymmetric and graded Jacobi (Scheunert, LNM 716, 1979). A
+    central matrix Z spans an ideal, so the sides are compared modulo Z, in
+    the quotient, into which rho, independent with Z, is injective. With no
+    matrices, or an entry off its matrix's parity, rho is ad, (ad e_i)[l, k]
+    = c[i, k, l], and the check is the Jacobi identity: the coefficient of
+    e_l in [[e_i, e_j], e_k] - [e_i, [e_j, e_k]]
+    + (-1)**(p_i p_j) [e_j, [e_i, e_k]] is the sum at (i, j, k, l).
+
+    A pass is (0.0, (0, 0, 0)). A failure reports the largest |sum| through
+    ad, with its first (i, j, k) in (i, j, k, l) order as one sum over all
+    triples finds it; through matrices, the largest |c[i, j, k] - x[i, j, k]|,
+    x the coordinates :func:`_coordinates` reads from them, with its first
+    (i, j, k). Refuses sums that could overflow int64 and joins over the
+    bound.
     """
-    n = alg.dim
+    n, p = alg.dim, alg.basis.parity_array()
+    mats = matrices
+    if mats is not None:
+        row, col = np.divmod(mats.flat, mats.size)
+        slot = (row >= mats.even_slot) ^ (col >= mats.even_slot)
+        if not np.array_equal(slot, np.append(p, 0)[mats.owner]):
+            mats = None  # an entry off its matrix's parity
+    if mats is None:  # numerators over denom, as the constants' are
+        mats = BasisMatrices(n, alg.index[:, 0], alg.index[:, 2] * n
+                             + alg.index[:, 1], alg.numer, alg.dim_even, n)
+    scale = alg.denom if mats is matrices else 1  # of the brackets' side
+    on_z = mats.owner == n
+    central = (mats.flat[on_z], mats.value[on_z]) if on_z.any() else None
     big = int(np.max(np.abs(alg.numer), initial=0))
-    if 3 * n * big * big >= 2**63 or n**4 >= 2**63:
+    most = int(np.max(np.abs(mats.value), initial=0))
+    # both sides' sums, z M - M[q] Z at most doubling them
+    if (2 * scale * mats.size * most**2 + n * big * most) * (
+            1 if central is None else 2 * most) >= 2**63 \
+            or (n * mats.size) ** 2 >= 2**63:
         raise ValueError(f"Jacobi sums of a dim-{n} algebra with numerators "
                          f"up to {big} could overflow int64")
-    worst, at = 0, 0
-    for keys, acc in _jacobi_block_sums(alg):
-        if acc.size:
-            first = int(np.argmax(np.abs(acc)))
-            if abs(int(acc[first])) > worst:
-                worst, at = abs(int(acc[first])), int(keys[first]) // n
-    return JacobiReport(worst / alg.denom**2,
-                        (at // (n * n), at // n % n, at % n))
-
-
-def _jacobi_block_sums(alg: LieSuperAlgebra):
-    """The exact Jacobi sums of the sorted triples i <= j <= k, one block of
-    consecutive first indices i at a time, in ascending i: the ascending
-    keys ``((i * n + j) * n + k) * n + l`` of each block's nonzero sums,
-    and those sums.
-
-    Two joins on m serve a block. The inner entries c[x, y, m], x <= y,
-    whose x is in the block join the entries c[m, w, l], which
-    ``alg.index`` holds by m already: the second and third terms. The
-    entries c[z, m, l] whose z is in the block join the inner entries, put
-    in order of m once: the first term. Both sliced sides are contiguous,
-    since ``alg.index`` is sorted by its first index. The pairs of each
-    entry are counted from the key counts before any pair exists, and a
-    block takes first indices while its pairs stay within
-    ``JACOBI_BLOCK_PAIRS``; a first index whose pairs alone exceed
-    ``MAX_JOIN_PAIRS`` is refused."""
-    n, idx, num = alg.dim, alg.index, alg.numer
-    p = alg.basis.parity_array()
-    inner = np.flatnonzero(idx[:, 0] <= idx[:, 1])
-    inner_m = idx[inner, 2]
-    # where each first index starts, in alg.index and among the inner entries
-    by_first = np.bincount(idx[:, 0], minlength=n)
-    rows_at = np.concatenate([[0], np.cumsum(by_first)])
-    inner_at = np.concatenate(
-        [[0], np.cumsum(np.bincount(idx[inner, 0], minlength=n))])
-    by_m = inner[np.argsort(inner_m, kind="stable")]
-    with_m = np.bincount(inner_m, minlength=n)
-    m_at = np.cumsum(with_m) - with_m
-    # pairs through each first index: of the inner entries, then of the outer
-    pairs = np.concatenate([[0], np.cumsum(by_first[inner_m])])[inner_at] \
-        + np.concatenate([[0], np.cumsum(with_m[idx[:, 1]])])[rows_at]
-    del inner_m
-    most = int(np.max(np.diff(pairs), initial=0))
-    if most > MAX_JOIN_PAIRS:
-        raise ValueError(f"a join of {most:,} entry pairs in the Jacobi check "
-                         f"is over the {MAX_JOIN_PAIRS:,}-pair memory limit")
-    lo = 0
-    while lo < n:
-        hi = max(lo + 1, int(np.searchsorted(
-            pairs, pairs[lo] + JACOBI_BLOCK_PAIRS, "right")) - 1)
-        # c[x, y, m] c[m, w, l]
-        a = inner[inner_at[lo]:inner_at[hi]]
-        m = idx[a, 2]
-        a, b = _expand(a, rows_at[m], by_first[m])
-        x, y, w, l = idx[a, 0], idx[a, 1], idx[b, 1], idx[b, 2]
-        prod = num[a] * num[b]
-        # -[[e_i, e_j], e_k] at (i, j, k) = (x, y, w), and
-        # -(-1)**(p_i p_j) [e_j, [e_i, e_k]] at (x, w, y), read from
-        # c[w, m, l] = -(-1)**(p_w p_m) c[m, w, l] with p_m = p_x + p_y
-        second, third = y <= w, (x <= w) & (w <= y)
-        sign = (2 * (p[x] & p[w]) - 1) * (2 * (p[w] & (p[x] ^ p[y])) - 1)
-        keys = [((x * n + y) * n + w)[second] * n + l[second],
-                ((x * n + w) * n + y)[third] * n + l[third]]
-        vals = [-prod[second], (sign * prod)[third]]
-        del a, b, x, y, w, l, prod, second, third, sign
-        # c[z, m, l] c[x, y, m]: [e_i, [e_j, e_k]] at (z, x, y)
-        m = idx[rows_at[lo]:rows_at[hi], 1]
-        b, a = _expand(np.arange(rows_at[lo], rows_at[hi]), m_at[m], with_m[m])
-        a = by_m[a]
-        z, x = idx[b, 0], idx[a, 0]
-        first = z <= x
-        keys.append(((z * n + x) * n + idx[a, 1])[first] * n + idx[b, 2][first])
-        vals.append((num[a] * num[b])[first])
-        del a, b, z, x, first
-        yield _group_sum(np.concatenate(keys), np.concatenate(vals))
-        lo = hi
+    where, npos = " in the Jacobi check", mats.size**2
+    keys, target = mats.supercommutators(p, where)
+    i, j, k = alg.index.T
+    if _rebuilds((i * n + j) * n + k, alg.numer, n, mats.owner, mats.flat,
+                 mats.value, npos, keys, scale * target, central, where):
+        return JacobiReport(0.0, (0, 0, 0))
+    if mats is matrices:
+        span = n + (central is not None)
+        xkeys, x, xden = _coordinates(keys, target, mats.owner, mats.flat,
+                                      mats.value, span, npos)
+        keep = xkeys % span < n  # the central coefficient is dropped
+        triple, diff = _group_sum(
+            np.concatenate([(i * n + j) * n + k,
+                            xkeys[keep] // span * n + xkeys[keep] % span]),
+            np.concatenate([alg.numer * xden, -alg.denom * x[keep]]))
+        order, denom = triple, alg.denom * xden
+    else:
+        got_keys, got = _contract(k, mats.owner, alg.numer, mats.value,
+                                  i * n + j, mats.flat, npos)
+        at, diff = _group_sum(np.concatenate([got_keys, keys]),
+                              np.concatenate([got, -target]))
+        triple = at // npos * n + at % n  # (i, j, k) of the key (i, j, l, k)
+        order, denom = triple * n + at % npos // n, alg.denom**2
+    hits = np.flatnonzero(np.abs(diff) == np.abs(diff).max())
+    first = int(triple[hits[np.argmin(order[hits])]])
+    return JacobiReport(int(np.abs(diff).max()) / denom,
+                        (first // (n * n), first // n % n, first % n))
 
 
 def check_form(alg: LieSuperAlgebra, form: BilinearFormMatrix) -> FormReport:

@@ -130,9 +130,9 @@ class TestInputContract:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_join_refusal_names_the_jacobi_check(self, capsys, monkeypatch):
-        # the Jacobi check of sl(2|1) = A(1,0) joins at most 48 pairs per
-        # first index, fewer than its realization's largest join (56), so the
-        # bound drops to 10 once the realization is made
+        # the Jacobi check of sl(2|1) = A(1,0) joins its realization's basis
+        # products (41 pairs) and rebuild (56) again, so the bound drops to
+        # 10 once the realization is made
         def realized(spec):
             real = families.realize(spec)
             monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 10)
@@ -172,23 +172,56 @@ class TestInputContract:
         assert err == "error: --seed must be >= 0, got -5\n"
 
     @pytest.mark.parametrize("max_m,bound,family", [
-        ("1000", None, "A(22,21) has dimension 2,024"),
-        ("2", 100, "A(2,0) has dimension 15"),
+        ("1000", None, "A(73,71) has dimension 21,315"),
+        ("2", 10, "A(2,0) has dimension 15"),
     ], ids=["first-over-the-bound", "patched-bound"])
     def test_report_refused_before_any_section(self, capsys, monkeypatch,
                                                max_m, bound, family):
-        # A(22,21), dim 2,024, is the first catalog family over the dense
-        # bound; the catalog past it is never made
+        # A(73,71), dim 21,315, is the first catalog family whose basis
+        # products must be over the join bound; the catalog past it is never
+        # made. The dense bound, which guards only build's Gram, refuses
+        # no report.
+        monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 1)
         if bound is not None:
-            monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", bound)
+            monkeypatch.setattr(families, "MAX_JOIN_PAIRS", bound)
         sections = []
         monkeypatch.setattr(cli, "report_section",
                             lambda *args: sections.append(args))
         code, out, err = run(capsys, "report", "--max-m", max_m)
         assert (code, out, sections) == (2, "", [])
-        assert err.startswith(f"error: {family}: a dense ")
+        assert err.startswith(f"error: {family}: its basis products join ")
         assert err.count("\n") == 1
 
+
+    def test_only_build_reads_the_dense_bound(self, capsys, monkeypatch):
+        # with no dense form allowed, every command but build still runs
+        monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 1)
+        for argv in (("verify", *B11), ("indices", *B11),
+                     ("report", "--max-m", "1")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out, argv
+        code, out, err = run(capsys, "build", *B11)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: B(1,1) has dimension 12: a dense ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,bound,error", [
+        (("verify", "--family", "A", "--m", "300", "--n", "0"), None,
+         "A(300,0) has dimension 91,203: its basis products join at least "),
+        (("indices", "--family", "A", "--m", "300", "--n", "0"), None,
+         "A(300,0) has dimension 91,203: its basis products join at least "),
+        (("verify", "--family", "B", "--m", "1", "--n", "1"), 100,
+         "a join of 158 entry pairs is over the 100-pair memory limit"),
+    ], ids=["verify-record", "indices-record", "verify-join"])
+    def test_stops_at_the_join_bound(self, capsys, monkeypatch, argv, bound,
+                                     error):
+        # realize refuses, from the record, a family whose basis products
+        # must be over the join bound, and every join one that is over it
+        if bound is not None:
+            monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", bound)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--family", "B", "--m", "1", "--n", "1", "--form", "killing"),
@@ -303,7 +336,8 @@ class TestOutputs:
 
     def test_build_where_full_jacobi_sums_were_refused(self, capsys):
         # A(25,0), dim 728: summing every triple would join 3.31M entry
-        # pairs, over MAX_JOIN_PAIRS; the sorted triples join 1.65M
+        # pairs, over MAX_JOIN_PAIRS; the check through the basis matrices
+        # joins 22,481 and 56,008
         code, out, _ = run(capsys, "build", "--family", "A", "--m", "25",
                            "--n", "0")
         assert code == 0
@@ -837,8 +871,8 @@ class TestSolveReadsTheRecordAlone:
             self.printed(capsys, ("solve", *A10), spec)
 
     def test_family_over_the_dense_bound(self, capsys):
-        # D(19,20), dim 3,043, is over the bound that refuses its
-        # realization; its system solves in milliseconds
+        # D(19,20), dim 3,043, is over the dense bound that refuses its
+        # build; its system solves in milliseconds
         self.printed(capsys, ("solve", "--family", "D", "--m", "19",
                               "--n", "20"), families.family_spec("D", 19, 20))
 
@@ -854,7 +888,7 @@ def test_killing_zero_read_from_the_exact_sums(monkeypatch):
     monkeypatch.setattr(cli, "verify_realization",
                         lambda real: ({"pass": True}, []))
     st = cli._structural(SimpleNamespace(algebra=alg, canonical_form=k,
-                                         killing=k))
+                                         killing=k, matrices=None))
     assert st["killing_max_entry"] == 1e-12
     assert st["killing_identically_zero"] is False
 

@@ -27,6 +27,7 @@ from supereinstein.families import FamilyData, catalog, family_spec, \
     iter_catalog, realize
 
 F = Fraction
+FLOAT_MAX = (2 - 2.0**-52) * 2.0**1023  # sys.float_info.max
 
 
 def sys_for(fam, m=None, n=None, alpha=None):
@@ -355,6 +356,31 @@ class TestElimination:
         tie = 1 + F(1, 2**53)
         coeffs = einstein._poly_mul([F(1), -tie], [F(1), -tie - F(1, 2**70)])
         assert real_roots(coeffs) == [1.0, 1.0 + 2.0**-52]
+
+    def test_roots_at_the_ends_of_the_float_range(self):
+        # 2^1000 and +-M, M the largest float, are exact, and M + 1, the
+        # closed end of the window, rounds to M; the isolating interval of
+        # 1.5 * 2^1023 opens past M and is cut to the window
+        big = FLOAT_MAX
+        assert real_roots([F(1), F(-2**1000)]) == [2.0**1000]
+        assert real_roots([F(1), F(-int(big))]) == [big]
+        assert real_roots([F(1), F(int(big))]) == [-big]
+        assert real_roots([F(1), F(-int(big) - 1)]) == [big]
+        assert real_roots([F(2), F(3 * 2**1023)]) == [-1.5 * 2.0**1023]
+        assert real_roots(einstein._poly_mul(
+            [F(1), F(-1)], [F(1), F(0), F(-2**2000)])) == \
+            [-2.0**1000, 1.0, 2.0**1000]
+
+    @pytest.mark.parametrize("coeffs", [
+        [F(1), F(-2**1100)], [F(1), F(2**1100)], [F(1), F(-2**1024)],
+        [F(1), F(-int(FLOAT_MAX) - 2)],
+        einstein._poly_mul([F(1), F(-1)], [F(1), F(2**1100)])],
+        ids=["2^1100", "-2^1100", "2^1024", "M+2", "1 and -2^1100"])
+    def test_root_outside_the_float_range_refused(self, coeffs):
+        with pytest.raises(ValueError, match=r"^a real root lies outside the "
+                           r"float range \[-1\.7976931348623157e\+308, "
+                           r"1\.7976931348623157e\+308\]$"):
+            real_roots(coeffs)
 
     @pytest.mark.parametrize("spec", [
         s for s in catalog(6) if cubic_reference_coefficients(s) is not None],

@@ -349,13 +349,13 @@ class TestExactInverse:
 
     @pytest.mark.parametrize("spec", REALIZABLE_4, ids=lambda s: s.name)
     def test_inverse_times_form_is_the_identity(self, spec, monkeypatch):
-        grams = []
+        grams, inverse = [], supercore.exact_inverse
 
         def recording(keys, numer, size):
             grams.append((keys, numer, size))
-            return supercore.exact_inverse(keys, numer, size)
+            return inverse(keys, numer, size)
 
-        monkeypatch.setattr(families, "exact_inverse", recording)
+        monkeypatch.setattr(supercore, "exact_inverse", recording)
         form = realize(spec).canonical_form
         assert len(grams) == 1  # the Frobenius Gram of the basis
         for keys, numer, size in grams + [(*form.block(range(form.dim)),

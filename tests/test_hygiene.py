@@ -217,7 +217,7 @@ def test_only_the_form_itself_inverts_a_form():
     callers = {(path.name, fn) for path in MODULES for name in
                ("exact_inverse", "_eliminate", "_int64_inverse")
                for fn in _callers(_tree(path), name)}
-    assert callers == {("families.py", "_coordinates"),
+    assert callers == {("supercore.py", "_coordinates"),
                        ("supercore.py", "exact_inverse"),
                        ("supercore.py", "BilinearFormMatrix._elimination"),
                        ("supercore.py", "BilinearFormMatrix.inverse")}

@@ -6,6 +6,7 @@ here only, as independent references.
 """
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -302,15 +303,18 @@ def test_join_over_the_bound_refused_before_allocating():
     assert peak < 2**20  # the pair indices alone would take 48 MB
 
 
-def test_dense_form_over_the_bound_refused_before_allocating():
-    # A(43,0) is the first A(m,0) over the bound: dim 2,024
+def test_dense_form_over_the_bound_refused_before_allocating(capsys):
+    # A(43,0) is the first A(m,0) over the bound: dim 2,024. ``build``,
+    # which prints its dense Gram, refuses it before it is realized
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="dense .* memory limit"):
-            families.realize(families.family_spec("A", 43, 0))
+        code = cli.main(["build", "--family", "A", "--m", "43", "--n", "0"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert code == 2
+    assert re.fullmatch("error: A\\(43,0\\) has dimension 2,024: a dense .* "
+                        "memory limit\n", capsys.readouterr().err)
     assert peak < 2**22  # one dense (2024, 2024) form alone would take 33 MB
 
 
@@ -319,7 +323,8 @@ def test_refused_from_the_record_before_the_basis_is_made():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="^A\\(300,0\\) has dimension "
-                           "91,203: a dense .* memory limit$"):
+                           "91,203: its basis products join at least .* "
+                           "memory limit$"):
             families.realize(families.family_spec("A", 300, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -328,11 +333,14 @@ def test_refused_from_the_record_before_the_basis_is_made():
 
 
 def test_dense_bound_admits_its_own_size(monkeypatch):
+    spec = families.family_spec("B", 1, 1)
     monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 12 * 12)
-    assert families.realize(families.family_spec("B", 1, 1)).algebra.dim == 12
+    families.check_dense_size(spec)
     monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 12 * 12 - 1)
     with pytest.raises(ValueError, match="B\\(1,1\\) has dimension 12"):
-        families.realize(families.family_spec("B", 1, 1))
+        families.check_dense_size(spec)
+    # only build reads the bound, not the realization
+    assert families.realize(spec).algebra.dim == 12
 
 
 def test_largest_catalog_family_passes_the_join_bound():

@@ -1,7 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,9 +248,9 @@ class TestKillingForm:
             assert b_ratio(k, ideal, ki) == 1 - l
 
 
-# Jacobi block budgets: one first index per block, a few per block on the
-# small algebras, the default, and one block for everything
-BUDGETS = (1, 40, supercore.JACOBI_BLOCK_PAIRS, 10**9)
+@pytest.fixture(scope="module")
+def realized_2():
+    return [families.realize(s) for s in families.catalog(2) if s.realizable]
 
 
 @pytest.fixture(scope="module")
@@ -258,20 +258,27 @@ def realized_3():
     return [families.realize(s) for s in families.catalog(3) if s.realizable]
 
 
-def traced_jacobi_peak(alg):
-    """The traced peak of one Jacobi check of ``alg``, in bytes."""
+def traced_peak(fn, *args):
+    """The traced peak of one call ``fn(*args)``, in bytes."""
     tracemalloc.start()
     try:
-        check_super_jacobi(alg)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def moved_constants(alg, before):
+    """{(i, j, k): c - c_before} over the constants ``alg`` moved."""
+    now, was = exact_entries(alg), exact_entries(before)
+    moved = {t: now.get(t, 0) - was.get(t, 0) for t in now.keys() | was.keys()}
+    return {t: v for t, v in moved.items() if v}
+
+
 @pytest.fixture(scope="module")
 def b44():
     """B(4,4) = osp(9|8), dim 144, uncached: freed after the module."""
-    return families.realize(families.family_spec("B", 4, 4)).algebra
+    return families.realize(families.family_spec("B", 4, 4))
 
 
 class TestJacobi:
@@ -313,14 +320,12 @@ class TestJacobi:
               derandomize=True)
     @given(data=st.data())
     def test_sorted_triples_match_full_sum(self, sl21, psl22, osp32, data):
+        # through ad, the check reports what one sum over all triples does
         alg = data.draw(st.sampled_from([sl21, psl22, osp32])).algebra
         for _ in range(data.draw(st.integers(1, 3))):
             alg = draw_perturbation(data, alg)
-        want = full_sum_jacobi(alg)
-        for budget in BUDGETS:
-            with mock.patch.object(supercore, "JACOBI_BLOCK_PAIRS", budget):
-                report = check_super_jacobi(alg)
-            assert (report.residual, report.worst_triple) == want, budget
+        report = check_super_jacobi(alg)
+        assert (report.residual, report.worst_triple) == full_sum_jacobi(alg)
 
     def test_tied_sorted_triples_resolve_like_full_sum(self, sl21):
         # Several distinct sorted triples share the largest |J|, and both
@@ -334,79 +339,115 @@ class TestJacobi:
                  perturbed(twice, odd + 1, odd + 1, 0, Fraction(1, 2))]
         for alg in cases:
             assert len(sorted_triples_at_max(alg)) > 1
-            for budget in BUDGETS:
-                with mock.patch.object(supercore, "JACOBI_BLOCK_PAIRS", budget):
-                    report = check_super_jacobi(alg)
-                assert (report.residual, report.worst_triple) == \
-                    full_sum_jacobi(alg), budget
+            report = check_super_jacobi(alg)
+            assert (report.residual, report.worst_triple) == \
+                full_sum_jacobi(alg)
 
-    @pytest.mark.parametrize("budget", BUDGETS)
-    def test_catalog_holds_at_every_budget(self, monkeypatch, budget,
-                                           realized_3):
-        monkeypatch.setattr(supercore, "JACOBI_BLOCK_PAIRS", budget)
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(data=st.data())
+    def test_moved_constant_fails_through_the_matrices(self, realized_2,
+                                                       data):
+        # every realization of catalog(2), the psl quotients A(1,1) and
+        # A(2,2) among them: the matrices name the constant that moved (or
+        # its graded partner, whichever comes first) and how far, and ad
+        # fails or holds with them
+        real = data.draw(st.sampled_from(realized_2))
+        alg = real.algebra
+        for _ in range(data.draw(st.integers(0, 2))):
+            alg = draw_perturbation(data, alg)
+        moved = moved_constants(alg, real.algebra)
+        report = check_super_jacobi(alg, real.matrices)
+        if not moved:
+            assert (report.residual, report.worst_triple) == (0.0, (0, 0, 0))
+        else:
+            worst = max(map(abs, moved.values()))
+            assert report.residual == float(worst)
+            assert report.worst_triple == min(
+                t for t, v in moved.items() if abs(v) == worst)
+        assert (check_super_jacobi(alg).residual == 0) == (not moved), \
+            real.name
+
+    def test_catalog_holds_on_both_paths(self, realized_3):
         for real in realized_3:
-            report = check_super_jacobi(real.algebra)
-            assert (report.residual, report.worst_triple) == (0.0, (0, 0, 0)), \
-                real.name
+            for matrices in (real.matrices, None):
+                report = check_super_jacobi(real.algebra, matrices)
+                assert (report.residual, report.worst_triple) == \
+                    (0.0, (0, 0, 0)), real.name
 
-    def test_join_pairs_halved(self, monkeypatch, b44):
-        # the full sums join 140,280 pairs twice; each block makes two joins
+    def test_psl_holds_only_modulo_its_centre(self, psl22):
+        # without the identity, the brackets [B_i, B_j] of psl(2|2) leave
+        # the span of its basis matrices
+        mats = psl22.matrices
+        basis = mats.owner < mats.dim
+        assert not basis.all()
+        without = supercore.BasisMatrices(
+            mats.dim, mats.owner[basis], mats.flat[basis], mats.value[basis],
+            mats.even_slot, mats.size)
+        assert check_super_jacobi(psl22.algebra, mats).residual == 0.0
+        with pytest.raises(ValueError, match="leaves the span of the basis"):
+            check_super_jacobi(psl22.algebra, without)
+
+    def test_inhomogeneous_matrices_check_through_ad(self, sl21):
+        # with every slot even, the odd matrices are off their parity, and
+        # the check falls back to ad, which reports the full sum
+        mats = dataclasses.replace(sl21.matrices, even_slot=sl21.matrices.size)
+        odd = sl21.algebra.dim_even
+        alg = perturbed(sl21.algebra, odd, odd + 1, 1, Fraction(2, 7))
+        report = check_super_jacobi(alg, mats)
+        assert (report.residual, report.worst_triple) == full_sum_jacobi(alg)
+        assert check_super_jacobi(sl21.algebra, mats).residual == 0.0
+
+    def test_joins_no_more_than_the_realization(self, monkeypatch, b44):
+        # B(4,4): the full sums join 140,280 pairs twice; the check joins
+        # the products that realize joins first and the rebuild that
+        # realize makes of its coordinates, no more
         pairs = []
-        inner = supercore._expand
+        expand, rebuilds = supercore._expand, supercore._rebuilds
 
         def counting(*args):
-            joined = inner(*args)
+            joined = expand(*args)
             pairs.append(len(joined[0]))
             return joined
 
+        def marked(*args, **kwargs):
+            pairs.append("rebuild")
+            return rebuilds(*args, **kwargs)
+
         monkeypatch.setattr(supercore, "_expand", counting)
-        full_sum_jacobi(b44)
+        monkeypatch.setattr(supercore, "_rebuilds", marked)
+        full_sum_jacobi(b44.algebra)
         assert pairs == [140_280, 140_280]
         pairs.clear()
-        assert check_super_jacobi(b44).residual == 0.0
-        blocks = [sum(pairs[k:k + 2]) for k in range(0, len(pairs), 2)]
-        assert len(blocks) > 1
-        assert max(blocks) <= supercore.JACOBI_BLOCK_PAIRS
-        assert sum(blocks) == 2 * 70_752
+        real = families.realize(b44.spec)
+        made = pairs[:pairs.index("rebuild") + 2]
+        pairs.clear()
+        assert check_super_jacobi(real.algebra, real.matrices).residual == 0.0
+        assert pairs == [made[0], "rebuild", made[-1]] == \
+            [4_616, "rebuild", 8_792]
 
-    def test_join_sides_ordered_once_per_check(self, monkeypatch, b44):
-        # the blocks grow from 9 to 144 (one per first index), and the only
-        # argsort, of the inner entries by m, is made once per check
-        sorts, blocks = [], []
-        argsort, group_sum = np.argsort, supercore._group_sum
-        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1)
-                            or argsort(*a, **k))
-        monkeypatch.setattr(supercore, "_group_sum", lambda *a: blocks.append(1)
-                            or group_sum(*a))
-        counts = []
-        for budget in (supercore.JACOBI_BLOCK_PAIRS, 1):
-            monkeypatch.setattr(supercore, "JACOBI_BLOCK_PAIRS", budget)
-            sorts.clear(), blocks.clear()
-            assert check_super_jacobi(b44).residual == 0.0
-            counts.append((len(sorts), len(blocks)))
-        assert counts == [(1, 9), (1, 144)]
-
-    def test_traced_peak_under_half_the_full_sum(self, b44):
-        # the full-sum kernel peaks at 43.7 MiB on B(4,4), the unblocked
-        # sorted-triple kernel at 5.7 MiB
-        assert traced_jacobi_peak(b44) <= 2 * 2**20
-
-    def test_traced_peak_does_not_grow_with_the_join(self):
-        # A(20,0) joins ten times the pairs of B(4,4); unblocked, its check
-        # peaked at 56.7 MiB
-        alg = families.realize(families.family_spec("A", 20, 0)).algebra
-        assert traced_jacobi_peak(alg) <= 2 * 2**20
+    @pytest.mark.parametrize("family", [("B", 4, 4), ("A", 20, 0)],
+                             ids=["B(4,4)", "A(20,0)"])
+    def test_traced_peak_within_realize(self, family):
+        # B(4,4): 0.90 MB, under realize's 1.14 MB (the full sums peaked at
+        # 43.7 MiB); A(20,0): 3.1 MB, under realize's 5.1 MB
+        spec = families.family_spec(*family)
+        made = traced_peak(families.realize, spec)
+        real = families.realize(spec)
+        assert traced_peak(check_super_jacobi, real.algebra,
+                           real.matrices) <= made
 
     def test_join_refusal_names_the_jacobi_check(self, monkeypatch, sl21):
-        # the first index of sl(2|1) = A(1,0) with the most pairs joins 48
-        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 47)
-        with pytest.raises(ValueError, match="a join of 48 entry pairs in the "
-                                             "Jacobi check is over the "
-                                             "47-pair memory limit"):
-            check_super_jacobi(sl21.algebra)
-        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 48)
-        monkeypatch.setattr(supercore, "JACOBI_BLOCK_PAIRS", 1)
-        assert check_super_jacobi(sl21.algebra).residual == 0.0
+        # sl(2|1) = A(1,0): through ad the check joins 228 pairs twice,
+        # through its matrices 41 and then 56
+        for matrices, most in ((None, 228), (sl21.matrices, 56)):
+            monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", most - 1)
+            with pytest.raises(ValueError, match=f"a join of {most} entry "
+                               "pairs in the Jacobi check is over the "
+                               f"{most - 1}-pair memory limit"):
+                check_super_jacobi(sl21.algebra, matrices)
+            monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", most)
+            assert check_super_jacobi(sl21.algebra, matrices).residual == 0.0
 
     def test_exactly_zero_over_catalog(self):
         for spec in families.catalog(4):
