@@ -275,6 +275,12 @@ def moved_constants(alg, before):
     return {t: v for t, v in moved.items() if v}
 
 
+# join bounds for the catalog check, and how many of catalog(3)'s 56 checks
+# (28 realizations, each through its matrices and through ad) fit under each
+BUDGETS = (1, 40, 16_384, 10**9)
+HELD_AT = {1: 0, 40: 1, 16_384: 51, 10**9: 56}
+
+
 @pytest.fixture(scope="module")
 def b44():
     """B(4,4) = osp(9|8), dim 144, uncached: freed after the module."""
@@ -368,12 +374,26 @@ class TestJacobi:
         assert (check_super_jacobi(alg).residual == 0) == (not moved), \
             real.name
 
-    def test_catalog_holds_on_both_paths(self, realized_3):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_catalog_holds_at_every_budget(self, monkeypatch, budget,
+                                           realized_3):
+        # on both paths, under any join bound, every check of catalog(3)
+        # holds exactly or refuses its join by name, and every one holds
+        # under a bound the joins do not reach
+        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", budget)
+        held = 0
         for real in realized_3:
             for matrices in (real.matrices, None):
-                report = check_super_jacobi(real.algebra, matrices)
+                try:
+                    report = check_super_jacobi(real.algebra, matrices)
+                except ValueError as err:
+                    assert "pairs in the Jacobi check is over the " \
+                        f"{budget:,}-pair memory limit" in str(err), real.name
+                    continue
+                held += 1
                 assert (report.residual, report.worst_triple) == \
                     (0.0, (0, 0, 0)), real.name
+        assert (held, len(realized_3)) == (HELD_AT[budget], 28)
 
     def test_psl_holds_only_modulo_its_centre(self, psl22):
         # without the identity, the brackets [B_i, B_j] of psl(2|2) leave
@@ -398,10 +418,57 @@ class TestJacobi:
         assert (report.residual, report.worst_triple) == full_sum_jacobi(alg)
         assert check_super_jacobi(sl21.algebra, mats).residual == 0.0
 
+    def test_join_pairs_halved(self, monkeypatch, b44):
+        # B(4,4): the full sums join 140,280 pairs twice, and so does the
+        # check through ad; through the matrices it joins less than half
+        # of one of them
+        pairs = []
+        expand = supercore._expand
+
+        def counting(*args):
+            joined = expand(*args)
+            pairs.append(len(joined[0]))
+            return joined
+
+        monkeypatch.setattr(supercore, "_expand", counting)
+        full_sum_jacobi(b44.algebra)
+        assert pairs == [140_280, 140_280]
+        joined = []
+        for matrices in (None, b44.matrices):
+            pairs.clear()
+            assert check_super_jacobi(b44.algebra, matrices).residual == 0.0
+            joined.append(pairs[:])
+        assert joined == [[140_280, 140_280], [4_616, 8_792]]
+        assert 2 * sum(joined[1]) < 140_280
+
+    def test_join_sides_ordered_once_per_check(self, monkeypatch, b44,
+                                               psl22):
+        # with no blocks, a check makes two joins, each sorting its right
+        # side once, and no other argsort: the products' inner index and
+        # the rebuild's basis index; the two groupings are of the products
+        # and the rebuild, and modulo psl(2|2)'s centre each side is
+        # regrouped once more
+        joins, sorts, groups = [], [], []
+        join, argsort, group_sum = (supercore._join, np.argsort,
+                                    supercore._group_sum)
+        monkeypatch.setattr(supercore, "_join", lambda *a: joins.append(1)
+                            or join(*a))
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1)
+                            or argsort(*a, **k))
+        monkeypatch.setattr(supercore, "_group_sum", lambda *a: groups.append(1)
+                            or group_sum(*a))
+        counts = []
+        for real in (b44, psl22):
+            for matrices in (real.matrices, None):
+                joins.clear(), sorts.clear(), groups.clear()
+                assert check_super_jacobi(real.algebra, matrices).residual \
+                    == 0.0
+                counts.append((len(joins), len(sorts), len(groups)))
+        assert counts == [(2, 2, 2), (2, 2, 2), (2, 2, 4), (2, 2, 2)]
+
     def test_joins_no_more_than_the_realization(self, monkeypatch, b44):
-        # B(4,4): the full sums join 140,280 pairs twice; the check joins
-        # the products that realize joins first and the rebuild that
-        # realize makes of its coordinates, no more
+        # B(4,4): the check joins the products that realize joins first and
+        # the rebuild that realize makes of its coordinates, no more
         pairs = []
         expand, rebuilds = supercore._expand, supercore._rebuilds
 
@@ -416,9 +483,6 @@ class TestJacobi:
 
         monkeypatch.setattr(supercore, "_expand", counting)
         monkeypatch.setattr(supercore, "_rebuilds", marked)
-        full_sum_jacobi(b44.algebra)
-        assert pairs == [140_280, 140_280]
-        pairs.clear()
         real = families.realize(b44.spec)
         made = pairs[:pairs.index("rebuild") + 2]
         pairs.clear()
