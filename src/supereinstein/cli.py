@@ -342,9 +342,9 @@ def _quartic_section(spec: FamilySpec, ref: tuple, sols) -> dict:
     cubic = einstein.cubic_factor(quartic)
     # distinct at the tolerance that matches them: each value closer than
     # 1e-8 to the one before it is dropped
-    roots, x1s = (v[np.diff(v, prepend=-np.inf) >= 1e-8] for v in (
-        np.sort([r for r in einstein.real_roots(quartic) if abs(r) > 1e-9]),
-        np.sort([s.x[0] for s in sols])))
+    roots, x1s = (v[np.diff(v, prepend=-np.inf) >= 1e-8] for v in map(
+        np.array, (sorted(r for r in einstein.real_roots(quartic)
+                          if abs(r) > 1e-9), sorted(s.x[0] for s in sols))))
     bijection = len(roots) == len(x1s) and np.all(np.abs(roots - x1s) < 1e-8)
     return {
         "quartic": [str(v) for v in quartic],

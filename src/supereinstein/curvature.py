@@ -41,6 +41,7 @@ import numpy as np
 from .supercore import (
     BilinearFormMatrix,
     LieSuperAlgebra,
+    _distinct,
     _join,
     _koszul_terms,
 )
@@ -139,23 +140,23 @@ def _positions(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return at.astype(np.int32)
 
 
-def _slot_layout(keys: np.ndarray, parity: np.ndarray,
-                 n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _slot_layout(keys: np.ndarray, parity: np.ndarray, n: int) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The slots of the flat (x, y) ``keys`` of an (n, n) form: their
-    distinct values and transposes, ascending; the slot of each one's
-    transpose; and each one's parity class p_x + p_y. Distinct values are
-    taken from a sort, many times faster than numpy 2's hashed
-    ``np.unique`` on a million keys."""
-    def distinct(values):
-        values = np.sort(values)
-        return values[np.diff(values, prepend=-1) != 0]
-
-    keys = distinct(keys)
+    distinct values and transposes, ascending; the slot of each key; the
+    slot of each slot's transpose; and each slot's parity class p_x + p_y.
+    Two :func:`~supereinstein.supercore._distinct` groupings place every
+    key, and every distinct key and its transpose, among the slots."""
+    keys, at = _distinct(keys)
     row, col = np.divmod(keys, n)
-    slots = distinct(np.concatenate([keys, col * n + row]))
+    slots, place = _distinct(np.concatenate([keys, col * n + row]))
+    key_slot, transpose_slot = np.split(place.astype(np.int32), 2)
+    mirror = np.empty(len(slots), dtype=np.int32)
+    mirror[key_slot] = transpose_slot  # every slot is a key or a transpose
+    mirror[transpose_slot] = key_slot
     row, col = np.divmod(slots, n)
-    mirror = np.searchsorted(slots, col * n + row).astype(np.int32)
-    return slots, mirror, (parity[row] + parity[col]).astype(np.int8)
+    return (slots, key_slot[at], mirror,
+            (parity[row] + parity[col]).astype(np.int8))
 
 
 def _even_supersymmetric_part(mirror: np.ndarray, slot_parity: np.ndarray,
@@ -194,7 +195,7 @@ def plan_curvature(alg: LieSuperAlgebra,
     np.maximum.at(row_max, form.keys // n, np.abs(vals))
     terms, values, rows = _koszul_terms(alg, alg.numer / alg.denom, form.keys,
                                         vals, third=True)
-    rhs_keys, group = np.unique(terms, return_inverse=True)
+    rhs_keys, group = _distinct(terms)
     rhs = np.bincount(group * nb + block[rows], weights=values,
                       minlength=len(rhs_keys) * nb).reshape(-1, nb)
     del terms, values, rows, group
@@ -202,13 +203,15 @@ def plan_curvature(alg: LieSuperAlgebra,
     pair, k = np.divmod(rhs_keys, n)
     at, q = _join(k, rows)
     del k
-    keys, symbol = np.unique(pair[at] * n + cols[q], return_inverse=True)
-    # B = numer / denom, so B^-1 = denom * inv / inv_denom
-    weights = rhs[at] * (0.5 * (inv[q] * form.denom / inv_denom))[:, None]
-    koszul = np.bincount((symbol[:, None] * nb + np.arange(nb)).ravel(),
-                         weights=weights.ravel(),
-                         minlength=len(keys) * nb).reshape(-1, nb)
-    del pair, at, q, rows, cols, inv, rhs, weights, symbol
+    keys, symbol = _distinct(pair[at] * n + cols[q])
+    # B = numer / denom, so B^-1 = denom * inv / inv_denom; one block's
+    # column at a time, so no (pairs, blocks) array is made, each summed in
+    # the pairs' order as one bincount over all of them sums it
+    weight = 0.5 * (inv[q] * form.denom / inv_denom)
+    koszul = np.stack([np.bincount(symbol, weights=rhs[at, c] * weight,
+                                   minlength=len(keys)) for c in range(nb)],
+                      axis=1)
+    del pair, at, q, rows, cols, inv, rhs, weight, symbol
     # the three terms of ricci_direct
     p = alg.basis.parity_array()
     sign = 1 - 2 * p
@@ -221,10 +224,9 @@ def plan_curvature(alg: LieSuperAlgebra,
     # c[z, x, m] G[m, y, z], joined on (m, z)
     idx = alg.index
     a2, b2 = _join(idx[:, 2] * n + idx[:, 0], gi * n + gk)
-    ric_keys = np.concatenate([ij, gi[b] * n + gj[a],
-                               idx[a2, 1] * n + gj[b2]])
-    slots, mirror, slot_parity = _slot_layout(
-        np.concatenate([ric_keys, form.keys]), p, n)
+    # the Ricci terms' keys, then B's, which only widen the slots
+    slots, slot_at, mirror, slot_parity = _slot_layout(np.concatenate(
+        [ij, gi[b] * n + gj[a], idx[a2, 1] * n + gj[b2], form.keys]), p, n)
     int32 = np.int32
     return CurvaturePlan(
         algebra=alg, keys=keys, key_k=gk.astype(int32),
@@ -237,7 +239,7 @@ def plan_curvature(alg: LieSuperAlgebra,
         pair_sign=pair_sign.astype(float),
         bracket_from=b2.astype(int32),
         bracket_values=-sign[idx[a2, 0]] * (alg.numer[a2] / alg.denom),
-        ric_at=np.searchsorted(slots, ric_keys).astype(int32), slots=slots,
+        ric_at=slot_at[:len(slot_at) - len(form.keys)], slots=slots,
         mirror=mirror, slot_parity=slot_parity)
 
 

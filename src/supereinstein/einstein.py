@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import supercore
 from .curvature import MetricParams, metric_from_params, ricci_routes
 from .families import FamilyData, FamilySpec, Realization
-from .supercore import MAX_JOIN_PAIRS
 
 SOLUTION_TOL = 1e-10
 DEDUPE_TOL = 1e-8
@@ -203,9 +203,10 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
     """
     n_grid = int(round(2.0 * c_window / grid_step))
     n_nodes = n_grid // _BLOCK + 2
-    if n_nodes > MAX_JOIN_PAIRS:
+    bound = supercore.MAX_JOIN_PAIRS  # read now, so a lowered bound holds
+    if n_nodes > bound:
         raise ValueError(f"the c-grid scan needs {n_nodes:,} coarse nodes, "
-                         f"over the {MAX_JOIN_PAIRS:,}-element memory limit; "
+                         f"over the {bound:,}-element memory limit; "
                          f"use a smaller c window")
     # n_grid = 0 leaves the one coarse cell [0, 0]
     nodes = np.append(np.arange(0, max(n_grid, 1), _BLOCK), n_grid)
@@ -276,9 +277,8 @@ def solve(data: FamilyData, c_window: float = C_WINDOW,
             res = system_residual(data, vec, c)
             if res < SOLUTION_TOL:
                 found.append((vec, c, res))
-    found.sort(key=lambda t: (t[1], t[0]))
     solutions: list[EinsteinSolution] = []
-    for vec, c, res in found:
+    for vec, c, res in sorted(found, key=lambda t: (t[1], t[0])):
         dup = any(
             max(abs(c - s.c), max(abs(a - bb) for a, bb in zip(vec, s.x))) < DEDUPE_TOL
             for s in solutions)

@@ -28,10 +28,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import curvature, invariants
+from . import curvature, invariants, supercore
 from .supercore import (
-    MAX_DENSE_ENTRIES,
-    MAX_JOIN_PAIRS,
     BasisMatrices,
     BilinearFormMatrix,
     DecompositionRange,
@@ -505,27 +503,28 @@ def realize(spec: FamilySpec) -> Realization:
 def check_dense_size(spec: FamilySpec) -> None:
     """Refuse, from the record's dimension alone and so before any basis
     exists, a family whose dense (dim, dim) Gram, which only ``build``
-    prints, would exceed ``MAX_DENSE_ENTRIES`` entries."""
+    prints, would exceed ``supercore.MAX_DENSE_ENTRIES`` entries."""
     dim = spec.data.dim_k0 + sum(spec.data.dim_k) + spec.data.dim_odd
-    if dim * dim > MAX_DENSE_ENTRIES:
+    bound = supercore.MAX_DENSE_ENTRIES
+    if dim * dim > bound:
         raise ValueError(f"{spec.name} has dimension {dim:,}: a dense "
                          f"({dim}, {dim}) form is over the "
-                         f"{MAX_DENSE_ENTRIES:,}-entry memory limit")
+                         f"{bound:,}-entry memory limit")
 
 
 def check_product_join(spec: FamilySpec) -> None:
     """Refuse, from the record's dimension alone and so before any basis
     exists, a family whose basis products, :func:`_assemble`'s first join,
-    must pair more than ``MAX_JOIN_PAIRS`` entries: each basis here has an
-    entry at every off-diagonal position of its N x N matrices, so each row
-    and column holds N - 1 or more, the products (an entry of column x with
-    one of row x) are at least N (N - 1)**2, and dim <= N**2."""
+    must pair more than ``supercore.MAX_JOIN_PAIRS`` entries: each basis
+    here has an entry at every off-diagonal position of its N x N matrices,
+    so each row and column holds N - 1 or more, the products (an entry of
+    column x with one of row x) are at least N (N - 1)**2, and dim <= N**2."""
     dim = spec.data.dim_k0 + sum(spec.data.dim_k) + spec.data.dim_odd
-    s = math.isqrt(dim)
-    if s * (s - 1) ** 2 > MAX_JOIN_PAIRS:
+    s, bound = math.isqrt(dim), supercore.MAX_JOIN_PAIRS
+    if s * (s - 1) ** 2 > bound:
         raise ValueError(f"{spec.name} has dimension {dim:,}: its basis products"
                          f" join at least {s * (s - 1) ** 2:,} entry pairs, "
-                         f"over the {MAX_JOIN_PAIRS:,}-pair memory limit")
+                         f"over the {bound:,}-pair memory limit")
 
 
 def verify_realization(real: Realization) -> tuple[dict, list[dict]]:

@@ -9,7 +9,9 @@ ideal's own Killing form, the trace of its action on the odd part), and
 their join with an exact form's integer nonzeros in its bi-invariance
 check, are summed exactly in int64. ``bracket`` scatters the entries
 directly. No (n, n, n) array is built, and a join whose pair count could
-exhaust memory is refused before it allocates. The Jacobi identity is
+exhaust memory is refused before it allocates. Every join, grouping and
+distinct-key pass of the package orders its keys through :func:`_order`,
+one numpy kernel, the default int64 ``argsort``. The Jacobi identity is
 checked as rho([e_i, e_j]) = [rho e_i, rho e_j], rho the basis matrices
 the constants were read from, or ad: two joins compared entry for entry,
 the rebuild that also proves a matrix basis's coordinates. A form is
@@ -33,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 # Largest number of entry pairs one join may expand to. A contraction
-# peaks at about 64 traced bytes per pair, so the bound holds one near
-# 200 MB.
+# peaks at 48 traced bytes per pair or less, so the bound holds one under
+# 150 MB.
 MAX_JOIN_PAIRS = 3_000_000
 # Largest number of entries of the dense (dim, dim) Gram that ``build``
 # prints, which no other command makes: dim <= 2,000 holds it at 32 MB.
@@ -153,7 +155,7 @@ class LieSuperAlgebra:
         if index.size and (index.min() < 0 or index.max() >= n):
             raise ValueError("structure constant index outside the basis")
         key = (index[:, 0] * n + index[:, 1]) * n + index[:, 2]
-        order = np.argsort(key, kind="stable")
+        order = _order(key)  # ties are refused just below
         index, numer, key = index[order], numer[order], key[order]
         if np.any(key[1:] == key[:-1]):
             raise ValueError("structure constant index repeated")
@@ -378,12 +380,62 @@ def killing_form(alg: LieSuperAlgebra) -> BilinearFormMatrix:
     return form
 
 
+def _order(keys: np.ndarray, stable: bool = False,
+           where: str = "") -> np.ndarray:
+    """The permutation that puts the integer ``keys`` in ascending order:
+    every ordering of the package, by one numpy kernel, the default (SIMD)
+    ``np.argsort`` on int64. Equal keys come in no set order, unless
+    ``stable``: then the sort is on the distinct (key - min) * len +
+    position, so they keep their input order; keys too wide for that in
+    int64 are refused, naming the join ``where`` they are ordered."""
+    if not stable or len(keys) < 2:
+        return np.argsort(keys)
+    low, m = int(keys.min()), len(keys)
+    span = int(keys.max()) - low + 1
+    if span * m > 2**63:
+        raise ValueError(f"a join{where} orders {m:,} keys spanning {span:,} "
+                         "values, too wide to order in int64")
+    tied = keys - low
+    tied *= m
+    tied += np.arange(m)
+    return np.argsort(tied)
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Whether each of the ascending ``ordered`` keys starts a run of equal
+    ones."""
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return new
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, ascending, and where each key sits among them:
+    a sort-based grouping (Graefe, ACM Comput. Surv. 25, 1993) in the order
+    of :func:`_order`."""
+    order = _order(keys)
+    ordered = keys[order]
+    new = _run_starts(ordered)
+    distinct = ordered[new]
+    run = np.cumsum(new, out=ordered)  # the sorted keys are read by now
+    del new
+    run -= 1
+    where = np.empty_like(run)
+    where[order] = run
+    return distinct, where
+
+
 def _join(a_key: np.ndarray, b_key: np.ndarray,
           where: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """Every position pair (p, q) with a_key[p] == b_key[q]. Refuses, before
-    allocating them, more than ``MAX_JOIN_PAIRS`` pairs, naming the join
-    ``where`` it is made (such as " in the Jacobi check")."""
-    order = np.argsort(b_key, kind="stable")
+    """Every position pair (p, q) with a_key[p] == b_key[q], ascending in p
+    and, for one p, in q: ``b_key`` is ordered once by :func:`_order`'s
+    default int64 ``np.argsort``, ties broken by position through the keys
+    (key - min) * len + position, and each a_key[p] finds its run by two
+    ``searchsorted``. Refuses, before allocating them, more than
+    ``MAX_JOIN_PAIRS`` pairs, naming the join ``where`` it is made (such as
+    " in the Jacobi check")."""
+    order = _order(b_key, stable=True, where=where)
     sorted_b = b_key[order]
     lo = np.searchsorted(sorted_b, a_key, "left")
     counts = np.searchsorted(sorted_b, a_key, "right") - lo
@@ -405,24 +457,36 @@ def _expand(left: np.ndarray, start: np.ndarray,
 
 
 def _group_sum(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``vals`` per distinct key, in their own dtype (int64 sums are
-    exact): the ascending keys whose sum is nonzero, and those sums."""
-    keys, where = np.unique(keys, return_inverse=True)
-    acc = np.zeros(len(keys), dtype=vals.dtype)
-    np.add.at(acc, where, vals)
-    nonzero = acc != 0
-    return keys[nonzero], acc[nonzero]
+    """Sum the exact ``vals``, int64 or Python ints, whose sums are exact in
+    any order, per distinct key: the ascending keys whose sum is nonzero,
+    and those sums. Keys and values are gathered once in the order of
+    :func:`_order`'s default int64 ``np.argsort``, equal keys in no set
+    order, which exact sums do not see; each run of equal keys is summed by
+    ``reduceat``, and each gathered array is freed once read."""
+    order = _order(keys)
+    keys, vals = keys[order], vals[order]
+    del order
+    start = np.flatnonzero(_run_starts(keys))
+    vals = np.add.reduceat(vals, start)
+    keys = keys[start]
+    del start
+    nonzero = vals != 0
+    return keys[nonzero], vals[nonzero]
 
 
 def _contract(a_on: np.ndarray, b_on: np.ndarray, a_val: np.ndarray,
               b_val: np.ndarray, a_key: np.ndarray, b_key: np.ndarray,
               width: int, where: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """Join (refused as :func:`_join` refuses), multiply, group: sum
-    ``a_val[p] * b_val[q]`` over the pairs with ``a_on[p] == b_on[q]``, per
-    key ``a_key[p] * width + b_key[q]``."""
+    """Join (refused as :func:`_join` refuses), multiply, group: sum the
+    integers ``a_val[p] * b_val[q]`` over the pairs with
+    ``a_on[p] == b_on[q]``, per key ``a_key[p] * width + b_key[q]``."""
     p, q = _join(a_on, b_on, where)
-    keys, vals = a_key[p] * width + b_key[q], a_val[p] * b_val[q]
-    del p, q  # before grouping, which peaks at several arrays of the pairs
+    keys = a_key[p]  # built in place, so one gather is the only temporary
+    keys *= width
+    keys += b_key[q]
+    vals = a_val[p]
+    vals *= b_val[q]
+    del p, q  # before grouping, which gathers both once more
     return _group_sum(keys, vals)
 
 
@@ -682,8 +746,10 @@ def _eliminate(keys: np.ndarray, numer: np.ndarray, size: int) -> tuple:
         label, least = least, least.copy()
         np.minimum.at(least, row, label[col])
         least = least[least]
-    members = np.argsort(label, kind="stable")  # by component, ascending
-    place = np.argsort(members)  # of each index in members
+    members = _order(label, stable=True)  # by component, ascending
+    # place, the inverse permutation of members: where each index sits
+    place = np.empty_like(members)
+    place[members] = np.arange(size)
     counts = np.bincount(label, minlength=size)  # of each component, by label
     found, absdet = [], 1
     padded_keys, padded = np.append(keys, -1), np.append(numer, 0)
@@ -718,7 +784,7 @@ def _int64_inverse(keys: np.ndarray, adj: np.ndarray, det: np.ndarray,
     if denom * int(np.max(np.abs(adj))) >= 2**63:
         raise ValueError(f"an inverse over {denom} could overflow int64")
     keep = adj != 0
-    order = np.argsort(keys[keep])
+    order = _order(keys[keep])  # distinct: the components are disjoint
     return (keys[keep][order], (adj * (denom // det))[keep][order], denom,
             absdet)
 

@@ -149,9 +149,10 @@ class TestInputContract:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_section_refusal_names_its_family(self, capsys, monkeypatch, jobs):
         # A(1,0), the first family of catalog(1), is refused in its
-        # realization, whose largest join is 56 pairs; a forked worker
-        # inherits the patched bound
-        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 10)
+        # realization, whose largest join is 56 pairs; the record check,
+        # which reads the same bound, admits every family at 12 pairs (A(1,1)
+        # and B(1,1) must join 12); a forked worker inherits the patched bound
+        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 12)
         code, out, err = run(capsys, "report", "--max-m", "1", "--jobs", jobs)
         assert (code, out) == (2, "")
         assert err.startswith("error: A(1,0): a join of ")
@@ -181,9 +182,9 @@ class TestInputContract:
         # products must be over the join bound; the catalog past it is never
         # made. The dense bound, which guards only build's Gram, refuses
         # no report.
-        monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 1)
+        monkeypatch.setattr(supercore, "MAX_DENSE_ENTRIES", 1)
         if bound is not None:
-            monkeypatch.setattr(families, "MAX_JOIN_PAIRS", bound)
+            monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", bound)
         sections = []
         monkeypatch.setattr(cli, "report_section",
                             lambda *args: sections.append(args))
@@ -195,7 +196,7 @@ class TestInputContract:
 
     def test_only_build_reads_the_dense_bound(self, capsys, monkeypatch):
         # with no dense form allowed, every command but build still runs
-        monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 1)
+        monkeypatch.setattr(supercore, "MAX_DENSE_ENTRIES", 1)
         for argv in (("verify", *B11), ("indices", *B11),
                      ("report", "--max-m", "1")):
             code, out, _ = run(capsys, *argv)

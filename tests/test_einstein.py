@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from supereinstein import einstein
+from supereinstein import einstein, supercore
 from supereinstein.curvature import MetricParams, metric_from_params, \
     ricci_routes
 from supereinstein.einstein import (
@@ -829,7 +829,7 @@ class TestSolverInternals:
         want = solve(sys)
         sizes = []
         residual = einstein._trace_residual
-        monkeypatch.setattr(einstein, "MAX_JOIN_PAIRS", 10_000)
+        monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 10_000)
         monkeypatch.setattr(einstein, "_trace_residual", lambda data, signs, c: (
             sizes.append(np.size(c)) or residual(data, signs, c)))
         assert bits(solve(sys)) == bits(want)

@@ -9,7 +9,10 @@ the catalog makes family records inside ``families``, and nothing calls
 checks, the Casimir duals and the curvature plan, and real roots are
 isolated exactly. One function writes JSON, and only it reads a form's
 dense Gram; no row array reaches ``json.dumps``. Only the solver compares a
-residual with ``SOLUTION_TOL``."""
+residual with ``SOLUTION_TOL``. Every ordering is ``supercore._order``, one
+default int64 ``argsort``: nothing else calls ``argsort``, ``np.unique``,
+``np.sort``, ``np.lexsort`` or a ``.sort(`` method, and the commands run
+with the three numpy functions made to raise."""
 
 import ast
 import functools
@@ -249,6 +252,60 @@ def _comparers(tree: ast.Module, name: str) -> set:
     return found | ({"<module>"} if any(map(compares, rest)) else set())
 
 
+# numpy's sorting functions other than ``argsort``, each a kernel of its own
+NUMPY_SORTS = {"unique", "sort", "lexsort"}
+
+
+def _ordering_sites(tree: ast.AST) -> list:
+    """Line numbers of the orderings in ``tree``: every attribute or name
+    ``argsort``, every ``np.`` or ``numpy.`` attribute in ``NUMPY_SORTS``,
+    every other call of a ``.sort`` method, and every import that names one
+    of them from numpy (so every alias)."""
+    def numpy_attr(node):
+        return ast.unparse(node.value) in ("np", "numpy")
+
+    def names_one(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "argsort" or (node.attr in NUMPY_SORTS
+                                              and numpy_attr(node))
+        if isinstance(node, ast.Name):
+            return node.id == "argsort"
+        if isinstance(node, ast.Call):
+            return isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "sort" and not numpy_attr(node.func)
+        return isinstance(node, ast.ImportFrom) and node.module == "numpy" \
+            and any(a.name in NUMPY_SORTS | {"argsort"} for a in node.names)
+
+    return sorted(node.lineno for node in ast.walk(tree) if names_one(node))
+
+
+def test_one_ordering_kernel():
+    # every join, grouping and distinct-key pass orders its keys through
+    # supercore._order, and only it calls argsort: numpy's other sorts each
+    # page in a kernel of their own
+    sites = {(path.name, line) for path in MODULES
+             for line in _ordering_sites(_tree(path))}
+    order = next(fn for fn in _tree(SRC / "supercore.py").body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_order")
+    assert sites and sites == {("supercore.py", line)
+                               for line in _ordering_sites(order)}
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--max-m", "2"),
+    ("build", "--family", "B", "--m", "2", "--n", "2"),
+    ("verify", "--family", "B", "--m", "2", "--n", "2"),
+], ids=" ".join)
+def test_commands_run_without_numpy_sorts(monkeypatch, capsys, argv):
+    def refused(*args, **kwargs):
+        raise AssertionError("a numpy sort other than the one kernel ran")
+
+    for name in NUMPY_SORTS:
+        monkeypatch.setattr(np, name, refused)
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out
+
+
 def test_one_residual_gate():
     # the solver keeps only candidates whose residual is below
     # SOLUTION_TOL; a second gate on the residuals it returns could only
@@ -384,3 +441,14 @@ def test_checks_catch_what_they_look_for():
                      "def mixed(p, np):\n"
                      "    return np.subtract.outer(p, p), np.outer\n")
     assert [node.lineno for node in _call_sites(tree, "np.outer")] == [2]
+    tree = ast.parse("from numpy import lexsort as by_columns\n"
+                     "keys = np.unique(a, return_inverse=True)\n"
+                     "order = np.argsort(a, kind='stable')\n"
+                     "a.sort()\n"
+                     "b = numpy.sort(a)\n"
+                     "perm = a.argsort()\n"
+                     "at = np.searchsorted(a, v)\n"
+                     "best = sorted(v, key=abs)\n"
+                     "rows.sort(key=len)\n"
+                     "kind = np.sort_complex\n")
+    assert _ordering_sites(tree) == [1, 2, 3, 4, 5, 6, 9]

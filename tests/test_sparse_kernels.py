@@ -14,7 +14,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from supereinstein import cli, curvature, families, invariants, supercore
+from supereinstein import cli, curvature, einstein, families, invariants, \
+    supercore
 from supereinstein.curvature import (
     MetricParams,
     levi_civita_blockwise,
@@ -334,13 +335,98 @@ def test_refused_from_the_record_before_the_basis_is_made():
 
 def test_dense_bound_admits_its_own_size(monkeypatch):
     spec = families.family_spec("B", 1, 1)
-    monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 12 * 12)
+    monkeypatch.setattr(supercore, "MAX_DENSE_ENTRIES", 12 * 12)
     families.check_dense_size(spec)
-    monkeypatch.setattr(families, "MAX_DENSE_ENTRIES", 12 * 12 - 1)
+    monkeypatch.setattr(supercore, "MAX_DENSE_ENTRIES", 12 * 12 - 1)
     with pytest.raises(ValueError, match="B\\(1,1\\) has dimension 12"):
         families.check_dense_size(spec)
     # only build reads the bound, not the realization
     assert families.realize(spec).algebra.dim == 12
+
+
+def test_every_bound_is_read_from_supercore_when_it_is_used(monkeypatch):
+    # the record checks and the solver's coarse-node refusal read the bounds
+    # where every join reads its own, so lowering supercore's alone makes
+    # all three refuse. B(1,1), dim 12: its basis products join at least 12
+    # pairs, and its dense form has 144 entries
+    spec = families.family_spec("B", 1, 1)
+    families.check_product_join(spec)
+    families.check_dense_size(spec)
+    monkeypatch.setattr(supercore, "MAX_JOIN_PAIRS", 11)
+    monkeypatch.setattr(supercore, "MAX_DENSE_ENTRIES", 143)
+    with pytest.raises(ValueError, match="join at least 12 entry pairs, "
+                       "over the 11-pair memory limit$"):
+        families.check_product_join(spec)
+    with pytest.raises(ValueError, match="over the 143-entry memory limit$"):
+        families.check_dense_size(spec)
+    with pytest.raises(ValueError, match="coarse nodes, over the 11-element "
+                       "memory limit"):
+        einstein.solve(spec.data)
+
+
+def test_group_sum_peaks_under_six_values_per_pair(monkeypatch):
+    # A(20,0): the contraction that rebuilds the brackets from their
+    # coordinates joins 30,608 pairs. The keys and values are built in
+    # place, gathered once in sorted order and each freed once read: a
+    # peak of 45.8 bytes per pair (np.unique's copies and inverse took 64)
+    calls = []
+    rebuilds = supercore._rebuilds
+    monkeypatch.setattr(supercore, "_rebuilds", lambda *args, **kwargs:
+                        calls.append(args) or rebuilds(*args, **kwargs))
+    families.realize(families.family_spec("A", 20, 0))
+    coef_keys, coef, width, owner, flat, val, npos = calls[0][:7]
+    args = (coef_keys % width, owner, coef, val, coef_keys // width, flat,
+            npos)
+    pairs = len(_join(*args[:2])[0])
+    supercore._contract(*args)  # first-call set-up
+    tracemalloc.start()
+    try:
+        supercore._contract(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == 30_608
+    assert peak <= 48 * pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_kernel_orders_and_groups_as_numpy_does(seed):
+    # the oracles are numpy's stable sort and np.unique, which the package
+    # no longer calls; the keys are negative and positive, with many ties
+    rng = np.random.default_rng(seed)
+    keys, vals = rng.integers(-40, 40, 500), rng.integers(-3, 4, 500)
+    assert np.array_equal(supercore._order(keys, stable=True),
+                          np.argsort(keys, kind="stable"))
+    assert np.array_equal(keys[supercore._order(keys)], np.sort(keys))
+    distinct, where = supercore._distinct(keys)
+    want, inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(distinct, want) and np.array_equal(where, inverse)
+    sums = np.zeros(len(want), dtype=np.int64)
+    np.add.at(sums, inverse, vals)
+    got = supercore._group_sum(keys, vals)
+    assert np.array_equal(got[0], want[sums != 0])
+    assert np.array_equal(got[1], sums[sums != 0])
+    empty = np.zeros(0, dtype=np.int64)
+    assert [len(v) for v in (*supercore._distinct(empty),
+                             *supercore._group_sum(empty, empty))] == [0] * 4
+
+
+def test_keys_too_wide_to_order_stably_refused():
+    # a stable order sorts (key - min) * len + position, which must stay
+    # under 2**63: two keys spanning 2**62 values just fit, and one more
+    # value is refused by a one-line ValueError naming the join, the form
+    # of every refusal the CLI prints before it exits 2
+    assert supercore._order(np.array([2**62 - 1, 0]), stable=True).tolist() \
+        == [1, 0]
+    with pytest.raises(ValueError) as err:
+        supercore._order(np.array([2**62, 0]), stable=True,
+                         where=" in the Jacobi check")
+    assert str(err.value) == ("a join in the Jacobi check orders 2 keys "
+                              "spanning 4,611,686,018,427,387,905 values, too "
+                              "wide to order in int64")
+    with pytest.raises(ValueError, match="too wide to order in int64$"):
+        _join(np.array([0]), np.array([2**62, 0]))
+    assert supercore._order(np.array([2**62, 0])).tolist() == [1, 0]
 
 
 def test_largest_catalog_family_passes_the_join_bound():

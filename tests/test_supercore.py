@@ -443,16 +443,19 @@ class TestJacobi:
 
     def test_join_sides_ordered_once_per_check(self, monkeypatch, b44,
                                                psl22):
-        # with no blocks, a check makes two joins, each sorting its right
-        # side once, and no other argsort: the products' inner index and
-        # the rebuild's basis index; the two groupings are of the products
-        # and the rebuild, and modulo psl(2|2)'s centre each side is
-        # regrouped once more
-        joins, sorts, groups = [], [], []
-        join, argsort, group_sum = (supercore._join, np.argsort,
-                                    supercore._group_sum)
+        # with no blocks, a check makes two joins, each ordering its right
+        # side once: the products' inner index and the rebuild's basis
+        # index; the two groupings are of the products and the rebuild, each
+        # ordering its keys once, and modulo psl(2|2)'s centre each side is
+        # regrouped once more. Every ordering is one call of the helper,
+        # which makes one argsort, and nothing else sorts
+        joins, orders, sorts, groups = [], [], [], []
+        join, order, argsort, group_sum = (supercore._join, supercore._order,
+                                           np.argsort, supercore._group_sum)
         monkeypatch.setattr(supercore, "_join", lambda *a: joins.append(1)
                             or join(*a))
+        monkeypatch.setattr(supercore, "_order", lambda *a, **k:
+                            orders.append(1) or order(*a, **k))
         monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1)
                             or argsort(*a, **k))
         monkeypatch.setattr(supercore, "_group_sum", lambda *a: groups.append(1)
@@ -460,11 +463,12 @@ class TestJacobi:
         counts = []
         for real in (b44, psl22):
             for matrices in (real.matrices, None):
-                joins.clear(), sorts.clear(), groups.clear()
+                joins.clear(), orders.clear(), sorts.clear(), groups.clear()
                 assert check_super_jacobi(real.algebra, matrices).residual \
                     == 0.0
-                counts.append((len(joins), len(sorts), len(groups)))
-        assert counts == [(2, 2, 2), (2, 2, 2), (2, 2, 4), (2, 2, 2)]
+                assert len(sorts) == len(orders)
+                counts.append((len(joins), len(orders), len(groups)))
+        assert counts == [(2, 4, 2), (2, 4, 2), (2, 6, 4), (2, 4, 2)]
 
     def test_joins_no_more_than_the_realization(self, monkeypatch, b44):
         # B(4,4): the check joins the products that realize joins first and
@@ -718,7 +722,7 @@ class TestEvenSupersymmetricPart:
         for _ in range(5):
             mat = rng.normal(size=(n, n))
             mat[rng.random(mat.shape) < 0.3] = -0.0
-            slots, mirror, parity = _slot_layout(np.arange(n * n), p, n)
+            slots, _, mirror, parity = _slot_layout(np.arange(n * n), p, n)
             assert slots.tolist() == list(range(n * n))
             part, evenness, supersymmetry = _even_supersymmetric_part(
                 mirror, parity, mat.ravel())
@@ -726,7 +730,8 @@ class TestEvenSupersymmetricPart:
             assert part.tobytes() == want[0].tobytes()
             assert (evenness, supersymmetry) == want[1:]
             keys = np.flatnonzero(rng.random(n * n) < 0.2)
-            slots, mirror, parity = _slot_layout(keys, p, n)
+            slots, at, mirror, parity = _slot_layout(keys, p, n)
+            assert np.array_equal(slots[at], keys)
             sparse = np.zeros(n * n)
             sparse[keys] = mat.ravel()[keys]
             part, evenness, supersymmetry = _even_supersymmetric_part(
